@@ -3,6 +3,10 @@
 One self-describing JSON schema covers problems, traces and reports; exact
 rationals always travel as strings like "4/3".  Exit codes: 0 success,
 2 precondition failure, 3 parse error, 4 internal assertion.
+
+The subcommands are the keys of ``HANDLERS``: order, poly, newton,
+char-poly, delta, d-i, nu, directrix, hs, coeff, blowup, run-lsb and
+invariant.  ``invariant --fast`` computes the invariant by the fast path.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .coeff import coefficient_pair, delta_invariant, prepare_vertices
@@ -23,6 +27,7 @@ from .history import (
     PairWithHistory,
     Trace,
     blowup_chart,
+    exceptional_nu,
     run_lsb,
 )
 from .invariant import (
@@ -41,17 +46,9 @@ from .poly import (
 from .polyhedra import (
     OrthantPolyhedron,
     coordinate_min,
-    delta,
     newton_polyhedron,
     polyhedron_of_pair,
 )
-
-COMMANDS = (
-    "order", "poly", "newton", "char-poly", "delta", "d-i", "nu",
-    "directrix", "hs", "coeff", "blowup", "run-lsb", "invariant",
-    "invariant-fast",
-)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -73,6 +70,15 @@ def _parse_rational(text, where: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise ProblemParseError(f"{where}: bad rational {text!r}") from None
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` unchanged when its type is exactly ``kind`` (int or bool;
+    a JSON boolean is not an integer), else ProblemParseError."""
+    if type(value) is not kind:
+        noun = "boolean" if kind is bool else "integer"
+        raise ProblemParseError(f"{where}: expected a JSON {noun}, got {value!r}")
+    return value
 
 
 def parse_problem(source) -> Problem:
@@ -120,7 +126,7 @@ def problem_from_data(data: dict) -> Problem:
         div_id = str(item.get("id"))
         var = item.get("variable")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}")
-        birth = int(item.get("birth", 0))
+        birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
         if var is None:
             entries.append(ExcDivisor(div_id, None, d, birth))
         else:
@@ -163,14 +169,12 @@ def problem_from_data(data: dict) -> Problem:
         script.append((center, str(chart)))
 
     odata = data.get("options", {})
-    options = Options(
-        hs_cutoff=int(odata.get("hs_cutoff", 12)),
-        max_prep_iters=int(odata.get("max_prep_iters", 32)),
-        contact_height_cap=int(odata.get("contact_height_cap", 4)),
-        tail_iters=int(odata.get("tail_iters", 8)),
-        verify=bool(odata.get("verify", True)),
-        skip_unit_steps=bool(odata.get("skip_unit_steps", False)),
-    )
+    if not isinstance(odata, dict):
+        raise ProblemParseError("'options' must be a JSON object")
+    options = Options(**{
+        f.name: _typed(odata[f.name], type(f.default), f"option {f.name!r}")
+        for f in fields(Options) if f.name in odata
+    })
     try:
         state = PairWithHistory(pair, frame, ExceptionalData(tuple(entries)))
     except PreconditionError as exc:
@@ -182,22 +186,21 @@ def problem_from_data(data: dict) -> Problem:
 # Reports
 
 
-def _rat(x) -> str:
-    return format_rational(x)
-
-
 def _poly_str(p, frame: Frame) -> str:
     return format_polynomial(p, list(frame.variables))
 
 
 def _vertices_data(P: OrthantPolyhedron):
-    return [[_rat(c) for c in v] for v in P.vertices]
+    return [[format_rational(c) for c in v] for v in P.vertices]
 
 
 def _pair_data(pair: Pair, frame: Frame):
     return {
         "components": [
-            {"gens": [_poly_str(g, frame) for g in comp.gens], "b": _rat(comp.weight)}
+            {
+                "gens": [_poly_str(g, frame) for g in comp.gens],
+                "b": format_rational(comp.weight),
+            }
             for comp in pair.components
         ]
     }
@@ -218,124 +221,151 @@ def _invariant_data(vec: InvariantVector):
     return {
         "nu1": {"dims": list(vec.nu1.dims), "cutoff": vec.nu1.cutoff},
         "s1": vec.s1,
-        "entries": [{"nu": _rat(e.nu), "s": e.s} for e in vec.entries],
+        "entries": [{"nu": format_rational(e.nu), "s": e.s} for e in vec.entries],
         "terminal": None if vec.terminal is None else ("inf" if vec.terminal == INF else "0"),
         "center": None if vec.center is None else list(vec.center),
         "monomial": vec.monomial,
     }
 
 
-def run(problem: Problem, command: str, chart: str | None = None, fast: bool = False):
-    """Execute one subcommand; returns a JSON-ready report dict."""
-    state = problem.state
-    pair, frame = state.pair, state.frame
-    opts = problem.options
-    if command == "order":
-        return {
-            "command": command,
-            "pair_order": _rat(pair_order(pair)),
-            "component_orders": [
-                _rat(c.ideal_order()) for c in pair.components
-            ],
-        }
-    if command == "poly":
-        P = polyhedron_of_pair(pair, frame)
-        return {
-            "command": command,
-            "u": list(frame.u_names()),
-            "vertices": _vertices_data(P),
-        }
-    if command == "newton":
-        P = newton_polyhedron(pair, frame)
-        return {
-            "command": command,
-            "coordinates": list(frame.u_names()) + list(frame.y_names()),
-            "vertices": _vertices_data(P),
-        }
-    if command == "char-poly":
-        res = prepare_vertices(pair, frame, opts.max_prep_iters)
-        return {
-            "command": command,
-            "u": list(frame.u_names()),
-            "vertices": _vertices_data(res.polyhedron),
-            "prepared": res.prepared,
-            "iterations": len(res.translations),
-            "pair": _pair_data(res.pair, frame),
-        }
-    if command == "delta":
-        try:
-            value = delta_invariant(pair, frame, opts.max_prep_iters)
-        except PreconditionError as exc:
-            forced = getattr(exc, "forced_delta", None)
-            if forced is None:
-                raise
-            return {"command": command, "error": str(exc), "forced_delta": _rat(forced)}
-        return {"command": command, "delta": _rat(value)}
-    if command == "d-i":
-        P = polyhedron_of_pair(pair, frame)
-        table = {}
-        for pos, i in enumerate(frame.u_indices):
-            table[frame.variables[i]] = (
-                None if P.is_empty() else _rat(coordinate_min(P, pos))
-            )
-        return {"command": command, "d": table}
-    if command == "nu":
-        from .history import exceptional_nu
+# ---------------------------------------------------------------------------
+# Subcommands: handler(problem, chart, fast) -> report without "command"
 
-        value = exceptional_nu(pair, frame, state.exdata, opts.max_prep_iters)
-        return {"command": command, "nu": _rat(value)}
-    if command == "directrix":
-        basis = directrix(initial_ideal(pair))
-        return {
-            "command": command,
-            "forms": [_poly_str(f, frame) for f in basis.forms],
-            "dim": basis.dim,
-        }
-    if command == "hs":
-        dims = hilbert_samuel_truncated(list(pair.all_generators()), opts.hs_cutoff)
-        return {"command": command, "dims": dims, "cutoff": opts.hs_cutoff}
-    if command == "coeff":
-        C = coefficient_pair(pair, frame, frame.y_indices)
-        reduced, _ = frame.drop_variables(frame.y_indices)
-        return {
-            "command": command,
-            "z": list(frame.y_names()),
-            "pair": _pair_data(C, reduced),
-        }
-    if command == "blowup":
-        if problem.script:
-            center_names, chart_name = problem.script[0]
-        else:
-            center_names = list(frame.variables)
-            chart_name = chart
-        if chart is not None:
-            chart_name = chart
-        if chart_name is None:
-            raise PreconditionError("blowup needs a chart variable (--chart)")
-        report = blowup_chart(
-            state, [frame.index_of(n) for n in center_names], frame.index_of(chart_name)
+
+def _order(problem: Problem, chart, fast):
+    pair = problem.pair
+    return {
+        "pair_order": format_rational(pair_order(pair)),
+        "component_orders": [format_rational(c.ideal_order()) for c in pair.components],
+    }
+
+
+def _poly(problem: Problem, chart, fast):
+    P = polyhedron_of_pair(problem.pair, problem.frame)
+    return {"u": list(problem.frame.u_names()), "vertices": _vertices_data(P)}
+
+
+def _newton(problem: Problem, chart, fast):
+    frame = problem.frame
+    P = newton_polyhedron(problem.pair, frame)
+    return {
+        "coordinates": list(frame.u_names()) + list(frame.y_names()),
+        "vertices": _vertices_data(P),
+    }
+
+
+def _char_poly(problem: Problem, chart, fast):
+    frame = problem.frame
+    res = prepare_vertices(problem.pair, frame, problem.options.max_prep_iters)
+    return {
+        "u": list(frame.u_names()),
+        "vertices": _vertices_data(res.polyhedron),
+        "prepared": res.prepared,
+        "iterations": len(res.translations),
+        "pair": _pair_data(res.pair, frame),
+    }
+
+
+def _delta(problem: Problem, chart, fast):
+    try:
+        value = delta_invariant(problem.pair, problem.frame, problem.options.max_prep_iters)
+    except PreconditionError as exc:
+        forced = getattr(exc, "forced_delta", None)
+        if forced is None:
+            raise
+        return {"error": str(exc), "forced_delta": format_rational(forced)}
+    return {"delta": format_rational(value)}
+
+
+def _d_i(problem: Problem, chart, fast):
+    frame = problem.frame
+    P = polyhedron_of_pair(problem.pair, frame)
+    table = {}
+    for pos, i in enumerate(frame.u_indices):
+        table[frame.variables[i]] = (
+            None if P.is_empty() else format_rational(coordinate_min(P, pos))
         )
-        return {
-            "command": command,
-            "center": center_names,
-            "chart": chart_name,
-            "delta_center": _rat(report.delta_center_value),
-            "new_divisor": report.new_divisor,
-            "d_from_center": _rat(report.d_from_center),
-            "d_from_polyhedron": _rat(report.d_from_polyhedron),
-            "pair": _pair_data(report.state.pair, report.state.frame),
-            "frame": _frame_data(report.state.frame),
-        }
-    if command == "run-lsb":
-        trace = run_lsb(state, problem.script)
-        return {"command": command, "trace": _trace_data(trace)}
-    if command in ("invariant", "invariant-fast"):
-        trace = run_lsb(state, problem.script) if problem.script else None
-        subject = trace.final if trace else state
-        compute = fast_path_invariant if (fast or command == "invariant-fast") else compute_invariant
-        vec = compute(subject, trace, opts)
-        return {"command": command, "invariant": _invariant_data(vec)}
-    raise PreconditionError(f"unknown command {command!r}")
+    return {"d": table}
+
+
+def _nu(problem: Problem, chart, fast):
+    state = problem.state
+    value = exceptional_nu(
+        state.pair, state.frame, state.exdata, problem.options.max_prep_iters
+    )
+    return {"nu": format_rational(value)}
+
+
+def _directrix(problem: Problem, chart, fast):
+    basis = directrix(initial_ideal(problem.pair))
+    return {"forms": [_poly_str(f, problem.frame) for f in basis.forms], "dim": basis.dim}
+
+
+def _hs(problem: Problem, chart, fast):
+    cutoff = problem.options.hs_cutoff
+    dims = hilbert_samuel_truncated(list(problem.pair.all_generators()), cutoff)
+    return {"dims": dims, "cutoff": cutoff}
+
+
+def _coeff(problem: Problem, chart, fast):
+    frame = problem.frame
+    C = coefficient_pair(problem.pair, frame, frame.y_indices)
+    reduced, _ = frame.drop_variables(frame.y_indices)
+    return {"z": list(frame.y_names()), "pair": _pair_data(C, reduced)}
+
+
+def _blowup(problem: Problem, chart, fast):
+    state, frame = problem.state, problem.frame
+    if problem.script:
+        center_names, chart_name = problem.script[0]
+    else:
+        center_names = list(frame.variables)
+        chart_name = chart
+    if chart is not None:
+        chart_name = chart
+    if chart_name is None:
+        raise PreconditionError("blowup needs a chart variable (--chart)")
+    report = blowup_chart(
+        state, [frame.index_of(n) for n in center_names], frame.index_of(chart_name)
+    )
+    return {
+        "center": center_names,
+        "chart": chart_name,
+        "delta_center": format_rational(report.delta_center_value),
+        "new_divisor": report.new_divisor,
+        "d_from_center": format_rational(report.d_from_center),
+        "d_from_polyhedron": format_rational(report.d_from_polyhedron),
+        "pair": _pair_data(report.state.pair, report.state.frame),
+        "frame": _frame_data(report.state.frame),
+    }
+
+
+def _run_lsb(problem: Problem, chart, fast):
+    return {"trace": _trace_data(run_lsb(problem.state, problem.script))}
+
+
+def _invariant(problem: Problem, chart, fast):
+    trace = run_lsb(problem.state, problem.script) if problem.script else None
+    subject = trace.final if trace else problem.state
+    compute = fast_path_invariant if fast else compute_invariant
+    return {"invariant": _invariant_data(compute(subject, trace, problem.options))}
+
+
+HANDLERS = {
+    "order": _order, "poly": _poly, "newton": _newton, "char-poly": _char_poly,
+    "delta": _delta, "d-i": _d_i, "nu": _nu, "directrix": _directrix, "hs": _hs,
+    "coeff": _coeff, "blowup": _blowup, "run-lsb": _run_lsb, "invariant": _invariant,
+}
+COMMANDS = tuple(HANDLERS)
+
+
+def run(problem: Problem, command: str, chart: str | None = None, fast: bool = False):
+    """Execute one subcommand; returns a JSON-ready report dict.  ``fast``
+    selects the fast-path invariant."""
+    handler = HANDLERS.get(command)
+    if handler is None:
+        raise PreconditionError(f"unknown command {command!r}")
+    return {"command": command, **handler(problem, chart, fast)}
 
 
 def _trace_data(trace: Trace):
@@ -350,7 +380,7 @@ def _trace_data(trace: Trace):
                 {
                     "id": e.divisor_id,
                     "variable": None if e.variable is None else frame.variables[e.variable],
-                    "d": _rat(e.d),
+                    "d": format_rational(e.d),
                     "birth": e.birth_year,
                 }
                 for e in rec.state.exdata.entries
@@ -360,9 +390,9 @@ def _trace_data(trace: Trace):
             entry["step"] = {
                 "center": [frame.variables[i] for i in rec.step.center],
                 "chart": frame.variables[rec.step.chart],
-                "delta_center": _rat(rec.step.delta_center_value),
-                "d_from_center": _rat(rec.step.d_from_center),
-                "d_from_polyhedron": _rat(rec.step.d_from_polyhedron),
+                "delta_center": format_rational(rec.step.delta_center_value),
+                "d_from_center": format_rational(rec.step.d_from_center),
+                "d_from_polyhedron": format_rational(rec.step.d_from_polyhedron),
             }
         years.append(entry)
     return {"years": years}
@@ -469,7 +499,8 @@ def main(argv=None) -> int:
     parser.add_argument("--hs-cutoff", type=int, default=None)
     parser.add_argument("--max-prep-iters", type=int, default=None)
     parser.add_argument("--chart", default=None)
-    parser.add_argument("--fast", action="store_true")
+    parser.add_argument("--fast", action="store_true",
+                        help="invariant: use the fast path (the differential reference)")
     args = parser.parse_args(argv)
 
     try:

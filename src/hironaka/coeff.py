@@ -21,7 +21,6 @@ from .frames import Frame
 from .linalg import solve
 from .pairs import Component, Pair, is_singular_at_origin
 from .poly import (
-    INF,
     Polynomial,
     hasse_derivative,
     ord_at_origin,
@@ -112,8 +111,11 @@ def find_maximal_contact(
 ) -> MaximalContact:
     """Select a maximal-contact hypersurface and normalize it to a coordinate.
 
-    ``preferred_variables`` short-circuits the search: if one of them appears
-    as a weight-1 component generator it is taken as the contact directly.
+    ``preferred_variables`` are the adjoined divisor variables.  They
+    short-circuit the search: if one of them appears as a weight-1 component
+    generator it is taken as the contact directly.  The direction sweep
+    leaves every other marked variable untouched: the contact must stay
+    transversal to the divisors that were not adjoined.
     """
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
@@ -146,14 +148,17 @@ def find_maximal_contact(
     f, b = chosen
     top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
     marked = frame.marked_indices()
+    preferred = set(preferred_variables)
 
     saw_direction = False
     failed_screens = 0
     for vec in _direction_candidates(n, height_cap):
         touched = {i for i, x in enumerate(vec) if x != 0}
         if touched & marked:
-            # only a pure divisor direction keeps the crossings coordinate
-            if not (len(touched) == 1 and vec[next(iter(touched))] == 1):
+            # only a pure direction along an adjoined divisor keeps the
+            # crossings coordinate
+            if not (len(touched) == 1 and touched <= preferred
+                    and vec[next(iter(touched))] == 1):
                 continue
         if _evaluate(top, vec) == 0:
             continue

@@ -115,12 +115,12 @@ def graded_piece(I: HomIdeal, d: int) -> list[Polynomial]:
 
 
 def _graded_basis_rows(I: HomIdeal, d: int):
-    basis = monomials_of_degree(I.nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-    polys = graded_piece(I, d)
-    rows = [_poly_to_vector(p, index) for p in polys]
-    red, pivots = rref(rows)
-    return red, pivots, index
+    """``graded_piece`` as rref rows, their pivot columns and the monomial
+    index; the piece is already reduced, so each pivot is a leading column."""
+    index = {m: i for i, m in enumerate(monomials_of_degree(I.nvars, d))}
+    rows = [_poly_to_vector(p, index) for p in graded_piece(I, d)]
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in rows]
+    return rows, pivots, index
 
 
 def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
@@ -178,12 +178,8 @@ def directrix(I: HomIdeal) -> DirectrixBasis:
             row = [residues[i][coord] for i in range(n)]
             if any(x != 0 for x in row):
                 sys_rows.append(row)
-    directions = nullspace(sys_rows, n) if sys_rows else nullspace([], n)
-    if not sys_rows:
-        directions = [[Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    ann = nullspace(directions, n) if directions else [
-        [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)
-    ]
+    directions = nullspace(sys_rows, n)
+    ann = nullspace(directions, n)
     forms = tuple(
         Polynomial(n, {tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(vec) if c != 0})
         for vec in ann

@@ -6,6 +6,12 @@ fast path that collapses the forced unit steps.
 The vector has the shape (nu1, s1; nu2, s2; ...; nu_t) where nu1 is a
 truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
+
+Every step, slow or fast, ends in the same tail (``_descend``): coefficient
+pair, mu, mu_H, nu, then a terminal case or the companion pair.  Along a
+trace each year is evaluated once, oldest first (``_evaluate``): a divisor
+is old at step r when it was born no later than the first earlier year
+whose comparison tokens (hs, s1, nu2, s2, ...) start with the current ones.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeff import MaximalContact, coefficient_pair, find_maximal_contact
+from .coeff import coefficient_pair, find_maximal_contact
 from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .history import ExcDivisor, ExceptionalData, PairWithHistory, Trace
@@ -194,9 +200,25 @@ def invariant_step(state: PipelineState) -> StepResult:
     )
     contact_name = frame.variables[mc.contact_index]
     pending = tuple(nm for nm in pending if nm != contact_name)
+    return _descend(state, mc.pair, mc.frame, [mc.contact_index], pending, opts.verify)
 
-    H = coefficient_pair(mc.pair, mc.frame, [mc.contact_index])
-    new_frame, remap = mc.frame.drop_variables([mc.contact_index])
+
+def _deferred_step(base: PipelineState, cur: PipelineState, contacts) -> StepResult:
+    """Collapse a forced run: one multi-variable coefficient pair of the base
+    state with respect to every contact consumed since.  Nothing was
+    restricted during the run, so the current exceptional data still uses
+    the base frame's indices."""
+    z_indices = [base.frame.index_of(nm) for nm in contacts]
+    return _descend(cur, base.pair, base.frame, z_indices, (), verify=False)
+
+
+def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices, pending,
+             verify: bool) -> StepResult:
+    """The tail every step shares: restrict ``pair`` to its coefficient pair
+    along ``z_indices`` (the last one is the step's contact), read off mu,
+    mu_H and nu, and end in a terminal case or the companion pair."""
+    H = coefficient_pair(pair, frame, z_indices)
+    new_frame, remap = frame.drop_variables(z_indices)
     exdata = _remap_exdata(state.exdata, remap)
 
     mu = INF if H.is_empty() else min(
@@ -206,30 +228,26 @@ def invariant_step(state: PipelineState) -> StepResult:
     mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
 
-    if opts.verify:
-        _verify_step(mc, H, new_frame, mu, mus)
+    if verify:
+        _verify_step(pair, frame, H, new_frame, mu, mus)
 
-    consumed = state.consumed + (contact_name,)
+    consumed = state.consumed + (frame.variables[z_indices[-1]],)
     if nu == INF:
-        outcome = Terminal(INF, consumed, None)
-        return StepResult(mu, mus, nu, outcome, None)
+        return StepResult(mu, mus, nu, Terminal(INF, consumed, None), None)
     if nu == 0:
         D = _exceptional_monomial(new_frame, mus)
-        outcome = Terminal(
-            Fraction(0), None, format_polynomial(D, list(new_frame.variables))
-        )
-        return StepResult(mu, mus, nu, outcome, D)
+        monomial = format_polynomial(D, list(new_frame.variables))
+        return StepResult(mu, mus, nu, Terminal(Fraction(0), None, monomial), D)
 
-    G_next = companion_pair(H, new_frame, exdata, nu)
     next_state = PipelineState(
         r=state.r + 1,
-        pair=G_next,
+        pair=companion_pair(H, new_frame, exdata, nu),
         frame=new_frame,
         exdata=_zero_assigned(exdata),
         consumed=consumed,
         pending=pending,
         adjoin=(),
-        opts=opts,
+        opts=state.opts,
     )
     return StepResult(mu, mus, nu, next_state, None)
 
@@ -254,12 +272,11 @@ def _zero_assigned(exdata: ExceptionalData) -> ExceptionalData:
     ))
 
 
-def _verify_step(mc: MaximalContact, H: Pair, frame_H: Frame, mu, mus) -> None:
+def _verify_step(pair: Pair, frame: Frame, H: Pair, frame_H: Frame, mu, mus) -> None:
     """Polyhedron cross-checks: the coefficient-pair order equals the
     projected delta, and each divisor multiplicity equals a coordinate
     minimum."""
-    P = polyhedron_of_pair(mc.pair, mc.frame)
-    d = delta(P)
+    d = delta(polyhedron_of_pair(pair, frame))
     if d != mu:
         raise InternalError(f"order/delta cross-check failed: {mu} vs {d}")
     if H.is_empty():
@@ -290,180 +307,101 @@ def _pipeline_frame(state: PairWithHistory) -> Frame:
     return Frame(fr.variables, tuple(range(fr.nvars)), (), fr.exceptional)
 
 
-@dataclass
-class _Partition:
-    records: list  # (s_i, E^i ids, remaining ids)
+def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool):
+    """Evaluate one year against the tokens of the years before it.
 
-
-def _drive(
-    state: PairWithHistory,
-    year_tokens: list,
-    opts: Options,
-    fast: bool,
-) -> tuple[InvariantVector, _Partition]:
+    Returns the vector, one partition record (s_r, E^r ids, remaining ids)
+    per step, and the year's own comparison tokens
+    (hs dims, s1, nu2, s2, ..., terminal).
+    """
     if not is_singular_at_origin(state.pair):
         raise PreconditionError("point not in Sing")
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
-    partition = _Partition([])
-
-    frame = _pipeline_frame(state)
-    exdata = state.exdata
-    cur = PipelineState(
-        r=1, pair=state.pair, frame=frame, exdata=exdata,
+    cur = base = PipelineState(
+        r=1, pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
         consumed=(), pending=(), adjoin=(), opts=opts,
     )
+    tokens: list = [hs.dims]
+    records: list = []
+    deferred: list[str] = []  # fast path: contacts of the current forced run
 
-    prefix: list = []  # comparison tokens after hs: s1, nu2, s2, ...
-    s1 = 0
-    entries: list[InvariantEntry] = []
-    pending_nu = None
-    terminal = None
-    center = None
-    monomial = None
-
-    # base data for the deferred fast-path computation
-    base_pair = cur.pair
-    base_frame = cur.frame
-    base_exdata = cur.exdata
-    deferred: list[str] = []
-
-    r = 1
     while True:
-        i_r = _first_matching_year(hs, prefix, year_tokens)
-        Er = tuple(
-            e for e in cur.exdata.present_entries() if e.birth_year <= i_r
-        )
-        s_r = len(Er)
+        i_r = _first_matching_year(tokens, year_tokens)
+        present = cur.exdata.present_entries()
+        Er = tuple(e for e in present if e.birth_year <= i_r)
+        remaining = tuple(e.divisor_id for e in present if e.birth_year > i_r)
+        records.append((len(Er), tuple(e.divisor_id for e in Er), remaining))
+        tokens.append(len(Er))
         adjoin = tuple(
             cur.frame.variables[e.variable] for e in sorted(Er, key=lambda e: e.divisor_id)
         )
-        remaining = tuple(
-            e.divisor_id for e in cur.exdata.present_entries() if e.birth_year > i_r
-        )
-        partition.records.append(
-            (s_r, tuple(e.divisor_id for e in Er), remaining)
-        )
-        if Er:
-            kept = tuple(e for e in cur.exdata.entries if e not in Er)
-            cur = replace(cur, exdata=ExceptionalData(kept), adjoin=adjoin)
-        else:
-            cur = replace(cur, adjoin=())
-
-        if r == 1:
-            s1 = s_r
-        else:
-            entries.append(InvariantEntry(pending_nu, s_r))
-        prefix.append(s_r)
+        kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e not in Er))
+        cur = replace(cur, exdata=kept, adjoin=adjoin)
 
         if fast:
-            pending_now = _by_index(cur.frame, set(cur.pending) | set(cur.adjoin))
-            if pending_now:
-                contact = pending_now[0]
-                rest = pending_now[1:]
-                if rest:
-                    # forced unit step: another adjoined divisor remains
-                    deferred.append(contact)
-                    cur = replace(
-                        cur, r=cur.r + 1, pending=rest, adjoin=(),
-                        consumed=cur.consumed + (contact,),
-                    )
-                    pending_nu = Fraction(1)
-                    prefix.append(pending_nu)
-                    r += 1
-                    continue
-                deferred.append(contact)
-                step = _deferred_step(base_pair, base_frame, base_exdata,
-                                      cur, deferred, opts)
-                deferred = []
+            pending = _by_index(cur.frame, set(cur.pending) | set(cur.adjoin))
+            if len(pending) > 1:
+                # forced unit step: another adjoined divisor remains
+                deferred.append(pending[0])
+                cur = replace(
+                    cur, r=cur.r + 1, pending=pending[1:], adjoin=(),
+                    consumed=cur.consumed + pending[:1],
+                )
+                tokens.append(Fraction(1))
+                continue
+            deferred.extend(pending)
+            if deferred:
+                step = _deferred_step(base, cur, deferred)
             else:
-                if deferred:
-                    step = _deferred_step(base_pair, base_frame, base_exdata,
-                                          cur, deferred, opts)
-                    deferred = []
-                else:
-                    step = invariant_step(replace(cur, opts=replace(opts, verify=False)))
+                step = invariant_step(replace(cur, opts=replace(opts, verify=False)))
+            deferred = []
         else:
             step = invariant_step(cur)
 
-        pending_nu = step.nu
         if isinstance(step.outcome, Terminal):
-            terminal = step.outcome.nu
-            center = step.outcome.center
-            monomial = step.outcome.monomial
-            prefix.append(INF if terminal == INF else Fraction(0))
+            tokens.append(step.outcome.nu)
             break
-        cur = step.outcome
-        base_pair, base_frame, base_exdata = cur.pair, cur.frame, cur.exdata
-        prefix.append(pending_nu)
-        r += 1
+        tokens.append(step.nu)
+        cur = base = step.outcome
 
-    vec = InvariantVector(
-        nu1=hs,
-        s1=s1,
-        entries=tuple(entries),
-        terminal=terminal,
-        center=center,
-        monomial=monomial,
+    steps = tokens[2:-1]  # nu2, s2, nu3, s3, ...
+    entries = tuple(
+        InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2])
+        if not (opts.skip_unit_steps and nu == 1 and s == 0)
     )
-    if opts.skip_unit_steps:
-        vec = replace(vec, entries=tuple(
-            e for e in vec.entries if not (e.nu == 1 and e.s == 0)
-        ))
-    return vec, partition
+    end = step.outcome
+    vec = InvariantVector(hs, tokens[1], entries, end.nu, end.center, end.monomial)
+    return vec, records, tuple(tokens)
 
 
-def _deferred_step(base_pair, base_frame, base_exdata, cur: PipelineState,
-                   consumed_names, opts: Options) -> StepResult:
-    """Collapse a forced run: one multi-variable coefficient pair of the base
-    state with respect to every contact consumed since, then the usual
-    mu/nu arithmetic."""
-    idxs = [base_frame.index_of(nm) for nm in consumed_names]
-    H = coefficient_pair(base_pair, base_frame, idxs)
-    new_frame, remap = base_frame.drop_variables(idxs)
-    exdata = _remap_exdata(cur.exdata, _compose_remap(base_exdata, cur.exdata, base_frame, remap))
-    mu = INF if H.is_empty() else min(
-        Fraction(min(ord_at_origin(g) for g in comp.gens)) / comp.weight
-        for comp in H.components
-    )
-    mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
-    nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
-    consumed = cur.consumed + (consumed_names[-1],)
-    if nu == INF:
-        return StepResult(mu, mus, nu, Terminal(INF, consumed, None), None)
-    if nu == 0:
-        D = _exceptional_monomial(new_frame, mus)
-        return StepResult(
-            mu, mus, nu,
-            Terminal(Fraction(0), None, format_polynomial(D, list(new_frame.variables))),
-            D,
-        )
-    G_next = companion_pair(H, new_frame, exdata, nu)
-    next_state = PipelineState(
-        r=cur.r + 1, pair=G_next, frame=new_frame,
-        exdata=_zero_assigned(exdata), consumed=consumed,
-        pending=(), adjoin=(), opts=opts,
-    )
-    return StepResult(mu, mus, nu, next_state, None)
-
-
-def _compose_remap(base_exdata, cur_exdata, base_frame, remap):
-    # the deferred step restricts from the base frame, whose indices current
-    # exdata still uses (no restriction happened during the forced run)
-    return remap
-
-
-def _first_matching_year(hs: HilbertSamuel, prefix: list, year_tokens: list) -> int:
-    mine = (hs.dims,) + tuple(prefix)
-    for k, tokens in enumerate(year_tokens):
-        if tokens is None:
-            continue
-        if len(tokens) >= len(mine) and tuple(tokens[: len(mine)]) == mine:
+def _first_matching_year(tokens: list, year_tokens: list) -> int:
+    """The first year whose tokens start with ``tokens``; len(year_tokens)
+    when there is none."""
+    mine = tuple(tokens)
+    for k, theirs in enumerate(year_tokens):
+        if theirs is not None and theirs[: len(mine)] == mine:
             return k
     return len(year_tokens)
 
 
-def _vector_tokens(vec: InvariantVector) -> tuple:
-    return (vec.nu1.dims,) + vec.tokens()
+def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None,
+              fast: bool):
+    """One pass over the trace, oldest year first: each year is driven once,
+    against the tokens of the years before it (None for a year whose point
+    is no longer singular).  Returns the final year's vector and partition
+    records.  Without a trace ``state`` is the only year."""
+    opts = opts or Options()
+    if trace is not None and state != trace.final:
+        raise PreconditionError("the state must be the final year of the trace")
+    years = [rec.state for rec in trace.years] if trace is not None else [state]
+    year_tokens: list = []
+    for year in years[:-1]:
+        if is_singular_at_origin(year.pair):
+            year_tokens.append(_drive(year, year_tokens, opts, fast)[2])
+        else:
+            year_tokens.append(None)
+    vec, records, _ = _drive(years[-1], year_tokens, opts, fast)
+    return vec, records
 
 
 # ---------------------------------------------------------------------------
@@ -473,41 +411,34 @@ def _vector_tokens(vec: InvariantVector) -> tuple:
 def compute_invariant(
     state: PairWithHistory, trace: Trace | None = None, opts: Options | None = None
 ) -> InvariantVector:
-    opts = opts or Options()
-    year_tokens = _year_tokens(trace, opts, fast=False) if trace else []
-    vec, _ = _drive(state, year_tokens, opts, fast=False)
-    return vec
+    """The invariant at the origin of ``state``, by the step-by-step descent
+    with its polyhedron cross-checks (``opts.verify``).
+
+    With a trace, ``state`` must equal ``trace.final``, otherwise
+    PreconditionError.  Every year of the trace is then evaluated once,
+    oldest first, and each s_r counts the divisors born no later than the
+    first year whose invariant agrees with the final one so far.
+    """
+    return _evaluate(state, trace, opts, fast=False)[0]
 
 
 def fast_path_invariant(
     state: PairWithHistory, trace: Trace | None = None, opts: Options | None = None
 ) -> InvariantVector:
-    opts = opts or Options()
-    year_tokens = _year_tokens(trace, opts, fast=True) if trace else []
-    vec, _ = _drive(state, year_tokens, opts, fast=True)
-    return vec
+    """The same invariant as ``compute_invariant``, with the same trace
+    contract, computed another way: each run of forced unit steps (an
+    adjoined divisor taken as the contact while another one remains) is
+    collapsed into one multi-variable coefficient pair, and the cross-checks
+    are off.  It is the differential reference: on every input both paths
+    must return equal vectors.
+    """
+    return _evaluate(state, trace, opts, fast=True)[0]
 
 
 def s_partition(trace: Trace, opts: Options | None = None):
     """The old/new split of the exceptional divisors at the final point:
     one (s_i, E^i ids, remaining ids) triple per pipeline step."""
-    opts = opts or Options()
-    year_tokens = _year_tokens(trace, opts, fast=False)
-    _, partition = _drive(trace.final, year_tokens, opts, fast=False)
-    return partition.records
-
-
-def _year_tokens(trace: Trace, opts: Options, fast: bool) -> list:
-    """Comparison tokens of the invariant at every tracked year, final year
-    included; None marks years whose point is no longer singular."""
-    tokens: list = []
-    for record in trace.years:
-        if not is_singular_at_origin(record.state.pair):
-            tokens.append(None)
-            continue
-        vec, _ = _drive(record.state, tokens, opts, fast)
-        tokens.append(_vector_tokens(vec))
-    return tokens
+    return _evaluate(trace.final, trace, opts, fast=False)[1]
 
 
 def compare_invariants(a: InvariantVector, b: InvariantVector) -> str:

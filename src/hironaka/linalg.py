@@ -68,11 +68,6 @@ def reduce_against(red_rows: list[Row], pivots: list[int], vec) -> Row:
     return v
 
 
-def in_row_space(rows, vec) -> bool:
-    red, pivots = rref(rows)
-    return all(x == 0 for x in reduce_against(red, pivots, vec))
-
-
 def solve(rows, rhs) -> Row | None:
     """One exact solution of A x = b, or None if inconsistent.
 

@@ -1,0 +1,183 @@
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from hironaka.cli import problem_from_data
+from hironaka.errors import PreconditionError
+from hironaka.frames import Frame
+from hironaka.history import ExceptionalData, PairWithHistory, run_lsb
+from hironaka.invariant import (
+    Options,
+    compare_invariants,
+    compute_invariant,
+    fast_path_invariant,
+    s_partition,
+)
+from hironaka.poly import INF
+
+from conftest import random_singular_pair
+
+
+def hypersurface(f, b, u, y, charts=(), **options):
+    """Problem for the hypersurface (f, b), blown up at the origin once per
+    chart; returns (state, trace or None, options)."""
+    data = {
+        "variables": list(u) + list(y), "u": list(u), "y": list(y),
+        "pair": {"components": [{"gens": [f], "b": str(b)}]},
+        "options": options,
+    }
+    if charts:
+        point = list(u) + list(y)
+        data["script"] = {"steps": [{"center": point, "chart": c} for c in charts]}
+    problem = problem_from_data(data)
+    if not problem.script:
+        return problem.state, None, problem.options
+    trace = run_lsb(problem.state, problem.script)
+    return trace.final, trace, problem.options
+
+
+def summary(vec):
+    """(s1, ((nu2, s2), ...), terminal, center, monomial)"""
+    entries = tuple((e.nu, e.s) for e in vec.entries)
+    return vec.s1, entries, vec.terminal, vec.center, vec.monomial
+
+
+SQUARES = tuple(k * k for k in range(1, 13))  # HS of a double point in 3-space
+
+# name -> (problem, nu1 dims, summary, s_partition records or None)
+PINNED = {
+    "cusp, no script": (
+        ("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"]),
+        SQUARES,
+        (0, ((Fraction(5, 2), 0), (1, 0)), INF, ("z", "y", "x"), None),
+        None,
+    ),
+    "A3 curve, no script": (
+        ("z^2 + x^4", 2, ["x"], ["z"]),
+        tuple(range(1, 24, 2)),
+        (0, ((2, 0),), INF, ("z", "x"), None),
+        None,
+    ),
+    "cusp, one blow-up": (
+        ("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"], ["x"]),
+        SQUARES,
+        (0, ((1, 1), (1, 0)), INF, ("z", "x", "y"), None),
+        [(0, (), ("E1",)), (1, ("E1",), ()), (0, (), ())],
+    ),
+    "monomial, one blow-up": (
+        ("z^2 + x^3*y^3", 2, ["x", "y"], ["z"], ["x"]),
+        SQUARES,
+        (0, ((Fraction(3, 2), 1), (1, 0)), INF, ("z", "x", "y"), None),
+        [(0, (), ("E1",)), (1, ("E1",), ()), (0, (), ())],
+    ),
+    "cusp, two blow-ups": (
+        ("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"], ["y", "x"]),
+        SQUARES,
+        (0, (), 0, None, "x^(1/2)*y^(3/2)"),
+        [(0, (), ("E1", "E2"))],
+    ),
+    "monomial, three blow-ups": (
+        ("z^2 + x^5*y^7", 2, ["x", "y"], ["z"], ["x", "y", "x"]),
+        SQUARES,
+        (0, (), 0, None, "x^(23/2)*y^(15/2)"),
+        [(0, (), ("E2", "E3"))],
+    ),
+    "triple point, one blow-up": (
+        ("z^3 + x2^3", 3, ["x0", "x1", "x2"], ["z"], ["x1"]),
+        (1, 5, 15, 34, 65, 111, 175, 260, 369, 505, 671, 870),
+        (0, ((1, 0),), INF, ("x2", "z"), None),
+        [(0, (), ("E1",)), (0, (), ("E1",))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_invariants(name):
+    problem, dims, expected, records = PINNED[name]
+    state, trace, opts = hypersurface(*problem)
+    for compute in (compute_invariant, fast_path_invariant):
+        vec = compute(state, trace, opts)
+        assert vec.nu1.dims == dims and vec.nu1.cutoff == 12
+        assert summary(vec) == expected
+    if records is not None:
+        assert s_partition(trace, opts) == records
+
+
+def test_contact_leaves_unadjoined_divisor_alone():
+    # E1 = {x = 0} is not adjoined at the first step, so the contact must
+    # be transversal to it: taking x would consume E1's variable
+    state, trace, opts = hypersurface("y^2 + x^4", 2, ["x"], ["y"], ["x"])
+    for compute in (compute_invariant, fast_path_invariant):
+        assert summary(compute(state, trace, opts)) == (0, (), 0, None, "x")
+    assert s_partition(trace, opts) == [(0, (), ("E1",))]
+
+
+def test_skip_unit_steps_only_drops_unit_entries():
+    problem = ("z^3 + x2^3", 3, ["x0", "x1", "x2"], ["z"], ["x1"])
+    state, trace, opts = hypersurface(*problem)
+    full = compute_invariant(state, trace, opts)
+    skipped = compute_invariant(state, trace, replace(opts, skip_unit_steps=True))
+    assert summary(full)[1] == ((1, 0),)
+    assert summary(skipped) == (0, (), INF, ("x2", "z"), None)
+    assert fast_path_invariant(state, trace, replace(opts, skip_unit_steps=True)) == skipped
+
+
+def test_state_must_be_final_year_of_trace():
+    state, trace, opts = hypersurface("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"], ["y", "x"])
+    for compute in (compute_invariant, fast_path_invariant):
+        with pytest.raises(PreconditionError):
+            compute(trace.years[0].state, trace, opts)
+        # an equal copy of the final state is accepted
+        assert compute(replace(state), trace, opts) == compute(state, trace, opts)
+
+
+def test_invariant_orders_compare():
+    state, trace, opts = hypersurface("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"], ["x"])
+    before = compute_invariant(trace.years[0].state, None, opts)
+    after = compute_invariant(state, trace, opts)
+    assert compare_invariants(after, before) == "less"
+    assert compare_invariants(before, before) == "equal"
+
+
+def _outcome(compute, state, trace, opts):
+    try:
+        return compute(state, trace, opts)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_fast_path_agrees_on_random_pairs():
+    # two variables and small contact caps keep contact rejections cheap;
+    # both paths see the same options
+    opts = Options(hs_cutoff=4, contact_height_cap=1, tail_iters=2)
+    accepted = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        pair = random_singular_pair(rng, 2)
+        state = PairWithHistory(pair, Frame(("x0", "x1"), (0, 1), ()), ExceptionalData(()))
+        slow = _outcome(compute_invariant, state, None, opts)
+        assert _outcome(fast_path_invariant, state, None, opts) == slow
+        accepted += not isinstance(slow, str)
+    assert accepted >= 8
+
+
+def test_fast_path_agrees_on_random_traces():
+    accepted = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        b = rng.randint(2, 3)
+        a, c = rng.randint(0, b + 3), rng.randint(0, b + 3)
+        f = f"z^{b} + x^{max(a, b - c)}*y^{c}"
+        charts = [rng.choice("xy") for _ in range(rng.randint(1, 3))]
+        try:
+            state, trace, opts = hypersurface(f, b, ["x", "y"], ["z"], charts, hs_cutoff=4)
+        except PreconditionError:
+            continue  # a later center is not permissible
+        slow = _outcome(compute_invariant, state, trace, opts)
+        assert _outcome(fast_path_invariant, state, trace, opts) == slow
+        if not isinstance(slow, str):
+            accepted += 1
+            assert len(s_partition(trace, opts)) == 1 + len(slow.entries)
+    assert accepted >= 30
