@@ -72,12 +72,18 @@ def _parse_rational(text, where: str) -> Fraction:
         raise ProblemParseError(f"{where}: bad rational {text!r}") from None
 
 
-def _typed(value, kind: type, where: str):
-    """``value`` unchanged when its type is exactly ``kind`` (int or bool;
-    a JSON boolean is not an integer), else ProblemParseError."""
-    if type(value) is not kind:
-        noun = "boolean" if kind is bool else "integer"
-        raise ProblemParseError(f"{where}: expected a JSON {noun}, got {value!r}")
+_JSON_NOUNS = {int: "integer", bool: "boolean", str: "string", dict: "object", list: "list"}
+
+
+def _typed(value, kind: type, where: str, item: type | None = None):
+    """``value`` unchanged when its type is exactly ``kind`` (a JSON boolean
+    is not an integer) and, for a list with ``item`` given, so is the type
+    of each of its items; else ProblemParseError naming ``where``."""
+    if type(value) is not kind or (item is not None and any(type(v) is not item for v in value)):
+        noun = _JSON_NOUNS[kind] if item is None else f"list of {_JSON_NOUNS[item]}s"
+        shown = repr(value)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        raise ProblemParseError(f"{where}: expected a JSON {noun}, got {shown}")
     return value
 
 
@@ -100,10 +106,9 @@ def parse_problem(source) -> Problem:
 def problem_from_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemParseError("problem must be a JSON object")
-    try:
-        variables = tuple(str(v) for v in data["variables"])
-    except KeyError:
-        raise ProblemParseError("missing field 'variables'") from None
+    if "variables" not in data:
+        raise ProblemParseError("missing field 'variables'")
+    variables = tuple(_typed(data["variables"], list, "variables", str))
     index = {name: i for i, name in enumerate(variables)}
     if len(index) != len(variables):
         raise ProblemParseError("duplicate variable names")
@@ -114,15 +119,16 @@ def problem_from_data(data: dict) -> Problem:
         return index[name]
 
     u_names = data.get("u")
-    y_names = data.get("y", [])
+    y_names = _typed(data.get("y", []), list, "y", str)
     if u_names is None:
         u_names = [v for v in variables if v not in set(y_names)]
+    _typed(u_names, list, "u", str)
     u_idx = tuple(look(n, "u") for n in u_names)
     y_idx = tuple(look(n, "y") for n in y_names)
 
     marks = []
     entries = []
-    for item in data.get("exceptional", []):
+    for item in _typed(data.get("exceptional", []), list, "exceptional", dict):
         div_id = str(item.get("id"))
         var = item.get("variable")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}")
@@ -130,7 +136,8 @@ def problem_from_data(data: dict) -> Problem:
         if var is None:
             entries.append(ExcDivisor(div_id, None, d, birth))
         else:
-            vi = look(var, f"exceptional {div_id}")
+            vi = look(_typed(var, str, f"exceptional {div_id}: variable"),
+                      f"exceptional {div_id}")
             marks.append((div_id, vi))
             entries.append(ExcDivisor(div_id, vi, d, birth))
     try:
@@ -143,8 +150,8 @@ def problem_from_data(data: dict) -> Problem:
     if not isinstance(pair_data, dict) or "components" not in pair_data:
         raise ProblemParseError("missing field 'pair.components'")
     comps = []
-    for k, comp in enumerate(pair_data["components"]):
-        gens_text = comp.get("gens", [])
+    for k, comp in enumerate(_typed(pair_data["components"], list, "pair.components", dict)):
+        gens_text = _typed(comp.get("gens", []), list, f"component {k}: gens", str)
         if not gens_text:
             raise ProblemParseError(f"component {k}: empty generator list")
         gens = tuple(
@@ -159,18 +166,18 @@ def problem_from_data(data: dict) -> Problem:
     pair = Pair(tuple(comps))
 
     script = []
-    for k, step in enumerate(data.get("script", {}).get("steps", [])):
-        center = [str(n) for n in step.get("center", [])]
+    steps = _typed(data.get("script", {}), dict, "script").get("steps", [])
+    for k, step in enumerate(_typed(steps, list, "script.steps", dict)):
+        center = _typed(step.get("center", []), list, f"script step {k}: center", str)
         chart = step.get("chart")
         if not center or chart is None:
             raise ProblemParseError(f"script step {k}: needs 'center' and 'chart'")
+        _typed(chart, str, f"script step {k}: chart")
         for n in center + [chart]:
             look(n, f"script step {k}")
-        script.append((center, str(chart)))
+        script.append((center, chart))
 
-    odata = data.get("options", {})
-    if not isinstance(odata, dict):
-        raise ProblemParseError("'options' must be a JSON object")
+    odata = _typed(data.get("options", {}), dict, "options")
     options = Options(**{
         f.name: _typed(odata[f.name], type(f.default), f"option {f.name!r}")
         for f in fields(Options) if f.name in odata

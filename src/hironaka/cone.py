@@ -10,9 +10,12 @@ involve only the basis forms) runs on every call.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import InternalError, PreconditionError
 from .linalg import nullspace, reduce_against, rref, sparse_rank
@@ -262,35 +265,58 @@ def _check_rewriting(I: HomIdeal, basis: DirectrixBasis) -> None:
 def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     """dim of the ambient power-series ring modulo (ideal + M^k), k = 1..k_max.
 
-    Computed as (#monomials of degree < k) minus the rank of the truncated
-    multiples of the generators.
+    One elimination serves every k.  The columns are the monomials of degree
+    below k_max in the order of ``monomials_below_degree``, which ascends by
+    degree, so the first C(k-1+n, n) columns are exactly the monomials of
+    degree below k.  The rows are the multiples g*m of each generator,
+    truncated below degree k_max; a shift m with deg m + ord g >= k_max
+    gives an empty row and is skipped.  ``sparse_rank`` eliminates each row
+    on its smallest column, so every reduced pivot row has no entry left of
+    its pivot, and then
+
+        HS(k) = #monomials of degree < k - #pivots of degree < k.
+
+    Why: (ideal + M^k)/M^k is spanned by the multiples g*m with
+    deg m < k-1, truncated below degree k (g*m lies in M^k once
+    deg m >= k-1, because no generator has a constant term).  Truncating
+    below k is linear and the elimination keeps the span of the rows, so the
+    truncated pivot rows span the same space.  A pivot row whose pivot has
+    degree >= k lies in M^k and truncates to zero; the pivot rows whose
+    pivots have degree < k keep distinct leading columns below k, so their
+    truncations stay independent.
+
+    ``generators`` must be non-empty; zero polynomials are dropped after the
+    number of variables is read off the first one.
     """
-    gens = [g for g in generators if not g.is_zero()]
+    generators = list(generators)
+    if not generators:
+        raise PreconditionError("Hilbert-Samuel needs at least one generator")
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
+    nvars = generators[0].nvars
+    gens = [g for g in generators if not g.is_zero()]
     for g in gens:
+        if g.nvars != nvars:
+            raise ValueError("arity mismatch")
         if g.constant_term() != 0:
             raise PreconditionError("point not on X")
         if g.has_fractional_exponent():
             raise PreconditionError("Hilbert-Samuel needs integer exponents")
-    if not gens:
-        nvars = 0
-    else:
-        nvars = gens[0].nvars
-    out: list[int] = []
-    for k in range(1, k_max + 1):
-        basis = monomials_below_degree(nvars, k)
-        index = {m: i for i, m in enumerate(basis)}
-        rows: list[dict[int, Fraction]] = []
-        for g in gens:
-            for m in monomials_below_degree(nvars, max(k - 1, 0)):
-                prod = g * Polynomial.monomial(nvars, m)
-                row = {
-                    index[exps]: c
-                    for exps, c in prod.terms.items()
-                    if sum(exps) < k
-                }
-                if row:
-                    rows.append(row)
-        out.append(len(basis) - sparse_rank(rows))
-    return out
+    columns = monomials_below_degree(nvars, k_max)
+    index = {m: i for i, m in enumerate(columns)}
+
+    def below(k: int) -> int:  # monomials of degree < k: a prefix of columns
+        return math.comb(k - 1 + nvars, nvars) if k > 0 else 0
+
+    rows: list[dict[int, Fraction]] = []
+    for g in gens:
+        terms = list(g.terms.items())
+        for m in columns[:below(k_max - ord_at_origin(g))]:
+            row = {}
+            for exps, c in terms:
+                col = index.get(tuple(map(add, exps, m)))
+                if col is not None:
+                    row[col] = c
+            rows.append(row)
+    pivots = sparse_rank(rows)
+    return [below(k) - bisect_left(pivots, below(k)) for k in range(1, k_max + 1)]

@@ -88,21 +88,25 @@ def solve(rows, rhs) -> Row | None:
     return sol
 
 
-def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse rational matrix (rows as {col: coeff} dicts)."""
+def sparse_rank(rows: list[dict[int, Fraction]]) -> list[int]:
+    """Pivot columns of a sparse rational matrix (rows as {col: coeff}
+    dicts), in ascending order; their count is the rank.
+
+    Each row is eliminated on its smallest column against the pivot rows
+    kept so far until it is empty (dependent) or its smallest column is
+    new.  A kept pivot row (stored unscaled) therefore has no entry left of
+    its pivot column.
+    """
     pivot_rows: dict[int, dict[int, Fraction]] = {}
-    rk = 0
     for row in rows:
         work = {c: Fraction(v) for c, v in row.items() if v != 0}
         while work:
             c = min(work)
             pivot = pivot_rows.get(c)
             if pivot is None:
-                inv = Fraction(1) / work[c]
-                pivot_rows[c] = {k: v * inv for k, v in work.items()}
-                rk += 1
+                pivot_rows[c] = work
                 break
-            factor = work[c]
+            factor = work[c] / pivot[c]
             for k, v in pivot.items():
                 nv = work.get(k, Fraction(0)) - factor * v
                 if nv == 0:
@@ -110,7 +114,7 @@ def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
                 else:
                     work[k] = nv
         # empty work: row was dependent
-    return rk
+    return sorted(pivot_rows)
 
 
 def lp_feasible(A: list[Row], b: Row) -> bool:

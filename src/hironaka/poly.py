@@ -7,6 +7,17 @@ at this layer (callers restrict them to exceptional-marked variables) but
 derivative operators reject them.
 
 The zero polynomial has no terms and order INF.
+
+Normalization invariant: every stored coefficient is a nonzero Fraction,
+and every exponent tuple has the polynomial's arity with each entry a
+nonnegative int, or a Fraction when it is not integral.  The public
+constructor establishes it from any raw mapping.  Arithmetic on polynomials
+that already satisfy it builds its result through ``Polynomial._wrap``,
+which trusts the term dict as given: sums and negations keep exponents,
+products of int exponents are ints, and zero coefficients are dropped
+where they arise.  Only a product with a fractional exponent goes back
+through the normalizing constructor, because x^(1/2)*x^(1/2) must store
+its exponent as the int 1.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, ProblemParseError
@@ -53,6 +65,15 @@ class Polynomial:
                     clean[key] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """A polynomial over ``terms`` as given, which must already satisfy
+        the normalization invariant (see the module docstring)."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -114,14 +135,22 @@ class Polynomial:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = c
+            else:
+                acc += c
+                if acc:
+                    out[exps] = acc
+                else:
+                    del out[exps]
+        return Polynomial._wrap(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -129,18 +158,32 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
         out: dict[Exponents, Fraction] = {}
+        other_terms = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+            for eb, cb in other_terms:
+                key = tuple(map(add, ea, eb))
+                c = ca * cb
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = c
+                else:
+                    acc += c
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        if self.has_fractional_exponent() or other.has_fractional_exponent():
+            return Polynomial(self.nvars, out)
+        return Polynomial._wrap(self.nvars, out)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if c == 0:
+            return Polynomial.zero(self.nvars)
+        return Polynomial._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -285,7 +328,7 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     for g in full.values():
         if g.nvars != n:
             raise ValueError("substitution must preserve the variable list")
-    out = Polynomial.zero(n)
+    out: dict[Exponents, Fraction] = {}
     power_cache: dict[tuple[int, object], Polynomial] = {}
     for exps, c in f.terms.items():
         term = Polynomial.constant(n, c)
@@ -311,8 +354,9 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
                     p = Polynomial.monomial(n, tuple(ge * e for ge in gexps))
                 power_cache[key] = p
             term = term * p
-        out = out + term
-    return out
+        for exps, v in term.terms.items():
+            out[exps] = out.get(exps, 0) + v
+    return Polynomial(n, out)
 
 
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hironaka import cli
 from hironaka.errors import PreconditionError
@@ -61,3 +63,50 @@ def test_command_table():
         assert next(iter(report)) == "command" and report["command"] == command
     with pytest.raises(PreconditionError, match="unknown command"):
         cli.run(problem, "invariant-fast")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("script", [], "script: expected a JSON object"),
+    ("script", {"steps": [1]}, "script.steps: expected a JSON list of objects"),
+    ("script", {"steps": [{"center": "xy", "chart": "x"}]},
+     "script step 0: center: expected a JSON list of strings"),
+    ("script", {"steps": [{"center": ["x"], "chart": ["x"]}]},
+     "script step 0: chart: expected a JSON string"),
+    ("exceptional", ["E1"], "exceptional: expected a JSON list of objects"),
+    ("exceptional", [{"id": "E1", "variable": ["x"]}],
+     "exceptional E1: variable: expected a JSON string"),
+    ("pair", {"components": [1]}, "pair.components: expected a JSON list of objects"),
+    ("pair", {"components": {"gens": ["x"]}}, "pair.components: expected a JSON list of objects"),
+    ("pair", {"components": [{"gens": "x^2", "b": "2"}]},
+     "component 0: gens: expected a JSON list of strings"),
+    ("variables", "xy", "variables: expected a JSON list of strings"),
+    ("variables", ["x", 1], "variables: expected a JSON list of strings"),
+    ("u", "x", "u: expected a JSON list of strings"),
+    ("y", {"y": 1}, "y: expected a JSON list of strings"),
+    ("options", [], "options: expected a JSON object"),
+])
+def test_containers_must_have_json_shapes(tmp_path, capsys, field, value, message):
+    assert call(tmp_path, dict(A3_BLOWN_UP, **{field: value}), "hs") == 3
+    assert message in capsys.readouterr().err
+
+
+NAMES = st.sampled_from(["x", "y", "z", "E1", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | NAMES | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["steps", "center", "chart", "components", "gens",
+                                       "b", "id", "variable", "d", "birth"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from(["variables", "u", "y", "exceptional", "pair", "script"]),
+       value=JSON_VALUES)
+def test_any_json_in_one_field_is_rejected_or_run(field, value):
+    """One top-level field replaced by an arbitrary JSON value: the CLI
+    answers, rejects or reports a parse error, and never raises."""
+    problem = json.dumps(dict(A3_BLOWN_UP, **{field: value}))
+    assert cli.main([problem, "run-lsb", "--format", "json"]) in (0, 2, 3)

@@ -12,13 +12,14 @@ from hironaka.cone import (
     hilbert_samuel_truncated,
     homogeneous_member,
     initial_ideal,
+    monomials_below_degree,
     monomials_of_degree,
 )
-from hironaka.linalg import rank, rref
+from hironaka.linalg import rank, rref, sparse_rank
 from hironaka.pairs import Component, Pair
 from hironaka.poly import Polynomial, parse_polynomial, substitute
 
-from conftest import hs_hypersurface_oracle, hs_monomial_oracle
+from conftest import hs_hypersurface_oracle, hs_monomial_oracle, random_polynomial
 
 NAMES = ["x", "y", "z", "w"]
 
@@ -352,3 +353,88 @@ def test_hs_nondecreasing(rng):
         gens = [g if sum(next(iter(g.terms))) else g * Polynomial.variable(nvars, 0) for g in gens]
         dims = hilbert_samuel_truncated(gens, 7)
         assert all(a <= b for a, b in zip(dims, dims[1:]))
+
+
+def test_hs_zero_ideal_keeps_its_variables():
+    assert hilbert_samuel_truncated([Polynomial.zero(2)], 3) == [1, 3, 6]
+    assert hilbert_samuel_truncated([Polynomial.zero(2), hp("x", 2)], 3) == [1, 2, 3]
+
+
+def test_hs_needs_a_generator():
+    with pytest.raises(PreconditionError, match="at least one generator"):
+        hilbert_samuel_truncated([], 3)
+
+
+def test_sparse_rank_returns_pivot_columns():
+    rows = [{1: Fraction(1), 2: Fraction(1)}, {1: Fraction(2), 2: Fraction(2)},
+            {0: Fraction(3), 2: Fraction(1)}, {2: Fraction(5)}]
+    assert sparse_rank(rows) == [0, 1, 2]
+    assert sparse_rank([{3: 1}, {3: 2}]) == [3]
+    assert sparse_rank([]) == []
+
+
+def hs_per_k_reference(generators, k_max):
+    """The former kernel, kept as a reference: a separate elimination for
+    every k over the multiples g*m (deg m < k-1) truncated below degree k."""
+    nvars = generators[0].nvars
+    gens = [g for g in generators if not g.is_zero()]
+    out = []
+    for k in range(1, k_max + 1):
+        basis = monomials_below_degree(nvars, k)
+        index = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for g in gens:
+            for m in monomials_below_degree(nvars, max(k - 1, 0)):
+                prod = g * Polynomial.monomial(nvars, m)
+                row = {index[e]: c for e, c in prod.terms.items() if sum(e) < k}
+                if row:
+                    rows.append(row)
+        out.append(len(basis) - len(sparse_rank(rows)))
+    return out
+
+
+def random_ideal(rng, nvars):
+    return [random_polynomial(rng, nvars, max_degree=4, max_terms=4, min_order=1)
+            for _ in range(rng.randint(1, 3))]
+
+
+def test_hs_matches_per_k_elimination():
+    rng = random.Random(4)
+    k_cap = {2: 10, 3: 8, 4: 6}
+    for _ in range(30):
+        nvars = rng.randint(2, 4)
+        gens = random_ideal(rng, nvars)
+        k_max = rng.randint(3, k_cap[nvars])
+        assert hilbert_samuel_truncated(gens, k_max) == hs_per_k_reference(gens, k_max), gens
+
+
+def hs_groebner_oracle(sympy, generators, k_max):
+    """dim k[x]/(I + M^k) for k = 1..k_max: the monomials of degree < k
+    outside the leading-term ideal of a grevlex Groebner basis."""
+    nvars = generators[0].nvars
+    xs = sympy.symbols(f"x0:{nvars}")
+
+    def expr(exps, c=Fraction(1)):
+        return sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(x ** e for x, e in zip(xs, exps)))
+
+    ideal = [sympy.Add(*(expr(e, c) for e, c in g.terms.items())) for g in generators]
+    out = []
+    for k in range(1, k_max + 1):
+        basis = sympy.groebner(ideal + [expr(m) for m in monomials_of_degree(nvars, k)],
+                               *xs, order="grevlex")
+        leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+        out.append(sum(
+            1 for m in monomials_below_degree(nvars, k)
+            if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)))
+    return out
+
+
+def test_hs_matches_groebner_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(25):
+        nvars = rng.randint(2, 3)
+        gens = random_ideal(rng, nvars)
+        k_max = rng.randint(2, 6)
+        assert hilbert_samuel_truncated(gens, k_max) == hs_groebner_oracle(sympy, gens, k_max), gens

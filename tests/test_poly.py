@@ -66,6 +66,91 @@ def test_ord_multiplicative(fg):
 
 
 # ---------------------------------------------------------------------------
+# arithmetic keeps the normalization invariant
+
+
+def assert_normalized(p: Polynomial):
+    """Every coefficient a nonzero Fraction; every exponent an int when
+    integral and a Fraction otherwise."""
+    for exps, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exps) == p.nvars
+        for e in exps:
+            assert type(e) is (int if Fraction(e).denominator == 1 else Fraction), exps
+
+
+def raw_sum(nvars, terms):
+    """The normalizing constructor applied to a raw dict that sums the
+    coefficients of equal exponent tuples."""
+    out = {}
+    for exps, c in terms:
+        out[exps] = out.get(exps, 0) + c
+    return Polynomial(nvars, out)
+
+
+def raw_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    return raw_sum(a.nvars, (
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.terms.items() for eb, cb in b.terms.items()))
+
+
+EXPONENTS = st.integers(0, 3) | st.fractions(0, 3, max_denominator=2)
+COEFFICIENTS = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def raw_polynomials(draw, nvars=2):
+    raw = draw(st.dictionaries(st.tuples(*[EXPONENTS] * nvars), COEFFICIENTS, max_size=5))
+    return Polynomial(nvars, raw)
+
+
+@given(raw_polynomials(), raw_polynomials(), COEFFICIENTS, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_the_normalizing_constructor(a, b, c, n):
+    neg_b = raw_sum(2, ((e, -v) for e, v in b.terms.items()))
+    power = Polynomial.constant(2, 1)
+    for _ in range(n):
+        power = raw_product(power, a)
+    cases = [
+        (a + b, raw_sum(2, [*a.terms.items(), *b.terms.items()])),
+        (a - b, raw_sum(2, [*a.terms.items(), *neg_b.terms.items()])),
+        (-b, neg_b),
+        (a * b, raw_product(a, b)),
+        (a.scale(c), raw_sum(2, ((e, c * v) for e, v in a.terms.items()))),
+        (a ** n, power),
+    ]
+    for got, want in cases:
+        assert_normalized(got)
+        assert got.terms == want.terms
+
+
+def test_product_of_half_powers_has_int_exponents():
+    half = Polynomial.monomial(1, (Fraction(1, 2),))
+    assert not (half * half).has_fractional_exponent()
+    root = Polynomial(2, {(Fraction(1, 2), 0): Fraction(1), (0, 1): Fraction(1)})
+    square = root * root
+    assert square.terms == {(1, 0): 1, (Fraction(1, 2), 1): 2, (0, 2): 1}
+    assert_normalized(square)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_term_by_term_sum(seed, mapped):
+    rng = random.Random(seed)
+    f = random_polynomial(rng, 3, max_degree=4, max_terms=5)
+    assignment = {i: random_polynomial(rng, 3, max_degree=2, max_terms=3) for i in mapped}
+    want = Polynomial.zero(3)
+    for exps, c in f.terms.items():
+        term = Polynomial.constant(3, c)
+        for i, e in enumerate(exps):
+            term = term * assignment.get(i, Polynomial.variable(3, i)) ** e
+        want = want + term
+    got = substitute(f, assignment)
+    assert_normalized(got)
+    assert got.terms == want.terms
+
+
+# ---------------------------------------------------------------------------
 # Hasse derivatives
 
 
