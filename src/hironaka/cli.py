@@ -6,20 +6,23 @@ rationals always travel as strings like "4/3".  Exit codes: 0 success,
 
 The subcommands are the keys of ``HANDLERS``: order, poly, newton,
 char-poly, delta, d-i, nu, directrix, hs, coeff, blowup, run-lsb and
-invariant.  ``invariant --fast`` computes the invariant by the fast path.
+invariant.  ``run(..., fast=True)`` computes the invariant by the fast
+path, the differential reference.  Options come from the problem file only:
+its ``options`` keys are fields of ``invariant.Options``, nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .coeff import coefficient_pair, delta_invariant, prepare_vertices
 from .cone import directrix, hilbert_samuel_truncated, initial_ideal
-from .errors import InternalError, PreconditionError, ProblemParseError
+from .errors import DirectrixNotSpanned, InternalError, PreconditionError, ProblemParseError
 from .frames import Frame
 from .history import (
     ExcDivisor,
@@ -65,11 +68,17 @@ class Problem:
         return self.state.pair
 
 
-def _parse_rational(text, where: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise ProblemParseError(f"{where}: bad rational {text!r}") from None
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value, where: str) -> Fraction:
+    """A JSON integer, or a string of the form [+-]digits[/digits]."""
+    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # too many digits, or n/0
+            pass
+    raise ProblemParseError(f"{where}: bad rational {value!r}")
 
 
 _JSON_NOUNS = {int: "integer", bool: "boolean", str: "string", dict: "object", list: "list"}
@@ -98,7 +107,7 @@ def parse_problem(source) -> Problem:
                 text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the digit limit
         raise ProblemParseError(f"problem file is not valid JSON: {exc}") from None
     return problem_from_data(data)
 
@@ -131,7 +140,7 @@ def problem_from_data(data: dict) -> Problem:
     for item in _typed(data.get("exceptional", []), list, "exceptional", dict):
         div_id = str(item.get("id"))
         var = item.get("variable")
-        d = _parse_rational(item.get("d", 0), f"exceptional {div_id}")
+        d = _parse_rational(item.get("d", 0), f"exceptional {div_id}: d")
         birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
         if var is None:
             entries.append(ExcDivisor(div_id, None, d, birth))
@@ -159,7 +168,7 @@ def problem_from_data(data: dict) -> Problem:
         )
         if any(g.is_zero() for g in gens):
             raise ProblemParseError(f"component {k}: zero generator")
-        b = _parse_rational(comp.get("b"), f"component {k}")
+        b = _parse_rational(comp.get("b"), f"component {k}: b")
         if b <= 0:
             raise ProblemParseError(f"component {k}: weight must be positive")
         comps.append(Component(gens, b))
@@ -178,10 +187,11 @@ def problem_from_data(data: dict) -> Problem:
         script.append((center, chart))
 
     odata = _typed(data.get("options", {}), dict, "options")
-    options = Options(**{
-        f.name: _typed(odata[f.name], type(f.default), f"option {f.name!r}")
-        for f in fields(Options) if f.name in odata
-    })
+    kinds = {f.name: type(f.default) for f in fields(Options)}
+    for key in odata:
+        if key not in kinds:
+            raise ProblemParseError(f"options: unknown option {key!r}")
+    options = Options(**{k: _typed(v, kinds[k], f"option {k!r}") for k, v in odata.items()})
     try:
         state = PairWithHistory(pair, frame, ExceptionalData(tuple(entries)))
     except PreconditionError as exc:
@@ -276,11 +286,8 @@ def _char_poly(problem: Problem, chart, fast):
 def _delta(problem: Problem, chart, fast):
     try:
         value = delta_invariant(problem.pair, problem.frame, problem.options.max_prep_iters)
-    except PreconditionError as exc:
-        forced = getattr(exc, "forced_delta", None)
-        if forced is None:
-            raise
-        return {"error": str(exc), "forced_delta": format_rational(forced)}
+    except DirectrixNotSpanned as exc:
+        return {"error": str(exc), "forced_delta": "1"}
     return {"delta": format_rational(value)}
 
 
@@ -503,11 +510,7 @@ def main(argv=None) -> int:
     parser.add_argument("problem", help="problem JSON file, or - for stdin")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    parser.add_argument("--hs-cutoff", type=int, default=None)
-    parser.add_argument("--max-prep-iters", type=int, default=None)
     parser.add_argument("--chart", default=None)
-    parser.add_argument("--fast", action="store_true",
-                        help="invariant: use the fast path (the differential reference)")
     args = parser.parse_args(argv)
 
     try:
@@ -515,13 +518,7 @@ def main(argv=None) -> int:
             problem = parse_problem(sys.stdin)
         else:
             problem = parse_problem(args.problem)
-        opts = problem.options
-        if args.hs_cutoff is not None:
-            opts = replace(opts, hs_cutoff=args.hs_cutoff)
-        if args.max_prep_iters is not None:
-            opts = replace(opts, max_prep_iters=args.max_prep_iters)
-        problem = Problem(problem.state, problem.script, opts)
-        report = run(problem, args.command, chart=args.chart, fast=args.fast)
+        report = run(problem, args.command, chart=args.chart)
         sys.stdout.buffer.write(render(report, args.format))
         return 0
     except ProblemParseError as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .cone import DirectrixBasis, directrix, initial_ideal
-from .errors import InternalError, PreconditionError
+from .errors import DirectrixNotSpanned, InternalError, PreconditionError
 from .frames import Frame
 from .linalg import solve
 from .pairs import Component, Pair, is_singular_at_origin
@@ -185,19 +185,18 @@ def find_maximal_contact(
         # triangular reduction on the witness alone: rewrite until the
         # contact is the pivot variable itself.  Directions whose reduction
         # does not terminate (a completion-level graph) are skipped.
-        shifts: list[dict] = []
+        removed = Polynomial.zero(n)  # the sum S of the tails shifted away
         current = witness
         ok = False
-        for _ in range(tail_iters + 1):
+        for shifts in range(tail_iters + 1):
             tail = Polynomial(n, {e: c for e, c in current.terms.items() if e[pivot] == 0})
             if tail.is_zero():
                 ok = True
                 break
-            if len(shifts) >= tail_iters or len(current.terms) > 150:
+            if shifts >= tail_iters or len(current.terms) > 150:
                 break
-            shift = {pivot: Polynomial.variable(n, pivot) - tail}
-            shifts.append(shift)
-            current = substitute(current, shift)
+            removed = removed + tail
+            current = substitute(current, {pivot: Polynomial.variable(n, pivot) - tail})
         if not ok:
             failed_screens += 1
             if failed_screens >= 12:
@@ -206,9 +205,13 @@ def find_maximal_contact(
                 )
             continue
 
-        pair = _substitute_pair(E, change) if change else E
-        for shift in shifts:
-            pair = _substitute_pair(pair, shift)
+        # each tail is free of the pivot, so the shifts pivot -> pivot - t
+        # compose to pivot -> pivot - S: rewrite the pair once
+        assignment = change or {}
+        if not removed.is_zero():
+            shift = {pivot: Polynomial.variable(n, pivot) - removed}
+            assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
+        pair = _substitute_pair(E, assignment) if assignment else E
         return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
 
     if saw_direction:
@@ -248,9 +251,7 @@ def _directrix_of_pair(E: Pair) -> DirectrixBasis | None:
 def _check_spanning(E: Pair, frame: Frame) -> None:
     basis = _directrix_of_pair(E)
     if basis is not None and not basis.spans_within(frame.y_indices):
-        err = PreconditionError("y does not span directrix")
-        err.forced_delta = Fraction(1)
-        raise err
+        raise DirectrixNotSpanned("y does not span directrix")
 
 
 def _solvability_system(E: Pair, frame: Frame, vertex):

@@ -6,6 +6,11 @@ space W = {v : directional derivative of every generator lies in the
 ideal}; its annihilator in the degree-1 dual is the returned basis.  A
 rewriting check (every generator is a combination of ideal elements that
 involve only the basis forms) runs on every call.
+
+One row builder, ``_multiples`` (a generator times shift monomials), feeds
+``linalg.sparse_rref`` for the graded pieces and ``linalg.sparse_rank`` for
+Hilbert-Samuel.  Within one ``directrix`` call each degree's basis is built
+once, for every generator's residues and every rewriting membership test.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import InternalError, PreconditionError
-from .linalg import nullspace, reduce_against, rref, sparse_rank
+from .linalg import nullspace, reduce_against, rref, sparse_rank, sparse_rref
 from .pairs import Pair
 from .poly import Polynomial, hasse_derivative, initial_form, ord_at_origin, substitute
 
@@ -89,54 +95,57 @@ def monomials_below_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _poly_to_vector(f: Polynomial, index: dict[tuple, int]) -> list[Fraction]:
-    vec = [Fraction(0)] * len(index)
-    for exps, c in f.terms.items():
-        vec[index[exps]] = c
-    return vec
+def _multiples(g: Polynomial, shifts, index: dict[tuple, int]) -> list[dict[int, Fraction]]:
+    """The rows g*m, one per shift m, over the monomial columns numbered by
+    ``index``; terms outside the columns are dropped (truncation)."""
+    terms = list(g.terms.items())
+    rows = []
+    for m in shifts:
+        row = {}
+        for exps, c in terms:
+            col = index.get(tuple(map(add, exps, m)))
+            if col is not None:
+                row[col] = c
+        rows.append(row)
+    return rows
 
 
-def _vector_to_poly(vec, basis: list[tuple], nvars: int) -> Polynomial:
-    return Polynomial(nvars, {basis[i]: c for i, c in enumerate(vec) if c != 0})
+def _piece(I: HomIdeal, d: int):
+    """Row-reduced basis of the degree-d slice of the ideal: the column
+    index of the degree-d monomials, the sparse rref rows and their pivots."""
+    index = {m: i for i, m in enumerate(monomials_of_degree(I.nvars, d))}
+    rows = []
+    for g in I.generators:
+        rows += _multiples(g, monomials_of_degree(I.nvars, d - sum(next(iter(g.terms)))), index)
+    return (index, *sparse_rref(rows))
+
+
+def _residue(piece, f: Polynomial) -> dict[int, Fraction]:
+    """Coordinates of f, homogeneous of the piece's degree, modulo the piece."""
+    index, rows, pivots = piece
+    return reduce_against(rows, pivots, {index[e]: c for e, c in f.terms.items()})
 
 
 def graded_piece(I: HomIdeal, d: int) -> list[Polynomial]:
     """Row-reduced basis of the degree-d slice of the ideal."""
-    if d < 0:
-        return []
-    basis = monomials_of_degree(I.nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-    rows: list[list[Fraction]] = []
-    for g in I.generators:
-        dg = sum(next(iter(g.terms)))
-        if dg > d:
-            continue
-        for m in monomials_of_degree(I.nvars, d - dg):
-            rows.append(_poly_to_vector(g * Polynomial.monomial(I.nvars, m), index))
-    red, _pivots = rref(rows)
-    return [_vector_to_poly(row, basis, I.nvars) for row in red]
-
-
-def _graded_basis_rows(I: HomIdeal, d: int):
-    """``graded_piece`` as rref rows, their pivot columns and the monomial
-    index; the piece is already reduced, so each pivot is a leading column."""
-    index = {m: i for i, m in enumerate(monomials_of_degree(I.nvars, d))}
-    rows = [_poly_to_vector(p, index) for p in graded_piece(I, d)]
-    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in rows]
-    return rows, pivots, index
+    index, rows, _ = _piece(I, d)
+    monomials = list(index)
+    return [Polynomial._wrap(I.nvars, {monomials[c]: row[c] for c in sorted(row)}) for row in rows]
 
 
 def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
     """Exact membership of a homogeneous polynomial in the ideal."""
+    return _member(partial(_piece, I), f)
+
+
+def _member(piece_of, f: Polynomial) -> bool:
+    """Membership of f, with ``piece_of(d)`` the ``_piece`` of degree d."""
     if f.is_zero():
         return True
     degs = {sum(e) for e in f.terms}
     if len(degs) != 1:
         raise PreconditionError("membership test expects a homogeneous polynomial")
-    d = degs.pop()
-    red, pivots, index = _graded_basis_rows(I, d)
-    residue = reduce_against(red, pivots, _poly_to_vector(f, index))
-    return all(x == 0 for x in residue)
+    return not _residue(piece_of(degs.pop()), f)
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +177,29 @@ def directrix(I: HomIdeal) -> DirectrixBasis:
         return DirectrixBasis((), dirs)
     # rows of the linear system on a direction v: for each generator g and
     # each monomial coordinate, sum_i v_i * (residue of d_i g mod I) = 0
+    piece_of = cache(partial(_piece, I))  # each degree's basis is built once
     sys_rows: list[list[Fraction]] = []
     for g in I.generators:
-        dg = sum(next(iter(g.terms)))
-        red, pivots, index = _graded_basis_rows(I, dg - 1)
-        residues = []
-        for i in range(n):
-            M = tuple(1 if j == i else 0 for j in range(n))
-            der = hasse_derivative(g, M)
-            residues.append(reduce_against(red, pivots, _poly_to_vector(der, index)))
-        for coord in range(len(index)):
-            row = [residues[i][coord] for i in range(n)]
-            if any(x != 0 for x in row):
-                sys_rows.append(row)
+        piece = piece_of(sum(next(iter(g.terms))) - 1)
+        residues = [
+            _residue(piece, hasse_derivative(g, tuple(1 if j == i else 0 for j in range(n))))
+            for i in range(n)
+        ]
+        for coord in sorted(set().union(*residues)):
+            sys_rows.append([residues[i].get(coord, Fraction(0)) for i in range(n)])
     directions = nullspace(sys_rows, n)
     ann = nullspace(directions, n)
-    forms = tuple(
-        Polynomial(n, {tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(vec) if c != 0})
-        for vec in ann
-    )
+    forms = tuple(_linear_form(vec) for vec in ann)
     basis = DirectrixBasis(forms, tuple(tuple(v) for v in directions))
-    _check_rewriting(I, basis)
+    _check_rewriting(I, basis, piece_of)
     return basis
+
+
+def _linear_form(coeffs) -> Polynomial:
+    """sum_i coeffs[i] * x_i in len(coeffs) variables."""
+    n = len(coeffs)
+    return Polynomial(n, {tuple(1 if k == i else 0 for k in range(n)): c
+                          for i, c in enumerate(coeffs) if c != 0})
 
 
 def _adapted_change(forms: tuple[Polynomial, ...], n: int) -> list[list[Fraction]]:
@@ -216,12 +226,13 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in red]
 
 
-def _check_rewriting(I: HomIdeal, basis: DirectrixBasis) -> None:
+def _check_rewriting(I: HomIdeal, basis: DirectrixBasis, piece_of) -> None:
     """Verify the ideal is generated by polynomials in the basis forms.
 
     In coordinates adapted to the invariance space, every slice of every
     generator along the complementary directions must itself belong to the
     ideal; that exhibits a generating set inside the subring the forms span.
+    The membership tests take the slice bases from ``piece_of``.
     """
     n = I.nvars
     r = basis.dim
@@ -229,21 +240,9 @@ def _check_rewriting(I: HomIdeal, basis: DirectrixBasis) -> None:
         return
     Q = _adapted_change(basis.forms, n)
     Qinv = _invert(Q)
-    # old variable x_i = sum_j Qinv[i][j] * new_j
-    change = {
-        i: Polynomial(n, {
-            tuple(1 if k == j else 0 for k in range(n)): Qinv[i][j]
-            for j in range(n) if Qinv[i][j] != 0
-        })
-        for i in range(n)
-    }
-    back = {
-        j: Polynomial(n, {
-            tuple(1 if k == i else 0 for k in range(n)): Q[j][i]
-            for i in range(n) if Q[j][i] != 0
-        })
-        for j in range(n)
-    }
+    # old variable x_i = sum_j Qinv[i][j] * new_j, new_j = sum_i Q[j][i] * x_i
+    change = {i: _linear_form(Qinv[i]) for i in range(n)}
+    back = {j: _linear_form(Q[j]) for j in range(n)}
     for g in I.generators:
         moved = substitute(g, change)
         slices: dict[tuple, dict] = {}
@@ -254,7 +253,7 @@ def _check_rewriting(I: HomIdeal, basis: DirectrixBasis) -> None:
         for tail, terms in slices.items():
             zpart = Polynomial(n, terms)
             original = substitute(zpart, back)
-            if not homogeneous_member(I, original):
+            if not _member(piece_of, original):
                 raise InternalError("directrix rewriting check failed")
 
 
@@ -310,13 +309,6 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
 
     rows: list[dict[int, Fraction]] = []
     for g in gens:
-        terms = list(g.terms.items())
-        for m in columns[:below(k_max - ord_at_origin(g))]:
-            row = {}
-            for exps, c in terms:
-                col = index.get(tuple(map(add, exps, m)))
-                if col is not None:
-                    row[col] = c
-            rows.append(row)
+        rows += _multiples(g, columns[:below(k_max - ord_at_origin(g))], index)
     pivots = sparse_rank(rows)
     return [below(k) - bisect_left(pivots, below(k)) for k in range(1, k_max + 1)]

@@ -13,6 +13,11 @@ class PreconditionError(ToolkitError):
     """An operation was called outside its documented contract."""
 
 
+class DirectrixNotSpanned(PreconditionError):
+    """The y-part of the frame does not span the directrix; delta is then
+    forced to 1."""
+
+
 class ProblemParseError(ToolkitError):
     """Malformed problem file or polynomial text."""
 

@@ -1,6 +1,12 @@
-"""Exact rational linear algebra: Gaussian elimination, nullspaces, a tiny
-simplex-based LP feasibility test.  Dense matrices are lists of Fraction
-rows; the sparse rank routine takes dict rows keyed by column index.
+"""Exact rational linear algebra: one sparse elimination, nullspaces, a tiny
+simplex-based LP feasibility test.
+
+Every elimination runs the echelon loop of ``sparse_rank`` on dict rows
+keyed by column index; reduced row echelon form is that loop plus
+back-substitution on the same rows (``sparse_rref``).  ``rref``,
+``nullspace`` and ``solve`` keep their dense interface (lists of rows, with
+Fraction results).  The reduced form is unique, so it does not depend on
+the order of the input rows.
 """
 
 from __future__ import annotations
@@ -8,63 +14,92 @@ from __future__ import annotations
 from fractions import Fraction
 
 Row = list[Fraction]
+SparseRow = dict[int, Fraction]
 
 
-def _as_rows(rows) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
+    """work -= factor * row, in place, dropping entries that cancel."""
+    for k, v in row.items():
+        nv = work.get(k, 0) - factor * v
+        if nv:
+            work[k] = nv
+        else:
+            work.pop(k, None)
+
+
+def _echelon(rows) -> dict[int, SparseRow]:
+    """Pivot column -> pivot row.  Each row is eliminated on its smallest
+    column against the pivot rows kept so far until it is empty (dependent)
+    or its smallest column is new.  A kept pivot row (stored unscaled)
+    therefore has no entry left of its pivot column."""
+    pivot_rows: dict[int, SparseRow] = {}
+    for row in rows:
+        work = {c: q for c, v in row.items() if (q := Fraction(v))}
+        while work:
+            c = min(work)
+            pivot = pivot_rows.get(c)
+            if pivot is None:
+                pivot_rows[c] = work
+                break
+            _subtract(work, work[c] / pivot[c], pivot)
+    return pivot_rows
+
+
+def sparse_rank(rows: list[SparseRow]) -> list[int]:
+    """Pivot columns of a sparse rational matrix (rows as {col: coeff}
+    dicts), in ascending order; their count is the rank."""
+    return sorted(_echelon(rows))
+
+
+def sparse_rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form of sparse rows and its pivot columns, both
+    ascending by pivot: each row has a leading 1 and no entry in another
+    row's pivot column."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    reduced: dict[int, SparseRow] = {}
+    for pc in reversed(pivots):
+        row = echelon[pc]
+        # the rows already reduced vanish on every other pivot column, so
+        # clearing one of their columns from ``row`` leaves the rest alone
+        for qc in [c for c in row if c in reduced]:
+            _subtract(row, row[qc], reduced[qc])
+        inv = 1 / row[pc]
+        reduced[pc] = {c: v * inv for c, v in row.items()}
+    return [reduced[pc] for pc in pivots], pivots
 
 
 def rref(rows) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
-    mat = _as_rows(rows)
-    if not mat:
+    rows = list(rows)
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
+    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
+    return [[row.get(c, Fraction(0)) for c in range(len(rows[0]))] for row in red], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of the right nullspace, in a canonical (rref-derived) form."""
-    red, pivots = rref(rows)
+    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Row] = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row.get(fc, Fraction(0))
         basis.append(vec)
     return basis
 
 
-def reduce_against(red_rows: list[Row], pivots: list[int], vec) -> Row:
-    """Residue of vec after elimination against an rref basis."""
-    v = [Fraction(x) for x in vec]
+def reduce_against(red_rows: list[SparseRow], pivots: list[int], vec: SparseRow) -> SparseRow:
+    """Residue of a sparse vector after elimination against sparse rref
+    rows; it vanishes on every pivot column."""
+    v = dict(vec)
     for row, pc in zip(red_rows, pivots):
-        if v[pc] != 0:
-            factor = v[pc]
-            v = [a - factor * b for a, b in zip(v, row)]
+        factor = v.get(pc)
+        if factor:
+            _subtract(v, factor, row)
     return v
 
 
@@ -73,48 +108,17 @@ def solve(rows, rhs) -> Row | None:
 
     Free variables are set to zero (canonical particular solution).
     """
-    mat = _as_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if not mat:
-        return [] if all(x == 0 for x in b) else None
-    ncols = len(mat[0])
-    aug = [row + [bv] for row, bv in zip(mat, b)]
-    red, pivots = rref(aug)
+    rows = list(rows)
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    red, pivots = sparse_rref([{**dict(enumerate(row)), ncols: bv} for row, bv in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the constant column: inconsistent
     sol = [Fraction(0)] * ncols
     for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None  # pivot in the constant column: inconsistent
-        sol[pc] = row[ncols]
+        sol[pc] = row.get(ncols, Fraction(0))
     return sol
-
-
-def sparse_rank(rows: list[dict[int, Fraction]]) -> list[int]:
-    """Pivot columns of a sparse rational matrix (rows as {col: coeff}
-    dicts), in ascending order; their count is the rank.
-
-    Each row is eliminated on its smallest column against the pivot rows
-    kept so far until it is empty (dependent) or its smallest column is
-    new.  A kept pivot row (stored unscaled) therefore has no entry left of
-    its pivot column.
-    """
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        work = {c: Fraction(v) for c, v in row.items() if v != 0}
-        while work:
-            c = min(work)
-            pivot = pivot_rows.get(c)
-            if pivot is None:
-                pivot_rows[c] = work
-                break
-            factor = work[c] / pivot[c]
-            for k, v in pivot.items():
-                nv = work.get(k, Fraction(0)) - factor * v
-                if nv == 0:
-                    work.pop(k, None)
-                else:
-                    work[k] = nv
-        # empty work: row was dependent
-    return sorted(pivot_rows)
 
 
 def lp_feasible(A: list[Row], b: Row) -> bool:

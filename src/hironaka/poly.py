@@ -264,11 +264,6 @@ def ord_along_variable(f: Polynomial, index: int):
 # Hasse derivatives
 
 
-def _binom(n, k: int) -> Fraction:
-    # n is a nonnegative integer exponent here; k a nonnegative int
-    return Fraction(math.comb(n, k))
-
-
 def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
     """Binomial-weighted derivative: x^D maps to C(D, M) x^(D-M)."""
     M = tuple(order)
@@ -286,7 +281,7 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
         w = Fraction(1)
         for e, m in zip(exps, M):
             if m:
-                w *= _binom(e, m)
+                w *= math.comb(e, m)
         key = tuple(e - m for e, m in zip(exps, M))
         out[key] = out.get(key, Fraction(0)) + w * c
     return Polynomial(f.nvars, out)
@@ -295,21 +290,7 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
 def log_diff(f: Polynomial, order: Iterable[int]) -> Polynomial:
     """Logarithmic variant: x^D maps to C(D, M) x^D (same exponents)."""
     M = tuple(order)
-    if len(M) != f.nvars:
-        raise ValueError("derivative order must cover all variables")
-    for i, m in enumerate(M):
-        if m > 0 and f.has_fractional_exponent(i):
-            raise PreconditionError("derivative undefined on fractional variable")
-    out: dict[Exponents, Fraction] = {}
-    for exps, c in f.terms.items():
-        if any(e < m for e, m in zip(exps, M)):
-            continue
-        w = Fraction(1)
-        for e, m in zip(exps, M):
-            if m:
-                w *= _binom(e, m)
-        out[exps] = w * c
-    return Polynomial(f.nvars, out)
+    return hasse_derivative(f, M) * Polynomial.monomial(f.nvars, M)
 
 
 # ---------------------------------------------------------------------------
@@ -319,43 +300,48 @@ def log_diff(f: Polynomial, order: Iterable[int]) -> Polynomial:
 def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomial:
     """Exact composite polynomial; variables absent from the map stay fixed.
 
+    Only the assigned variables are expanded: the exponents of the others
+    stay in the term key.  Each power g_i^e is built once per call, as
+    g_i^(e-1) * g_i, and shared by every term that needs it.
+
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
     fractional power stays exact.
     """
     n = f.nvars
-    full = {i: assignment.get(i, Polynomial.variable(n, i)) for i in range(n)}
-    for g in full.values():
-        if g.nvars != n:
+    mapped = [i for i in range(n) if i in assignment]
+    for i in mapped:
+        if assignment[i].nvars != n:
             raise ValueError("substitution must preserve the variable list")
+    ladders = {i: [assignment[i]] for i in mapped}  # ladders[i][e - 1] = g_i^e
+
+    def power(i: int, e) -> Polynomial:
+        g = assignment[i]
+        if isinstance(e, int):
+            ladder = ladders[i]
+            while len(ladder) < e:
+                ladder.append(ladder[-1] * g)
+            return ladder[e - 1]
+        if len(g.terms) != 1:
+            raise PreconditionError(
+                "fractional power of a non-monomial substitution"
+            )
+        (gexps, gc), = g.terms.items()
+        if gc != 1:
+            raise PreconditionError(
+                "fractional power of a non-unit monomial substitution"
+            )
+        return Polynomial.monomial(n, tuple(ge * e for ge in gexps))
+
     out: dict[Exponents, Fraction] = {}
-    power_cache: dict[tuple[int, object], Polynomial] = {}
     for exps, c in f.terms.items():
-        term = Polynomial.constant(n, c)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            key = (i, e)
-            p = power_cache.get(key)
-            if p is None:
-                g = full[i]
-                if isinstance(e, int):
-                    p = g ** e
-                else:
-                    if len(g.terms) != 1:
-                        raise PreconditionError(
-                            "fractional power of a non-monomial substitution"
-                        )
-                    (gexps, gc), = g.terms.items()
-                    if gc != 1:
-                        raise PreconditionError(
-                            "fractional power of a non-unit monomial substitution"
-                        )
-                    p = Polynomial.monomial(n, tuple(ge * e for ge in gexps))
-                power_cache[key] = p
-            term = term * p
-        for exps, v in term.terms.items():
-            out[exps] = out.get(exps, 0) + v
+        fixed = tuple(0 if i in assignment else e for i, e in enumerate(exps))
+        term = Polynomial._wrap(n, {fixed: c})
+        for i in mapped:
+            if exps[i]:
+                term = term * power(i, exps[i])
+        for key, v in term.terms.items():
+            out[key] = out.get(key, 0) + v
     return Polynomial(n, out)
 
 

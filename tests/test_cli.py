@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,12 +47,71 @@ def test_options_are_read(tmp_path, capsys):
     assert problem.options == cli.Options(hs_cutoff=3, verify=False)
 
 
-@pytest.mark.parametrize("flags", [(), ("--fast",)])
-def test_invariant_after_blowup_in_divisor_chart(tmp_path, capsys, flags):
-    assert call(tmp_path, A3_BLOWN_UP, "invariant", "--format", "json", *flags) == 0
-    report = json.loads(capsys.readouterr().out)["invariant"]
-    assert (report["s1"], report["entries"], report["terminal"], report["monomial"]) == (
-        0, [], "0", "x")
+def test_invariant_after_blowup_in_divisor_chart(tmp_path, capsys):
+    assert call(tmp_path, A3_BLOWN_UP, "invariant", "--format", "json") == 0
+    cli_report = json.loads(capsys.readouterr().out)["invariant"]
+    fast_report = cli.run(cli.problem_from_data(A3_BLOWN_UP), "invariant", fast=True)["invariant"]
+    for report in (cli_report, fast_report):
+        assert (report["s1"], report["entries"], report["terminal"], report["monomial"]) == (
+            0, [], "0", "x")
+
+
+def test_unknown_option_is_rejected(tmp_path, capsys):
+    assert call(tmp_path, dict(A3_BLOWN_UP, options={"hs_cuttoff": 3}), "hs") == 3
+    assert "options: unknown option 'hs_cuttoff'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--fast", "--hs-cutoff=3", "--max-prep-iters=3"])
+def test_options_have_no_flags(tmp_path, flag):
+    with pytest.raises(SystemExit):
+        call(tmp_path, A3_BLOWN_UP, "invariant", flag)
+
+
+def with_b(value):
+    return dict(A3_BLOWN_UP, pair={"components": [{"gens": ["y^2 + x^4"], "b": value}]})
+
+
+def with_d(value):
+    return dict(A3_BLOWN_UP, exceptional=[{"id": "E1", "variable": "x", "d": value}])
+
+
+@pytest.mark.parametrize("text", ["1e5000", "2.5e3", "0.5", "1/0", " 2", "2_0"])
+@pytest.mark.parametrize("build, message", [
+    (with_b, "component 0: b: bad rational"), (with_d, "exceptional E1: d: bad rational"),
+])
+def test_rationals_have_the_documented_form(tmp_path, capsys, build, message, text):
+    assert call(tmp_path, build(text), "nu") == 3
+    assert message in capsys.readouterr().err
+
+
+def test_rationals_past_the_digit_limit_are_parse_errors(capsys):
+    digits = "1" * 4400
+    assert cli.main([json.dumps(with_b(digits)), "hs"]) == 3
+    assert "component 0: b: bad rational" in capsys.readouterr().err
+    integer = json.dumps(with_b(0)).replace('"b": 0', '"b": ' + digits)
+    assert cli.main([integer, "hs"]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_rationals_are_integers_or_fraction_strings(tmp_path, capsys):
+    assert cli.problem_from_data(with_b("+4/2")).pair.components[0].weight == 2
+    assert cli.problem_from_data(with_d("3/2")).state.exdata.entries[0].d == Fraction(3, 2)
+    for data in (with_b(2), with_d(1), with_d("3/2")):
+        assert call(tmp_path, data, "hs") == 0, data
+    assert call(tmp_path, with_d("-3/2"), "hs") == 2  # parsed, then out of contract
+    capsys.readouterr()
+    for value in (2.0, True, None):
+        assert call(tmp_path, with_b(value), "hs") == 3
+        assert "component 0: b: bad rational" in capsys.readouterr().err
+
+
+def test_delta_report_when_y_misses_the_directrix(tmp_path, capsys):
+    data = {"variables": ["x", "y"], "u": ["x", "y"], "y": [],
+            "pair": {"components": [{"gens": ["y^2 - x^3"], "b": "2"}]}}
+    assert call(tmp_path, data, "delta", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "delta", "error": "y does not span directrix", "forced_delta": "1"}
+    assert call(tmp_path, data, "char-poly") == 2
 
 
 def test_command_table():
@@ -103,10 +163,17 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(field=st.sampled_from(["variables", "u", "y", "exceptional", "pair", "script"]),
+@given(field=st.sampled_from(["variables", "u", "y", "exceptional", "pair", "script",
+                              "b", "d"]),
        value=JSON_VALUES)
 def test_any_json_in_one_field_is_rejected_or_run(field, value):
-    """One top-level field replaced by an arbitrary JSON value: the CLI
-    answers, rejects or reports a parse error, and never raises."""
-    problem = json.dumps(dict(A3_BLOWN_UP, **{field: value}))
-    assert cli.main([problem, "run-lsb", "--format", "json"]) in (0, 2, 3)
+    """One field replaced by an arbitrary JSON value: a top-level field, a
+    component's ``b`` or an exceptional entry's ``d``.  The CLI answers,
+    rejects or reports a parse error, and never raises."""
+    if field == "b":
+        data = with_b(value)
+    elif field == "d":
+        data = with_d(value)
+    else:
+        data = dict(A3_BLOWN_UP, **{field: value})
+    assert cli.main([json.dumps(data), "run-lsb", "--format", "json"]) in (0, 2, 3)

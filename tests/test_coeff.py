@@ -9,7 +9,7 @@ from hironaka.coeff import (
     find_maximal_contact,
     prepare_vertices,
 )
-from hironaka.errors import PreconditionError
+from hironaka.errors import DirectrixNotSpanned, PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair, is_singular_at_origin
 from hironaka.poly import Polynomial, parse_polynomial, substitute
@@ -101,6 +101,35 @@ def test_contact_after_shift():
     assert mc.witness == p("y + x")
     # in the adapted coordinates the pair is the plain cusp again
     assert mc.pair.all_generators() == (p("y^2 - x^3"),)
+
+
+def test_contact_pair_is_rewritten_once():
+    """The accepted direction mixes x and y and the witness keeps a
+    nonlinear tail, so the pair is rewritten by the linear change composed
+    with the tail shift.  It must equal the sequential rewrite: the change
+    first, then each shift.
+
+    No accepted witness needs two shifts.  A reduction that ends writes the
+    witness as w = (x + phi) * U with U = 1 at the origin.  After shifts of
+    total S_k, D_k = phi - S_k obeys D_(k+1) = D_k * (1 - U(-S_k)), whose
+    factor is zero or of positive degree, so deg D_k grows.  Ending at shift
+    m >= 2 needs U(-S_(m-1)) = 1, i.e. U - 1 = (x + S_(m-1)) * V; then
+    D_(m-1) = D_(m-2) * (D_(m-1) - D_(m-2)) * V(-S_(m-2)) has a higher
+    total degree on the right than on the left."""
+    names = ["x", "y", "z"]
+    gens = [p("-3*x^3*z - x*y*z^3", names), p("x*y^2 + 2*z^4 + 4*x*y*z^3", names)]
+    mc = find_maximal_contact(Pair.single(gens, 3), Frame(tuple(names), (0, 1, 2), ()))
+    assert (mc.direction, mc.contact_index) == ((1, -1, 0), 0)
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    sequential = [substitute(g, {0: x[0], 1: x[1] - x[0]}) for g in gens]
+    current, shifts = mc.witness, 0
+    while not (tail := Polynomial(3, {e: c for e, c in current.terms.items() if e[0] == 0})).is_zero():
+        shift = {0: x[0] - tail}
+        current = substitute(current, shift)
+        sequential = [substitute(g, shift) for g in sequential]
+        shifts += 1
+    assert shifts == 1 and mc.witness == p("x - 2/3*y - 4/3*z^3", names)
+    assert mc.pair == Pair.single(sequential, 3)
 
 
 def test_contact_prefers_given_variables():
@@ -215,7 +244,7 @@ def test_delta_invariant_refuses_bad_split():
     frame = Frame(("x", "y"), (0, 1), ())
     with pytest.raises(PreconditionError, match="directrix") as err:
         delta_invariant(Pair.single([p("y^2 - x^3")], 2), frame)
-    assert getattr(err.value, "forced_delta", None) == 1
+    assert type(err.value) is DirectrixNotSpanned
 
 
 def test_delta_one_degeneracy_when_y_misses_directrix():

@@ -15,7 +15,7 @@ from hironaka.cone import (
     monomials_below_degree,
     monomials_of_degree,
 )
-from hironaka.linalg import rank, rref, sparse_rank
+from hironaka.linalg import rref, sparse_rank
 from hironaka.pairs import Component, Pair
 from hironaka.poly import Polynomial, parse_polynomial, substitute
 
@@ -291,7 +291,7 @@ def test_degree_one_forms_inside_directrix_span(rng):
         for f in basis.forms
     ]
     target = [Fraction(1), Fraction(1)]
-    assert rank(form_rows + [target]) == rank(form_rows)
+    assert len(rref(form_rows + [target])[1]) == len(rref(form_rows)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,142 @@
+"""The sparse elimination kernel against a dense Gauss-Jordan reference.
+
+``dense_rref`` is the dense elimination the library used before it kept a
+single sparse one; reduced row echelon form is unique, so both must agree
+exactly on every matrix.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hironaka.linalg import nullspace, reduce_against, rref, solve, sparse_rank, sparse_rref
+
+
+def dense_rref(rows):
+    """Gauss-Jordan over dense Fraction rows: reduced rows and pivots."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def random_entry(rng, density):
+    if rng.random() > density:
+        return Fraction(0)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def random_matrix(rng, kind):
+    """A seeded rational matrix of the given kind."""
+    nrows, ncols = {
+        "square": (4, 4), "wide": (3, 7), "tall": (7, 3),
+        "zero-rows": (5, 4), "duplicates": (6, 5), "deficient": (6, 5),
+    }[kind]
+    density = rng.choice([0.3, 0.6, 1.0])
+    rows = [[random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero-rows":
+        for i in rng.sample(range(nrows), 2):
+            rows[i] = [Fraction(0)] * ncols
+    elif kind == "duplicates":
+        rows[3] = list(rows[0])
+        rows[5] = [2 * x for x in rows[1]]
+    elif kind == "deficient":
+        # every row a combination of the first two: rank at most 2
+        for i in range(2, nrows):
+            a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def times(rows, vec):
+    return [sum(a * v for a, v in zip(row, vec)) for row in rows]
+
+
+KINDS = ["square", "wide", "tall", "zero-rows", "duplicates", "deficient"]
+CASES = [(kind, seed) for kind in KINDS for seed in range(5)]
+
+
+@pytest.mark.parametrize("kind, seed", CASES)
+def test_rref_matches_dense_gauss_jordan(kind, seed):
+    rows = random_matrix(random.Random(seed), kind)
+    red, pivots = rref(rows)
+    assert (red, pivots) == dense_rref(rows)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert sparse_rank([dict(enumerate(row)) for row in rows]) == pivots
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    assert rref(shuffled) == (red, pivots)
+
+
+@pytest.mark.parametrize("kind, seed", CASES)
+def test_solve_answers_exactly_when_the_reference_is_consistent(kind, seed):
+    rng = random.Random(1000 + seed)
+    rows = random_matrix(rng, kind)
+    ncols = len(rows[0])
+    reachable = times(rows, [random_entry(rng, 1.0) for _ in range(ncols)])
+    arbitrary = [random_entry(rng, 1.0) for _ in rows]
+    for rhs in (reachable, arbitrary):
+        _, pivots = dense_rref([row + [b] for row, b in zip(rows, rhs)])
+        consistent = ncols not in pivots
+        x = solve(rows, rhs)
+        assert (x is not None) == consistent
+        if consistent:
+            assert times(rows, x) == rhs
+
+
+@pytest.mark.parametrize("kind, seed", CASES)
+def test_nullspace_has_full_dimension(kind, seed):
+    rows = random_matrix(random.Random(2000 + seed), kind)
+    ncols = len(rows[0])
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - len(dense_rref(rows)[1])
+    for vec in basis:
+        assert times(rows, vec) == [0] * len(rows)
+    assert len(dense_rref(basis)[1]) == len(basis)
+
+
+@pytest.mark.parametrize("kind, seed", CASES)
+def test_reduce_against_leaves_the_canonical_residue(kind, seed):
+    rng = random.Random(3000 + seed)
+    rows = random_matrix(rng, kind)
+    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
+    ncols = len(rows[0])
+    vec = {c: x for c in range(ncols) if (x := random_entry(rng, 1.0))}
+    residue = reduce_against(red, pivots, vec)
+    assert not set(residue) & set(pivots)
+    assert all(v != 0 for v in residue.values())
+    # vec - residue lies in the row space: adding it does not raise the rank
+    diff = [vec.get(c, 0) - residue.get(c, 0) for c in range(ncols)]
+    assert len(dense_rref(rows + [diff])[1]) == len(pivots)
+    in_space = times([[rows[i][c] for i in range(len(rows))] for c in range(ncols)],
+                     [random_entry(rng, 1.0) for _ in rows])
+    assert reduce_against(red, pivots, {c: x for c, x in enumerate(in_space) if x}) == {}
+
+
+def test_empty_and_degenerate_shapes():
+    assert rref([]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert solve([], []) == []
+    assert solve([], [1]) is None
+    assert solve([[0, 0]], [1]) is None
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert sparse_rref([]) == ([], [])

@@ -133,17 +133,23 @@ def test_product_of_half_powers_has_int_exponents():
     assert_normalized(square)
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3))
+@given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3),
+       st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_substitute_matches_term_by_term_sum(seed, mapped):
+def test_substitute_matches_term_by_term_sum(seed, mapped, half):
     rng = random.Random(seed)
     f = random_polynomial(rng, 3, max_degree=4, max_terms=5)
     assignment = {i: random_polynomial(rng, 3, max_degree=2, max_terms=3) for i in mapped}
+    if half and len(mapped) < 3:
+        # half of the terms get a fractional exponent on an unassigned variable
+        j = min(set(range(3)) - mapped)
+        f = f + f * Polynomial.monomial(3, [Fraction(1, 2) if i == j else 0 for i in range(3)])
     want = Polynomial.zero(3)
     for exps, c in f.terms.items():
         term = Polynomial.constant(3, c)
         for i, e in enumerate(exps):
-            term = term * assignment.get(i, Polynomial.variable(3, i)) ** e
+            unit = [e if k == i else 0 for k in range(3)]
+            term = term * (assignment[i] ** e if i in mapped else Polynomial.monomial(3, unit))
         want = want + term
     got = substitute(f, assignment)
     assert_normalized(got)
