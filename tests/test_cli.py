@@ -47,11 +47,12 @@ def test_options_are_read(tmp_path, capsys):
     assert problem.options == cli.Options(hs_cutoff=3, verify=False)
 
 
-def test_invariant_after_blowup_in_divisor_chart(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [{}, {"fast": True}])
+def test_invariant_after_blowup_in_divisor_chart(tmp_path, capsys, flags):
     assert call(tmp_path, A3_BLOWN_UP, "invariant", "--format", "json") == 0
     cli_report = json.loads(capsys.readouterr().out)["invariant"]
-    fast_report = cli.run(cli.problem_from_data(A3_BLOWN_UP), "invariant", fast=True)["invariant"]
-    for report in (cli_report, fast_report):
+    run_report = cli.run(cli.problem_from_data(A3_BLOWN_UP), "invariant", **flags)["invariant"]
+    for report in (cli_report, run_report):
         assert (report["s1"], report["entries"], report["terminal"], report["monomial"]) == (
             0, [], "0", "x")
 
