@@ -4,9 +4,12 @@ vertex preparation toward the minimal polyhedron.
 Maximal contact follows the derivative recipe: pick a generator whose order
 equals its weight, find a small-integer direction where the top derivative
 is nonzero, apply the corresponding linear change, and take the (b-1)-fold
-derivative as the new hypersurface.  The resulting element is then turned
-into an actual coordinate by triangular substitutions; inputs that would
-need an infinite (completion-level) change are rejected with a clear error.
+derivative as the new hypersurface.  The resulting witness w is then made a
+coordinate by one shift x_p -> x_p - t, t the pivot-free part of w: the
+shift works exactly when w(-t, x') = 0, and a reduction that works never
+needs a second shift (proof in ``tests/test_coeff.py``,
+``test_contact_pair_is_rewritten_once``).  Inputs whose contact would need
+an infinite (completion-level) change are rejected with a clear error.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from .cone import DirectrixBasis, directrix, initial_ideal
 from .errors import DirectrixNotSpanned, InternalError, PreconditionError
 from .frames import Frame
 from .linalg import solve
-from .pairs import Component, Pair, is_singular_at_origin
+from .pairs import Component, Pair, is_singular_at_origin, pair_order
 from .poly import (
     Polynomial,
+    format_rational,
     hasse_derivative,
     ord_at_origin,
     split_by_variables,
@@ -102,12 +106,26 @@ def _evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
+def _shift_clears(witness: Polynomial, tail: Polynomial, pivot: int) -> bool:
+    """Whether witness(-tail, x') = 0, the pivot-free part of the witness
+    after pivot -> pivot - tail.  Witnesses over 150 terms fail.  The exact
+    value at a fixed point a with pivot coordinate -tail(a) is the value of
+    witness(-tail, x') at a: a nonzero value proves the shift fails, and
+    only a zero value needs the substitution."""
+    if len(witness.terms) > 150:
+        return False
+    point = [i + 2 for i in range(witness.nvars)]
+    point[pivot] = -_evaluate(tail, point)
+    if _evaluate(witness, point) != 0:
+        return False
+    return substitute(witness, {pivot: -tail}).is_zero()
+
+
 def find_maximal_contact(
     E: Pair,
     frame: Frame,
     preferred_variables=(),
     height_cap: int = 4,
-    tail_iters: int = 8,
 ) -> MaximalContact:
     """Select a maximal-contact hypersurface and normalize it to a coordinate.
 
@@ -116,6 +134,12 @@ def find_maximal_contact(
     generator it is taken as the contact directly.  The direction sweep
     leaves every other marked variable untouched: the contact must stay
     transversal to the divisors that were not adjoined.
+
+    A direction's witness w (pivot coefficient 1, pivot-free part t) is
+    accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
+    the linear change composed with pivot -> pivot - t.  ``_shift_clears``
+    decides w(-t, x') = 0 by an exact probe before any expansion.  After 12
+    failed directions the input is rejected.
     """
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
@@ -144,6 +168,12 @@ def find_maximal_contact(
         if chosen:
             break
     if chosen is None:
+        order = pair_order(E)
+        if order > 1:
+            raise PreconditionError(
+                "no maximal contact witness: every generator's order exceeds "
+                f"its weight (pair order {format_rational(order)} > 1)"
+            )
         raise PreconditionError("no maximal contact witness")
     f, b = chosen
     top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
@@ -182,22 +212,8 @@ def find_maximal_contact(
             raise InternalError("contact derivative lost the pivot direction")
         witness = witness.scale(Fraction(1) / lead)
 
-        # triangular reduction on the witness alone: rewrite until the
-        # contact is the pivot variable itself.  Directions whose reduction
-        # does not terminate (a completion-level graph) are skipped.
-        removed = Polynomial.zero(n)  # the sum S of the tails shifted away
-        current = witness
-        ok = False
-        for shifts in range(tail_iters + 1):
-            tail = Polynomial(n, {e: c for e, c in current.terms.items() if e[pivot] == 0})
-            if tail.is_zero():
-                ok = True
-                break
-            if shifts >= tail_iters or len(current.terms) > 150:
-                break
-            removed = removed + tail
-            current = substitute(current, {pivot: Polynomial.variable(n, pivot) - tail})
-        if not ok:
+        tail = Polynomial(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
+        if not tail.is_zero() and not _shift_clears(witness, tail, pivot):
             failed_screens += 1
             if failed_screens >= 12:
                 raise PreconditionError(
@@ -205,11 +221,11 @@ def find_maximal_contact(
                 )
             continue
 
-        # each tail is free of the pivot, so the shifts pivot -> pivot - t
-        # compose to pivot -> pivot - S: rewrite the pair once
+        # the tail is free of the pivot: compose the linear change with
+        # pivot -> pivot - tail and rewrite the pair once
         assignment = change or {}
-        if not removed.is_zero():
-            shift = {pivot: Polynomial.variable(n, pivot) - removed}
+        if not tail.is_zero():
+            shift = {pivot: Polynomial.variable(n, pivot) - tail}
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
         pair = _substitute_pair(E, assignment) if assignment else E
         return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
@@ -365,13 +381,17 @@ def prepare_vertices(E: Pair, frame: Frame, max_iters: int = 32) -> PrepareResul
 def delta_invariant(E: Pair, frame: Frame, max_iters: int = 32):
     """The minimal coordinate sum of the prepared polyhedron on the u-part.
 
-    Independent of the y-choice whenever the y-part spans the directrix; the
-    value before preparation is returned and cross-checked after.
+    Independent of the y-choice whenever the y-part spans the directrix.
+    Preparation only shrinks the polyhedron, so it can raise the value:
+    (y + x^2)^2 has 2 before y -> y - x^2 and an empty polyhedron after.
+    A polyhedron still unprepared after ``max_iters`` translations would give
+    only a lower bound, so it is rejected, naming a solvable vertex.
     """
-    _check_spanning(E, frame)
-    before = delta(polyhedron_of_pair(E, frame))
     result = prepare_vertices(E, frame, max_iters)
-    after = delta(result.polyhedron)
-    if before != after:
-        raise InternalError("delta changed under vertex preparation")
-    return before
+    if not result.prepared:
+        vertex = _solve_vertex(result.pair, frame, result.polyhedron)[0]
+        raise PreconditionError(
+            f"vertex ({', '.join(format_rational(c) for c in vertex)}) is still "
+            f"solvable after {max_iters} preparation steps"
+        )
+    return delta(result.polyhedron)

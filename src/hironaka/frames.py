@@ -69,9 +69,6 @@ class Frame:
 
     # -- derived frames ----------------------------------------------------
 
-    def with_split(self, u_indices, y_indices) -> "Frame":
-        return Frame(self.variables, tuple(u_indices), tuple(y_indices), self.exceptional)
-
     def move_to_y(self, index: int) -> "Frame":
         if index in self.y_indices:
             return self

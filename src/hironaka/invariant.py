@@ -41,7 +41,6 @@ class Options:
     hs_cutoff: int = 12
     max_prep_iters: int = 32
     contact_height_cap: int = 4
-    tail_iters: int = 8
     verify: bool = True           # polyhedron cross-checks during slow runs
     skip_unit_steps: bool = False  # drop (1, 0) padding entries from the output
 
@@ -192,11 +191,7 @@ def invariant_step(state: PipelineState) -> StepResult:
 
     preferred = tuple(frame.index_of(nm) for nm in pending)
     mc = find_maximal_contact(
-        pair,
-        frame,
-        preferred_variables=preferred,
-        height_cap=opts.contact_height_cap,
-        tail_iters=opts.tail_iters,
+        pair, frame, preferred_variables=preferred, height_cap=opts.contact_height_cap
     )
     contact_name = frame.variables[mc.contact_index]
     pending = tuple(nm for nm in pending if nm != contact_name)

@@ -68,9 +68,6 @@ class Pair:
     def all_generators(self) -> tuple[Polynomial, ...]:
         return tuple(g for c in self.components for g in c.gens)
 
-    def intersect(self, other: "Pair") -> "Pair":
-        return Pair(self.components + other.components)
-
 
 def pair_order(E: Pair):
     """min over components of ord(J)/b clamped to 0 below the weight.

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,6 +114,33 @@ def test_delta_report_when_y_misses_the_directrix(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "command": "delta", "error": "y does not span directrix", "forced_delta": "1"}
     assert call(tmp_path, data, "char-poly") == 2
+
+
+SQUARE_OF_A_SHIFTED_LINE = {
+    "variables": ["x", "y"], "u": ["x"], "y": ["y"],
+    "pair": {"components": [{"gens": ["y^2 + 2*y*x^2 + x^4"], "b": "2"}]},
+}
+PAIRS_028 = json.loads((Path(__file__).resolve().parent.parent
+                        / "bench/corpus/pairs-local/problems/028.json").read_text())
+
+
+@pytest.mark.parametrize("data", [SQUARE_OF_A_SHIFTED_LINE, PAIRS_028], ids=["textbook", "028"])
+@pytest.mark.parametrize("command", ["delta", "nu"])
+def test_delta_is_read_after_preparation(tmp_path, capsys, data, command):
+    # one translation y -> y + c*u^v empties the polyhedron: delta is inf,
+    # not the finite delta of the unprepared polyhedron
+    assert call(tmp_path, data, "char-poly", "--format", "json") == 0
+    prepared = json.loads(capsys.readouterr().out)
+    assert (prepared["prepared"], prepared["vertices"]) == (True, [])
+    assert call(tmp_path, data, command, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == {"command": command, command: "inf"}
+
+
+@pytest.mark.parametrize("command", ["delta", "nu"])
+def test_delta_of_an_unprepared_polyhedron_is_refused(tmp_path, capsys, command):
+    data = dict(SQUARE_OF_A_SHIFTED_LINE, options={"max_prep_iters": 0})
+    assert call(tmp_path, data, command) == 2
+    assert "vertex (2) is still solvable after 0 preparation steps" in capsys.readouterr().err
 
 
 def test_command_table():

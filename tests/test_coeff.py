@@ -4,6 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hironaka.coeff import (
+    MaximalContact,
+    _direction_candidates,
+    _evaluate,
+    _shift_clears,
+    _substitute_pair,
     coefficient_pair,
     delta_invariant,
     find_maximal_contact,
@@ -12,7 +17,7 @@ from hironaka.coeff import (
 from hironaka.errors import DirectrixNotSpanned, PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair, is_singular_at_origin
-from hironaka.poly import Polynomial, parse_polynomial, substitute
+from hironaka.poly import Polynomial, hasse_derivative, ord_at_origin, parse_polynomial, substitute
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
 from conftest import random_singular_pair
@@ -149,6 +154,20 @@ def test_contact_requires_witness():
         find_maximal_contact(E, FRAME_XY)
 
 
+def test_missing_witness_names_the_pair_order():
+    E = Pair((Component((p("y^3"), p("x^4")), Fraction(2)), Component((p("x*y"),), Fraction(1))))
+    with pytest.raises(PreconditionError) as err:
+        find_maximal_contact(E, FRAME_XY)
+    assert str(err.value) == (
+        "no maximal contact witness: every generator's order exceeds its weight "
+        "(pair order 3/2 > 1)")
+    # order equal to the weight, but only on a fractional weight: no claim
+    D = Polynomial(2, {(Fraction(1, 2), Fraction(1, 2)): Fraction(1)})
+    with pytest.raises(PreconditionError) as err:
+        find_maximal_contact(Pair((Component((D,), Fraction(1)),)), FRAME_XY)
+    assert str(err.value) == "no maximal contact witness"
+
+
 def test_contact_requires_singularity():
     with pytest.raises(PreconditionError, match="point not in Sing"):
         find_maximal_contact(Pair.single([p("y - x^2")], 2), FRAME_XY)
@@ -166,6 +185,100 @@ def test_contact_unit_tail_is_fine():
     E = Pair.single([p("(y + y^2)^2 - x^5")], 2)
     mc = find_maximal_contact(E, FRAME_XY)
     assert mc.contact_index == 1
+
+
+def contact_by_iteration_reference(E: Pair, frame: Frame, height_cap: int, shift_cap: int = 2):
+    """``find_maximal_contact`` as it was before the one-shift reduction, for
+    frames without exceptional divisors: each direction's witness is shifted
+    by its pivot-free part until none is left, at most ``shift_cap`` times
+    (150-term cap checked before each shift, 12 failed directions at most),
+    and the pair is rewritten once by the sum of the shifts."""
+    if not is_singular_at_origin(E):
+        raise PreconditionError("point not in Sing")
+    n = E.nvars
+    chosen = next(((g, int(comp.weight)) for comp in E.components if comp.weight.denominator == 1
+                   for g in comp.gens
+                   if ord_at_origin(g) == comp.weight and not g.has_fractional_exponent()), None)
+    if chosen is None:
+        raise PreconditionError("no maximal contact witness")
+    f, b = chosen
+    top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    saw_direction, failed_screens = False, 0
+    for vec in _direction_candidates(n, height_cap):
+        if _evaluate(top, vec) == 0:
+            continue
+        saw_direction = True
+        pivot = next(i for i, c in enumerate(vec) if c != 0)
+        change = None
+        if any(c != 0 and i != pivot for i, c in enumerate(vec)) or vec[pivot] != 1:
+            change = {i: x[i] + x[pivot].scale(vec[i]) if i != pivot else x[pivot].scale(vec[i])
+                      for i in range(n) if vec[i] != 0 or i == pivot}
+        witness = hasse_derivative(substitute(f, change) if change else f,
+                                   tuple(b - 1 if j == pivot else 0 for j in range(n)))
+        witness = witness.scale(1 / witness.terms[tuple(int(j == pivot) for j in range(n))])
+        removed, current, ok = Polynomial.zero(n), witness, False
+        for shifts in range(shift_cap + 1):
+            tail = Polynomial(n, {e: c for e, c in current.terms.items() if e[pivot] == 0})
+            if tail.is_zero():
+                ok = True
+                break
+            if shifts >= shift_cap or len(current.terms) > 150:
+                break
+            removed = removed + tail
+            current = substitute(current, {pivot: x[pivot] - tail})
+        if not ok:
+            failed_screens += 1
+            if failed_screens >= 12:
+                break
+            continue
+        assignment = change or {}
+        if not removed.is_zero():
+            shift = {pivot: x[pivot] - removed}
+            assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
+        pair = _substitute_pair(E, assignment) if assignment else E
+        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
+    if saw_direction:
+        raise PreconditionError("maximal contact requires a completion-level coordinate change")
+    raise PreconditionError("no maximal contact witness")
+
+
+def _contact_outcome(find, *args):
+    try:
+        return find(*args)
+    except PreconditionError as exc:
+        # the missing-witness detail is not part of the reduction
+        return str(exc).split(":")[0]
+
+
+@pytest.mark.parametrize("height_cap", [1, 2])
+@pytest.mark.parametrize("nvars, seeds", [(2, 40), (3, 10)])
+def test_one_shift_reduction_matches_iteration(nvars, seeds, height_cap):
+    """The same contact, direction, witness and rewritten pair, or the same
+    rejection, as the multi-shift loop.  A larger shift cap would agree too
+    (a reduction that ends takes at most one shift) at a higher cost."""
+    frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
+    shifted = 0
+    for seed in range(seeds):
+        E = random_singular_pair(random.Random(seed), nvars)
+        new = _contact_outcome(find_maximal_contact, E, frame, (), height_cap)
+        assert new == _contact_outcome(contact_by_iteration_reference, E, frame, height_cap), seed
+        if isinstance(new, MaximalContact):
+            shifted += any(e[new.contact_index] == 0 for e in new.witness.terms)
+    assert shifted >= 1
+
+
+def test_zero_probe_falls_back_to_the_substitution():
+    # pivot x, probe y = 3: w(-t(3), 3) = 0 although w(-y^2, y) = -y^3*(y - 3)
+    w, tail = p("x + y^2 + x*y*(y - 3)"), p("y^2")
+    assert _evaluate(w, (-9, 3)) == 0
+    assert not _shift_clears(w, tail, 0)
+    # (x + y^2)(1 + x) becomes x*(1 + x - y^2) under x -> x - y^2
+    assert _shift_clears(p("(x + y^2)*(1 + x)"), tail, 0)
+    E = Pair.single([w], 1)
+    for height_cap in (1, 2):
+        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY, (), height_cap)
+                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height_cap))
 
 
 # ---------------------------------------------------------------------------
