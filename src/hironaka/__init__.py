@@ -6,11 +6,8 @@ from .frames import Frame
 from .pairs import (
     Component,
     Pair,
-    apply_log_diff,
     is_singular_at_origin,
-    merge_to_single,
     pair_order,
-    power_rewrite,
 )
 from .poly import (
     INF,
@@ -22,20 +19,14 @@ from .poly import (
     ord_at_origin,
     parse_polynomial,
     substitute,
-    weighted_order,
 )
 from .polyhedra import (
-    AddPoints,
     OrthantPolyhedron,
-    Scale,
-    Translate,
     coordinate_min,
     delta,
     minimize_vertices,
     newton_polyhedron,
-    nu_subset,
     polyhedron_of_pair,
-    transform_polyhedron,
 )
 from .cone import (
     DirectrixBasis,

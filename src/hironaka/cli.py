@@ -1,4 +1,5 @@
-"""Problem-file ingestion, subcommand dispatch, and rendering.
+"""Problem-file ingestion, subcommand dispatch, and rendering as text or
+JSON.
 
 One self-describing JSON schema covers problems, traces and reports; exact
 rationals always travel as strings like "4/3".  Exit codes: 0 success,
@@ -421,8 +422,6 @@ def render(report: dict, format: str = "text") -> bytes:
         return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
     if format == "text":
         return _render_text(report).encode()
-    if format == "svg":
-        return _render_svg(report)
     raise PreconditionError(f"unknown format {format!r}")
 
 
@@ -449,55 +448,6 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(report: dict) -> bytes:
-    verts = report.get("vertices")
-    if verts is None or any(len(v) != 2 for v in verts):
-        raise PreconditionError("svg output needs a 2-dimensional polyhedron report")
-    pts = [(Fraction(a), Fraction(b)) for a, b in verts]
-    span = max([c for p in pts for c in p] + [Fraction(1)]) + 1
-    size = 360
-    margin = 30
-
-    def sx(x: Fraction) -> float:
-        return margin + float(x / span) * (size - 2 * margin)
-
-    def sy(y: Fraction) -> float:
-        return size - margin - float(y / span) * (size - 2 * margin)
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
-        f'y2="{size - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{size - margin}" x2="{margin}" y2="{margin}" '
-        f'stroke="black"/>',
-    ]
-    if pts:
-        ordered = sorted(pts)
-        path = [f"M {sx(ordered[0][0]):.2f} {sy(span):.2f}"]
-        path.append(f"L {sx(ordered[0][0]):.2f} {sy(ordered[0][1]):.2f}")
-        for p in ordered[1:]:
-            path.append(f"L {sx(p[0]):.2f} {sy(p[1]):.2f}")
-        last = ordered[-1]
-        path.append(f"L {sx(span):.2f} {sy(last[1]):.2f}")
-        path.append(f"L {sx(span):.2f} {sy(span):.2f} Z")
-        out.append(
-            f'<path d="{" ".join(path)}" fill="#c8d8f0" stroke="#3050a0" '
-            f'fill-opacity="0.6"/>'
-        )
-        for a, b in ordered:
-            out.append(
-                f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="#203060"/>'
-            )
-            label = f"({format_rational(a)}, {format_rational(b)})"
-            out.append(
-                f'<text x="{sx(a) + 5:.2f}" y="{sy(b) - 5:.2f}" '
-                f'font-size="11">{label}</text>'
-            )
-    out.append("</svg>")
-    return ("\n".join(out) + "\n").encode()
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -509,7 +459,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("problem", help="problem JSON file, or - for stdin")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--format", choices=("text", "json", "svg"), default="text")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--chart", default=None)
     args = parser.parse_args(argv)
 

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
 from .frames import Frame
-from .pairs import Component, Pair, pair_order
+from .pairs import Component, Pair
 from .poly import INF, Polynomial, divide_by_variable_power, substitute
-from .polyhedra import OrthantPolyhedron, coordinate_min, delta, polyhedron_of_pair
+from .polyhedra import coordinate_min, polyhedron_of_pair
 
 
 @dataclass(frozen=True)

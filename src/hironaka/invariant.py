@@ -1,17 +1,22 @@
 """The resolution-invariant pipeline at a point: partition of the
 exceptional divisors into old and new, the descent
-G -> F -> coefficient pair -> companion pair, the termination cases, and a
-fast path that collapses the forced unit steps.
+G -> F -> coefficient pair -> companion pair, and the termination cases.
 
 The vector has the shape (nu1, s1; nu2, s2; ...; nu_t) where nu1 is a
 truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
-Every step, slow or fast, ends in the same tail (``_descend``): coefficient
-pair, mu, mu_H, nu, then a terminal case or the companion pair.  Along a
-trace each year is evaluated once, oldest first (``_evaluate``): a divisor
-is old at step r when it was born no later than the first earlier year
-whose comparison tokens (hs, s1, nu2, s2, ...) start with the current ones.
+Every step ends in the same tail (``_descend``): coefficient pair, mu,
+mu_H, nu, then a terminal case or the companion pair.  Along a trace each
+year is evaluated once, oldest first (``_evaluate``): a divisor is old at
+step r when it was born no later than the first earlier year whose
+comparison tokens (hs, s1, nu2, s2, ...) start with the current ones.
+
+Nothing is cross-checked at run time.  The tests hold the independent
+checks: the paper's theorem (the first nu after the forced unit steps is
+delta of the prepared polyhedron), and the fast path, a second way through
+``_drive`` that collapses each run of forced unit steps and must return the
+same vector.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .poly import (
     ord_along_variable,
     ord_at_origin,
 )
-from .polyhedra import coordinate_min, delta, polyhedron_of_pair
 from .cone import hilbert_samuel_truncated
 
 
@@ -41,7 +45,6 @@ class Options:
     hs_cutoff: int = 12
     max_prep_iters: int = 32
     contact_height_cap: int = 4
-    verify: bool = True           # polyhedron cross-checks during slow runs
     skip_unit_steps: bool = False  # drop (1, 0) padding entries from the output
 
 
@@ -195,7 +198,7 @@ def invariant_step(state: PipelineState) -> StepResult:
     )
     contact_name = frame.variables[mc.contact_index]
     pending = tuple(nm for nm in pending if nm != contact_name)
-    return _descend(state, mc.pair, mc.frame, [mc.contact_index], pending, opts.verify)
+    return _descend(state, mc.pair, mc.frame, [mc.contact_index], pending)
 
 
 def _deferred_step(base: PipelineState, cur: PipelineState, contacts) -> StepResult:
@@ -204,11 +207,11 @@ def _deferred_step(base: PipelineState, cur: PipelineState, contacts) -> StepRes
     restricted during the run, so the current exceptional data still uses
     the base frame's indices."""
     z_indices = [base.frame.index_of(nm) for nm in contacts]
-    return _descend(cur, base.pair, base.frame, z_indices, (), verify=False)
+    return _descend(cur, base.pair, base.frame, z_indices, ())
 
 
-def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices, pending,
-             verify: bool) -> StepResult:
+def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
+             pending) -> StepResult:
     """The tail every step shares: restrict ``pair`` to its coefficient pair
     along ``z_indices`` (the last one is the step's contact), read off mu,
     mu_H and nu, and end in a terminal case or the companion pair."""
@@ -222,9 +225,6 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices, pending,
     )
     mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
-
-    if verify:
-        _verify_step(pair, frame, H, new_frame, mu, mus)
 
     consumed = state.consumed + (frame.variables[z_indices[-1]],)
     if nu == INF:
@@ -265,26 +265,6 @@ def _zero_assigned(exdata: ExceptionalData) -> ExceptionalData:
         if e.present else e
         for e in exdata.entries
     ))
-
-
-def _verify_step(pair: Pair, frame: Frame, H: Pair, frame_H: Frame, mu, mus) -> None:
-    """Polyhedron cross-checks: the coefficient-pair order equals the
-    projected delta, and each divisor multiplicity equals a coordinate
-    minimum."""
-    d = delta(polyhedron_of_pair(pair, frame))
-    if d != mu:
-        raise InternalError(f"order/delta cross-check failed: {mu} vs {d}")
-    if H.is_empty():
-        return
-    PH = polyhedron_of_pair(H, frame_H)
-    pos = {i: p for p, i in enumerate(frame_H.u_indices)}
-    for div_id, m in mus:
-        idx = frame_H.variable_of(div_id)
-        cm = coordinate_min(PH, pos[idx])
-        if cm != m:
-            raise InternalError(
-                f"divisor multiplicity cross-check failed for {div_id}: {m} vs {cm}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +325,8 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
                 tokens.append(Fraction(1))
                 continue
             deferred.extend(pending)
-            if deferred:
-                step = _deferred_step(base, cur, deferred)
-            else:
-                step = invariant_step(replace(cur, opts=replace(opts, verify=False)))
-            deferred = []
-        else:
-            step = invariant_step(cur)
+        step = _deferred_step(base, cur, deferred) if deferred else invariant_step(cur)
+        deferred = []
 
         if isinstance(step.outcome, Terminal):
             tokens.append(step.outcome.nu)
@@ -406,8 +381,8 @@ def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None,
 def compute_invariant(
     state: PairWithHistory, trace: Trace | None = None, opts: Options | None = None
 ) -> InvariantVector:
-    """The invariant at the origin of ``state``, by the step-by-step descent
-    with its polyhedron cross-checks (``opts.verify``).
+    """The invariant at the origin of ``state``, by the step-by-step
+    descent.  Nothing is cross-checked at run time.
 
     With a trace, ``state`` must equal ``trace.final``, otherwise
     PreconditionError.  Every year of the trace is then evaluated once,
@@ -423,9 +398,9 @@ def fast_path_invariant(
     """The same invariant as ``compute_invariant``, with the same trace
     contract, computed another way: each run of forced unit steps (an
     adjoined divisor taken as the contact while another one remains) is
-    collapsed into one multi-variable coefficient pair, and the cross-checks
-    are off.  It is the differential reference: on every input both paths
-    must return equal vectors.
+    collapsed into one multi-variable coefficient pair.  It is kept only as
+    the differential reference: on every input both paths must return equal
+    vectors.
     """
     return _evaluate(state, trace, opts, fast=True)[0]
 

@@ -1,24 +1,19 @@
 """Pairs: finite intersections of (generator list, positive rational weight)
-components, with order and singular-locus tests at the origin and the
-order-preserving rewrite operations.
+components, with their order and the singular-locus test at the origin.
 
-Equivalence of pairs is never decided; only the constructive rewrites are
-exposed, each as a total function with an explicit contract.
+Equivalence of pairs is never decided, and no rewrite of a pair lives
+here.  Pairs change only in the modules that need it: coordinate changes
+and coefficient pairs in ``coeff``, companion pairs in ``invariant``,
+blow-ups in ``history``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations_with_replacement
 
 from .errors import PreconditionError
-from .poly import INF, Polynomial, log_diff, ord_at_origin
-
-
-def _product(polys, nvars: int) -> Polynomial:
-    return reduce(lambda a, b: a * b, polys, Polynomial.constant(nvars, 1))
+from .poly import INF, Polynomial, ord_at_origin
 
 
 @dataclass(frozen=True)
@@ -87,48 +82,3 @@ def pair_order(E: Pair):
 def is_singular_at_origin(E: Pair) -> bool:
     """True iff every component has ideal order >= its weight at the origin."""
     return all(comp.ideal_order() >= comp.weight for comp in E.components)
-
-
-def power_rewrite(E: Pair, a: int) -> Pair:
-    """(J, b) -> (J^a, a*b) on a single-component pair."""
-    if len(E.components) != 1:
-        raise PreconditionError("power_rewrite needs a single component")
-    if not isinstance(a, int) or a <= 0:
-        raise PreconditionError("power must be a positive integer")
-    comp = E.components[0]
-    gens = tuple(_product(c, comp.nvars)
-                 for c in combinations_with_replacement(comp.gens, a))
-    return Pair.single(gens, comp.weight * a)
-
-
-def merge_to_single(E: Pair, m: int) -> Pair:
-    """Collapse an intersection to (sum of J_i^(m/b_i), m); each b_i | m."""
-    if not isinstance(m, int) or m <= 0:
-        raise PreconditionError("m must be a positive integer")
-    gens: list[Polynomial] = []
-    for comp in E.components:
-        ratio = Fraction(m) / comp.weight
-        if ratio.denominator != 1:
-            raise PreconditionError("weight does not divide m")
-        k = int(ratio)
-        for combo in combinations_with_replacement(comp.gens, k):
-            gens.append(_product(combo, comp.nvars))
-    return Pair.single(tuple(gens), m)
-
-
-def apply_log_diff(E: Pair, order) -> Pair:
-    """Adjoin the logarithmic-derivative component per component of E.
-
-    Components with weight <= |order| are skipped; generators killed by the
-    operator are dropped.  The polyhedron of the pair is unchanged.
-    """
-    M = tuple(order)
-    total = sum(M)
-    extra: list[Component] = []
-    for comp in E.components:
-        if comp.weight <= total:
-            continue
-        gens = tuple(g2 for g in comp.gens if not (g2 := log_diff(g, M)).is_zero())
-        if gens:
-            extra.append(Component(gens, comp.weight - total))
-    return Pair(E.components + tuple(extra))

@@ -221,36 +221,13 @@ def ord_at_origin(f: Polynomial):
     return min(sum(exps) for exps in f.terms)
 
 
-def weighted_order(f: Polynomial, weights):
-    """Minimal weighted degree sum(w_i * e_i); INF for the zero polynomial."""
-    ws = [Fraction(w) for w in weights]
-    if len(ws) != f.nvars:
-        raise ValueError("weights must cover all variables")
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be positive")
-    if f.is_zero():
-        return INF
-    return min(sum(w * e for w, e in zip(ws, exps)) for exps in f.terms)
-
-
-def initial_form(f: Polynomial, b, weights=None) -> Polynomial:
-    """Sum of the terms of (weighted) degree exactly b.
-
-    Without weights a non-integral or negative b yields the zero polynomial.
-    """
-    if weights is None:
-        bq = Fraction(b)
-        if bq < 0 or bq.denominator != 1:
-            return Polynomial.zero(f.nvars)
-        return Polynomial(
-            f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq}
-        )
-    ws = [Fraction(w) for w in weights]
+def initial_form(f: Polynomial, b) -> Polynomial:
+    """Sum of the terms of degree exactly b; the zero polynomial when b is
+    negative or not an integer."""
     bq = Fraction(b)
-    return Polynomial(
-        f.nvars,
-        {e: c for e, c in f.terms.items() if sum(w * x for w, x in zip(ws, e)) == bq},
-    )
+    if bq < 0 or bq.denominator != 1:
+        return Polynomial.zero(f.nvars)
+    return Polynomial(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq})
 
 
 def ord_along_variable(f: Polynomial, index: int):
@@ -285,12 +262,6 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
         key = tuple(e - m for e, m in zip(exps, M))
         out[key] = out.get(key, Fraction(0)) + w * c
     return Polynomial(f.nvars, out)
-
-
-def log_diff(f: Polynomial, order: Iterable[int]) -> Polynomial:
-    """Logarithmic variant: x^D maps to C(D, M) x^D (same exponents)."""
-    M = tuple(order)
-    return hasse_derivative(f, M) * Polynomial.monomial(f.nvars, M)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Rational orthant polyhedra: finite vertex sets generating
-conv(V) + R^e_{>=0}, kept in minimal form, plus the projections that tie
-them to pairs and the elementary transformations used along blow-ups.
+conv(V) + R^e_{>=0}, kept in minimal form, the projections that tie them
+to pairs, and the numbers read off them (delta and the coordinate minima).
 
 Everything is V-representation only; membership queries reduce to exact LP
 feasibility on the vertex set.
@@ -143,56 +143,3 @@ def coordinate_min(P: OrthantPolyhedron, i: int) -> Fraction:
     if P.is_empty():
         raise PreconditionError("d_i undefined")
     return min(Fraction(v[i]) for v in P.vertices)
-
-
-def nu_subset(P: OrthantPolyhedron, I) -> Fraction:
-    """delta minus the coordinate minima over the index set I."""
-    d = delta(P)
-    if d == INF:
-        raise PreconditionError("d_i undefined")
-    return d - sum(coordinate_min(P, i) for i in I)
-
-
-# ---------------------------------------------------------------------------
-# Elementary transformations
-
-
-@dataclass(frozen=True)
-class Translate:
-    offset: tuple
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: Fraction
-
-
-@dataclass(frozen=True)
-class AddPoints:
-    points: tuple
-
-
-def transform_polyhedron(P: OrthantPolyhedron, step) -> OrthantPolyhedron:
-    if isinstance(step, Translate):
-        w = _pt(step.offset)
-        if len(w) != P.dimension:
-            raise PreconditionError("offset dimension mismatch")
-        moved = []
-        for v in P.vertices:
-            nv = tuple(a - b for a, b in zip(v, w))
-            if any(c < 0 for c in nv):
-                raise PreconditionError("not dominated")
-            moved.append(nv)
-        return OrthantPolyhedron.from_points(P.dimension, moved)
-    if isinstance(step, Scale):
-        c = Fraction(step.factor)
-        if c <= 0:
-            raise PreconditionError("scale factor must be positive")
-        return OrthantPolyhedron.from_points(
-            P.dimension, [tuple(c * Fraction(x) for x in v) for v in P.vertices]
-        )
-    if isinstance(step, AddPoints):
-        return OrthantPolyhedron.from_points(
-            P.dimension, list(P.vertices) + [_pt(p) for p in step.points]
-        )
-    raise PreconditionError(f"unknown polyhedron transformation {step!r}")

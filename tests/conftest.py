@@ -3,6 +3,8 @@
 Oracles here avoid the code paths they check: Hilbert-Samuel dimensions come
 from monomial counting or a closed form, directrix spaces from translation
 tests and subspace search, 2-D vertex minimization from a staircase scan.
+``merge_to_single`` is a reference rewrite of a pair that the library does
+not need: order and blow-up properties are checked through it.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from hironaka.errors import PreconditionError
 from hironaka.poly import Polynomial
 from hironaka.pairs import Component, Pair
 
@@ -59,6 +63,20 @@ def random_singular_pair(rng: random.Random, nvars: int, max_components: int = 2
             gens.append(g)
         comps.append(Component(tuple(gens), Fraction(b)))
     return Pair(tuple(comps))
+
+
+def merge_to_single(E: Pair, m: int) -> Pair:
+    """Collapse an intersection to (sum of J_i^(m/b_i), m); each b_i | m."""
+    if not isinstance(m, int) or m <= 0:
+        raise PreconditionError("m must be a positive integer")
+    gens: list[Polynomial] = []
+    for comp in E.components:
+        ratio = Fraction(m) / comp.weight
+        if ratio.denominator != 1:
+            raise PreconditionError("weight does not divide m")
+        for combo in combinations_with_replacement(comp.gens, int(ratio)):
+            gens.append(math.prod(combo, start=Polynomial.constant(comp.nvars, 1)))
+    return Pair.single(tuple(gens), m)
 
 
 # ---------------------------------------------------------------------------

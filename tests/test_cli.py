@@ -26,7 +26,7 @@ def call(tmp_path, data, *args):
     ({"hs_cutoff": "abc"}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": 2.5}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": True}, "option 'hs_cutoff': expected a JSON integer"),
-    ({"verify": "false"}, "option 'verify': expected a JSON boolean"),
+    ({"skip_unit_steps": "false"}, "option 'skip_unit_steps': expected a JSON boolean"),
     ({"skip_unit_steps": 1}, "option 'skip_unit_steps': expected a JSON boolean"),
 ])
 def test_options_must_have_json_types(tmp_path, capsys, options, message):
@@ -41,11 +41,11 @@ def test_birth_must_be_an_integer(tmp_path, capsys):
 
 
 def test_options_are_read(tmp_path, capsys):
-    data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3, "verify": False})
+    data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3, "skip_unit_steps": True})
     assert call(tmp_path, data, "hs", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out) == {"command": "hs", "cutoff": 3, "dims": [1, 3, 5]}
     problem = cli.problem_from_data(data)
-    assert problem.options == cli.Options(hs_cutoff=3, verify=False)
+    assert problem.options == cli.Options(hs_cutoff=3, skip_unit_steps=True)
 
 
 @pytest.mark.parametrize("flags", [{}, {"fast": True}])
@@ -61,6 +61,28 @@ def test_invariant_after_blowup_in_divisor_chart(tmp_path, capsys, flags):
 def test_unknown_option_is_rejected(tmp_path, capsys):
     assert call(tmp_path, dict(A3_BLOWN_UP, options={"hs_cuttoff": 3}), "hs") == 3
     assert "options: unknown option 'hs_cuttoff'" in capsys.readouterr().err
+
+
+def test_verify_is_no_longer_an_option(tmp_path, capsys):
+    assert call(tmp_path, dict(A3_BLOWN_UP, options={"verify": False}), "invariant") == 3
+    assert "options: unknown option 'verify'" in capsys.readouterr().err
+
+
+def test_svg_is_no_longer_a_format(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        call(tmp_path, A3_BLOWN_UP, "poly", "--format", "svg")
+    assert exc.value.code == 2
+
+
+def test_hilbert_samuel_past_the_column_limit_exits_2(tmp_path, capsys):
+    names = [f"x{i}" for i in range(8)]
+    data = {
+        "variables": names, "pair": {"components": [{"gens": ["x0^2 + x7^3"], "b": "2"}]},
+        "options": {"hs_cutoff": 16},
+    }
+    assert call(tmp_path, data, "hs") == 2
+    assert ("Hilbert-Samuel in 8 variables up to k_max = 16 needs 490314 monomial columns"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag", ["--fast", "--hs-cutoff=3", "--max-prep-iters=3"])

@@ -17,7 +17,14 @@ from hironaka.coeff import (
 from hironaka.errors import DirectrixNotSpanned, PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair, is_singular_at_origin
-from hironaka.poly import Polynomial, hasse_derivative, ord_at_origin, parse_polynomial, substitute
+from hironaka.poly import (
+    INF,
+    Polynomial,
+    hasse_derivative,
+    ord_at_origin,
+    parse_polynomial,
+    substitute,
+)
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
 from conftest import random_singular_pair
@@ -307,15 +314,19 @@ def test_prepare_identity_when_already_prepared():
 
 
 def test_prepare_never_grows_polyhedron(rng):
-    for _ in range(20):
-        E = random_singular_pair(rng, 2)
+    # preparation only shrinks the polyhedron, so delta can only rise; it
+    # rises strictly on (y + x^2)^2: 2 before y -> y - x^2, inf after
+    pinned = Pair.single([p("(y + x^2)^2")], 2)
+    for E in [pinned] + [random_singular_pair(rng, 2) for _ in range(20)]:
         try:
             before = polyhedron_of_pair(E, FRAME_XY)
             res = prepare_vertices(E, FRAME_XY, max_iters=8)
         except PreconditionError:
             continue  # directrix not spanned by y: out of contract
         assert res.polyhedron.subset_of(before)
-        assert delta(res.polyhedron) == delta(before)
+        assert delta(res.polyhedron) >= delta(before)
+        if E is pinned:
+            assert (delta(before), delta(res.polyhedron)) == (2, INF)
 
 
 def test_prepare_multi_step():

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from hironaka.errors import PreconditionError
+from hironaka import cone
 from hironaka.cone import (
     HomIdeal,
     directrix,
@@ -363,6 +365,23 @@ def test_hs_zero_ideal_keeps_its_variables():
 def test_hs_needs_a_generator():
     with pytest.raises(PreconditionError, match="at least one generator"):
         hilbert_samuel_truncated([], 3)
+
+
+def test_hs_column_limit_counts_monomials_below_k_max(monkeypatch):
+    monkeypatch.setattr(cone, "HS_MAX_COLUMNS", 10)
+    assert hilbert_samuel_truncated([hp("x^2", 2)], 4) == [1, 3, 5, 7]  # C(5, 2) = 10
+    with pytest.raises(PreconditionError, match="in 2 variables up to k_max = 5 needs 15 "):
+        hilbert_samuel_truncated([hp("x^2", 2)], 5)
+
+
+def test_hs_past_the_column_limit_is_rejected_at_once():
+    # unbounded, this one generator takes seconds: C(23, 8) = 490314 columns
+    names = [f"x{i}" for i in range(8)]
+    g = parse_polynomial("x0^2 + x7^3", names)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="in 8 variables up to k_max = 16 needs 490314 "):
+        hilbert_samuel_truncated([g], 16)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sparse_rank_returns_pivot_columns():

@@ -15,11 +15,10 @@ from hironaka.history import (
     is_permissible,
     run_lsb,
 )
-from hironaka.pairs import Component, Pair, is_singular_at_origin, merge_to_single, pair_order
+from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import INF, Polynomial, parse_polynomial
-from hironaka.polyhedra import coordinate_min, polyhedron_of_pair
 
-from conftest import random_singular_pair
+from conftest import merge_to_single, random_singular_pair
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]

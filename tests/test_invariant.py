@@ -1,13 +1,20 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hironaka.cli import problem_from_data
-from hironaka.errors import PreconditionError
+from hironaka import invariant
+from hironaka.cli import parse_problem, problem_from_data
+from hironaka.coeff import delta_invariant
+from hironaka.cone import directrix, initial_ideal
+from hironaka.errors import DirectrixNotSpanned, PreconditionError
 from hironaka.frames import Frame
-from hironaka.history import ExceptionalData, PairWithHistory, run_lsb
+from hironaka.history import ExceptionalData, PairWithHistory, exceptional_nu, run_lsb
 from hironaka.invariant import (
     Options,
     compare_invariants,
@@ -16,6 +23,7 @@ from hironaka.invariant import (
     s_partition,
 )
 from hironaka.poly import INF
+from hironaka.polyhedra import coordinate_min, delta, polyhedron_of_pair
 
 from conftest import random_singular_pair
 
@@ -181,3 +189,132 @@ def test_fast_path_agrees_on_random_traces():
             accepted += 1
             assert len(s_partition(trace, opts)) == 1 + len(slow.entries)
     assert accepted >= 30
+
+
+# ---------------------------------------------------------------------------
+# The paper's theorem as the oracle: when y spans the directrix, the
+# descent's first nu after its dim(directrix) - 1 forced unit steps is delta
+# of the prepared polyhedron (``delta_invariant``), or ``exceptional_nu``
+# at a traced point whose s1 is 0.  Both sides are exact rationals or INF.
+#
+# The same runs check the reference equalities at every step (the
+# ``checked_steps`` fixture): the order of the coefficient pair is delta of
+# the projection along the contacts, and each mu_H is a coordinate minimum
+# of the coefficient pair's polyhedron.  Both sides compute
+# min |A|/(b - |B|) over the same terms, so they guard the projection and
+# the bookkeeping, not the choice of contact; the oracle guards that.
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    seen = Counter()
+    pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
+
+    def coefficient_pair(pair, frame, z_indices):
+        H = pair_of(pair, frame, z_indices)
+        zs = tuple(sorted(set(z_indices)))
+        rest = tuple(i for i in range(frame.nvars) if i not in zs)
+        along = Frame(frame.variables, rest, zs, frame.exceptional)
+        mu = INF if H.is_empty() else min(
+            Fraction(comp.ideal_order()) / comp.weight for comp in H.components)
+        assert delta(polyhedron_of_pair(pair, along)) == mu
+        seen["order"] += 1
+        return H
+
+    def divisor_multiplicities(H, frame, exdata):
+        mus = multiplicities_of(H, frame, exdata)
+        PH = polyhedron_of_pair(H, frame)
+        for div_id, m in mus:
+            pos = frame.u_indices.index(exdata.get(div_id).variable)
+            assert coordinate_min(PH, pos) == m, div_id
+            seen["divisor"] += 1
+        return mus
+
+    monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
+    monkeypatch.setattr(invariant, "divisor_multiplicities", divisor_multiplicities)
+    return seen
+
+
+def corpus_problems(workload):
+    """(id, problem) for every problem file of a benchmark corpus."""
+    paths = sorted((CORPUS / workload / "problems").glob("*.json"))
+    return [(path.stem, parse_problem(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def descent_nu(vec, pair):
+    """The first nu after the dim(directrix) - 1 forced unit steps, or the
+    terminal when no entry is left."""
+    dim = directrix(initial_ideal(pair)).dim
+    units, rest = vec.entries[:dim - 1], vec.entries[dim - 1:]
+    assert all((e.nu, e.s) == (1, 0) for e in units), vec
+    return rest[0].nu if rest else vec.terminal
+
+
+def test_pairs_local_first_nu_is_delta_of_prepared_polyhedron(checked_steps):
+    sides = {}
+    for pid, problem in corpus_problems("pairs-local"):
+        vec = compute_invariant(problem.state, None, problem.options)
+        polyhedral = delta_invariant(problem.pair, problem.frame, problem.options.max_prep_iters)
+        sides[pid] = (polyhedral, descent_nu(vec, problem.pair))
+    assert len(sides) == 60
+    assert {pid: pair for pid, pair in sides.items() if pair[0] != pair[1]} == {}
+    assert checked_steps["order"] > 0
+
+
+def test_lsb_first_nu_is_the_polyhedral_nu_before_and_after_the_script(checked_steps):
+    checked = 0
+    for pid, problem in corpus_problems("lsb-hypersurface"):
+        opts = problem.options
+        trace = run_lsb(problem.state, problem.script)
+        for state, tr in ((problem.state, None), (trace.final, trace)):
+            vec = compute_invariant(state, tr, opts)
+            if tr is None:
+                polyhedral_nu = partial(delta_invariant, state.pair, state.frame)
+            else:
+                assert vec.s1 == 0, pid
+                polyhedral_nu = partial(exceptional_nu, state.pair, state.frame, state.exdata)
+            if pid == "007":
+                # y = (z) does not span the 2-dimensional directrix of z^3 + x2^3
+                with pytest.raises(DirectrixNotSpanned):
+                    polyhedral_nu(opts.max_prep_iters)
+                continue
+            polyhedral = polyhedral_nu(opts.max_prep_iters)
+            assert polyhedral == descent_nu(vec, state.pair), (pid, tr is not None)
+            checked += 1
+    assert checked == 22
+    assert checked_steps["divisor"] > 0
+
+
+def test_random_first_nu_is_delta_of_prepared_polyhedron(checked_steps):
+    # seeds 0-199 in 2 variables and 0-59 in 3; every accepted pair meets
+    # the reference equalities, and those in contract (the directrix is
+    # spanned by coordinates, taken as y, and preparation finishes) the
+    # oracle
+    opts = Options(hs_cutoff=4, contact_height_cap=1)
+    agreed = 0
+    for nvars, seeds in ((2, 200), (3, 60)):
+        names = tuple(f"x{i}" for i in range(nvars))
+        for seed in range(seeds):
+            pair = random_singular_pair(random.Random(seed), nvars)
+            state = PairWithHistory(pair, Frame(names, tuple(range(nvars)), ()),
+                                    ExceptionalData(()))
+            try:
+                vec = compute_invariant(state, None, opts)
+                basis = directrix(initial_ideal(pair))
+            except PreconditionError:
+                continue
+            ys = next((y for y in combinations(range(nvars), basis.dim)
+                       if basis.spans_within(y)), None)
+            if ys is None:
+                continue
+            frame = Frame(names, tuple(i for i in range(nvars) if i not in ys), ys)
+            try:
+                polyhedral = delta_invariant(pair, frame, opts.max_prep_iters)
+            except PreconditionError:
+                continue
+            assert polyhedral == descent_nu(vec, pair), (nvars, seed)
+            agreed += 1
+    assert agreed >= 90
+    assert checked_steps["order"] > 100

@@ -1,23 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from hironaka.errors import PreconditionError
-from hironaka.frames import Frame
-from hironaka.pairs import (
-    Component,
-    Pair,
-    apply_log_diff,
-    is_singular_at_origin,
-    merge_to_single,
-    pair_order,
-    power_rewrite,
-)
+from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import Polynomial, parse_polynomial, substitute
-from hironaka.polyhedra import polyhedron_of_pair
 
-from conftest import random_singular_pair
+from conftest import merge_to_single, random_singular_pair
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -65,7 +54,7 @@ def test_singular_intersection_example():
 
 
 # ---------------------------------------------------------------------------
-# merge_to_single
+# merge_to_single, the test reference in conftest
 
 
 def test_merge_two_linear_components():
@@ -98,29 +87,6 @@ def test_merge_rejects_non_divisor():
         merge_to_single(E, 3)
 
 
-def test_power_rewrite_square():
-    E = single("x", 1)
-    out = power_rewrite(E, 2)
-    assert out.components[0].weight == 2
-    assert [sorted(g.terms) for g in out.components[0].gens] == [[(2, 0)]]
-
-
-def test_power_rewrite_two_generators():
-    E = Pair.single([p("x"), p("y")], 1)
-    out = power_rewrite(E, 2)
-    gens = sorted(sorted(g.terms) for g in out.components[0].gens)
-    assert gens == [[(0, 2)], [(1, 1)], [(2, 0)]]
-
-
-def test_power_rewrite_needs_single_component():
-    E = Pair((
-        Component((p("x"),), Fraction(1)),
-        Component((p("y"),), Fraction(1)),
-    ))
-    with pytest.raises(PreconditionError):
-        power_rewrite(E, 2)
-
-
 def test_order_preserved_by_rewrites(rng):
     for _ in range(30):
         E = random_singular_pair(rng, 2)
@@ -129,8 +95,6 @@ def test_order_preserved_by_rewrites(rng):
         assert pair_order(merged) == min(
             pair_order(Pair((c,))) for c in E.components
         )
-        single_comp = Pair((E.components[0],))
-        assert pair_order(power_rewrite(single_comp, 2)) == pair_order(single_comp)
 
 
 def test_order_preserved_at_sampled_points(rng):
@@ -148,53 +112,6 @@ def test_order_preserved_at_sampled_points(rng):
         assert pair_order(merge_to_single(moved, 6)) == min(
             pair_order(Pair((c,))) for c in moved.components
         )
-
-
-# ---------------------------------------------------------------------------
-# apply_log_diff
-
-
-def test_apply_log_diff_example():
-    E = single("y^2 - x^3", 2)
-    out = apply_log_diff(E, (1, 0))
-    assert len(out.components) == 2
-    extra = out.components[1]
-    assert extra.weight == 1
-    assert extra.gens[0] == p("-3*x^3")
-
-
-def test_apply_log_diff_zero_order_is_identity():
-    E = single("y^2 - x^3", 2)
-    out = apply_log_diff(E, (0, 0))
-    # M = 0 keeps every component and adds copies with the same data
-    assert polyhedron_of_pair(out, Frame(("x", "y"), (0,), (1,))) == polyhedron_of_pair(
-        E, Frame(("x", "y"), (0,), (1,))
-    )
-
-
-def test_apply_log_diff_polyhedron_stable(rng):
-    frame = Frame(("x", "y"), (0, 1), ())
-    for _ in range(30):
-        E = random_singular_pair(rng, 2)
-        M = (rng.randint(0, 1), rng.randint(0, 1))
-        out = apply_log_diff(E, M)
-        assert polyhedron_of_pair(out, frame) == polyhedron_of_pair(E, frame)
-
-
-def test_apply_log_diff_preserves_singularity(rng):
-    for _ in range(30):
-        E = random_singular_pair(rng, 3)
-        M = [0, 0, 0]
-        M[rng.randrange(3)] = 1
-        out = apply_log_diff(E, tuple(M))
-        assert is_singular_at_origin(out) == is_singular_at_origin(E)
-
-
-def test_apply_log_diff_rejects_fractional_support():
-    f = Polynomial(2, {(Fraction(1, 2), 2): Fraction(1)})
-    E = Pair.single([f], Fraction(3, 2))
-    with pytest.raises(PreconditionError):
-        apply_log_diff(E, (1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,10 @@ from hironaka.poly import (
     format_polynomial,
     hasse_derivative,
     initial_form,
-    log_diff,
     ord_at_origin,
     parse_polynomial,
     split_by_variables,
     substitute,
-    weighted_order,
 )
 
 from conftest import random_polynomial
@@ -197,11 +195,6 @@ def test_hasse_composition_identity(seed, M, Mp):
     assert lhs == hasse_derivative(f, total).scale(factor)
 
 
-def test_log_diff_keeps_exponents():
-    f = p2("y^2 - x^3")
-    assert log_diff(f, (1, 0)) == p2("-3*x^3")
-
-
 # ---------------------------------------------------------------------------
 # substitute
 
@@ -253,30 +246,11 @@ def test_substitute_fractional_power_of_sum_rejected():
 
 
 # ---------------------------------------------------------------------------
-# weighted_order and initial_form
-
-
-def test_weighted_order_example():
-    assert weighted_order(p2("y^2 - x^3"), [Fraction(2, 3), 1]) == 2
-
-
-def test_weighted_order_uniform_matches_ord(rng):
-    for _ in range(30):
-        f = random_polynomial(rng, 3, max_degree=5)
-        assert weighted_order(f, [1, 1, 1]) == ord_at_origin(f)
-
-
-def test_weighted_order_zero_polynomial():
-    assert weighted_order(Polynomial.zero(2), [1, 1]) == INF
+# initial_form
 
 
 def test_initial_form_unweighted():
     assert initial_form(p2("y^2 - x^3"), 2) == p2("y^2")
-
-
-def test_initial_form_weighted_collects_both_terms():
-    f = p2("y^2 - x^3")
-    assert initial_form(f, 2, weights=[Fraction(2, 3), 1]) == f
 
 
 def test_initial_form_fractional_degree_is_zero():

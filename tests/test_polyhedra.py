@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,17 +7,12 @@ from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair
 from hironaka.poly import INF, Polynomial, parse_polynomial
 from hironaka.polyhedra import (
-    AddPoints,
     OrthantPolyhedron,
-    Scale,
-    Translate,
     coordinate_min,
     delta,
     minimize_vertices,
     newton_polyhedron,
-    nu_subset,
     polyhedron_of_pair,
-    transform_polyhedron,
 )
 
 from conftest import random_singular_pair, staircase_oracle
@@ -175,7 +169,7 @@ def test_minimize_idempotent_and_order_independent(rng):
 
 
 # ---------------------------------------------------------------------------
-# delta / coordinate_min / nu_subset
+# delta / coordinate_min
 
 
 def test_delta_of_family_vertex():
@@ -213,46 +207,6 @@ def test_coordinate_min_single_vertex():
 def test_coordinate_min_empty_is_error():
     with pytest.raises(PreconditionError, match="d_i undefined"):
         coordinate_min(OrthantPolyhedron(2, ()), 0)
-
-
-def test_nu_subset_values():
-    first, _ = equivalent_pairs(3)
-    P = polyhedron_of_pair(first, FRAME22)
-    assert nu_subset(P, [0]) == Fraction(2, 3)
-    assert nu_subset(P, []) == delta(P)
-    P3 = OrthantPolyhedron.from_points(3, [(Fraction(1, 2),) * 3])
-    assert nu_subset(P3, [0, 1, 2]) == 0
-
-
-# ---------------------------------------------------------------------------
-# transformations
-
-
-def test_translate():
-    P = OrthantPolyhedron.from_points(2, [(Fraction(3, 2), 1)])
-    out = transform_polyhedron(P, Translate((Fraction(1, 2), 0)))
-    assert out.vertices == ((1, 1),)
-
-
-def test_translate_requires_domination():
-    P = OrthantPolyhedron.from_points(2, [(1, 0)])
-    with pytest.raises(PreconditionError, match="not dominated"):
-        transform_polyhedron(P, Translate((0, 1)))
-
-
-def test_scale():
-    P = OrthantPolyhedron.from_points(2, [(1, 1)])
-    out = transform_polyhedron(P, Scale(Fraction(2)))
-    assert out.vertices == ((2, 2),)
-
-
-def test_add_unit_points_counts():
-    # adjoining unit vectors for a two-element index set adds two vertices,
-    # and here they absorb the old one
-    P = OrthantPolyhedron.from_points(3, [(2, 2, 2)])
-    units = [tuple(1 if j == k else 0 for j in range(3)) for k in (0, 2)]
-    out = transform_polyhedron(P, AddPoints(tuple(units)))
-    assert set(out.vertices) == {(1, 0, 0), (0, 0, 1)}
 
 
 def test_membership():
