@@ -274,7 +274,7 @@ def _newton(problem: Problem, chart, fast):
 
 def _char_poly(problem: Problem, chart, fast):
     frame = problem.frame
-    res = prepare_vertices(problem.pair, frame, problem.options.max_prep_iters)
+    res = prepare_vertices(problem.pair, frame)
     return {
         "u": list(frame.u_names()),
         "vertices": _vertices_data(res.polyhedron),
@@ -286,7 +286,7 @@ def _char_poly(problem: Problem, chart, fast):
 
 def _delta(problem: Problem, chart, fast):
     try:
-        value = delta_invariant(problem.pair, problem.frame, problem.options.max_prep_iters)
+        value = delta_invariant(problem.pair, problem.frame)
     except DirectrixNotSpanned as exc:
         return {"error": str(exc), "forced_delta": "1"}
     return {"delta": format_rational(value)}
@@ -305,9 +305,7 @@ def _d_i(problem: Problem, chart, fast):
 
 def _nu(problem: Problem, chart, fast):
     state = problem.state
-    value = exceptional_nu(
-        state.pair, state.frame, state.exdata, problem.options.max_prep_iters
-    )
+    value = exceptional_nu(state.pair, state.frame, state.exdata)
     return {"nu": format_rational(value)}
 
 

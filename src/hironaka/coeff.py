@@ -27,6 +27,7 @@ from .poly import (
     Polynomial,
     format_rational,
     hasse_derivative,
+    initial_form,
     ord_at_origin,
     split_by_variables,
     substitute,
@@ -67,6 +68,10 @@ def coefficient_pair(E: Pair, frame: Frame, z_indices) -> Pair:
 # ---------------------------------------------------------------------------
 # Maximal contact
 
+# Largest max-norm of a candidate contact direction: the sweep tries the
+# small-integer vectors of max-norm 1, then 2, ..., up to this.
+CONTACT_HEIGHT = 4
+
 
 @dataclass(frozen=True)
 class MaximalContact:
@@ -77,9 +82,10 @@ class MaximalContact:
     direction: tuple
 
 
-def _direction_candidates(n: int, height_cap: int):
-    """Deterministic sweep: by height, then sparsity, then lowest variable."""
-    for h in range(1, height_cap + 1):
+def _direction_candidates(n: int, height: int):
+    """Deterministic sweep up to max-norm ``height``: by height, then
+    sparsity, then lowest variable."""
+    for h in range(1, height + 1):
         batch = []
         for vec in iproduct(range(-h, h + 1), repeat=n):
             if max((abs(x) for x in vec), default=0) != h:
@@ -121,19 +127,15 @@ def _shift_clears(witness: Polynomial, tail: Polynomial, pivot: int) -> bool:
     return substitute(witness, {pivot: -tail}).is_zero()
 
 
-def find_maximal_contact(
-    E: Pair,
-    frame: Frame,
-    preferred_variables=(),
-    height_cap: int = 4,
-) -> MaximalContact:
+def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> MaximalContact:
     """Select a maximal-contact hypersurface and normalize it to a coordinate.
 
     ``preferred_variables`` are the adjoined divisor variables.  They
     short-circuit the search: if one of them appears as a weight-1 component
     generator it is taken as the contact directly.  The direction sweep
     leaves every other marked variable untouched: the contact must stay
-    transversal to the divisors that were not adjoined.
+    transversal to the divisors that were not adjoined.  The sweep tries
+    the small-integer directions up to max-norm ``CONTACT_HEIGHT``.
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
@@ -176,13 +178,13 @@ def find_maximal_contact(
             )
         raise PreconditionError("no maximal contact witness")
     f, b = chosen
-    top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
+    top = initial_form(f, b)
     marked = frame.marked_indices()
     preferred = set(preferred_variables)
 
     saw_direction = False
     failed_screens = 0
-    for vec in _direction_candidates(n, height_cap):
+    for vec in _direction_candidates(n, CONTACT_HEIGHT):
         touched = {i for i, x in enumerate(vec) if x != 0}
         if touched & marked:
             # only a pure direction along an adjoined divisor keeps the
@@ -246,6 +248,10 @@ def _substitute_pair(E: Pair, assignment) -> Pair:
 
 # ---------------------------------------------------------------------------
 # Vertex preparation
+
+# Most translations y -> y + c*u^v one preparation makes; a polyhedron still
+# unprepared after them gives ``delta_invariant`` only a lower bound.
+MAX_PREP_ITERS = 32
 
 
 @dataclass(frozen=True)
@@ -351,24 +357,26 @@ def _solve_vertex(pair: Pair, frame: Frame, P: OrthantPolyhedron):
         }
         candidate = _substitute_pair(pair, assignment)
         P2 = polyhedron_of_pair(candidate, frame)
-        if vertex in P2.vertices or not P2.subset_of(P):
+        if vertex in P2.vertices:
             continue
         return vertex, candidate, P2, tuple(lam)
     return None
 
 
-def prepare_vertices(E: Pair, frame: Frame, max_iters: int = 32) -> PrepareResult:
-    """Iteratively remove solvable vertices by translations y -> y + c*u^v.
+def prepare_vertices(E: Pair, frame: Frame) -> PrepareResult:
+    """Iteratively remove solvable vertices by translations y -> y + c*u^v,
+    at most ``MAX_PREP_ITERS`` of them.
 
     Candidate coefficients come from an exact linear system on the vertex
-    face; a candidate is committed only when the recomputed polyhedron drops
-    the vertex and shrinks, so the polyhedron never grows.
+    face; a candidate is committed when the recomputed polyhedron drops the
+    vertex.  The polyhedron never grows under such a translation (proof in
+    ``tests/test_coeff.py``, ``test_prepare_never_grows_polyhedron``).
     """
     _check_spanning(E, frame)
     pair = E
     translations: list[tuple] = []
     P = polyhedron_of_pair(pair, frame)
-    for _ in range(max_iters):
+    for _ in range(MAX_PREP_ITERS):
         hit = _solve_vertex(pair, frame, P)
         if hit is None:
             return PrepareResult(pair, frame, P, True, tuple(translations))
@@ -378,20 +386,21 @@ def prepare_vertices(E: Pair, frame: Frame, max_iters: int = 32) -> PrepareResul
     return PrepareResult(pair, frame, P, not remaining, tuple(translations))
 
 
-def delta_invariant(E: Pair, frame: Frame, max_iters: int = 32):
+def delta_invariant(E: Pair, frame: Frame):
     """The minimal coordinate sum of the prepared polyhedron on the u-part.
 
     Independent of the y-choice whenever the y-part spans the directrix.
     Preparation only shrinks the polyhedron, so it can raise the value:
     (y + x^2)^2 has 2 before y -> y - x^2 and an empty polyhedron after.
-    A polyhedron still unprepared after ``max_iters`` translations would give
-    only a lower bound, so it is rejected, naming a solvable vertex.
+    A polyhedron still unprepared after ``MAX_PREP_ITERS`` translations
+    would give only a lower bound, so it is rejected, naming a solvable
+    vertex.
     """
-    result = prepare_vertices(E, frame, max_iters)
+    result = prepare_vertices(E, frame)
     if not result.prepared:
         vertex = _solve_vertex(result.pair, frame, result.polyhedron)[0]
         raise PreconditionError(
             f"vertex ({', '.join(format_rational(c) for c in vertex)}) is still "
-            f"solvable after {max_iters} preparation steps"
+            f"solvable after {MAX_PREP_ITERS} preparation steps"
         )
     return delta(result.polyhedron)

@@ -146,7 +146,7 @@ def blowup_chart(
     if chart not in center:
         raise PreconditionError("chart variable must belong to the center")
     if not is_permissible(H, center):
-        raise PreconditionError("center is not permissible")
+        raise PreconditionError("center not permissible (order along center below a weight)")
 
     frame = H.frame
     n = frame.nvars
@@ -251,7 +251,8 @@ def run_lsb(H: PairWithHistory, script) -> Trace:
     """Run a scripted sequence of chart blow-ups from the given state.
 
     ``script`` is a list of (center variable names, chart variable name);
-    the tracked point is always the chart origin.
+    the tracked point is always the chart origin.  A PreconditionError of
+    year k, from the names or from ``blowup_chart``, is prefixed "year k: ".
     """
     years = [YearRecord(0, H, None)]
     state = H
@@ -259,14 +260,9 @@ def run_lsb(H: PairWithHistory, script) -> Trace:
         frame = state.frame
         try:
             center = [frame.index_of(name) for name in center_names]
-            chart = frame.index_of(chart_name)
+            report = blowup_chart(state, center, frame.index_of(chart_name), year=k)
         except PreconditionError as exc:
             raise PreconditionError(f"year {k}: {exc}") from None
-        if not is_permissible(state, center):
-            raise PreconditionError(
-                f"year {k}: center not permissible (order along center below a weight)"
-            )
-        report = blowup_chart(state, center, chart, year=k)
         state = report.state
         years.append(YearRecord(k, state, report))
     return Trace(tuple(years))
@@ -276,12 +272,12 @@ def run_lsb(H: PairWithHistory, script) -> Trace:
 # The residual order with respect to the exceptional data
 
 
-def exceptional_nu(E: Pair, frame: Frame, exdata: ExceptionalData, max_iters: int = 32):
+def exceptional_nu(E: Pair, frame: Frame, exdata: ExceptionalData):
     """delta of the prepared polyhedron minus the assigned multiplicities of
     the present divisors sitting in the u-part."""
     from .coeff import delta_invariant
 
-    d = delta_invariant(E, frame, max_iters)
+    d = delta_invariant(E, frame)
     u_set = set(frame.u_indices)
     total = sum(
         (e.d for e in exdata.present_entries() if e.variable in u_set),

@@ -21,7 +21,7 @@ same vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeff import coefficient_pair, find_maximal_contact
@@ -43,8 +43,6 @@ from .cone import hilbert_samuel_truncated
 @dataclass(frozen=True)
 class Options:
     hs_cutoff: int = 12
-    max_prep_iters: int = 32
-    contact_height_cap: int = 4
     skip_unit_steps: bool = False  # drop (1, 0) padding entries from the output
 
 
@@ -89,7 +87,6 @@ class PipelineState:
     consumed: tuple[str, ...]
     pending: tuple[str, ...]           # adjoined divisor variables, unconsumed
     adjoin: tuple[str, ...]            # divisor variables adjoined this step
-    opts: Options = field(default_factory=Options)
 
 
 @dataclass(frozen=True)
@@ -145,13 +142,13 @@ def divisor_multiplicities(H: Pair, frame: Frame, exdata: ExceptionalData):
     return tuple(out)
 
 
-def companion_pair(H: Pair, frame: Frame, exdata: ExceptionalData, nu) -> Pair:
+def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
     """Factor the exceptional monomial D out of every generator, reweight by
-    nu, and adjoin (D, 1 - nu) exactly when nu < 1."""
+    nu, and adjoin (D, 1 - nu) exactly when nu < 1.  ``mus`` is
+    ``divisor_multiplicities`` of H: (divisor id, mu_H) pairs."""
     if nu == INF or nu == 0:
         raise PreconditionError("terminal case, no companion pair")
     nu = Fraction(nu)
-    mus = divisor_multiplicities(H, frame, exdata)
     factors = [(frame.variable_of(d), mu) for d, mu in mus if mu != 0]
     comps: list[Component] = []
     for comp in H.components:
@@ -178,7 +175,6 @@ def companion_pair(H: Pair, frame: Frame, exdata: ExceptionalData, nu) -> Pair:
 
 def invariant_step(state: PipelineState) -> StepResult:
     """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion or terminal."""
-    opts = state.opts
     frame = state.frame
     n = frame.nvars
 
@@ -193,9 +189,7 @@ def invariant_step(state: PipelineState) -> StepResult:
     pending = _by_index(frame, set(state.pending) | set(state.adjoin))
 
     preferred = tuple(frame.index_of(nm) for nm in pending)
-    mc = find_maximal_contact(
-        pair, frame, preferred_variables=preferred, height_cap=opts.contact_height_cap
-    )
+    mc = find_maximal_contact(pair, frame, preferred_variables=preferred)
     contact_name = frame.variables[mc.contact_index]
     pending = tuple(nm for nm in pending if nm != contact_name)
     return _descend(state, mc.pair, mc.frame, [mc.contact_index], pending)
@@ -236,13 +230,12 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
 
     next_state = PipelineState(
         r=state.r + 1,
-        pair=companion_pair(H, new_frame, exdata, nu),
+        pair=companion_pair(H, new_frame, mus, nu),
         frame=new_frame,
         exdata=_zero_assigned(exdata),
         consumed=consumed,
         pending=pending,
         adjoin=(),
-        opts=state.opts,
     )
     return StepResult(mu, mus, nu, next_state, None)
 
@@ -294,7 +287,7 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
     cur = base = PipelineState(
         r=1, pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
-        consumed=(), pending=(), adjoin=(), opts=opts,
+        consumed=(), pending=(), adjoin=(),
     )
     tokens: list = [hs.dims]
     records: list = []

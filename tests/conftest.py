@@ -5,6 +5,7 @@ from monomial counting or a closed form, directrix spaces from translation
 tests and subspace search, 2-D vertex minimization from a staircase scan.
 ``merge_to_single`` is a reference rewrite of a pair that the library does
 not need: order and blow-up properties are checked through it.
+``corpus_problems`` reads the benchmark's checked-in problem files.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError
 from hironaka.poly import Polynomial
 from hironaka.pairs import Component, Pair
@@ -144,6 +147,19 @@ def staircase_oracle(points):
                 break
         hull.append(p)
     return sorted(hull)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark corpora
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+
+def corpus_problems(workload="*"):
+    """(id, problem) for every problem file of a benchmark corpus, or of
+    every corpus by default."""
+    paths = sorted(CORPUS.glob(f"{workload}/problems/*.json"))
+    return [(path.stem, parse_problem(path.read_text(encoding="utf-8"))) for path in paths]
 
 
 # ---------------------------------------------------------------------------

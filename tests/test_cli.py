@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hironaka import cli
+from hironaka import cli, coeff
 from hironaka.errors import PreconditionError
 
 A3_BLOWN_UP = {
@@ -66,6 +66,13 @@ def test_unknown_option_is_rejected(tmp_path, capsys):
 def test_verify_is_no_longer_an_option(tmp_path, capsys):
     assert call(tmp_path, dict(A3_BLOWN_UP, options={"verify": False}), "invariant") == 3
     assert "options: unknown option 'verify'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [{"max_prep_iters": 0}, {"contact_height_cap": 1}])
+def test_cost_caps_are_not_options(tmp_path, capsys, options):
+    # the caps are the constants coeff.MAX_PREP_ITERS and coeff.CONTACT_HEIGHT
+    assert call(tmp_path, dict(A3_BLOWN_UP, options=options), "invariant") == 3
+    assert f"options: unknown option {next(iter(options))!r}" in capsys.readouterr().err
 
 
 def test_svg_is_no_longer_a_format(tmp_path):
@@ -159,10 +166,22 @@ def test_delta_is_read_after_preparation(tmp_path, capsys, data, command):
 
 
 @pytest.mark.parametrize("command", ["delta", "nu"])
-def test_delta_of_an_unprepared_polyhedron_is_refused(tmp_path, capsys, command):
-    data = dict(SQUARE_OF_A_SHIFTED_LINE, options={"max_prep_iters": 0})
-    assert call(tmp_path, data, command) == 2
+def test_delta_of_an_unprepared_polyhedron_is_refused(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(coeff, "MAX_PREP_ITERS", 0)
+    assert call(tmp_path, SQUARE_OF_A_SHIFTED_LINE, command) == 2
     assert "vertex (2) is still solvable after 0 preparation steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-lsb", "invariant"])
+def test_blowup_errors_of_a_script_name_the_year(tmp_path, capsys, command):
+    data = {
+        "variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+        "pair": {"components": [{"gens": ["z^2 + x^3*y^2 + y^5"], "b": "2"}]},
+        "script": {"steps": [{"center": ["y", "z"], "chart": "x"}]},
+    }
+    assert call(tmp_path, data, command) == 2
+    assert ("precondition failed: year 1: chart variable must belong to the center\n"
+            == capsys.readouterr().err)
 
 
 def test_command_table():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hironaka import coeff
 from hironaka.coeff import (
     MaximalContact,
     _direction_candidates,
@@ -27,7 +28,7 @@ from hironaka.poly import (
 )
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
-from conftest import random_singular_pair
+from conftest import corpus_problems, random_singular_pair
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -194,7 +195,7 @@ def test_contact_unit_tail_is_fine():
     assert mc.contact_index == 1
 
 
-def contact_by_iteration_reference(E: Pair, frame: Frame, height_cap: int, shift_cap: int = 2):
+def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap: int = 2):
     """``find_maximal_contact`` as it was before the one-shift reduction, for
     frames without exceptional divisors: each direction's witness is shifted
     by its pivot-free part until none is left, at most ``shift_cap`` times
@@ -212,7 +213,7 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, height_cap: int, shift
     top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
     x = [Polynomial.variable(n, i) for i in range(n)]
     saw_direction, failed_screens = False, 0
-    for vec in _direction_candidates(n, height_cap):
+    for vec in _direction_candidates(n, height):
         if _evaluate(top, vec) == 0:
             continue
         saw_direction = True
@@ -258,24 +259,25 @@ def _contact_outcome(find, *args):
         return str(exc).split(":")[0]
 
 
-@pytest.mark.parametrize("height_cap", [1, 2])
+@pytest.mark.parametrize("height", [1, 2])
 @pytest.mark.parametrize("nvars, seeds", [(2, 40), (3, 10)])
-def test_one_shift_reduction_matches_iteration(nvars, seeds, height_cap):
+def test_one_shift_reduction_matches_iteration(monkeypatch, nvars, seeds, height):
     """The same contact, direction, witness and rewritten pair, or the same
     rejection, as the multi-shift loop.  A larger shift cap would agree too
     (a reduction that ends takes at most one shift) at a higher cost."""
+    monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
     frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
     shifted = 0
     for seed in range(seeds):
         E = random_singular_pair(random.Random(seed), nvars)
-        new = _contact_outcome(find_maximal_contact, E, frame, (), height_cap)
-        assert new == _contact_outcome(contact_by_iteration_reference, E, frame, height_cap), seed
+        new = _contact_outcome(find_maximal_contact, E, frame)
+        assert new == _contact_outcome(contact_by_iteration_reference, E, frame, height), seed
         if isinstance(new, MaximalContact):
             shifted += any(e[new.contact_index] == 0 for e in new.witness.terms)
     assert shifted >= 1
 
 
-def test_zero_probe_falls_back_to_the_substitution():
+def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
     # pivot x, probe y = 3: w(-t(3), 3) = 0 although w(-y^2, y) = -y^3*(y - 3)
     w, tail = p("x + y^2 + x*y*(y - 3)"), p("y^2")
     assert _evaluate(w, (-9, 3)) == 0
@@ -283,9 +285,10 @@ def test_zero_probe_falls_back_to_the_substitution():
     # (x + y^2)(1 + x) becomes x*(1 + x - y^2) under x -> x - y^2
     assert _shift_clears(p("(x + y^2)*(1 + x)"), tail, 0)
     E = Pair.single([w], 1)
-    for height_cap in (1, 2):
-        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY, (), height_cap)
-                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height_cap))
+    for height in (1, 2):
+        monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
+        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
+                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height))
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +316,43 @@ def test_prepare_identity_when_already_prepared():
     assert res.frame == FRAME_XY
 
 
-def test_prepare_never_grows_polyhedron(rng):
-    # preparation only shrinks the polyhedron, so delta can only rise; it
-    # rises strictly on (y + x^2)^2: 2 before y -> y - x^2, inf after
+def test_prepare_never_grows_polyhedron(monkeypatch, rng):
+    """Preparation only shrinks the polyhedron, so delta can only rise; it
+    rises strictly on (y + x^2)^2: 2 before y -> y - x^2, inf after.
+
+    Why a translation y_j -> y_j + c_j*u^v, with v a vertex of P, never
+    leaves P: a term u^A y^B of a component of weight b becomes a sum of
+    terms u^(A + k*v) y^B' with |B'| = |B| - k, k = 0..|B|, some of which
+    may cancel.  Such a term gives a point of the new polyhedron when
+    |B| - k < b.
+    - If |B| < b, the point (A + k*v)/(b - |B| + k) is the convex
+      combination of A/(b - |B|), a point of P, and v with the weights
+      (b - |B|)/(b - |B| + k) and k/(b - |B| + k).
+    - If |B| >= b, then m = b - |B| + k satisfies 0 < m <= k, so the point
+      A/m + (k/m)*v dominates v coordinatewise.
+    Either way the point lies in P, which is convex and closed under adding
+    the orthant, so the new polyhedron is a subset of P.  Vertex
+    preparation commits such translations only, so this holds for its
+    result; the test checks it on random pairs and on every pairs-local
+    problem (up to three u-coordinates, two or three components).
+    """
+    monkeypatch.setattr(coeff, "MAX_PREP_ITERS", 8)
     pinned = Pair.single([p("(y + x^2)^2")], 2)
-    for E in [pinned] + [random_singular_pair(rng, 2) for _ in range(20)]:
+    cases = [(pinned, FRAME_XY)] + [(random_singular_pair(rng, 2), FRAME_XY) for _ in range(20)]
+    cases += [(problem.pair, problem.frame) for _, problem in corpus_problems("pairs-local")]
+    prepared = 0
+    for E, frame in cases:
         try:
-            before = polyhedron_of_pair(E, FRAME_XY)
-            res = prepare_vertices(E, FRAME_XY, max_iters=8)
+            before = polyhedron_of_pair(E, frame)
+            res = prepare_vertices(E, frame)
         except PreconditionError:
             continue  # directrix not spanned by y: out of contract
         assert res.polyhedron.subset_of(before)
         assert delta(res.polyhedron) >= delta(before)
+        prepared += 1
         if E is pinned:
             assert (delta(before), delta(res.polyhedron)) == (2, INF)
+    assert prepared >= 60
 
 
 def test_prepare_multi_step():

@@ -21,7 +21,7 @@ from hironaka.linalg import rref, sparse_rank
 from hironaka.pairs import Component, Pair
 from hironaka.poly import Polynomial, parse_polynomial, substitute
 
-from conftest import hs_hypersurface_oracle, hs_monomial_oracle, random_polynomial
+from conftest import corpus_problems, hs_hypersurface_oracle, hs_monomial_oracle, random_polynomial
 
 NAMES = ["x", "y", "z", "w"]
 
@@ -66,13 +66,31 @@ def oracle_direction_span(I: HomIdeal, radius: int = 2):
     return red, pivots
 
 
+def _adapted_change(forms, n: int) -> list[list[Fraction]]:
+    """Invertible matrix whose first rows are the given independent forms."""
+    rows = [
+        [Fraction(f.terms.get(tuple(1 if j == i else 0 for j in range(n)), 0)) for i in range(n)]
+        for f in forms
+    ]
+    _, pivots = rref(rows)
+    return rows + [[Fraction(int(j == i)) for j in range(n)] for i in range(n) if i not in pivots]
+
+
+def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(j == i)) for j in range(n)] for i, row in enumerate(matrix)]
+    red, pivots = rref(aug)
+    assert pivots == list(range(n)), "adapted coordinate change is singular"
+    return [row[n:] for row in red]
+
+
 def slices_stay_inside(I: HomIdeal, forms) -> bool:
     """Derivative-free witness that the ideal is generated by polynomials in
-    the given linear forms: every slice along complementary coordinates of
-    every generator must lie in the ideal."""
+    the given linear forms: in coordinates whose first ones are the forms,
+    every slice of every generator along the remaining coordinates must lie
+    in the ideal; that exhibits a generating set inside the subring the
+    forms span."""
     n = I.nvars
-    from hironaka.cone import _adapted_change, _invert
-
     Q = _adapted_change(tuple(forms), n)
     Qinv = _invert(Q)
     change = {
@@ -225,9 +243,15 @@ def test_directrix_matches_translation_grid_oracle():
 
 
 def test_directrix_slices_witness_generation():
-    for I in directrix_corpus():
+    # the rewriting and invariance properties of the returned basis, on the
+    # seeded ideals and on the initial ideal of every benchmark corpus problem
+    corpus = [initial_ideal(problem.pair) for _, problem in corpus_problems()]
+    assert len(corpus) == 82 and not any(I.is_zero() for I in corpus)
+    for I in directrix_corpus() + corpus:
         basis = directrix(I)
-        assert slices_stay_inside(I, basis.forms)
+        assert slices_stay_inside(I, basis.forms), I
+        for v in basis.directions:
+            assert translation_invariant(I, list(v)), (I, v)
 
 
 def test_directrix_minimality_by_subspace_search():

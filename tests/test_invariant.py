@@ -4,12 +4,11 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from hironaka import invariant
-from hironaka.cli import parse_problem, problem_from_data
+from hironaka.cli import problem_from_data, run
 from hironaka.coeff import delta_invariant
 from hironaka.cone import directrix, initial_ideal
 from hironaka.errors import DirectrixNotSpanned, PreconditionError
@@ -25,7 +24,7 @@ from hironaka.invariant import (
 from hironaka.poly import INF
 from hironaka.polyhedra import coordinate_min, delta, polyhedron_of_pair
 
-from conftest import random_singular_pair
+from conftest import corpus_problems, random_singular_pair
 
 
 def hypersurface(f, b, u, y, charts=(), **options):
@@ -149,6 +148,27 @@ def test_invariant_orders_compare():
     assert compare_invariants(before, before) == "equal"
 
 
+def test_divisor_multiplicities_run_once_per_step(monkeypatch):
+    # the companion pair reuses the mu_H of its step instead of recomputing
+    pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
+    calls = Counter()
+
+    def coefficient_pair(*args):
+        H = pair_of(*args)
+        calls["non-empty H"] += not H.is_empty()
+        return H
+
+    def divisor_multiplicities(*args):
+        calls["mu_H"] += 1
+        return multiplicities_of(*args)
+
+    monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
+    monkeypatch.setattr(invariant, "divisor_multiplicities", divisor_multiplicities)
+    problem = dict(corpus_problems("lsb-hypersurface"))["001"]
+    run(problem, "invariant")
+    assert calls["mu_H"] == calls["non-empty H"] == 6
+
+
 def _outcome(compute, state, trace, opts):
     try:
         return compute(state, trace, opts)
@@ -158,7 +178,7 @@ def _outcome(compute, state, trace, opts):
 
 def test_fast_path_agrees_on_random_pairs():
     # both paths see the same options
-    opts = Options(hs_cutoff=4, contact_height_cap=1)
+    opts = Options(hs_cutoff=4)
     accepted = {}
     for nvars in (2, 3):
         frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
@@ -204,9 +224,6 @@ def test_fast_path_agrees_on_random_traces():
 # min |A|/(b - |B|) over the same terms, so they guard the projection and
 # the bookkeeping, not the choice of contact; the oracle guards that.
 
-CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
-
-
 @pytest.fixture
 def checked_steps(monkeypatch):
     seen = Counter()
@@ -237,12 +254,6 @@ def checked_steps(monkeypatch):
     return seen
 
 
-def corpus_problems(workload):
-    """(id, problem) for every problem file of a benchmark corpus."""
-    paths = sorted((CORPUS / workload / "problems").glob("*.json"))
-    return [(path.stem, parse_problem(path.read_text(encoding="utf-8"))) for path in paths]
-
-
 def descent_nu(vec, pair):
     """The first nu after the dim(directrix) - 1 forced unit steps, or the
     terminal when no entry is left."""
@@ -256,7 +267,7 @@ def test_pairs_local_first_nu_is_delta_of_prepared_polyhedron(checked_steps):
     sides = {}
     for pid, problem in corpus_problems("pairs-local"):
         vec = compute_invariant(problem.state, None, problem.options)
-        polyhedral = delta_invariant(problem.pair, problem.frame, problem.options.max_prep_iters)
+        polyhedral = delta_invariant(problem.pair, problem.frame)
         sides[pid] = (polyhedral, descent_nu(vec, problem.pair))
     assert len(sides) == 60
     assert {pid: pair for pid, pair in sides.items() if pair[0] != pair[1]} == {}
@@ -278,9 +289,9 @@ def test_lsb_first_nu_is_the_polyhedral_nu_before_and_after_the_script(checked_s
             if pid == "007":
                 # y = (z) does not span the 2-dimensional directrix of z^3 + x2^3
                 with pytest.raises(DirectrixNotSpanned):
-                    polyhedral_nu(opts.max_prep_iters)
+                    polyhedral_nu()
                 continue
-            polyhedral = polyhedral_nu(opts.max_prep_iters)
+            polyhedral = polyhedral_nu()
             assert polyhedral == descent_nu(vec, state.pair), (pid, tr is not None)
             checked += 1
     assert checked == 22
@@ -292,7 +303,7 @@ def test_random_first_nu_is_delta_of_prepared_polyhedron(checked_steps):
     # the reference equalities, and those in contract (the directrix is
     # spanned by coordinates, taken as y, and preparation finishes) the
     # oracle
-    opts = Options(hs_cutoff=4, contact_height_cap=1)
+    opts = Options(hs_cutoff=4)
     agreed = 0
     for nvars, seeds in ((2, 200), (3, 60)):
         names = tuple(f"x{i}" for i in range(nvars))
@@ -311,7 +322,7 @@ def test_random_first_nu_is_delta_of_prepared_polyhedron(checked_steps):
                 continue
             frame = Frame(names, tuple(i for i in range(nvars) if i not in ys), ys)
             try:
-                polyhedral = delta_invariant(pair, frame, opts.max_prep_iters)
+                polyhedral = delta_invariant(pair, frame)
             except PreconditionError:
                 continue
             assert polyhedral == descent_nu(vec, pair), (nvars, seed)
