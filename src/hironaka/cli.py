@@ -138,18 +138,14 @@ def problem_from_data(data: dict) -> Problem:
 
     marks = []
     entries = []
-    for item in _typed(data.get("exceptional", []), list, "exceptional", dict):
-        div_id = str(item.get("id"))
-        var = item.get("variable")
+    for k, item in enumerate(_typed(data.get("exceptional", []), list, "exceptional", dict)):
+        div_id = _typed(item.get("id"), str, f"exceptional {k}: id")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}: d")
         birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
-        if var is None:
-            entries.append(ExcDivisor(div_id, None, d, birth))
-        else:
-            vi = look(_typed(var, str, f"exceptional {div_id}: variable"),
-                      f"exceptional {div_id}")
-            marks.append((div_id, vi))
-            entries.append(ExcDivisor(div_id, vi, d, birth))
+        entries.append(ExcDivisor(div_id, d, birth))
+        if item.get("variable") is not None:
+            var = _typed(item["variable"], str, f"exceptional {div_id}: variable")
+            marks.append((div_id, look(var, f"exceptional {div_id}")))
     try:
         frame = Frame(variables, u_idx, y_idx, tuple(marks))
     except PreconditionError as exc:
@@ -323,7 +319,7 @@ def _hs(problem: Problem, chart, fast):
 def _coeff(problem: Problem, chart, fast):
     frame = problem.frame
     C = coefficient_pair(problem.pair, frame, frame.y_indices)
-    reduced, _ = frame.drop_variables(frame.y_indices)
+    reduced = frame.drop_variables(frame.y_indices)
     return {"z": list(frame.y_names()), "pair": _pair_data(C, reduced)}
 
 
@@ -385,6 +381,7 @@ def _trace_data(trace: Trace):
     years = []
     for rec in trace.years:
         frame = rec.state.frame
+        placed = {div_id: frame.variables[i] for div_id, i in frame.exceptional}
         entry = {
             "year": rec.year,
             "pair": _pair_data(rec.state.pair, frame),
@@ -392,7 +389,7 @@ def _trace_data(trace: Trace):
             "exceptional": [
                 {
                     "id": e.divisor_id,
-                    "variable": None if e.variable is None else frame.variables[e.variable],
+                    "variable": placed.get(e.divisor_id),
                     "d": format_rational(e.d),
                     "birth": e.birth_year,
                 }

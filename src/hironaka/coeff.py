@@ -259,8 +259,12 @@ class PrepareResult:
     pair: Pair
     frame: Frame
     polyhedron: OrthantPolyhedron
-    prepared: bool
     translations: tuple
+    solvable: tuple | None = None      # a vertex still solvable at the end
+
+    @property
+    def prepared(self) -> bool:
+        return self.solvable is None
 
 
 def _directrix_of_pair(E: Pair) -> DirectrixBasis | None:
@@ -379,11 +383,11 @@ def prepare_vertices(E: Pair, frame: Frame) -> PrepareResult:
     for _ in range(MAX_PREP_ITERS):
         hit = _solve_vertex(pair, frame, P)
         if hit is None:
-            return PrepareResult(pair, frame, P, True, tuple(translations))
+            return PrepareResult(pair, frame, P, tuple(translations))
         vertex, pair, P, lam = hit
         translations.append((vertex, lam))
-    remaining = _solve_vertex(pair, frame, P) is not None
-    return PrepareResult(pair, frame, P, not remaining, tuple(translations))
+    hit = _solve_vertex(pair, frame, P)
+    return PrepareResult(pair, frame, P, tuple(translations), None if hit is None else hit[0])
 
 
 def delta_invariant(E: Pair, frame: Frame):
@@ -398,9 +402,8 @@ def delta_invariant(E: Pair, frame: Frame):
     """
     result = prepare_vertices(E, frame)
     if not result.prepared:
-        vertex = _solve_vertex(result.pair, frame, result.polyhedron)[0]
         raise PreconditionError(
-            f"vertex ({', '.join(format_rational(c) for c in vertex)}) is still "
+            f"vertex ({', '.join(format_rational(c) for c in result.solvable)}) is still "
             f"solvable after {MAX_PREP_ITERS} preparation steps"
         )
     return delta(result.polyhedron)

@@ -1,6 +1,10 @@
 """Variable frames: an ordered variable list with a (u | y) split and
 exceptional markings (divisor id <-> variable index).  The base point is
 always the origin of the frame's coordinates.
+
+The markings are the only record of where a divisor sits: a divisor passes
+through the base point exactly when the frame marks it, and the derived
+frames below carry the marks along (``drop_variables`` remaps them).
 """
 
 from __future__ import annotations
@@ -55,12 +59,6 @@ class Frame:
     def marked_indices(self) -> frozenset[int]:
         return frozenset(idx for _, idx in self.exceptional)
 
-    def divisor_on(self, index: int) -> str | None:
-        for div_id, idx in self.exceptional:
-            if idx == index:
-                return div_id
-        return None
-
     def variable_of(self, div_id: str) -> int | None:
         for d, idx in self.exceptional:
             if d == div_id:
@@ -93,23 +91,15 @@ class Frame:
         marks = tuple(m for m in self.exceptional if m[0] != div_id and m[1] != index)
         return Frame(self.variables, self.u_indices, self.y_indices, marks + ((div_id, index),))
 
-    def without_mark(self, div_id: str) -> "Frame":
-        return Frame(
-            self.variables,
-            self.u_indices,
-            self.y_indices,
-            tuple(m for m in self.exceptional if m[0] != div_id),
-        )
-
-    def drop_variables(self, indices) -> tuple["Frame", dict[int, int]]:
-        """Remove variables; returns the reduced frame and an old->new index map."""
+    def drop_variables(self, indices) -> "Frame":
+        """Remove variables, renumbering the rest; a mark on a removed
+        variable goes with it."""
         dropped = set(indices)
         keep = [i for i in range(self.nvars) if i not in dropped]
         remap = {old: new for new, old in enumerate(keep)}
-        frame = Frame(
+        return Frame(
             tuple(self.variables[i] for i in keep),
             tuple(remap[i] for i in self.u_indices if i in remap),
             tuple(remap[i] for i in self.y_indices if i in remap),
             tuple((d, remap[i]) for d, i in self.exceptional if i in remap),
         )
-        return frame, remap

@@ -3,7 +3,9 @@ chart transforms, and the multiplicity bookkeeping along a recorded local
 sequence of blow-ups.
 
 Centers and divisors are restricted to coordinate subspaces of the current
-frame, and the tracked point is always the chart origin.
+frame, and the tracked point is always the chart origin.  The frame's marks
+are the only record of where a divisor sits: an entry of the exceptional
+data passes through the tracked point exactly when the frame marks its id.
 """
 
 from __future__ import annotations
@@ -21,21 +23,13 @@ from .polyhedra import coordinate_min, polyhedron_of_pair
 @dataclass(frozen=True)
 class ExcDivisor:
     divisor_id: str
-    variable: int | None        # frame index, or None when the divisor
-                                # no longer passes through the tracked point
     d: Fraction                 # assigned multiplicity
     birth_year: int
 
     def __post_init__(self):
         object.__setattr__(self, "d", Fraction(self.d))
-        if self.variable is None and self.d != 0:
-            raise PreconditionError("absent divisors carry assigned number 0")
         if self.d < 0:
             raise PreconditionError("assigned numbers are nonnegative")
-
-    @property
-    def present(self) -> bool:
-        return self.variable is not None
 
 
 @dataclass(frozen=True)
@@ -43,15 +37,14 @@ class ExceptionalData:
     entries: tuple[ExcDivisor, ...] = ()
 
     def __post_init__(self):
-        marked = [e.variable for e in self.entries if e.present]
-        if len(marked) != len(set(marked)):
-            raise PreconditionError("exceptional variables must be pairwise distinct")
         ids = [e.divisor_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise PreconditionError("divisor ids must be distinct")
 
-    def present_entries(self) -> tuple[ExcDivisor, ...]:
-        return tuple(e for e in self.entries if e.present)
+    def placed(self, frame: Frame) -> tuple[tuple[ExcDivisor, int], ...]:
+        """(entry, frame index) for each entry the frame marks, in entry order."""
+        marks = dict(frame.exceptional)
+        return tuple((e, marks[e.divisor_id]) for e in self.entries if e.divisor_id in marks)
 
     def get(self, divisor_id: str) -> ExcDivisor | None:
         for e in self.entries:
@@ -67,11 +60,9 @@ class PairWithHistory:
     exdata: ExceptionalData = field(default_factory=ExceptionalData)
 
     def __post_init__(self):
-        for e in self.exdata.present_entries():
-            if self.frame.divisor_on(e.variable) != e.divisor_id:
-                raise PreconditionError(
-                    f"divisor {e.divisor_id!r} is not marked on its frame variable"
-                )
+        if any(e.d != 0 and self.frame.variable_of(e.divisor_id) is None
+               for e in self.exdata.entries):
+            raise PreconditionError("absent divisors carry assigned number 0")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +121,6 @@ class ChartReport:
     new_divisor: str
     d_from_center: Fraction          # delta_center - 1
     d_from_polyhedron: Fraction      # coordinate_min on the new chart variable
-    assigned: tuple[tuple[str, Fraction], ...]
 
 
 def blowup_chart(
@@ -178,17 +168,10 @@ def blowup_chart(
             suffix += 1
         new_id = f"E{year}.{suffix}"
 
-    # the chart variable becomes exceptional; it joins the u-part
-    new_frame = frame.move_to_u(chart)
-    entries: list[ExcDivisor] = []
-    for e in H.exdata.entries:
-        if e.present and e.variable == chart:
-            # the old divisor's strict transform misses the chart origin
-            entries.append(ExcDivisor(e.divisor_id, None, Fraction(0), e.birth_year))
-            new_frame = new_frame.without_mark(e.divisor_id)
-        else:
-            entries.append(e)
-    new_frame = new_frame.with_mark(new_id, chart)
+    # the chart variable becomes exceptional and joins the u-part; a divisor
+    # marked on it loses its mark, since its strict transform misses the
+    # chart origin
+    new_frame = frame.move_to_u(chart).with_mark(new_id, chart)
 
     P = polyhedron_of_pair(pair, new_frame)
     u_position = {i: pos for pos, i in enumerate(new_frame.u_indices)}
@@ -198,20 +181,15 @@ def blowup_chart(
             return coordinate_min(P, u_position[var])
         return Fraction(0)
 
-    refreshed: list[ExcDivisor] = []
-    assigned: list[tuple[str, Fraction]] = []
-    for e in entries:
-        if e.present:
-            d = derived(e.variable)
-            refreshed.append(ExcDivisor(e.divisor_id, e.variable, d, e.birth_year))
-            assigned.append((e.divisor_id, d))
-        else:
-            refreshed.append(e)
+    # an unmarked divisor misses the tracked point and carries 0
+    d_of = {e.divisor_id: derived(idx) for e, idx in H.exdata.placed(new_frame)}
     d_new = derived(chart)
-    refreshed.append(ExcDivisor(new_id, chart, d_new, year))
-    assigned.append((new_id, d_new))
+    entries = tuple(
+        ExcDivisor(e.divisor_id, d_of.get(e.divisor_id, 0), e.birth_year)
+        for e in H.exdata.entries
+    ) + (ExcDivisor(new_id, d_new, year),)
 
-    state = PairWithHistory(pair, new_frame, ExceptionalData(tuple(refreshed)))
+    state = PairWithHistory(pair, new_frame, ExceptionalData(entries))
     return ChartReport(
         state=state,
         center=tuple(center),
@@ -220,7 +198,6 @@ def blowup_chart(
         new_divisor=new_id,
         d_from_center=(dD - 1) if isinstance(dD, Fraction) else Fraction(0),
         d_from_polyhedron=d_new,
-        assigned=tuple(assigned),
     )
 
 
@@ -280,8 +257,7 @@ def exceptional_nu(E: Pair, frame: Frame, exdata: ExceptionalData):
     d = delta_invariant(E, frame)
     u_set = set(frame.u_indices)
     total = sum(
-        (e.d for e in exdata.present_entries() if e.variable in u_set),
-        start=Fraction(0),
+        (e.d for e, idx in exdata.placed(frame) if idx in u_set), start=Fraction(0)
     )
     if d == INF:
         return INF

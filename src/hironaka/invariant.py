@@ -27,7 +27,7 @@ from fractions import Fraction
 from .coeff import coefficient_pair, find_maximal_contact
 from .errors import InternalError, PreconditionError
 from .frames import Frame
-from .history import ExcDivisor, ExceptionalData, PairWithHistory, Trace
+from .history import ExceptionalData, PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
 from .poly import (
     INF,
@@ -128,12 +128,12 @@ def divisor_multiplicities(H: Pair, frame: Frame, exdata: ExceptionalData):
     """mu_H = min over components of (multiplicity along H) / weight."""
     out: list[tuple[str, Fraction]] = []
     u_set = set(frame.u_indices)
-    for e in exdata.present_entries():
-        if e.variable not in u_set:
+    for e, idx in exdata.placed(frame):
+        if idx not in u_set:
             continue
         best = None
         for comp in H.components:
-            o = min(ord_along_variable(g, e.variable) for g in comp.gens)
+            o = min(ord_along_variable(g, idx) for g in comp.gens)
             val = Fraction(o) / comp.weight
             best = val if best is None else min(best, val)
         if best is None:
@@ -197,9 +197,7 @@ def invariant_step(state: PipelineState) -> StepResult:
 
 def _deferred_step(base: PipelineState, cur: PipelineState, contacts) -> StepResult:
     """Collapse a forced run: one multi-variable coefficient pair of the base
-    state with respect to every contact consumed since.  Nothing was
-    restricted during the run, so the current exceptional data still uses
-    the base frame's indices."""
+    state with respect to every contact consumed since."""
     z_indices = [base.frame.index_of(nm) for nm in contacts]
     return _descend(cur, base.pair, base.frame, z_indices, ())
 
@@ -210,8 +208,10 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
     along ``z_indices`` (the last one is the step's contact), read off mu,
     mu_H and nu, and end in a terminal case or the companion pair."""
     H = coefficient_pair(pair, frame, z_indices)
-    new_frame, remap = frame.drop_variables(z_indices)
-    exdata = _remap_exdata(state.exdata, remap)
+    exdata = state.exdata
+    if any(idx in z_indices for _, idx in exdata.placed(frame)):
+        raise InternalError("tracked divisor variable was consumed")
+    new_frame = frame.drop_variables(z_indices)
 
     mu = INF if H.is_empty() else min(
         Fraction(min(ord_at_origin(g) for g in comp.gens)) / comp.weight
@@ -232,32 +232,12 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
         r=state.r + 1,
         pair=companion_pair(H, new_frame, mus, nu),
         frame=new_frame,
-        exdata=_zero_assigned(exdata),
+        exdata=ExceptionalData(tuple(replace(e, d=0) for e in exdata.entries)),
         consumed=consumed,
         pending=pending,
         adjoin=(),
     )
     return StepResult(mu, mus, nu, next_state, None)
-
-
-def _remap_exdata(exdata: ExceptionalData, remap: dict[int, int]) -> ExceptionalData:
-    entries = []
-    for e in exdata.entries:
-        if e.present:
-            if e.variable not in remap:
-                raise InternalError("tracked divisor variable was consumed")
-            entries.append(ExcDivisor(e.divisor_id, remap[e.variable], e.d, e.birth_year))
-        else:
-            entries.append(e)
-    return ExceptionalData(tuple(entries))
-
-
-def _zero_assigned(exdata: ExceptionalData) -> ExceptionalData:
-    return ExceptionalData(tuple(
-        ExcDivisor(e.divisor_id, e.variable, Fraction(0), e.birth_year)
-        if e.present else e
-        for e in exdata.entries
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +275,13 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
 
     while True:
         i_r = _first_matching_year(tokens, year_tokens)
-        present = cur.exdata.present_entries()
-        Er = tuple(e for e in present if e.birth_year <= i_r)
-        remaining = tuple(e.divisor_id for e in present if e.birth_year > i_r)
-        records.append((len(Er), tuple(e.divisor_id for e in Er), remaining))
+        placed = cur.exdata.placed(cur.frame)
+        Er = {e.divisor_id: idx for e, idx in placed if e.birth_year <= i_r}
+        remaining = tuple(e.divisor_id for e, _ in placed if e.birth_year > i_r)
+        records.append((len(Er), tuple(Er), remaining))
         tokens.append(len(Er))
-        adjoin = tuple(
-            cur.frame.variables[e.variable] for e in sorted(Er, key=lambda e: e.divisor_id)
-        )
-        kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e not in Er))
+        adjoin = tuple(cur.frame.variables[Er[div_id]] for div_id in sorted(Er))
+        kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e.divisor_id not in Er))
         cur = replace(cur, exdata=kept, adjoin=adjoin)
 
         if fast:

@@ -88,12 +88,6 @@ class OrthantPolyhedron:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def contains(self, p) -> bool:
-        return point_in_hull_orthant(_pt(p), list(self.vertices))
-
-    def subset_of(self, other: "OrthantPolyhedron") -> bool:
-        return all(other.contains(v) for v in self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # Polyhedra of pairs

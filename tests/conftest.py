@@ -4,7 +4,9 @@ Oracles here avoid the code paths they check: Hilbert-Samuel dimensions come
 from monomial counting or a closed form, directrix spaces from translation
 tests and subspace search, 2-D vertex minimization from a staircase scan.
 ``merge_to_single`` is a reference rewrite of a pair that the library does
-not need: order and blow-up properties are checked through it.
+not need: order and blow-up properties are checked through it.  Likewise
+``contains`` and ``subset_of`` decide membership and inclusion of orthant
+polyhedra, which only the tests ask for.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
 """
 
@@ -22,6 +24,7 @@ from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError
 from hironaka.poly import Polynomial
 from hironaka.pairs import Component, Pair
+from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,14 @@ def merge_to_single(E: Pair, m: int) -> Pair:
         for combo in combinations_with_replacement(comp.gens, int(ratio)):
             gens.append(math.prod(combo, start=Polynomial.constant(comp.nvars, 1)))
     return Pair.single(tuple(gens), m)
+
+
+def contains(P: OrthantPolyhedron, p) -> bool:
+    return point_in_hull_orthant(tuple(p), list(P.vertices))
+
+
+def subset_of(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
+    return all(contains(Q, v) for v in P.vertices)
 
 
 # ---------------------------------------------------------------------------

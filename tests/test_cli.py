@@ -40,6 +40,18 @@ def test_birth_must_be_an_integer(tmp_path, capsys):
     assert "exceptional E1: birth: expected a JSON integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exceptional, message", [
+    ([{"id": "E1", "d": "1/2"}], "absent divisors carry assigned number 0"),
+    ([{"id": "E1", "variable": "x"}, {"id": "E1"}], "divisor ids must be distinct"),
+    ([{"id": "E1", "variable": "x"}, {"id": "E1", "variable": "y"}],
+     "exceptional markings must be pairwise distinct"),
+])
+def test_malformed_divisor_entries_are_parse_errors(capsys, exceptional, message):
+    data = dict(A3_BLOWN_UP, exceptional=exceptional)
+    assert cli.main([json.dumps(data), "run-lsb"]) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_options_are_read(tmp_path, capsys):
     data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3, "skip_unit_steps": True})
     assert call(tmp_path, data, "hs", "--format", "json") == 0
@@ -172,6 +184,19 @@ def test_delta_of_an_unprepared_polyhedron_is_refused(tmp_path, capsys, monkeypa
     assert "vertex (2) is still solvable after 0 preparation steps" in capsys.readouterr().err
 
 
+def test_a_refusal_solves_the_vertex_system_once(tmp_path, capsys, monkeypatch):
+    # the solvable vertex travels in PrepareResult; the refusal does not
+    # solve the system again to name it
+    solve, calls = coeff._solve_vertex, []
+    monkeypatch.setattr(coeff, "_solve_vertex", lambda *args: calls.append(1) or solve(*args))
+    monkeypatch.setattr(coeff, "MAX_PREP_ITERS", 0)
+    assert call(tmp_path, SQUARE_OF_A_SHIFTED_LINE, "delta") == 2
+    assert len(calls) == 1
+    assert call(tmp_path, SQUARE_OF_A_SHIFTED_LINE, "char-poly", "--format", "json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["prepared"], report["iterations"], report["vertices"]) == (False, 0, [["2"]])
+
+
 @pytest.mark.parametrize("command", ["run-lsb", "invariant"])
 def test_blowup_errors_of_a_script_name_the_year(tmp_path, capsys, command):
     data = {
@@ -214,6 +239,9 @@ def test_command_table():
     ("u", "x", "u: expected a JSON list of strings"),
     ("y", {"y": 1}, "y: expected a JSON list of strings"),
     ("options", [], "options: expected a JSON object"),
+    ("exceptional", [{"variable": "x"}], "exceptional 0: id: expected a JSON string, got None"),
+    ("exceptional", [{"id": "E1", "variable": "x"}, {"id": 7, "variable": "y"}],
+     "exceptional 1: id: expected a JSON string, got 7"),
 ])
 def test_containers_must_have_json_shapes(tmp_path, capsys, field, value, message):
     assert call(tmp_path, dict(A3_BLOWN_UP, **{field: value}), "hs") == 3

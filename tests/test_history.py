@@ -101,7 +101,7 @@ def test_blowup_threefold_x_chart():
     assert rep.new_divisor == "E1"
     assert rep.d_from_polyhedron == Fraction(1, 2)
     assert rep.d_from_center == Fraction(1, 2)
-    assert rep.state.frame.divisor_on(0) == "E1"
+    assert rep.state.frame.exceptional == (("E1", 0),)
 
 
 def test_blowup_curve_x_chart():
@@ -118,23 +118,25 @@ def test_blowup_resolves_ordinary_double_point():
 
 def test_blowup_strict_transform_keeps_other_divisors():
     frame = Frame(("x", "y"), (0,), (1,), (("H", 0),))
-    old = ExceptionalData((ExcDivisor("H", 0, Fraction(1, 2), 0),))
+    old = ExceptionalData((ExcDivisor("H", Fraction(1, 2), 0),))
     st = PairWithHistory(Pair.single([p("y^2 - x^3")], 2), frame, old)
     rep = blowup_chart(st, [0, 1], 1, year=1)  # blow up in the y-chart
-    data = {e.divisor_id: e for e in rep.state.exdata.entries}
-    assert data["H"].present  # x-divisor survives away from the y-chart
-    assert rep.state.frame.divisor_on(1) == "E1"
+    # the x-divisor survives away from the y-chart
+    assert rep.state.frame.exceptional == (("H", 0), ("E1", 1))
+    placed = rep.state.exdata.placed(rep.state.frame)
+    assert [(e.divisor_id, idx) for e, idx in placed] == [("H", 0), ("E1", 1)]
 
 
 def test_blowup_old_divisor_on_chart_becomes_absent():
     frame = Frame(("x", "y"), (0,), (1,), (("H", 0),))
-    old = ExceptionalData((ExcDivisor("H", 0, Fraction(1, 2), 0),))
+    old = ExceptionalData((ExcDivisor("H", Fraction(1, 2), 0),))
     st = PairWithHistory(Pair.single([p("y^2 - x^3")], 2), frame, old)
     rep = blowup_chart(st, [0, 1], 0, year=1)
     data = {e.divisor_id: e for e in rep.state.exdata.entries}
-    assert not data["H"].present
+    assert rep.state.frame.variable_of("H") is None
     assert data["H"].d == 0
-    assert rep.state.frame.divisor_on(0) == "E1"
+    assert rep.state.frame.exceptional == (("E1", 0),)
+    assert [e.divisor_id for e, _ in rep.state.exdata.placed(rep.state.frame)] == ["E1"]
 
 
 def test_blowup_requires_permissible_center():
@@ -285,7 +287,7 @@ def test_exceptional_nu_family_case():
     frame = Frame(tuple(NAMES4), (0, 1), (2, 3), (("H", 0),))
     f = p("z^3 - x^2*y^2", NAMES4)
     E = Pair((Component((f,), Fraction(3)), Component((p("t", NAMES4),), Fraction(1))))
-    exdata = ExceptionalData((ExcDivisor("H", 0, Fraction(2, 3), 0),))
+    exdata = ExceptionalData((ExcDivisor("H", Fraction(2, 3), 0),))
     assert exceptional_nu(E, frame, exdata) == Fraction(2, 3)
 
 

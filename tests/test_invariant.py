@@ -9,9 +9,9 @@ import pytest
 
 from hironaka import invariant
 from hironaka.cli import problem_from_data, run
-from hironaka.coeff import delta_invariant
+from hironaka.coeff import MaximalContact, delta_invariant
 from hironaka.cone import directrix, initial_ideal
-from hironaka.errors import DirectrixNotSpanned, PreconditionError
+from hironaka.errors import DirectrixNotSpanned, InternalError, PreconditionError
 from hironaka.frames import Frame
 from hironaka.history import ExceptionalData, PairWithHistory, exceptional_nu, run_lsb
 from hironaka.invariant import (
@@ -21,7 +21,7 @@ from hironaka.invariant import (
     fast_path_invariant,
     s_partition,
 )
-from hironaka.poly import INF
+from hironaka.poly import INF, Polynomial
 from hironaka.polyhedra import coordinate_min, delta, polyhedron_of_pair
 
 from conftest import corpus_problems, random_singular_pair
@@ -119,6 +119,25 @@ def test_contact_leaves_unadjoined_divisor_alone():
     for compute in (compute_invariant, fast_path_invariant):
         assert summary(compute(state, trace, opts)) == (0, (), 0, None, "x")
     assert s_partition(trace, opts) == [(0, (), ("E1",))]
+
+
+def test_a_contact_on_a_tracked_divisor_is_an_internal_error(monkeypatch):
+    # the same state; a contact forced onto E1's variable x would drop the
+    # mark of a divisor the step still tracks
+    state, trace, opts = hypersurface("y^2 + x^4", 2, ["x"], ["y"], ["x"])
+    find = invariant.find_maximal_contact
+
+    def onto_the_divisor(pair, frame, preferred_variables=()):
+        idx = frame.variable_of("E1")
+        if idx is None:
+            return find(pair, frame, preferred_variables)
+        direction = tuple(int(i == idx) for i in range(frame.nvars))
+        return MaximalContact(pair, frame.move_to_y(idx), idx,
+                              Polynomial.variable(frame.nvars, idx), direction)
+
+    monkeypatch.setattr(invariant, "find_maximal_contact", onto_the_divisor)
+    with pytest.raises(InternalError, match="^tracked divisor variable was consumed$"):
+        compute_invariant(state, trace, opts)
 
 
 def test_skip_unit_steps_only_drops_unit_entries():
@@ -244,7 +263,7 @@ def checked_steps(monkeypatch):
         mus = multiplicities_of(H, frame, exdata)
         PH = polyhedron_of_pair(H, frame)
         for div_id, m in mus:
-            pos = frame.u_indices.index(exdata.get(div_id).variable)
+            pos = frame.u_indices.index(frame.variable_of(div_id))
             assert coordinate_min(PH, pos) == m, div_id
             seen["divisor"] += 1
         return mus
