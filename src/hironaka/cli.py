@@ -142,7 +142,10 @@ def problem_from_data(data: dict) -> Problem:
         div_id = _typed(item.get("id"), str, f"exceptional {k}: id")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}: d")
         birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
-        entries.append(ExcDivisor(div_id, d, birth))
+        try:
+            entries.append(ExcDivisor(div_id, d, birth))
+        except PreconditionError as exc:
+            raise ProblemParseError(f"exceptional {div_id}: d: {exc}") from None
         if item.get("variable") is not None:
             var = _typed(item["variable"], str, f"exceptional {div_id}: variable")
             marks.append((div_id, look(var, f"exceptional {div_id}")))

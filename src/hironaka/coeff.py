@@ -101,11 +101,11 @@ def _direction_candidates(n: int, height: int):
 def _evaluate(f: Polynomial, point) -> Fraction:
     total = Fraction(0)
     for exps, c in f.terms.items():
-        v = Fraction(c)
+        v = c
         for e, p in zip(exps, point):
             if e:
                 if p == 0:
-                    v = Fraction(0)
+                    v = 0
                     break
                 v *= Fraction(p) ** e
         total += v
@@ -214,7 +214,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
             raise InternalError("contact derivative lost the pivot direction")
         witness = witness.scale(Fraction(1) / lead)
 
-        tail = Polynomial(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
+        tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
         if not tail.is_zero() and not _shift_clears(witness, tail, pivot):
             failed_screens += 1
             if failed_screens >= 12:

@@ -77,7 +77,7 @@ def initial_ideal(E: Pair) -> HomIdeal:
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree d, in a fixed deterministic order."""
+    """All exponent tuples of total degree d, ascending in lex order."""
     if d < 0:
         return []
     if nvars == 0:
@@ -88,7 +88,11 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
         for i in combo:
             exps[i] += 1
         out.append(tuple(exps))
-    return sorted(set(out))
+    # the multisets come in ascending lex order, so their exponent tuples
+    # descend: the first index where two multisets differ is counted more
+    # often in the smaller one
+    out.reverse()
+    return out
 
 
 def monomials_below_degree(nvars: int, k: int) -> list[tuple[int, ...]]:

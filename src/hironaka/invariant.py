@@ -232,7 +232,7 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
         r=state.r + 1,
         pair=companion_pair(H, new_frame, mus, nu),
         frame=new_frame,
-        exdata=ExceptionalData(tuple(replace(e, d=0) for e in exdata.entries)),
+        exdata=exdata,
         consumed=consumed,
         pending=pending,
         adjoin=(),

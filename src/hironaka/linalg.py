@@ -3,10 +3,13 @@ simplex-based LP feasibility test.
 
 Every elimination runs the echelon loop of ``sparse_rank`` on dict rows
 keyed by column index; reduced row echelon form is that loop plus
-back-substitution on the same rows (``sparse_rref``).  ``rref``,
-``nullspace`` and ``solve`` keep their dense interface (lists of rows, with
-Fraction results).  The reduced form is unique, so it does not depend on
-the order of the input rows.
+back-substitution on the same rows (``sparse_rref``).  Sparse rows hold
+Fraction values: the elimination copies them as they are, dropping zeros,
+and never coerces an entry (an int pivot would divide into a float).
+``rref``, ``nullspace`` and ``solve`` keep their dense interface (lists of
+rows of any rationals, with Fraction results); they coerce each entry to
+Fraction and drop the zeros at their own boundary.  The reduced form is
+unique, so it does not depend on the order of the input rows.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from fractions import Fraction
 
 Row = list[Fraction]
 SparseRow = dict[int, Fraction]
+
+
+def _sparse(row) -> SparseRow:
+    """A dense row as a sparse one: nonzero entries, coerced to Fraction."""
+    return {c: Fraction(v) for c, v in enumerate(row) if v}
 
 
 def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
@@ -34,7 +42,7 @@ def _echelon(rows) -> dict[int, SparseRow]:
     therefore has no entry left of its pivot column."""
     pivot_rows: dict[int, SparseRow] = {}
     for row in rows:
-        work = {c: q for c, v in row.items() if (q := Fraction(v))}
+        work = {c: v for c, v in row.items() if v}
         while work:
             c = min(work)
             pivot = pivot_rows.get(c)
@@ -74,13 +82,13 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     rows = list(rows)
     if not rows:
         return [], []
-    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
+    red, pivots = sparse_rref([_sparse(row) for row in rows])
     return [[row.get(c, Fraction(0)) for c in range(len(rows[0]))] for row in red], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of the right nullspace, in a canonical (rref-derived) form."""
-    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
+    red, pivots = sparse_rref([_sparse(row) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Row] = []
     for fc in free:
@@ -112,7 +120,7 @@ def solve(rows, rhs) -> Row | None:
     if not rows:
         return [] if all(x == 0 for x in rhs) else None
     ncols = len(rows[0])
-    red, pivots = sparse_rref([{**dict(enumerate(row)), ncols: bv} for row, bv in zip(rows, rhs)])
+    red, pivots = sparse_rref([_sparse([*row, bv]) for row, bv in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the constant column: inconsistent
     sol = [Fraction(0)] * ncols

@@ -10,14 +10,22 @@ The zero polynomial has no terms and order INF.
 
 Normalization invariant: every stored coefficient is a nonzero Fraction,
 and every exponent tuple has the polynomial's arity with each entry a
-nonnegative int, or a Fraction when it is not integral.  The public
-constructor establishes it from any raw mapping.  Arithmetic on polynomials
-that already satisfy it builds its result through ``Polynomial._wrap``,
-which trusts the term dict as given: sums and negations keep exponents,
-products of int exponents are ints, and zero coefficients are dropped
-where they arise.  Only a product with a fractional exponent goes back
-through the normalizing constructor, because x^(1/2)*x^(1/2) must store
-its exponent as the int 1.
+nonnegative int, or a Fraction when it is not integral.
+
+Normalization happens once, where a polynomial is made from raw input: the
+public constructor establishes the invariant from any mapping (it passes
+Fraction coefficients and nonnegative int exponents through as they are),
+and so do ``monomial`` and the parser, which builds each term in normal
+form.  Everything else builds its result through ``Polynomial._wrap``,
+which trusts the term dict as given: ``zero``, ``constant``, ``variable``,
+sums, negations and scalings, products of int exponents, ``initial_form``
+and ``split_by_variables`` (subsets of normalized terms),
+``hasse_derivative`` (no two terms meet and none cancels),
+``substitute`` and ``divide_by_variable_power``.  Zero coefficients are
+dropped where they arise.  A product with a fractional exponent goes back
+through the normalizing constructor, because x^(1/2)*x^(1/2) must store its
+exponent as the int 1; ``divide_by_variable_power`` normalizes the one
+exponent it changes.
 """
 
 from __future__ import annotations
@@ -36,10 +44,27 @@ Exponents = tuple  # length-nvars tuple of int | Fraction
 
 
 def _norm_exp(e) -> int | Fraction:
+    if type(e) is int and e >= 0:
+        return e
     q = Fraction(e)
     if q < 0:
         raise ValueError(f"negative exponent {e}")
     return int(q) if q.denominator == 1 else q
+
+
+def _add_terms(out: dict[Exponents, Fraction], terms) -> None:
+    """Add (exponents, coefficient) pairs into the term dict ``out``,
+    dropping the entries whose coefficients cancel."""
+    for exps, c in terms:
+        acc = out.get(exps)
+        if acc is None:
+            out[exps] = c
+        else:
+            acc += c
+            if acc:
+                out[exps] = acc
+            else:
+                del out[exps]
 
 
 class Polynomial:
@@ -51,8 +76,8 @@ class Polynomial:
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                if not c:
                     continue
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong arity for {nvars} variables")
@@ -82,17 +107,18 @@ class Polynomial:
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars)
+        return Polynomial._wrap(nvars, {})
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: Fraction(value)})
+        c = Fraction(value)
+        return Polynomial._wrap(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
         exps = [0] * nvars
         exps[index] = 1
-        return Polynomial(nvars, {tuple(exps): Fraction(1)})
+        return Polynomial._wrap(nvars, {tuple(exps): Fraction(1)})
 
     @staticmethod
     def monomial(nvars: int, exps: Iterable, coeff=1) -> "Polynomial":
@@ -134,16 +160,7 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = c
-            else:
-                acc += c
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
+        _add_terms(out, other.terms.items())
         return Polynomial._wrap(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -180,8 +197,9 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
 
@@ -227,7 +245,7 @@ def initial_form(f: Polynomial, b) -> Polynomial:
     bq = Fraction(b)
     if bq < 0 or bq.denominator != 1:
         return Polynomial.zero(f.nvars)
-    return Polynomial(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq})
+    return Polynomial._wrap(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq})
 
 
 def ord_along_variable(f: Polynomial, index: int):
@@ -251,17 +269,18 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
     for i, m in enumerate(M):
         if m > 0 and f.has_fractional_exponent(i):
             raise PreconditionError("derivative undefined on fractional variable")
+    # distinct exponents stay distinct after subtracting M, and C(D, M) >= 1,
+    # so no two terms meet and none cancels
     out: dict[Exponents, Fraction] = {}
     for exps, c in f.terms.items():
         if any(e < m for e, m in zip(exps, M)):
             continue
-        w = Fraction(1)
+        w = 1
         for e, m in zip(exps, M):
             if m:
                 w *= math.comb(e, m)
-        key = tuple(e - m for e, m in zip(exps, M))
-        out[key] = out.get(key, Fraction(0)) + w * c
-    return Polynomial(f.nvars, out)
+        out[tuple(e - m for e, m in zip(exps, M))] = c * w
+    return Polynomial._wrap(f.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +330,8 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
         for i in mapped:
             if exps[i]:
                 term = term * power(i, exps[i])
-        for key, v in term.terms.items():
-            out[key] = out.get(key, 0) + v
-    return Polynomial(n, out)
+        _add_terms(out, term.terms.items())
+    return Polynomial._wrap(n, out)
 
 
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
@@ -324,9 +342,8 @@ def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
         e = exps[index] - p
         if e < 0:
             raise ValueError("inexact monomial division")
-        key = exps[:index] + (_norm_exp(e),) + exps[index + 1:]
-        out[key] = c
-    return Polynomial(f.nvars, out)
+        out[exps[:index] + (_norm_exp(e),) + exps[index + 1:]] = c
+    return Polynomial._wrap(f.nvars, out)
 
 
 def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
@@ -337,14 +354,13 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
     original relative order).
     """
     zs = list(z_indices)
-    rest = [i for i in range(f.nvars) if i not in set(zs)]
+    zset = set(zs)
+    rest = [i for i in range(f.nvars) if i not in zset]
     out: dict[tuple, dict[Exponents, Fraction]] = {}
     for exps, c in f.terms.items():
-        b = tuple(exps[i] for i in zs)
-        key = tuple(exps[i] for i in rest)
-        bucket = out.setdefault(b, {})
-        bucket[key] = bucket.get(key, Fraction(0)) + c
-    return {b: Polynomial(len(rest), terms) for b, terms in out.items()}
+        # terms with equal z-exponents differ in the rest: no two meet
+        out.setdefault(tuple(exps[i] for i in zs), {})[tuple(exps[i] for i in rest)] = c
+    return {b: Polynomial._wrap(len(rest), terms) for b, terms in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +410,14 @@ def format_polynomial(f: Polynomial, names: list[str] | None = None) -> str:
 
 
 class _Parser:
+    """Recursive descent over the tokens of one polynomial.
+
+    A product of numbers and variable powers is gathered straight into one
+    term, a coefficient and an exponent list, and the terms of a sum go
+    into one term dict that is wrapped once.  Only a parenthesized factor,
+    or a power of a number or of a compound, goes through Polynomial
+    arithmetic."""
+
     def __init__(self, text: str, names: list[str], fractional_ok: set[int]):
         self.tokens: list[str] = []
         pos = 0
@@ -430,89 +454,119 @@ class _Parser:
         return poly
 
     def parse_sum(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        poly = self.parse_product().scale(sign)
-        while self.peek() in ("+", "-"):
+        terms: dict[Exponents, Fraction] = {}
+        while True:
             sign = 1
             while self.peek() in ("+", "-"):
                 if self.next() == "-":
                     sign = -sign
-            poly = poly + self.parse_product().scale(sign)
-        return poly
+            self.parse_product(sign, terms)
+            if self.peek() not in ("+", "-"):
+                return Polynomial._wrap(len(self.names), terms)
 
-    def parse_product(self) -> Polynomial:
-        poly = self.parse_factor()
+    def parse_product(self, coeff: int, terms: dict[Exponents, Fraction]) -> None:
+        """Add ``coeff`` times the next product into ``terms``."""
+        exps = [0] * len(self.names)
+        compound = None  # the product of the Polynomial factors, if any
+        divide = False
         while True:
-            tok = self.peek()
-            if tok == "*":
-                self.next()
-                poly = poly * self.parse_factor()
-            elif tok == "/":
-                self.next()
-                den = self.parse_factor()
-                if not den.is_constant() or den.constant_term() == 0:
+            factor = self.parse_factor()
+            if divide:
+                if isinstance(factor, Polynomial):
+                    den = factor.constant_term() if factor.is_constant() else 0
+                else:
+                    c, idx, q = factor
+                    den = c if idx is None or q == 0 else 0
+                if not den:
                     raise ProblemParseError("division only by nonzero constants")
-                poly = poly.scale(Fraction(1) / den.constant_term())
+                coeff = Fraction(coeff) / den
+            elif isinstance(factor, Polynomial):
+                compound = factor if compound is None else compound * factor
+            else:
+                c, idx, q = factor
+                coeff *= c
+                if idx is not None:
+                    exps[idx] += q
+            tok = self.peek()
+            if tok == "*" or tok == "/":
+                self.next()
+                divide = tok == "/"
             elif tok is not None and (tok[0].isalpha() or tok[0] == "_" or tok == "("):
                 # implicit multiplication such as "3x" or "x(y+1)"
-                poly = poly * self.parse_factor()
+                divide = False
             else:
-                return poly
+                break
+        if not coeff:
+            return
+        term = {tuple(map(_norm_exp, exps)): Fraction(coeff)}
+        if compound is not None:
+            term = (compound * Polynomial._wrap(len(self.names), term)).terms
+        _add_terms(terms, term.items())
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self):
+        """The next factor with its power: (coefficient, variable index or
+        None, exponent) for a number or a variable power, else a Polynomial."""
         tok = self.next()
         if tok is None:
             raise ProblemParseError("unexpected end of polynomial")
-        n = len(self.names)
         if tok == "(":
             poly = self.parse_sum()
             self.expect(")")
-        elif tok.isdigit():
-            poly = Polynomial.constant(n, int(tok))
-        elif tok in self.index:
-            poly = Polynomial.variable(n, self.index[tok])
-        else:
-            raise ProblemParseError(f"undeclared variable {tok!r}")
-        if self.peek() == "^":
+            if self.peek() != "^":
+                return poly
             self.next()
-            exp = self.parse_exponent()
+            q = self.parse_exponent()
             if len(poly.terms) == 1 and next(iter(poly.terms.values())) == 1 and not poly.is_constant():
                 exps = next(iter(poly.terms))
-                idx = next(i for i, e in enumerate(exps) if e)
-                q = Fraction(exp)
-                if q.denominator != 1 and idx not in self.fractional_ok:
-                    raise ProblemParseError(
-                        f"fractional exponent on non-exceptional variable {self.names[idx]!r}"
-                    )
-                poly = Polynomial.monomial(n, tuple(e * q for e in exps))
-            else:
-                q = Fraction(exp)
+                self.permit(next(i for i, e in enumerate(exps) if e), q)
+                return Polynomial.monomial(len(self.names), tuple(e * q for e in exps))
+            if q.denominator != 1:
+                raise ProblemParseError("fractional exponent on a compound expression")
+            return poly ** int(q)
+        if tok.isdigit():
+            c = int(tok)
+            if self.peek() == "^":
+                self.next()
+                q = self.parse_exponent()
                 if q.denominator != 1:
                     raise ProblemParseError("fractional exponent on a compound expression")
-                poly = poly ** int(q)
-        return poly
+                c **= int(q)
+            return c, None, 0
+        idx = self.index.get(tok)
+        if idx is None:
+            raise ProblemParseError(f"undeclared variable {tok!r}")
+        q = 1
+        if self.peek() == "^":
+            self.next()
+            q = self.parse_exponent()
+            self.permit(idx, q)
+        return 1, idx, q
 
-    def parse_exponent(self) -> Fraction:
+    def permit(self, idx: int, q) -> None:
+        """Reject a fractional power of a variable not allowed one."""
+        if q.denominator != 1 and idx not in self.fractional_ok:
+            raise ProblemParseError(
+                f"fractional exponent on non-exceptional variable {self.names[idx]!r}"
+            )
+
+    def parse_exponent(self) -> int | Fraction:
+        """The exponent after ``^``: an int, or a Fraction written ``(p/q)``."""
         tok = self.next()
         if tok == "(":
             num = self.next()
             if not (num and num.isdigit()):
                 raise ProblemParseError("malformed exponent")
+            q = int(num)
             if self.peek() == "/":
                 self.next()
                 den = self.next()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
-                q = Fraction(int(num), int(den))
-            else:
-                q = Fraction(int(num))
+                q = Fraction(q, int(den))
             self.expect(")")
             return q
         if tok and tok.isdigit():
-            return Fraction(int(tok))
+            return int(tok)
         raise ProblemParseError(f"malformed exponent at {tok!r}")
 
 

@@ -6,7 +6,10 @@ tests and subspace search, 2-D vertex minimization from a staircase scan.
 ``merge_to_single`` is a reference rewrite of a pair that the library does
 not need: order and blow-up properties are checked through it.  Likewise
 ``contains`` and ``subset_of`` decide membership and inclusion of orthant
-polyhedra, which only the tests ask for.
+polyhedra, which only the tests ask for.  ``reference_parse`` is the
+polynomial parser the library had before it gathered terms directly: it
+builds every factor as a Polynomial and combines them with Polynomial
+arithmetic.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -21,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from hironaka.cli import parse_problem
-from hironaka.errors import PreconditionError
+from hironaka.errors import PreconditionError, ProblemParseError
 from hironaka.poly import Polynomial
 from hironaka.pairs import Component, Pair
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
@@ -91,6 +95,136 @@ def contains(P: OrthantPolyhedron, p) -> bool:
 
 def subset_of(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
     return all(contains(Q, v) for v in P.vertices)
+
+
+# ---------------------------------------------------------------------------
+# Reference polynomial parser: Polynomial arithmetic on every factor
+
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, names: list[str], fractional_ok: set[int]):
+        self.tokens: list[str] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip():
+                    raise ProblemParseError(f"bad character in polynomial: {text[pos:]!r}")
+                break
+            self.tokens.append(m.group(1))
+            pos = m.end()
+        self.pos = 0
+        self.names = names
+        self.index = {n: i for i, n in enumerate(names)}
+        self.fractional_ok = fractional_ok
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str):
+        got = self.next()
+        if got != tok:
+            raise ProblemParseError(f"expected {tok!r}, got {got!r}")
+
+    def parse(self) -> Polynomial:
+        poly = self.parse_sum()
+        if self.peek() is not None:
+            raise ProblemParseError(f"trailing input at {self.peek()!r}")
+        return poly
+
+    def parse_sum(self) -> Polynomial:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.next() == "-":
+                sign = -sign
+        poly = self.parse_product().scale(sign)
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.next() == "-":
+                    sign = -sign
+            poly = poly + self.parse_product().scale(sign)
+        return poly
+
+    def parse_product(self) -> Polynomial:
+        poly = self.parse_factor()
+        while True:
+            tok = self.peek()
+            if tok == "*":
+                self.next()
+                poly = poly * self.parse_factor()
+            elif tok == "/":
+                self.next()
+                den = self.parse_factor()
+                if not den.is_constant() or den.constant_term() == 0:
+                    raise ProblemParseError("division only by nonzero constants")
+                poly = poly.scale(Fraction(1) / den.constant_term())
+            elif tok is not None and (tok[0].isalpha() or tok[0] == "_" or tok == "("):
+                poly = poly * self.parse_factor()
+            else:
+                return poly
+
+    def parse_factor(self) -> Polynomial:
+        tok = self.next()
+        if tok is None:
+            raise ProblemParseError("unexpected end of polynomial")
+        n = len(self.names)
+        if tok == "(":
+            poly = self.parse_sum()
+            self.expect(")")
+        elif tok.isdigit():
+            poly = Polynomial.constant(n, int(tok))
+        elif tok in self.index:
+            poly = Polynomial.variable(n, self.index[tok])
+        else:
+            raise ProblemParseError(f"undeclared variable {tok!r}")
+        if self.peek() == "^":
+            self.next()
+            q = self.parse_exponent()
+            if len(poly.terms) == 1 and next(iter(poly.terms.values())) == 1 and not poly.is_constant():
+                exps = next(iter(poly.terms))
+                idx = next(i for i, e in enumerate(exps) if e)
+                if q.denominator != 1 and idx not in self.fractional_ok:
+                    raise ProblemParseError(
+                        f"fractional exponent on non-exceptional variable {self.names[idx]!r}"
+                    )
+                poly = Polynomial.monomial(n, tuple(e * q for e in exps))
+            else:
+                if q.denominator != 1:
+                    raise ProblemParseError("fractional exponent on a compound expression")
+                poly = poly ** int(q)
+        return poly
+
+    def parse_exponent(self) -> Fraction:
+        tok = self.next()
+        if tok == "(":
+            num = self.next()
+            if not (num and num.isdigit()):
+                raise ProblemParseError("malformed exponent")
+            if self.peek() == "/":
+                self.next()
+                den = self.next()
+                if not (den and den.isdigit()):
+                    raise ProblemParseError("malformed exponent")
+                q = Fraction(int(num), int(den))
+            else:
+                q = Fraction(int(num))
+            self.expect(")")
+            return q
+        if tok and tok.isdigit():
+            return Fraction(int(tok))
+        raise ProblemParseError(f"malformed exponent at {tok!r}")
+
+
+def reference_parse(text: str, names: list[str], fractional_ok=()) -> Polynomial:
+    return _ReferenceParser(text, names, set(fractional_ok)).parse()
 
 
 # ---------------------------------------------------------------------------

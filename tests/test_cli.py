@@ -141,8 +141,9 @@ def test_rationals_are_integers_or_fraction_strings(tmp_path, capsys):
     assert cli.problem_from_data(with_d("3/2")).state.exdata.entries[0].d == Fraction(3, 2)
     for data in (with_b(2), with_d(1), with_d("3/2")):
         assert call(tmp_path, data, "hs") == 0, data
-    assert call(tmp_path, with_d("-3/2"), "hs") == 2  # parsed, then out of contract
     capsys.readouterr()
+    assert call(tmp_path, with_d("-3/2"), "hs") == 3
+    assert "exceptional E1: d: assigned numbers are nonnegative" in capsys.readouterr().err
     for value in (2.0, True, None):
         assert call(tmp_path, with_b(value), "hs") == 3
         assert "component 0: b: bad rational" in capsys.readouterr().err

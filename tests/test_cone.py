@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -406,6 +406,25 @@ def test_hs_past_the_column_limit_is_rejected_at_once():
     with pytest.raises(PreconditionError, match="in 8 variables up to k_max = 16 needs 490314 "):
         hilbert_samuel_truncated([g], 16)
     assert time.perf_counter() - start < 0.5
+
+
+def test_monomials_of_degree_ascend_in_lex_order():
+    def enumerated(nvars, d):  # the former enumeration: deduplicated, then sorted
+        if d < 0:
+            return []
+        if nvars == 0:
+            return [()] if d == 0 else []
+        out = []
+        for combo in combinations_with_replacement(range(nvars), d):
+            exps = [0] * nvars
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps))
+        return sorted(set(out))
+
+    for nvars in range(5):
+        for d in range(-1, 13):
+            assert monomials_of_degree(nvars, d) == enumerated(nvars, d), (nvars, d)
 
 
 def test_sparse_rank_returns_pivot_columns():

@@ -140,3 +140,16 @@ def test_empty_and_degenerate_shapes():
     assert solve([[0, 0]], [1]) is None
     assert nullspace([], 2) == [[1, 0], [0, 1]]
     assert sparse_rref([]) == ([], [])
+
+
+def test_dense_wrappers_turn_int_rows_into_fractions():
+    rows = [[2, 4, 0, 1], [1, 3, 5, 0], [3, 7, 5, 1]]
+    red, pivots = rref(rows)
+    assert (red, pivots) == ([[1, 0, -10, Fraction(3, 2)], [0, 1, 5, Fraction(-1, 2)]], [0, 1])
+    x = solve(rows, [1, 2, 3])
+    assert x is not None and times(rows, x) == [1, 2, 3]
+    basis = nullspace(rows, 4)
+    for vec in basis:
+        assert times(rows, vec) == [0, 0, 0]
+    entries = [v for row in red for v in row] + x + [v for vec in basis for v in vec]
+    assert entries and all(type(v) is Fraction for v in entries)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError, ProblemParseError
 from hironaka.poly import (
     INF,
     Polynomial,
+    divide_by_variable_power,
     format_polynomial,
     hasse_derivative,
     initial_form,
@@ -19,7 +22,7 @@ from hironaka.poly import (
     substitute,
 )
 
-from conftest import random_polynomial
+from conftest import CORPUS, random_polynomial, reference_parse
 
 NAMES2 = ["x", "y"]
 NAMES3 = ["x", "y", "z"]
@@ -304,3 +307,155 @@ def test_format_is_deterministic(rng):
     for _ in range(10):
         f = random_polynomial(rng, 3, max_degree=4, max_terms=6)
         assert format_polynomial(f, NAMES3) == format_polynomial(f, NAMES3)
+
+
+# ---------------------------------------------------------------------------
+# the term-level parser against the Polynomial-arithmetic reference
+
+PARSE_NAMES = ["x", "y", "z"]
+PARSE_FRACTIONAL_OK = {2}  # z may carry fractional exponents
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, PARSE_NAMES, PARSE_FRACTIONAL_OK)
+    except (ProblemParseError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_like_the_reference(text):
+    got = parse_outcome(parse_polynomial, text)
+    want = parse_outcome(reference_parse, text)
+    if isinstance(want, Polynomial):
+        assert isinstance(got, Polynomial), (text, got)
+        assert got.nvars == want.nvars
+        assert got.terms == want.terms, text
+        assert_normalized(got)
+    else:
+        assert got == want, text
+
+
+SMALL = st.integers(0, 3)
+
+
+@st.composite
+def parse_factors(draw, depth):
+    """(text, starts with a digit) of one factor with its power."""
+    name = draw(st.sampled_from(PARSE_NAMES))
+    kinds = ["number", "variable", "power", "half", "number power"]
+    kind = draw(st.sampled_from(kinds + ["paren", "paren power", "paren root"] * (depth > 0)))
+    if kind == "number":
+        return str(draw(st.integers(0, 5))), True
+    if kind == "variable":
+        return name, False
+    if kind == "power":
+        k = draw(SMALL)
+        return draw(st.sampled_from([f"{name}^{k}", f"{name}^({k})"])), False
+    if kind == "half":
+        return f"z^({draw(st.integers(0, 5))}/{draw(st.integers(1, 3))})", False
+    if kind == "number power":
+        return f"{draw(st.integers(0, 3))}^{draw(SMALL)}", True
+    if kind == "paren":
+        return f"({draw(parse_sums(depth - 1))})", False
+    if kind == "paren power":
+        return f"({draw(parse_sums(depth - 1))})^{draw(st.integers(0, 2))}", False
+    base = draw(st.sampled_from(["z", "z^2", "z^(1/2)", "2", "z + 1"]))
+    return f"({base})^({draw(st.integers(0, 4))}/{draw(st.integers(1, 3))})", False
+
+
+@st.composite
+def parse_products(draw, depth):
+    text, _ = draw(parse_factors(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(["/2", " / 3", "/(1+1)", "/2^2", "/x^0"]))
+        factor, digit = draw(parse_factors(depth))
+        implicit = ["", " "] if factor[0] == "(" or not text[-1].isalpha() else [" "]
+        text += draw(st.sampled_from(["*", " * "] + ([] if digit else implicit)))
+        text += factor
+    return text
+
+
+@st.composite
+def parse_sums(draw, depth=2):
+    parts = []
+    for k in range(draw(st.integers(1, 3))):
+        signs = ["", "-", "--", "+-"] if k == 0 else ["+", "-", "--", "+ -", "- -"]
+        product = draw(parse_products(depth))
+        parts.append(f"{draw(st.sampled_from(signs))} {product}" if k else
+                     draw(st.sampled_from(signs)) + product)
+        if draw(st.booleans()):  # the same product again, cancelling or doubling it
+            parts.append(f"{draw(st.sampled_from(['+', '-']))} {product}")
+    return " ".join(parts)
+
+
+@given(parse_sums())
+@settings(max_examples=200, deadline=None)
+def test_parser_matches_the_arithmetic_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+# (input, error class, message), as the arithmetic parser reports them
+PARSE_ERRORS = [
+    ("x^", ProblemParseError, "malformed exponent at None"),
+    ("x +", ProblemParseError, "unexpected end of polynomial"),
+    ("(x", ProblemParseError, "expected ')', got None"),
+    ("x/y", ProblemParseError, "division only by nonzero constants"),
+    ("x/0", ProblemParseError, "division only by nonzero constants"),
+    ("2.5*x", ProblemParseError, "bad character in polynomial: '.5*x'"),
+    ("x^(1/2)", ProblemParseError, "fractional exponent on non-exceptional variable 'x'"),
+    ("(x+y)^(1/2)", ProblemParseError, "fractional exponent on a compound expression"),
+    ("w", ProblemParseError, "undeclared variable 'w'"),
+    ("x^2^3", ProblemParseError, "trailing input at '^'"),
+    ("", ProblemParseError, "unexpected end of polynomial"),
+    ("x^-1", ProblemParseError, "malformed exponent at '-'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS)
+def test_parse_errors_keep_their_class_and_message(text, error, message):
+    assert parse_outcome(parse_polynomial, text) == (error, message)
+    assert parse_outcome(reference_parse, text) == (error, message)
+
+
+def test_corpus_generators_parse_like_the_reference():
+    checked = 0
+    for path in sorted(CORPUS.glob("*/problems/*.json")):
+        text = path.read_text(encoding="utf-8")
+        data, problem = json.loads(text), parse_problem(text)
+        names = list(problem.frame.variables)
+        ok = problem.frame.marked_indices()
+        texts = [g for comp in data["pair"]["components"] for g in comp["gens"]]
+        gens = [g for comp in problem.pair.components for g in comp.gens]
+        assert len(texts) == len(gens)
+        for gen, g in zip(texts, gens):
+            assert g.terms == reference_parse(gen, names, ok).terms, (path, gen)
+            assert_normalized(g)
+            checked += 1
+    assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# every kernel returns normal form
+
+
+@given(raw_polynomials(3), st.integers(0, 2), COEFFICIENTS, st.tuples(*[EXPONENTS] * 3))
+@settings(max_examples=100, deadline=None)
+def test_kernels_return_normal_form(f, i, c, exps):
+    halves = {j for j in range(3) if f.has_fractional_exponent(j)}
+    outputs = [
+        Polynomial.variable(3, i), Polynomial.constant(3, c), Polynomial.monomial(3, exps, c),
+        initial_form(f, ord_at_origin(f) if not f.is_zero() else 0),
+        hasse_derivative(f, tuple(0 if j in halves else 1 + (j == i) for j in range(3))),
+        *split_by_variables(f, [i]).values(),
+        # a variable with fractional exponents takes a unit monomial
+        substitute(f, {j: (Polynomial.monomial(3, (1, 1, 0)) if j in halves
+                           else Polynomial.variable(3, j) + Polynomial.constant(3, c))
+                       for j in range(3)}),
+    ]
+    if not f.is_zero():
+        low = min(e[i] for e in f.terms)
+        outputs.append(divide_by_variable_power(f, i, low))
+        outputs.append(divide_by_variable_power(f, i, Fraction(low)))
+    for p in outputs:
+        assert_normalized(p)
