@@ -10,24 +10,28 @@ complementary coordinates lies in the ideal) and that every returned
 direction leaves the ideal invariant are tier-1 properties
 (``tests/test_cone.py``), asserted on every benchmark corpus problem.
 
-One row builder, ``_multiples`` (a generator times shift monomials), feeds
-``linalg.sparse_rref`` for the graded pieces and ``linalg.sparse_rank`` for
-Hilbert-Samuel.  Within one ``directrix`` call each degree's basis is built
+The graded pieces are ``linalg.sparse_rref`` of the rows ``_multiples``
+builds (a generator times the shift monomials, over the numbered monomials
+of one degree).  Within one ``directrix`` call each degree's basis is built
 once and reduces the derivatives of every generator one degree higher.
+
+Hilbert-Samuel numbers no columns: it counts the leading monomials of the
+truncated multiples of the generators, keyed by monomial.  The first
+generator's leads are counted in closed form, and only the rows whose
+leads collide are built and reduced with ``linalg.eliminate``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations_with_replacement
-from operator import add
+from itertools import accumulate, chain, combinations_with_replacement
+from operator import add, sub
 
 from .errors import PreconditionError
-from .linalg import nullspace, reduce_against, sparse_rank, sparse_rref
+from .linalg import eliminate, nullspace, reduce_against, sparse_rref
 from .pairs import Pair
 from .poly import Polynomial, hasse_derivative, initial_form, ord_at_origin
 
@@ -92,13 +96,6 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     # descend: the first index where two multisets differ is counted more
     # often in the smaller one
     out.reverse()
-    return out
-
-
-def monomials_below_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for d in range(k):
-        out.extend(monomials_of_degree(nvars, d))
     return out
 
 
@@ -210,35 +207,54 @@ def _linear_form(coeffs) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Hilbert-Samuel
 
-# Most monomial columns C(k_max - 1 + n, n) one Hilbert-Samuel elimination
-# may have.  The cost grows about linearly with the count: one generator of
-# order 2 in 6 variables at k_max = 18 (100947 columns) takes about 1.1 s
-# on a 2-vCPU VM.  The benchmark corpora need at most 1365.
+# Most monomial columns C(k_max - 1 + n, n) one Hilbert-Samuel call may
+# cover; a larger input is refused before any work.  The first generator is
+# counted in closed form, so alone it costs about 0.02 ms at any count (one
+# generator of order 2 in 6 variables at k_max = 17, 74613 columns, on a
+# 2-vCPU VM).  Each later generator costs about one row per shift: adding
+# x1*x2 + x3^3 to that generator takes about 70 ms at k_max = 12 and 3 s at
+# k_max = 17.  The benchmark corpora need at most 1365 columns.
 HS_MAX_COLUMNS = 100_000
 
 
 def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     """dim of the ambient power-series ring modulo (ideal + M^k), k = 1..k_max.
 
-    One elimination serves every k.  The columns are the monomials of degree
-    below k_max in the order of ``monomials_below_degree``, which ascends by
-    degree, so the first C(k-1+n, n) columns are exactly the monomials of
-    degree below k.  The rows are the multiples g*m of each generator,
-    truncated below degree k_max; a shift m with deg m + ord g >= k_max
-    gives an empty row and is skipped.  ``sparse_rank`` eliminates each row
-    on its smallest column, so every reduced pivot row has no entry left of
-    its pivot, and then
+    Order the monomials by degree, then ascending lex exponents, as keys
+    (degree, *exponents).  That is a monomial order, so the smallest key of
+    g*m, its lead, is lead(g) + m, where lead(g) is the smallest key of g and
+    has degree ord g.  The rows are the multiples g*m of each generator,
+    truncated below degree k_max (deg m < k_max - ord g), and then
 
-        HS(k) = #monomials of degree < k - #pivots of degree < k.
+        HS(k) = #monomials of degree < k - #leads of degree < k,
 
-    Why: (ideal + M^k)/M^k is spanned by the multiples g*m with
-    deg m < k-1, truncated below degree k (g*m lies in M^k once
-    deg m >= k-1, because no generator has a constant term).  Truncating
-    below k is linear and the elimination keeps the span of the rows, so the
-    truncated pivot rows span the same space.  A pivot row whose pivot has
-    degree >= k lies in M^k and truncates to zero; the pivot rows whose
-    pivots have degree < k keep distinct leading columns below k, so their
-    truncations stay independent.
+    counting the leads of the nonzero elements of the row span.  Why:
+    (ideal + M^k)/M^k is spanned by the multiples g*m with deg m < k-1,
+    truncated below degree k (g*m lies in M^k once deg m >= k-1, because no
+    generator has a constant term), so it is the truncation below k of the
+    row span.  Take a basis of the row span with distinct leads.  A basis
+    row whose lead has degree >= k lies in M^k and truncates to zero; the
+    others keep their distinct leads below k, so their truncations stay
+    independent.
+
+    The leads are found by an elimination that builds only the rows it
+    needs (the symbolic preprocessing of F4: Faugere, J. Pure Appl. Algebra
+    139, 1999):
+
+    - The rows of the first generator g1 have distinct leads, the
+      multiples of lead(g1); they are pivots as they stand.  Their
+      C(d - ord g1 + n - 1, n - 1) leads of degree d are counted, not
+      enumerated.
+    - A row g*m of a later generator whose lead is not yet a pivot is a
+      pivot as it stands and is only recorded as (g, m).  Only a row whose
+      lead is already a pivot is built and reduced.
+    - Reducing on a pivot builds that pivot's row on first use: g*m from
+      its record, or g1*(lead - lead(g1)).  A reduced row whose lead is no
+      pivot becomes one.
+
+    The pivot rows have distinct leads and every row reduces to zero
+    against them, so they are a basis of the row span, and their leads are
+    its leads whatever the order of elimination.
 
     ``generators`` must be non-empty; zero polynomials are dropped after the
     number of variables is read off the first one.  More than
@@ -252,7 +268,7 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
         raise PreconditionError("k_max must be at least 1")
     nvars = generators[0].nvars
 
-    def below(k: int) -> int:  # monomials of degree < k: a prefix of columns
+    def below(k: int) -> int:  # monomials of degree < k
         return math.comb(k - 1 + nvars, nvars) if k > 0 else 0
 
     count = below(k_max)
@@ -269,10 +285,37 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
             raise PreconditionError("point not on X")
         if g.has_fractional_exponent():
             raise PreconditionError("Hilbert-Samuel needs integer exponents")
-    columns = monomials_below_degree(nvars, k_max)
-    index = {m: i for i, m in enumerate(columns)}
-    rows: list[dict[int, Fraction]] = []
-    for g in gens:
-        rows += _multiples(g, columns[:below(k_max - ord_at_origin(g))], index)
-    pivots = sparse_rank(rows)
-    return [below(k) - bisect_left(pivots, below(k)) for k in range(1, k_max + 1)]
+    leads = [0] * k_max  # pivots of each degree
+    if gens:
+        first, *rest = [[((sum(e), *e), c) for e, c in g.terms.items()] for g in gens]
+        lead1 = min(first)[0]
+        for d in range(lead1[0], k_max):
+            leads[d] = math.comb(d - lead1[0] + nvars - 1, nvars - 1)
+        owners: dict[tuple, object] = {}  # lead -> its pivot row, or (terms, shift)
+
+        def multiple(terms, shift) -> dict[tuple, Fraction]:
+            return {tuple(map(add, key, shift)): c for key, c in terms if key[0] + shift[0] < k_max}
+
+        def pivot_of(lead):
+            owner = owners.get(lead)
+            if owner is None and min(map(sub, lead, lead1)) >= 0:
+                owner = (first, tuple(map(sub, lead, lead1)))
+            if isinstance(owner, tuple):
+                owner = owners[lead] = multiple(*owner)
+            return owner
+
+        shifts = cache(lambda d: [(d, *m) for m in monomials_of_degree(nvars, d)])
+        for terms in rest:
+            lead_g = min(terms)[0]
+            for shift in chain.from_iterable(map(shifts, range(k_max - lead_g[0]))):
+                lead = tuple(map(add, lead_g, shift))
+                if pivot_of(lead) is None:
+                    owners[lead] = (terms, shift)
+                else:
+                    row = multiple(terms, shift)
+                    lead = eliminate(row, pivot_of)
+                    if lead is None:
+                        continue
+                    owners[lead] = row
+                leads[lead[0]] += 1
+    return [below(k) - n for k, n in zip(range(1, k_max + 1), accumulate(leads))]

@@ -1,10 +1,12 @@
 """Exact rational linear algebra: one sparse elimination, nullspaces, a tiny
 simplex-based LP feasibility test.
 
-Every elimination runs the echelon loop of ``sparse_rank`` on dict rows
-keyed by column index; reduced row echelon form is that loop plus
-back-substitution on the same rows (``sparse_rref``).  Sparse rows hold
-Fraction values: the elimination copies them as they are, dropping zeros,
+Every elimination reduces dict rows on their smallest key with
+``eliminate``.  ``sparse_rank`` keeps each row that does not reduce to
+zero as the pivot row of its smallest column index, and ``sparse_rref``
+adds back-substitution on the same rows; ``cone.hilbert_samuel_truncated``
+keys its rows by monomial and builds its pivot rows on demand.  Sparse rows
+hold Fraction values: the elimination copies them as they are, dropping zeros,
 and never coerces an entry (an int pivot would divide into a float).
 ``rref``, ``nullspace`` and ``solve`` keep their dense interface (lists of
 rows of any rationals, with Fraction results); they coerce each entry to
@@ -35,21 +37,31 @@ def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
             work.pop(k, None)
 
 
+def eliminate(work: dict, pivot_of):
+    """Reduce ``work`` in place on its smallest key against ``pivot_of(key)``,
+    a pivot row whose smallest key is that key (or None when there is none),
+    until it is empty or its smallest key has no pivot row.  Return that key,
+    or None when the row reduced to zero."""
+    while work:
+        c = min(work)
+        pivot = pivot_of(c)
+        if pivot is None:
+            return c
+        _subtract(work, work[c] / pivot[c], pivot)
+    return None
+
+
 def _echelon(rows) -> dict[int, SparseRow]:
-    """Pivot column -> pivot row.  Each row is eliminated on its smallest
-    column against the pivot rows kept so far until it is empty (dependent)
-    or its smallest column is new.  A kept pivot row (stored unscaled)
-    therefore has no entry left of its pivot column."""
+    """Pivot column -> pivot row.  Each row is eliminated against the pivot
+    rows kept so far; if anything is left, its smallest column is new and
+    the row is kept (unscaled) as that column's pivot row, with no entry
+    left of its pivot column."""
     pivot_rows: dict[int, SparseRow] = {}
     for row in rows:
         work = {c: v for c, v in row.items() if v}
-        while work:
-            c = min(work)
-            pivot = pivot_rows.get(c)
-            if pivot is None:
-                pivot_rows[c] = work
-                break
-            _subtract(work, work[c] / pivot[c], pivot)
+        c = eliminate(work, pivot_rows.get)
+        if c is not None:
+            pivot_rows[c] = work
     return pivot_rows
 
 

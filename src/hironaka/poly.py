@@ -518,7 +518,9 @@ class _Parser:
             q = self.parse_exponent()
             if len(poly.terms) == 1 and next(iter(poly.terms.values())) == 1 and not poly.is_constant():
                 exps = next(iter(poly.terms))
-                self.permit(next(i for i, e in enumerate(exps) if e), q)
+                for idx, e in enumerate(exps):
+                    if e:
+                        self.permit(idx, q)
                 return Polynomial.monomial(len(self.names), tuple(e * q for e in exps))
             if q.denominator != 1:
                 raise ProblemParseError("fractional exponent on a compound expression")
@@ -562,6 +564,8 @@ class _Parser:
                 den = self.next()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
+                if not int(den):
+                    raise ProblemParseError("zero denominator in exponent")
                 q = Fraction(q, int(den))
             self.expect(")")
             return q

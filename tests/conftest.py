@@ -190,11 +190,11 @@ class _ReferenceParser:
             q = self.parse_exponent()
             if len(poly.terms) == 1 and next(iter(poly.terms.values())) == 1 and not poly.is_constant():
                 exps = next(iter(poly.terms))
-                idx = next(i for i, e in enumerate(exps) if e)
-                if q.denominator != 1 and idx not in self.fractional_ok:
-                    raise ProblemParseError(
-                        f"fractional exponent on non-exceptional variable {self.names[idx]!r}"
-                    )
+                for idx, e in enumerate(exps):
+                    if e and q.denominator != 1 and idx not in self.fractional_ok:
+                        raise ProblemParseError(
+                            f"fractional exponent on non-exceptional variable {self.names[idx]!r}"
+                        )
                 poly = Polynomial.monomial(n, tuple(e * q for e in exps))
             else:
                 if q.denominator != 1:
@@ -213,6 +213,8 @@ class _ReferenceParser:
                 den = self.next()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
+                if not int(den):
+                    raise ProblemParseError("zero denominator in exponent")
                 q = Fraction(int(num), int(den))
             else:
                 q = Fraction(int(num))

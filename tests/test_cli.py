@@ -52,6 +52,18 @@ def test_malformed_divisor_entries_are_parse_errors(capsys, exceptional, message
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("gen, message", [
+    ("y^2 + x^(1/0)", "zero denominator in exponent"),
+    ("y^2 + (x*y)^(1/2)*y^3", "fractional exponent on non-exceptional variable 'y'"),
+])
+@pytest.mark.parametrize("command", ["hs", "newton"])
+def test_bad_fractional_exponents_are_parse_errors(tmp_path, capsys, gen, message, command):
+    data = dict(A3_BLOWN_UP, pair={"components": [{"gens": [gen], "b": "2"}]},
+                exceptional=[{"id": "E1", "variable": "x"}])
+    assert call(tmp_path, data, command) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_options_are_read(tmp_path, capsys):
     data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3, "skip_unit_steps": True})
     assert call(tmp_path, data, "hs", "--format", "json") == 0

@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -14,12 +16,11 @@ from hironaka.cone import (
     hilbert_samuel_truncated,
     homogeneous_member,
     initial_ideal,
-    monomials_below_degree,
     monomials_of_degree,
 )
-from hironaka.linalg import rref, sparse_rank
+from hironaka.linalg import eliminate, rref, sparse_rank
 from hironaka.pairs import Component, Pair
-from hironaka.poly import Polynomial, parse_polynomial, substitute
+from hironaka.poly import Polynomial, ord_at_origin, parse_polynomial, substitute
 
 from conftest import corpus_problems, hs_hypersurface_oracle, hs_monomial_oracle, random_polynomial
 
@@ -398,6 +399,18 @@ def test_hs_column_limit_counts_monomials_below_k_max(monkeypatch):
         hilbert_samuel_truncated([hp("x^2", 2)], 5)
 
 
+def test_hs_of_one_generator_is_counted_not_enumerated():
+    # C(22, 6) = 74613 columns, under the limit: one generator's rows are
+    # counted in closed form, whatever the number of columns
+    names = [f"x{i}" for i in range(6)]
+    g = parse_polynomial("x0^2 + x5^3", names)
+    assert math.comb(22, 6) == 74613 <= cone.HS_MAX_COLUMNS
+    start = time.perf_counter()
+    dims = hilbert_samuel_truncated([g], 17)
+    assert time.perf_counter() - start < 0.1
+    assert dims == [hs_hypersurface_oracle(6, 2, k) for k in range(1, 18)]
+
+
 def test_hs_past_the_column_limit_is_rejected_at_once():
     # unbounded, this one generator takes seconds: C(23, 8) = 490314 columns
     names = [f"x{i}" for i in range(8)]
@@ -433,6 +446,76 @@ def test_sparse_rank_returns_pivot_columns():
     assert sparse_rank(rows) == [0, 1, 2]
     assert sparse_rank([{3: 1}, {3: 2}]) == [3]
     assert sparse_rank([]) == []
+
+
+def monomials_below_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
+    """Every monomial of degree below k, ascending by degree, then lex."""
+    out = []
+    for d in range(k):
+        out.extend(monomials_of_degree(nvars, d))
+    return out
+
+
+def hs_dense_reference(generators, k_max):
+    """The former kernel, kept as a reference: one elimination over the
+    global column list (every monomial below degree k_max, ascending by
+    degree, then lex) of every multiple g*m, truncated below degree k_max;
+    HS(k) = #columns below k - #pivot columns below k."""
+    nvars = generators[0].nvars
+
+    def below(k):
+        return math.comb(k - 1 + nvars, nvars) if k > 0 else 0
+
+    columns = monomials_below_degree(nvars, k_max)
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for g in generators:
+        if not g.is_zero():
+            rows += cone._multiples(g, columns[:below(k_max - ord_at_origin(g))], index)
+    pivots = sparse_rank(rows)
+    return [below(k) - bisect_left(pivots, below(k)) for k in range(1, k_max + 1)]
+
+
+def colliding_ideal(rng, nvars):
+    """2-5 generators.  Each one after the first is a fresh polynomial, or
+    c*m times an earlier one plus a tail of higher order (possibly none), so
+    that leading monomials coincide or divide one another; the list is
+    shuffled, so a divisor may come after its multiples."""
+    gens = [random_polynomial(rng, nvars, max_degree=3, max_terms=3, min_order=1)]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.25:
+            gens.append(random_polynomial(rng, nvars, max_degree=3, max_terms=3, min_order=1))
+            continue
+        g = rng.choice(gens)
+        m = tuple(rng.randint(0, 1) for _ in range(nvars))
+        multiple = g * Polynomial.monomial(nvars, m).scale(rng.choice([-2, 1, 3]))
+        order = ord_at_origin(multiple)
+        if rng.random() < 0.8:
+            multiple = multiple + random_polynomial(
+                rng, nvars, max_degree=order + 2, max_terms=2, min_order=order + 1)
+        gens.append(multiple)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_hs_matches_the_dense_reference_where_rows_collide(monkeypatch):
+    eliminated = []  # the lead each colliding row reduced to, or None
+
+    def recording(row, pivot_of):
+        eliminated.append(lead := eliminate(row, pivot_of))
+        return lead
+
+    monkeypatch.setattr(cone, "eliminate", recording)
+    rng = random.Random(11)
+    k_cap = {2: 9, 3: 7, 4: 5}
+    for _ in range(40):
+        nvars = rng.randint(2, 4)
+        gens = colliding_ideal(rng, nvars)
+        k_max = rng.randint(3, k_cap[nvars])
+        assert hilbert_samuel_truncated(gens, k_max) == hs_dense_reference(gens, k_max), gens
+    # rows were built and reduced: some to zero, some onto a new lead
+    assert eliminated.count(None) > 50
+    assert len(eliminated) - eliminated.count(None) > 50
 
 
 def hs_per_k_reference(generators, k_max):

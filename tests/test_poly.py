@@ -359,7 +359,7 @@ def parse_factors(draw, depth):
         return f"({draw(parse_sums(depth - 1))})", False
     if kind == "paren power":
         return f"({draw(parse_sums(depth - 1))})^{draw(st.integers(0, 2))}", False
-    base = draw(st.sampled_from(["z", "z^2", "z^(1/2)", "2", "z + 1"]))
+    base = draw(st.sampled_from(["z", "z^2", "z^(1/2)", "2", "z + 1", "z*y", "z^2*z"]))
     return f"({base})^({draw(st.integers(0, 4))}/{draw(st.integers(1, 3))})", False
 
 
@@ -395,7 +395,7 @@ def test_parser_matches_the_arithmetic_reference(text):
     assert_parses_like_the_reference(text)
 
 
-# (input, error class, message), as the arithmetic parser reports them
+# (input, error class, message), as both parsers report them
 PARSE_ERRORS = [
     ("x^", ProblemParseError, "malformed exponent at None"),
     ("x +", ProblemParseError, "unexpected end of polynomial"),
@@ -409,6 +409,7 @@ PARSE_ERRORS = [
     ("x^2^3", ProblemParseError, "trailing input at '^'"),
     ("", ProblemParseError, "unexpected end of polynomial"),
     ("x^-1", ProblemParseError, "malformed exponent at '-'"),
+    ("z^(1/0)", ProblemParseError, "zero denominator in exponent"),
 ]
 
 
@@ -416,6 +417,14 @@ PARSE_ERRORS = [
 def test_parse_errors_keep_their_class_and_message(text, error, message):
     assert parse_outcome(parse_polynomial, text) == (error, message)
     assert parse_outcome(reference_parse, text) == (error, message)
+
+
+def test_fractional_power_of_a_monomial_is_permitted_on_every_variable():
+    # x comes first and may carry fractional exponents; y may not
+    for parse in (parse_polynomial, reference_parse):
+        with pytest.raises(ProblemParseError, match="non-exceptional variable 'y'"):
+            parse("(x*y)^(1/2)", ["x", "y"], {0})
+        assert parse("(x*y^2)^(1/2)", ["x", "y"], {0, 1}).terms == {(Fraction(1, 2), 1): 1}
 
 
 def test_corpus_generators_parse_like_the_reference():
