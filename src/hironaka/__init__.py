@@ -22,10 +22,10 @@ from .poly import (
 )
 from .polyhedra import (
     OrthantPolyhedron,
-    coordinate_min,
     delta,
     minimize_vertices,
     newton_polyhedron,
+    pair_minimum,
     polyhedron_of_pair,
 )
 from .cone import (

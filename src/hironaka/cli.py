@@ -47,12 +47,7 @@ from .poly import (
     format_rational,
     parse_polynomial,
 )
-from .polyhedra import (
-    OrthantPolyhedron,
-    coordinate_min,
-    newton_polyhedron,
-    polyhedron_of_pair,
-)
+from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minimum, polyhedron_of_pair
 
 @dataclass(frozen=True)
 class Problem:
@@ -293,12 +288,10 @@ def _delta(problem: Problem, chart, fast):
 
 def _d_i(problem: Problem, chart, fast):
     frame = problem.frame
-    P = polyhedron_of_pair(problem.pair, frame)
     table = {}
-    for pos, i in enumerate(frame.u_indices):
-        table[frame.variables[i]] = (
-            None if P.is_empty() else format_rational(coordinate_min(P, pos))
-        )
+    for i in frame.u_indices:
+        d = pair_minimum(problem.pair, frame.y_indices, (i,))
+        table[frame.variables[i]] = None if d == INF else format_rational(d)
     return {"d": table}
 
 

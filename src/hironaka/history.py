@@ -6,6 +6,10 @@ Centers and divisors are restricted to coordinate subspaces of the current
 frame, and the tracked point is always the chart origin.  The frame's marks
 are the only record of where a divisor sits: an entry of the exceptional
 data passes through the tracked point exactly when the frame marks its id.
+
+Every number read off a polyhedron here (delta_center, the d of each
+divisor, and ord_C >= b for permissibility) is a ``polyhedra.pair_minimum``
+over the raw points of the pair: a blow-up builds no vertex set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
 from .poly import INF, Polynomial, divide_by_variable_power, substitute
-from .polyhedra import coordinate_min, polyhedron_of_pair
+from .polyhedra import pair_minimum
 
 
 @dataclass(frozen=True)
@@ -76,36 +80,23 @@ def delta_center(E: Pair, frame: Frame, center) -> Fraction | float:
     u-coordinates enter the sum.  INF on an empty polyhedron.
     """
     center = set(center)
-    missing_y = [i for i in frame.y_indices if i not in center]
-    if missing_y:
+    if not center.issuperset(frame.y_indices):
         raise PreconditionError("center must contain every y-variable")
-    P = polyhedron_of_pair(E, frame)
-    if P.is_empty():
-        return INF
-    positions = [pos for pos, i in enumerate(frame.u_indices) if i in center]
-    return min(sum(Fraction(v[p]) for p in positions) for v in P.vertices)
-
-
-def ord_along_center(g: Polynomial, center) -> Fraction:
-    """Minimal center-variable degree over the terms of g."""
-    idx = sorted(center)
-    return min(sum(exps[i] for i in idx) for exps in g.terms)
+    return pair_minimum(E, frame.y_indices, [i for i in frame.u_indices if i in center])
 
 
 def is_permissible(H: PairWithHistory, center) -> bool:
     """Regular coordinate center inside the singular locus, normal crossings
-    with the marked divisors (automatic for coordinate data)."""
+    with the marked divisors (automatic for coordinate data): ord_C >= b on
+    every term, that is, the center's coordinate sum is at least 1 on every
+    point exps/b."""
     center = sorted(set(center))
     if not center:
         raise PreconditionError("only coordinate centers supported")
     n = H.pair.nvars if H.pair.components else H.frame.nvars
     if any((not isinstance(i, int)) or i < 0 or i >= n for i in center):
         raise PreconditionError("only coordinate centers supported")
-    for comp in H.pair.components:
-        for g in comp.gens:
-            if ord_along_center(g, center) < comp.weight:
-                return False
-    return True
+    return pair_minimum(H.pair, (), center) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +111,7 @@ class ChartReport:
     delta_center_value: Fraction | float
     new_divisor: str
     d_from_center: Fraction          # delta_center - 1
-    d_from_polyhedron: Fraction      # coordinate_min on the new chart variable
+    d_from_polyhedron: Fraction      # minimum of the new chart coordinate
 
 
 def blowup_chart(
@@ -173,13 +164,11 @@ def blowup_chart(
     # chart origin
     new_frame = frame.move_to_u(chart).with_mark(new_id, chart)
 
-    P = polyhedron_of_pair(pair, new_frame)
-    u_position = {i: pos for pos, i in enumerate(new_frame.u_indices)}
-
     def derived(var: int) -> Fraction:
-        if var in u_position and not P.is_empty():
-            return coordinate_min(P, u_position[var])
-        return Fraction(0)
+        if var not in new_frame.u_indices:
+            return Fraction(0)
+        d = pair_minimum(pair, new_frame.y_indices, (var,))
+        return Fraction(0) if d == INF else d
 
     # an unmarked divisor misses the tracked point and carries 0
     d_of = {e.divisor_id: derived(idx) for e, idx in H.exdata.placed(new_frame)}

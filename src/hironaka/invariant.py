@@ -7,7 +7,8 @@ truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
 Every step ends in the same tail (``_descend``): coefficient pair, mu,
-mu_H, nu, then a terminal case or the companion pair.  Along a trace each
+mu_H, nu, then a terminal case or the companion pair.  mu and each mu_H
+are ``polyhedra.pair_minimum`` of the coefficient pair.  Along a trace each
 year is evaluated once, oldest first (``_evaluate``): a divisor is old at
 step r when it was born no later than the first earlier year whose
 comparison tokens (hs, s1, nu2, s2, ...) start with the current ones.
@@ -29,21 +30,14 @@ from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .history import ExceptionalData, PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
-from .poly import (
-    INF,
-    Polynomial,
-    divide_by_variable_power,
-    format_polynomial,
-    ord_along_variable,
-    ord_at_origin,
-)
+from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial
+from .polyhedra import pair_minimum
 from .cone import hilbert_samuel_truncated
 
 
 @dataclass(frozen=True)
 class Options:
     hs_cutoff: int = 12
-    skip_unit_steps: bool = False  # drop (1, 0) padding entries from the output
 
 
 @dataclass(frozen=True)
@@ -125,21 +119,14 @@ def _exceptional_monomial(frame: Frame, mu_by_divisor) -> Polynomial:
 
 
 def divisor_multiplicities(H: Pair, frame: Frame, exdata: ExceptionalData):
-    """mu_H = min over components of (multiplicity along H) / weight."""
-    out: list[tuple[str, Fraction]] = []
+    """mu_H = min over components of (multiplicity along H) / weight, for
+    each placed divisor in the u-part of a nonempty H: the least coordinate
+    of its variable over the points exps/b (``pair_minimum``, no y-part)."""
     u_set = set(frame.u_indices)
-    for e, idx in exdata.placed(frame):
-        if idx not in u_set:
-            continue
-        best = None
-        for comp in H.components:
-            o = min(ord_along_variable(g, idx) for g in comp.gens)
-            val = Fraction(o) / comp.weight
-            best = val if best is None else min(best, val)
-        if best is None:
-            best = Fraction(0)
-        out.append((e.divisor_id, best))
-    return tuple(out)
+    return tuple(
+        (e.divisor_id, pair_minimum(H, (), (idx,)))
+        for e, idx in exdata.placed(frame) if idx in u_set
+    )
 
 
 def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
@@ -213,10 +200,7 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
         raise InternalError("tracked divisor variable was consumed")
     new_frame = frame.drop_variables(z_indices)
 
-    mu = INF if H.is_empty() else min(
-        Fraction(min(ord_at_origin(g) for g in comp.gens)) / comp.weight
-        for comp in H.components
-    )
+    mu = pair_minimum(H, (), range(new_frame.nvars))
     mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
 
@@ -306,10 +290,7 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
         cur = base = step.outcome
 
     steps = tokens[2:-1]  # nu2, s2, nu3, s3, ...
-    entries = tuple(
-        InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2])
-        if not (opts.skip_unit_steps and nu == 1 and s == 0)
-    )
+    entries = tuple(InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2]))
     end = step.outcome
     vec = InvariantVector(hs, tokens[1], entries, end.nu, end.center, end.monomial)
     return vec, records, tuple(tokens)

@@ -25,7 +25,7 @@ and ``split_by_variables`` (subsets of normalized terms),
 dropped where they arise.  A product with a fractional exponent goes back
 through the normalizing constructor, because x^(1/2)*x^(1/2) must store its
 exponent as the int 1; ``divide_by_variable_power`` normalizes the one
-exponent it changes.
+exponent it changes, and ``substitute`` each exponent of a monomial power.
 """
 
 from __future__ import annotations
@@ -248,13 +248,6 @@ def initial_form(f: Polynomial, b) -> Polynomial:
     return Polynomial._wrap(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq})
 
 
-def ord_along_variable(f: Polynomial, index: int):
-    """Multiplicity of the coordinate hyperplane of `index` in f; INF for 0."""
-    if f.is_zero():
-        return INF
-    return min(exps[index] for exps in f.terms)
-
-
 # ---------------------------------------------------------------------------
 # Hasse derivatives
 
@@ -291,8 +284,9 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     """Exact composite polynomial; variables absent from the map stay fixed.
 
     Only the assigned variables are expanded: the exponents of the others
-    stay in the term key.  Each power g_i^e is built once per call, as
-    g_i^(e-1) * g_i, and shared by every term that needs it.
+    stay in the term key.  The power of a single-term g_i is built in one
+    step, c^e * x^(e*E).  The powers of any other g_i are built once per
+    call, as g_i^(e-1) * g_i, and shared by every term that needs it.
 
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
@@ -307,21 +301,23 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
 
     def power(i: int, e) -> Polynomial:
         g = assignment[i]
-        if isinstance(e, int):
-            ladder = ladders[i]
-            while len(ladder) < e:
-                ladder.append(ladder[-1] * g)
-            return ladder[e - 1]
-        if len(g.terms) != 1:
+        integral = isinstance(e, int)
+        if len(g.terms) == 1:
+            (gexps, gc), = g.terms.items()
+            if not integral and gc != 1:
+                raise PreconditionError(
+                    "fractional power of a non-unit monomial substitution"
+                )
+            scaled = tuple([_norm_exp(ge * e) for ge in gexps])
+            return Polynomial._wrap(n, {scaled: gc ** e if integral else gc})
+        if not integral:
             raise PreconditionError(
                 "fractional power of a non-monomial substitution"
             )
-        (gexps, gc), = g.terms.items()
-        if gc != 1:
-            raise PreconditionError(
-                "fractional power of a non-unit monomial substitution"
-            )
-        return Polynomial.monomial(n, tuple(ge * e for ge in gexps))
+        ladder = ladders[i]
+        while len(ladder) < e:
+            ladder.append(ladder[-1] * g)
+        return ladder[e - 1]
 
     out: dict[Exponents, Fraction] = {}
     for exps, c in f.terms.items():

@@ -1,9 +1,14 @@
 """Rational orthant polyhedra: finite vertex sets generating
 conv(V) + R^e_{>=0}, kept in minimal form, the projections that tie them
-to pairs, and the numbers read off them (delta and the coordinate minima).
+to pairs, and the numbers read off them.
 
-Everything is V-representation only; membership queries reduce to exact LP
-feasibility on the vertex set.
+Each number the pipeline reads off the polyhedron of a pair (mu, mu_H,
+delta_center, d, the ``d-i`` table, permissibility) is the minimum of a
+coordinate sum with nonnegative coefficients, which a generating point
+reaches: ``pair_minimum`` takes it over the raw points A/(b - |B|).
+Vertices, and the exact LPs that minimize them, are built only where
+vertices are reported or prepared (``poly``, ``newton``, ``char-poly``
+and vertex preparation).
 """
 
 from __future__ import annotations
@@ -133,7 +138,34 @@ def delta(P: OrthantPolyhedron):
     return min(sum(Fraction(c) for c in v) for v in P.vertices)
 
 
-def coordinate_min(P: OrthantPolyhedron, i: int) -> Fraction:
-    if P.is_empty():
-        raise PreconditionError("d_i undefined")
-    return min(Fraction(v[i]) for v in P.vertices)
+def pair_minimum(E: Pair, y_indices, coords):
+    """Minimal sum of the coordinates ``coords`` (variable indices) over
+    the generating points A/(b - |B|), |B| < b, of ``polyhedron_of_pair``
+    with y-part ``y_indices``; INF when there is no such point.
+
+    Per component and level |B| only the least exponent sum is kept, and
+    it is divided once.
+    """
+    best = INF
+    for comp in E.components:
+        least = {}  # level |B| -> least coordinate sum at that level
+        for g in comp.gens:
+            for exps in g.terms:
+                pick = exps.__getitem__
+                level = sum(map(pick, y_indices))
+                s = sum(map(pick, coords))
+                if s < least.get(level, INF):
+                    least[level] = s
+        b = comp.weight
+        for level, s in least.items():
+            # level 0 (every point when there is no y-part) is below b and
+            # skips two Fraction operations
+            if not level:
+                q = s / b
+            elif level < b:
+                q = s / (b - level)
+            else:
+                continue
+            if q < best:
+                best = q
+    return best

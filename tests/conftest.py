@@ -10,6 +10,8 @@ polyhedra, which only the tests ask for.  ``reference_parse`` is the
 polynomial parser the library had before it gathered terms directly: it
 builds every factor as a Polynomial and combines them with Polynomial
 arithmetic.
+``coordinate_min`` is the vertex-side reference for
+``polyhedra.pair_minimum``, which the library reads off the raw points.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
 """
 
@@ -26,7 +28,7 @@ import pytest
 
 from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError, ProblemParseError
-from hironaka.poly import Polynomial
+from hironaka.poly import INF, Polynomial
 from hironaka.pairs import Component, Pair
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
 
@@ -75,6 +77,18 @@ def random_singular_pair(rng: random.Random, nvars: int, max_components: int = 2
     return Pair(tuple(comps))
 
 
+def scale_exponents(E: Pair, index: int, q: Fraction) -> Pair:
+    """E with every exponent of the variable ``index`` multiplied by q: a
+    marked variable with fractional exponents when q is not integral."""
+    def scaled(g):
+        return Polynomial(g.nvars, {
+            exps[:index] + (exps[index] * q,) + exps[index + 1:]: c for exps, c in g.terms.items()
+        })
+    return Pair(tuple(
+        Component(tuple(scaled(g) for g in comp.gens), comp.weight) for comp in E.components
+    ))
+
+
 def merge_to_single(E: Pair, m: int) -> Pair:
     """Collapse an intersection to (sum of J_i^(m/b_i), m); each b_i | m."""
     if not isinstance(m, int) or m <= 0:
@@ -95,6 +109,12 @@ def contains(P: OrthantPolyhedron, p) -> bool:
 
 def subset_of(P: OrthantPolyhedron, Q: OrthantPolyhedron) -> bool:
     return all(contains(Q, v) for v in P.vertices)
+
+
+def coordinate_min(P: OrthantPolyhedron, positions):
+    """The least sum of the coordinates at ``positions`` over the vertices
+    of P; INF when P is empty."""
+    return min((sum(Fraction(v[p]) for p in positions) for v in P.vertices), default=INF)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hironaka import cli, coeff
+from hironaka import cli, coeff, polyhedra
 from hironaka.errors import PreconditionError
+
+from conftest import corpus_problems
 
 A3_BLOWN_UP = {
     "variables": ["x", "y"], "u": ["x"], "y": ["y"],
@@ -26,8 +29,8 @@ def call(tmp_path, data, *args):
     ({"hs_cutoff": "abc"}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": 2.5}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": True}, "option 'hs_cutoff': expected a JSON integer"),
-    ({"skip_unit_steps": "false"}, "option 'skip_unit_steps': expected a JSON boolean"),
-    ({"skip_unit_steps": 1}, "option 'skip_unit_steps': expected a JSON boolean"),
+    ({"hs_cutoff": "12"}, "option 'hs_cutoff': expected a JSON integer"),
+    ({"hs_cutoff": None}, "option 'hs_cutoff': expected a JSON integer"),
 ])
 def test_options_must_have_json_types(tmp_path, capsys, options, message):
     assert call(tmp_path, dict(A3_BLOWN_UP, options=options), "hs") == 3
@@ -65,11 +68,11 @@ def test_bad_fractional_exponents_are_parse_errors(tmp_path, capsys, gen, messag
 
 
 def test_options_are_read(tmp_path, capsys):
-    data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3, "skip_unit_steps": True})
+    data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3})
     assert call(tmp_path, data, "hs", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out) == {"command": "hs", "cutoff": 3, "dims": [1, 3, 5]}
     problem = cli.problem_from_data(data)
-    assert problem.options == cli.Options(hs_cutoff=3, skip_unit_steps=True)
+    assert problem.options == cli.Options(hs_cutoff=3)
 
 
 @pytest.mark.parametrize("flags", [{}, {"fast": True}])
@@ -90,6 +93,12 @@ def test_unknown_option_is_rejected(tmp_path, capsys):
 def test_verify_is_no_longer_an_option(tmp_path, capsys):
     assert call(tmp_path, dict(A3_BLOWN_UP, options={"verify": False}), "invariant") == 3
     assert "options: unknown option 'verify'" in capsys.readouterr().err
+
+
+def test_skip_unit_steps_is_no_longer_an_option(tmp_path, capsys):
+    data = dict(A3_BLOWN_UP, options={"skip_unit_steps": True})
+    assert call(tmp_path, data, "invariant") == 3
+    assert "options: unknown option 'skip_unit_steps'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("options", [{"max_prep_iters": 0}, {"contact_height_cap": 1}])
@@ -288,3 +297,29 @@ def test_any_json_in_one_field_is_rejected_or_run(field, value):
     else:
         data = dict(A3_BLOWN_UP, **{field: value})
     assert cli.main([json.dumps(data), "run-lsb", "--format", "json"]) in (0, 2, 3)
+
+
+def test_blowups_invariants_and_d_i_build_no_vertices(monkeypatch):
+    # their numbers are minima over raw points: no vertex minimization, no LP
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(polyhedra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(polyhedra, name, wrapper)
+
+    counted("minimize_vertices")
+    counted("lp_feasible")
+    lsb = corpus_problems("lsb-hypersurface")
+    for _, problem in lsb:
+        assert problem.script
+        cli.run(problem, "run-lsb")
+        cli.run(problem, "invariant")
+    for _, problem in corpus_problems("pairs-local"):
+        cli.run(problem, "d-i")
+    assert calls == Counter()
+    cli.run(lsb[0][1], "poly")  # the counters see the vertex path
+    assert calls["minimize_vertices"] == 1

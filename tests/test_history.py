@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +20,7 @@ from hironaka.history import (
 from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import INF, Polynomial, parse_polynomial
 
-from conftest import merge_to_single, random_singular_pair
+from conftest import merge_to_single, random_singular_pair, scale_exponents
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -89,6 +91,33 @@ def test_nonsingular_pair_never_permissible():
 def test_non_coordinate_center_rejected():
     with pytest.raises(PreconditionError, match="coordinate"):
         is_permissible(state("y^2 - x^3", 2), [])
+
+
+def ord_along_center(g: Polynomial, center) -> Fraction:
+    """The reference: the least center-variable degree over the terms of g."""
+    return min(sum(exps[i] for i in center) for exps in g.terms)
+
+
+def test_permissibility_is_the_term_wise_order_along_the_center():
+    # every coordinate center of random pairs, some with a marked variable
+    # carrying fractional exponents
+    seen = Counter()
+    for nvars in (2, 3, 4):
+        names = tuple(f"x{i}" for i in range(nvars))
+        for seed in range(25):
+            rng = random.Random(seed)
+            marked = rng.randrange(nvars)
+            pair = scale_exponents(random_singular_pair(rng, nvars), marked,
+                                   Fraction(1, rng.randint(1, 2)))
+            st = PairWithHistory(pair, Frame(names, tuple(range(nvars)), (),
+                                             (("E1", marked),)))
+            for k in range(1, nvars + 1):
+                for center in combinations(range(nvars), k):
+                    want = all(ord_along_center(g, center) >= comp.weight
+                               for comp in pair.components for g in comp.gens)
+                    assert is_permissible(st, center) == want, (nvars, seed, center)
+                    seen[want] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hironaka import cli
 from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError, ProblemParseError
 from hironaka.poly import (
@@ -240,12 +242,36 @@ def test_substitute_fractional_monomial_power():
     f = Polynomial(2, {(Fraction(1, 2), 0): Fraction(1)})
     image = substitute(f, {0: Polynomial.variable(2, 0) * Polynomial.variable(2, 1)})
     assert image == Polynomial(2, {(Fraction(1, 2), Fraction(1, 2)): Fraction(1)})
+    # an exponent that becomes integral is stored as an int
+    image = substitute(f * p2("y"), {0: p2("x^2*y")})
+    assert image.terms == {(1, Fraction(3, 2)): 1}
+    assert_normalized(image)
+    with pytest.raises(PreconditionError,
+                       match="^fractional power of a non-unit monomial substitution$"):
+        substitute(f, {0: p2("2*x*y")})
 
 
 def test_substitute_fractional_power_of_sum_rejected():
     f = Polynomial(2, {(Fraction(1, 2), 0): Fraction(1)})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^fractional power of a non-monomial substitution$"):
         substitute(f, {0: p2("x + y")})
+
+
+def test_blowup_of_a_high_monomial_power_takes_no_ladder():
+    # z^2 + x^3*y^10000000 blown up at the origin in the x-chart: y -> x*y
+    # needs (x*y)^10000000, which a multiplication ladder takes minutes for
+    problem = parse_problem(json.dumps({
+        "variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+        "pair": {"components": [{"gens": ["z^2 + x^3*y^10000000"], "b": "2"}]},
+        "script": {"steps": [{"center": ["x", "y", "z"], "chart": "x"}]},
+    }))
+    start = time.perf_counter()
+    report = cli.run(problem, "run-lsb")
+    assert time.perf_counter() - start < 0.5
+    year = report["trace"]["years"][1]
+    assert year["pair"]["components"][0]["gens"] == ["z^2 + x^10000001*y^10000000"]
+    assert year["exceptional"] == [{"id": "E1", "variable": "x", "d": "10000001/2", "birth": 1}]
 
 
 # ---------------------------------------------------------------------------

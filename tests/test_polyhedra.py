@@ -1,21 +1,27 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
-import pytest
-
-from hironaka.errors import PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair
 from hironaka.poly import INF, Polynomial, parse_polynomial
 from hironaka.polyhedra import (
     OrthantPolyhedron,
-    coordinate_min,
     delta,
     minimize_vertices,
     newton_polyhedron,
+    pair_minimum,
     polyhedron_of_pair,
 )
 
-from conftest import contains, random_singular_pair, staircase_oracle
+from conftest import (
+    contains,
+    coordinate_min,
+    random_singular_pair,
+    scale_exponents,
+    staircase_oracle,
+)
 
 NAMES4 = ["x", "y", "z", "t"]
 FRAME22 = Frame(("x", "y", "z", "t"), (0, 1), (2, 3))
@@ -169,7 +175,7 @@ def test_minimize_idempotent_and_order_independent(rng):
 
 
 # ---------------------------------------------------------------------------
-# delta / coordinate_min
+# delta / pair_minimum
 
 
 def test_delta_of_family_vertex():
@@ -189,24 +195,51 @@ def test_delta_empty_is_infinite():
     assert delta(OrthantPolyhedron(2, ())) == INF
 
 
-def test_coordinate_min_distinguishes_equivalent_pairs():
+def test_pair_minimum_distinguishes_equivalent_pairs():
     for d in (3, 4, 5):
         first, second = equivalent_pairs(d)
-        P1 = polyhedron_of_pair(first, FRAME22)
-        P2 = polyhedron_of_pair(second, FRAME22)
-        assert coordinate_min(P1, 0) == Fraction(d - 1, d)
-        assert coordinate_min(P2, 0) == Fraction(d - 2, d - 1)
+        assert pair_minimum(first, FRAME22.y_indices, (0,)) == Fraction(d - 1, d)
+        assert pair_minimum(second, FRAME22.y_indices, (0,)) == Fraction(d - 2, d - 1)
 
 
-def test_coordinate_min_single_vertex():
-    P = OrthantPolyhedron.from_points(3, [(Fraction(1, 2),) * 3])
+def test_pair_minimum_single_point():
+    # the one point (1/2, 1/2, 1/2) of t^2 + x*y*z along t
+    E = Pair.single([parse_polynomial("t^2 + x*y*z", NAMES4)], 2)
     for i in range(3):
-        assert coordinate_min(P, i) == Fraction(1, 2)
+        assert pair_minimum(E, (3,), (i,)) == Fraction(1, 2)
 
 
-def test_coordinate_min_empty_is_error():
-    with pytest.raises(PreconditionError, match="d_i undefined"):
-        coordinate_min(OrthantPolyhedron(2, ()), 0)
+def test_pair_minimum_of_empty_polyhedron_is_inf():
+    # every term of z^2 + t^3 sits at a level |B| >= 2 along (z, t)
+    E = Pair.single([parse_polynomial("z^2 + t^3", NAMES4)], 2)
+    assert polyhedron_of_pair(E, FRAME22).is_empty()
+    for coords in ((), (0,), (0, 1)):
+        assert pair_minimum(E, FRAME22.y_indices, coords) == INF
+    assert pair_minimum(Pair(()), (), (0,)) == INF
+
+
+def test_pair_minimum_is_the_vertex_minimum():
+    # random u/y splits, a marked variable with fractional exponents, and
+    # every subset of the u-coordinates, the empty one included
+    seen = Counter()
+    for nvars in (2, 3, 4):
+        names = tuple(f"x{i}" for i in range(nvars))
+        for seed in range(25):
+            rng = random.Random(seed)
+            marked = rng.randrange(nvars)
+            E = scale_exponents(random_singular_pair(rng, nvars), marked,
+                                Fraction(1, rng.randint(1, 3)))
+            y = tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
+            u = tuple(i for i in range(nvars) if i not in y)
+            P = polyhedron_of_pair(E, Frame(names, u, y, (("E1", marked),)))
+            for k in range(len(u) + 1):
+                for positions in combinations(range(len(u)), k):
+                    got = pair_minimum(E, y, [u[p] for p in positions])
+                    assert got == coordinate_min(P, positions), (nvars, seed, positions)
+                    assert (got == INF) == P.is_empty()
+                    seen["empty" if P.is_empty() else "point"] += 1
+            seen["fractional"] += any(g.has_fractional_exponent() for g in E.all_generators())
+    assert min(seen.values()) >= 10, seen
 
 
 def test_membership():
