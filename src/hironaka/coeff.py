@@ -98,33 +98,44 @@ def _direction_candidates(n: int, height: int):
             yield vec
 
 
-def _evaluate(f: Polynomial, point) -> Fraction:
-    total = Fraction(0)
+def _evaluate(f: Polynomial, point):
+    """f at an int point, by int powers."""
+    total = 0
     for exps, c in f.terms.items():
-        v = c
         for e, p in zip(exps, point):
             if e:
-                if p == 0:
-                    v = 0
-                    break
-                v *= Fraction(p) ** e
-        total += v
+                c *= p ** e
+        total += c
     return total
 
 
-def _shift_clears(witness: Polynomial, tail: Polynomial, pivot: int) -> bool:
-    """Whether witness(-tail, x') = 0, the pivot-free part of the witness
-    after pivot -> pivot - tail.  Witnesses over 150 terms fail.  The exact
-    value at a fixed point a with pivot coordinate -tail(a) is the value of
-    witness(-tail, x') at a: a nonzero value proves the shift fails, and
-    only a zero value needs the substitution."""
+def _shift_clears(witness: Polynomial, pivot: int) -> bool:
+    """Whether the witness becomes a coordinate by one shift: with L its
+    pivot coefficient, T its pivot-free part and w = witness/L, t = T/L,
+    whether t = 0 or w(-t, x') = 0, the pivot-free part of w after
+    pivot -> pivot - t.  Witnesses over 150 terms with t != 0 fail.
+
+    The screen stays in the witness's own (int) coefficients.  Write the
+    witness as sum_k W_k(x') pivot^k, of pivot degree D.  Then
+
+        L^(D+1) * w(-t, x') = sum_k W_k(x') * (-T(x'))^k * L^(D-k),
+
+    so its value at a fixed int point a' is nonzero exactly when
+    w(-t(a'), a') is: a nonzero value proves the shift fails, and only a
+    zero value needs the substitution."""
+    n = witness.nvars
+    parts = split_by_variables(witness, [pivot])  # (k,) -> W_k
+    if (0,) not in parts:
+        return True
     if len(witness.terms) > 150:
         return False
-    point = [i + 2 for i in range(witness.nvars)]
-    point[pivot] = -_evaluate(tail, point)
-    if _evaluate(witness, point) != 0:
+    point = [i + 2 for i in range(n) if i != pivot]
+    values = {k: _evaluate(part, point) for (k,), part in parts.items()}
+    lead, top, x = parts[(1,)].constant_term(), max(values), -values[0]
+    if sum(v * x ** k * lead ** (top - k) for k, v in values.items()):
         return False
-    return substitute(witness, {pivot: -tail}).is_zero()
+    tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
+    return substitute(witness, {pivot: tail.scale(Fraction(-1) / lead)}).is_zero()
 
 
 def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> MaximalContact:
@@ -140,8 +151,9 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
     the linear change composed with pivot -> pivot - t.  ``_shift_clears``
-    decides w(-t, x') = 0 by an exact probe before any expansion.  After 12
-    failed directions the input is rejected.
+    decides this on the unscaled witness, by an exact int probe before any
+    expansion; only an accepted witness is divided by its pivot
+    coefficient.  After 12 failed directions the input is rejected.
     """
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
@@ -212,10 +224,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
         lead = witness.terms.get(tuple(1 if j == pivot else 0 for j in range(n)))
         if not lead:
             raise InternalError("contact derivative lost the pivot direction")
-        witness = witness.scale(Fraction(1) / lead)
-
-        tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
-        if not tail.is_zero() and not _shift_clears(witness, tail, pivot):
+        if not _shift_clears(witness, pivot):
             failed_screens += 1
             if failed_screens >= 12:
                 raise PreconditionError(
@@ -225,6 +234,8 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
         # the tail is free of the pivot: compose the linear change with
         # pivot -> pivot - tail and rewrite the pair once
+        witness = witness.scale(Fraction(1) / lead)
+        tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
         assignment = change or {}
         if not tail.is_zero():
             shift = {pivot: Polynomial.variable(n, pivot) - tail}

@@ -31,7 +31,7 @@ from itertools import accumulate, chain, combinations_with_replacement
 from operator import add, sub
 
 from .errors import PreconditionError
-from .linalg import eliminate, nullspace, reduce_against, sparse_rref
+from .linalg import clear_denominators, eliminate, nullspace, reduce_against, sparse_rref
 from .pairs import Pair
 from .poly import Polynomial, hasse_derivative, initial_form, ord_at_origin
 
@@ -99,7 +99,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _multiples(g: Polynomial, shifts, index: dict[tuple, int]) -> list[dict[int, Fraction]]:
+def _multiples(g: Polynomial, shifts, index: dict[tuple, int]) -> list[dict]:
     """The rows g*m, one per shift m, over the monomial columns numbered by
     ``index``; terms outside the columns are dropped (truncation)."""
     terms = list(g.terms.items())
@@ -134,7 +134,8 @@ def graded_piece(I: HomIdeal, d: int) -> list[Polynomial]:
     """Row-reduced basis of the degree-d slice of the ideal."""
     index, rows, _ = _piece(I, d)
     monomials = list(index)
-    return [Polynomial._wrap(I.nvars, {monomials[c]: row[c] for c in sorted(row)}) for row in rows]
+    # the rref rows hold Fractions; the constructor stores integral ones as ints
+    return [Polynomial(I.nvars, {monomials[c]: row[c] for c in sorted(row)}) for row in rows]
 
 
 def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
@@ -256,6 +257,10 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     against them, so they are a basis of the row span, and their leads are
     its leads whatever the order of elimination.
 
+    Each generator's denominators are cleared once, which leaves the ideal
+    unchanged, so the rows hold ints and ``linalg.eliminate`` reduces them
+    fraction-free.
+
     ``generators`` must be non-empty; zero polynomials are dropped after the
     number of variables is read off the first one.  More than
     ``HS_MAX_COLUMNS`` columns is a PreconditionError, raised before any row
@@ -287,13 +292,14 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
             raise PreconditionError("Hilbert-Samuel needs integer exponents")
     leads = [0] * k_max  # pivots of each degree
     if gens:
-        first, *rest = [[((sum(e), *e), c) for e, c in g.terms.items()] for g in gens]
+        first, *rest = [[((sum(e), *e), c) for e, c in clear_denominators(g.terms).items()]
+                        for g in gens]
         lead1 = min(first)[0]
         for d in range(lead1[0], k_max):
             leads[d] = math.comb(d - lead1[0] + nvars - 1, nvars - 1)
         owners: dict[tuple, object] = {}  # lead -> its pivot row, or (terms, shift)
 
-        def multiple(terms, shift) -> dict[tuple, Fraction]:
+        def multiple(terms, shift) -> dict[tuple, int]:
             return {tuple(map(add, key, shift)): c for key, c in terms if key[0] + shift[0] < k_max}
 
         def pivot_of(lead):

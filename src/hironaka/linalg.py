@@ -5,29 +5,42 @@ Every elimination reduces dict rows on their smallest key with
 ``eliminate``.  ``sparse_rank`` keeps each row that does not reduce to
 zero as the pivot row of its smallest column index, and ``sparse_rref``
 adds back-substitution on the same rows; ``cone.hilbert_samuel_truncated``
-keys its rows by monomial and builds its pivot rows on demand.  Sparse rows
-hold Fraction values: the elimination copies them as they are, dropping zeros,
-and never coerces an entry (an int pivot would divide into a float).
-``rref``, ``nullspace`` and ``solve`` keep their dense interface (lists of
-rows of any rationals, with Fraction results); they coerce each entry to
-Fraction and drop the zeros at their own boundary.  The reduced form is
-unique, so it does not depend on the order of the input rows.
+keys its rows by monomial and builds its pivot rows on demand.
+
+The elimination is fraction-free: its rows hold ints, and a step replaces
+the row by (p/g)*row - (w/g)*pivot, with p the pivot's lead, w the row's
+entry there and g = gcd(p, w) (just row -= (w/p)*pivot when p divides w):
+integer-preserving elimination as in Bareiss (Math. Comp. 22, 1968), with
+a gcd in place of his exact division.  A row that is left is divided by
+the gcd of its entries.  Scaling a row by a nonzero constant keeps its span
+and its lead, so the pivot columns are those of the dividing elimination.
+Rational rows enter through ``clear_denominators``, which ``_echelon``
+applies to each input row and the Hilbert-Samuel count to each generator.
+Fractions are made only by ``sparse_rref``, which divides each pivot row by
+its int lead as ``Fraction(1) / lead``, and by the back-substitution and
+``reduce_against`` on those reduced rows.  ``rref``, ``nullspace`` and
+``solve`` keep their dense interface (lists of rows of ints and Fractions,
+with Fraction results).  The reduced form is unique, so it does not depend
+on the order of the input rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Row = list[Fraction]
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, int | Fraction]
 
 
-def _sparse(row) -> SparseRow:
-    """A dense row as a sparse one: nonzero entries, coerced to Fraction."""
-    return {c: Fraction(v) for c, v in enumerate(row) if v}
+def clear_denominators(row: dict) -> dict:
+    """The nonzero entries of a row of ints and Fractions times the least
+    common multiple of their denominators: an int row with the same span."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
-def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
+def _subtract(work: SparseRow, factor, row: SparseRow) -> None:
     """work -= factor * row, in place, dropping entries that cancel."""
     for k, v in row.items():
         nv = work.get(k, 0) - factor * v
@@ -38,27 +51,40 @@ def _subtract(work: SparseRow, factor: Fraction, row: SparseRow) -> None:
 
 
 def eliminate(work: dict, pivot_of):
-    """Reduce ``work`` in place on its smallest key against ``pivot_of(key)``,
-    a pivot row whose smallest key is that key (or None when there is none),
-    until it is empty or its smallest key has no pivot row.  Return that key,
-    or None when the row reduced to zero."""
+    """Reduce the int row ``work`` in place on its smallest key against
+    ``pivot_of(key)``, an int pivot row whose smallest key is that key (or
+    None when there is none), until it is empty or its smallest key has no
+    pivot row.  Return that key, or None when the row reduced to zero.
+    Each step is fraction-free (see the module docstring); dividing the row
+    that is left by its content keeps the pivot rows from growing."""
     while work:
         c = min(work)
         pivot = pivot_of(c)
         if pivot is None:
+            content = gcd(*work.values())
+            if content != 1:
+                for k in work:
+                    work[k] //= content
             return c
-        _subtract(work, work[c] / pivot[c], pivot)
+        p, w = pivot[c], work[c]
+        factor, rest = divmod(w, p)
+        if rest:
+            g = gcd(p, w)
+            for k in work:
+                work[k] *= p // g
+            factor = w // g
+        _subtract(work, factor, pivot)
     return None
 
 
 def _echelon(rows) -> dict[int, SparseRow]:
-    """Pivot column -> pivot row.  Each row is eliminated against the pivot
-    rows kept so far; if anything is left, its smallest column is new and
-    the row is kept (unscaled) as that column's pivot row, with no entry
-    left of its pivot column."""
+    """Pivot column -> int pivot row.  Each row, its denominators cleared,
+    is eliminated against the pivot rows kept so far; if anything is left,
+    its smallest column is new and the row is kept as that column's pivot
+    row, with no entry left of its pivot column."""
     pivot_rows: dict[int, SparseRow] = {}
     for row in rows:
-        work = {c: v for c, v in row.items() if v}
+        work = clear_denominators(row)
         c = eliminate(work, pivot_rows.get)
         if c is not None:
             pivot_rows[c] = work
@@ -67,14 +93,15 @@ def _echelon(rows) -> dict[int, SparseRow]:
 
 def sparse_rank(rows: list[SparseRow]) -> list[int]:
     """Pivot columns of a sparse rational matrix (rows as {col: coeff}
-    dicts), in ascending order; their count is the rank."""
+    dicts of ints and Fractions), in ascending order; their count is the
+    rank."""
     return sorted(_echelon(rows))
 
 
 def sparse_rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
-    """Reduced row echelon form of sparse rows and its pivot columns, both
-    ascending by pivot: each row has a leading 1 and no entry in another
-    row's pivot column."""
+    """Reduced row echelon form of sparse rows (ints and Fractions) and its
+    pivot columns, both ascending by pivot: each row has a leading 1 and no
+    entry in another row's pivot column, and holds Fractions."""
     echelon = _echelon(rows)
     pivots = sorted(echelon)
     reduced: dict[int, SparseRow] = {}
@@ -84,7 +111,7 @@ def sparse_rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
         # clearing one of their columns from ``row`` leaves the rest alone
         for qc in [c for c in row if c in reduced]:
             _subtract(row, row[qc], reduced[qc])
-        inv = 1 / row[pc]
+        inv = Fraction(1) / row[pc]
         reduced[pc] = {c: v * inv for c, v in row.items()}
     return [reduced[pc] for pc in pivots], pivots
 
@@ -94,13 +121,13 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     rows = list(rows)
     if not rows:
         return [], []
-    red, pivots = sparse_rref([_sparse(row) for row in rows])
+    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
     return [[row.get(c, Fraction(0)) for c in range(len(rows[0]))] for row in red], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of the right nullspace, in a canonical (rref-derived) form."""
-    red, pivots = sparse_rref([_sparse(row) for row in rows])
+    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Row] = []
     for fc in free:
@@ -132,7 +159,7 @@ def solve(rows, rhs) -> Row | None:
     if not rows:
         return [] if all(x == 0 for x in rhs) else None
     ncols = len(rows[0])
-    red, pivots = sparse_rref([_sparse([*row, bv]) for row, bv in zip(rows, rhs)])
+    red, pivots = sparse_rref([dict(enumerate([*row, bv])) for row, bv in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the constant column: inconsistent
     sol = [Fraction(0)] * ncols

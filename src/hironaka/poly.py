@@ -1,31 +1,37 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict mapping exponent tuples to Fraction coefficients.
-Exponents are nonnegative rationals; integral entries are stored as int so
-that purely polynomial data stays int-keyed.  Fractional exponents are legal
-at this layer (callers restrict them to exceptional-marked variables) but
+A polynomial is a dict mapping exponent tuples to rational coefficients.
+Exponents are nonnegative rationals.  Fractional exponents are legal at
+this layer (callers restrict them to exceptional-marked variables) but
 derivative operators reject them.
 
 The zero polynomial has no terms and order INF.
 
-Normalization invariant: every stored coefficient is a nonzero Fraction,
-and every exponent tuple has the polynomial's arity with each entry a
-nonnegative int, or a Fraction when it is not integral.
+Normalization invariant: every stored coefficient is nonzero, an int when
+it is integral and a Fraction otherwise; every exponent tuple has the
+polynomial's arity with each entry a nonnegative int, or a Fraction when it
+is not integral.  Integral data thus stays in Python ints, whose arithmetic
+needs no gcd.  A coefficient that is neither an int nor a Fraction, such as
+a float or a bool, is a TypeError, never a silent binary fraction.
 
 Normalization happens once, where a polynomial is made from raw input: the
 public constructor establishes the invariant from any mapping (it passes
-Fraction coefficients and nonnegative int exponents through as they are),
-and so do ``monomial`` and the parser, which builds each term in normal
-form.  Everything else builds its result through ``Polynomial._wrap``,
-which trusts the term dict as given: ``zero``, ``constant``, ``variable``,
-sums, negations and scalings, products of int exponents, ``initial_form``
-and ``split_by_variables`` (subsets of normalized terms),
-``hasse_derivative`` (no two terms meet and none cancels),
-``substitute`` and ``divide_by_variable_power``.  Zero coefficients are
-dropped where they arise.  A product with a fractional exponent goes back
+int coefficients and nonnegative int exponents through as they are), and
+so do ``constant``, ``monomial``, ``scale`` and the parser, which builds
+each term in normal form.  Everything else builds its result through
+``Polynomial._wrap``, which trusts the term dict as given: ``zero``,
+``variable``, sums, negations, products of int exponents,
+``initial_form`` and ``split_by_variables`` (subsets of normalized terms),
+``hasse_derivative`` (no two terms meet and none cancels), ``substitute``
+and ``divide_by_variable_power``.  Zero coefficients are dropped where they
+arise.  int*int and int+int are ints, so only a Fraction result can need
+renormalizing, when its denominator is 1: sums check each coefficient that
+two terms add into, and products, scalings and derivatives check their
+term dict once (``_ints``).  A product with a fractional exponent goes back
 through the normalizing constructor, because x^(1/2)*x^(1/2) must store its
 exponent as the int 1; ``divide_by_variable_power`` normalizes the one
-exponent it changes, and ``substitute`` each exponent of a monomial power.
+exponent it changes, and ``substitute`` each exponent of a power of a
+monomial or a binomial.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from functools import cache
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, ProblemParseError
@@ -52,7 +60,27 @@ def _norm_exp(e) -> int | Fraction:
     return int(q) if q.denominator == 1 else q
 
 
-def _add_terms(out: dict[Exponents, Fraction], terms) -> None:
+def _coeff(c) -> int | Fraction:
+    """A coefficient in normal form: an int when integral, else a Fraction.
+    Anything but an int or a Fraction is a TypeError: 1/2 is a float."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ints(terms: dict) -> dict:
+    """``terms`` with each integral Fraction coefficient stored as an int,
+    in place."""
+    if Fraction in set(map(type, terms.values())):
+        for exps, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[exps] = c.numerator
+    return terms
+
+
+def _add_terms(out: dict, terms) -> None:
     """Add (exponents, coefficient) pairs into the term dict ``out``,
     dropping the entries whose coefficients cancel."""
     for exps, c in terms:
@@ -61,10 +89,12 @@ def _add_terms(out: dict[Exponents, Fraction], terms) -> None:
             out[exps] = c
         else:
             acc += c
-            if acc:
-                out[exps] = acc
-            else:
+            if not acc:
                 del out[exps]
+            elif type(acc) is Fraction and acc.denominator == 1:
+                out[exps] = acc.numerator
+            else:
+                out[exps] = acc
 
 
 class Polynomial:
@@ -72,18 +102,18 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int | Fraction] | None = None):
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                c = _coeff(coeff)
                 if not c:
                     continue
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong arity for {nvars} variables")
                 key = tuple(_norm_exp(e) for e in exps)
                 acc = clean.get(key)
-                c = c if acc is None else acc + c
+                c = c if acc is None else _coeff(acc + c)
                 if c == 0:
                     clean.pop(key, None)
                 else:
@@ -92,7 +122,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _wrap(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+    def _wrap(cls, nvars: int, terms: dict[Exponents, int | Fraction]) -> "Polynomial":
         """A polynomial over ``terms`` as given, which must already satisfy
         the normalization invariant (see the module docstring)."""
         poly = object.__new__(cls)
@@ -111,18 +141,18 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        c = Fraction(value)
+        c = _coeff(value)
         return Polynomial._wrap(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
         exps = [0] * nvars
         exps[index] = 1
-        return Polynomial._wrap(nvars, {tuple(exps): Fraction(1)})
+        return Polynomial._wrap(nvars, {tuple(exps): 1})
 
     @staticmethod
     def monomial(nvars: int, exps: Iterable, coeff=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(exps): Fraction(coeff)})
+        return Polynomial(nvars, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -132,17 +162,15 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def has_fractional_exponent(self, index: int | None = None) -> bool:
-        for exps in self.terms:
-            if index is None:
-                if any(not isinstance(e, int) for e in exps):
-                    return True
-            elif not isinstance(exps[index], int):
-                return True
-        return False
+        """Whether some exponent (of the variable ``index``, if given) is
+        a Fraction, by one flat pass over the exponents' types."""
+        exps = (chain.from_iterable(self.terms) if index is None
+                else map(itemgetter(index), self.terms))
+        return Fraction in set(map(type, exps))
 
     def variables_used(self) -> set[int]:
         used: set[int] = set()
@@ -150,7 +178,7 @@ class Polynomial:
             used.update(i for i, e in enumerate(exps) if e != 0)
         return used
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, int | Fraction]]:
         """Terms in graded-lex order (total degree, then exponent tuple)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
@@ -174,7 +202,7 @@ class Polynomial:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int | Fraction] = {}
         other_terms = other.terms.items()
         for ea, ca in self.terms.items():
             for eb, cb in other_terms:
@@ -191,17 +219,16 @@ class Polynomial:
                         del out[key]
         if self.has_fractional_exponent() or other.has_fractional_exponent():
             return Polynomial(self.nvars, out)
-        return Polynomial._wrap(self.nvars, out)
+        return Polynomial._wrap(self.nvars, _ints(out))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not Fraction:
-            c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._wrap(self.nvars, _ints({e: c * v for e, v in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -264,7 +291,7 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
             raise PreconditionError("derivative undefined on fractional variable")
     # distinct exponents stay distinct after subtracting M, and C(D, M) >= 1,
     # so no two terms meet and none cancels
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
         if any(e < m for e, m in zip(exps, M)):
             continue
@@ -273,7 +300,7 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
             if m:
                 w *= math.comb(e, m)
         out[tuple(e - m for e, m in zip(exps, M))] = c * w
-    return Polynomial._wrap(f.nvars, out)
+    return Polynomial._wrap(f.nvars, _ints(out))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +311,11 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     """Exact composite polynomial; variables absent from the map stay fixed.
 
     Only the assigned variables are expanded: the exponents of the others
-    stay in the term key.  The power of a single-term g_i is built in one
-    step, c^e * x^(e*E).  The powers of any other g_i are built once per
-    call, as g_i^(e-1) * g_i, and shared by every term that needs it.
+    stay in the term key.  Each power g_i^e is built once per call and
+    shared by every term that needs it.  The power of a single-term g_i is
+    built in one step, c^e * x^(e*E), and that of a two-term g_i = a + b
+    by the binomial theorem, sum_k C(e, k) a^k b^(e-k).  The powers of any
+    other g_i are built as g_i^(e-1) * g_i.
 
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
@@ -299,27 +328,38 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
             raise ValueError("substitution must preserve the variable list")
     ladders = {i: [assignment[i]] for i in mapped}  # ladders[i][e - 1] = g_i^e
 
+    @cache
     def power(i: int, e) -> Polynomial:
         g = assignment[i]
-        integral = isinstance(e, int)
+        integral = type(e) is int
         if len(g.terms) == 1:
             (gexps, gc), = g.terms.items()
             if not integral and gc != 1:
                 raise PreconditionError(
                     "fractional power of a non-unit monomial substitution"
                 )
+            # a normalized gc stays normalized: p/q with q > 1 has q^e > 1
             scaled = tuple([_norm_exp(ge * e) for ge in gexps])
             return Polynomial._wrap(n, {scaled: gc ** e if integral else gc})
         if not integral:
             raise PreconditionError(
                 "fractional power of a non-monomial substitution"
             )
+        if len(g.terms) == 2:
+            # the terms' exponents differ, so distinct k give distinct keys
+            (ea, ca), (eb, cb) = g.terms.items()
+            terms, binom = {}, 1  # binom = C(e, k)
+            for k in range(e + 1):
+                key = tuple([_norm_exp(x * k + y * (e - k)) for x, y in zip(ea, eb)])
+                terms[key] = binom * ca ** k * cb ** (e - k)
+                binom = binom * (e - k) // (k + 1)
+            return Polynomial._wrap(n, _ints(terms))
         ladder = ladders[i]
         while len(ladder) < e:
             ladder.append(ladder[-1] * g)
         return ladder[e - 1]
 
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
         fixed = tuple(0 if i in assignment else e for i, e in enumerate(exps))
         term = Polynomial._wrap(n, {fixed: c})
@@ -333,7 +373,7 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
     """Exact division by a single variable power; raises if not exact."""
     p = Fraction(power)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
         e = exps[index] - p
         if e < 0:
@@ -352,7 +392,7 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
     zs = list(z_indices)
     zset = set(zs)
     rest = [i for i in range(f.nvars) if i not in zset]
-    out: dict[tuple, dict[Exponents, Fraction]] = {}
+    out: dict[tuple, dict[Exponents, int | Fraction]] = {}
     for exps, c in f.terms.items():
         # terms with equal z-exponents differ in the rest: no two meet
         out.setdefault(tuple(exps[i] for i in zs), {})[tuple(exps[i] for i in rest)] = c
@@ -450,7 +490,7 @@ class _Parser:
         return poly
 
     def parse_sum(self) -> Polynomial:
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, int | Fraction] = {}
         while True:
             sign = 1
             while self.peek() in ("+", "-"):
@@ -460,7 +500,7 @@ class _Parser:
             if self.peek() not in ("+", "-"):
                 return Polynomial._wrap(len(self.names), terms)
 
-    def parse_product(self, coeff: int, terms: dict[Exponents, Fraction]) -> None:
+    def parse_product(self, coeff: int, terms: dict[Exponents, int | Fraction]) -> None:
         """Add ``coeff`` times the next product into ``terms``."""
         exps = [0] * len(self.names)
         compound = None  # the product of the Polynomial factors, if any
@@ -494,7 +534,7 @@ class _Parser:
                 break
         if not coeff:
             return
-        term = {tuple(map(_norm_exp, exps)): Fraction(coeff)}
+        term = {tuple(map(_norm_exp, exps)): _coeff(coeff)}
         if compound is not None:
             term = (compound * Polynomial._wrap(len(self.names), term)).terms
         _add_terms(terms, term.items())

@@ -224,7 +224,7 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap
                       for i in range(n) if vec[i] != 0 or i == pivot}
         witness = hasse_derivative(substitute(f, change) if change else f,
                                    tuple(b - 1 if j == pivot else 0 for j in range(n)))
-        witness = witness.scale(1 / witness.terms[tuple(int(j == pivot) for j in range(n))])
+        witness = witness.scale(Fraction(1) / witness.terms[tuple(int(j == pivot) for j in range(n))])
         removed, current, ok = Polynomial.zero(n), witness, False
         for shifts in range(shift_cap + 1):
             tail = Polynomial(n, {e: c for e, c in current.terms.items() if e[pivot] == 0})
@@ -278,17 +278,19 @@ def test_one_shift_reduction_matches_iteration(monkeypatch, nvars, seeds, height
 
 
 def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
-    # pivot x, probe y = 3: w(-t(3), 3) = 0 although w(-y^2, y) = -y^3*(y - 3)
-    w, tail = p("x + y^2 + x*y*(y - 3)"), p("y^2")
-    assert _evaluate(w, (-9, 3)) == 0
-    assert not _shift_clears(w, tail, 0)
-    # (x + y^2)(1 + x) becomes x*(1 + x - y^2) under x -> x - y^2
-    assert _shift_clears(p("(x + y^2)*(1 + x)"), tail, 0)
-    E = Pair.single([w], 1)
-    for height in (1, 2):
-        monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
-        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
-                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height))
+    # pivot x, probe y = 3, t = y^2/lead: w(-t(3), 3) = 0 although
+    # w(-t, y) = -y^3*(y - 3)/lead^2; with lead 2 the probe's x is -9/2, not an int
+    for lead in (1, 2):
+        w = p(f"{lead}*x + y^2 + x*y*(y - 3)")
+        assert _evaluate(w.scale(Fraction(1, lead)), (Fraction(-9, lead), 3)) == 0
+        assert not _shift_clears(w, 0)
+        # (lead*x + y^2)(1 + x) becomes lead*x*(1 + x - y^2/lead) under x -> x - y^2/lead
+        assert _shift_clears(p(f"({lead}*x + y^2)*(1 + x)"), 0)
+        E = Pair.single([w], 1)
+        for height in (1, 2):
+            monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
+            assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
+                    == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height))
 
 
 # ---------------------------------------------------------------------------

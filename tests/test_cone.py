@@ -518,6 +518,21 @@ def test_hs_matches_the_dense_reference_where_rows_collide(monkeypatch):
     assert len(eliminated) - eliminated.count(None) > 50
 
 
+def test_hs_of_rational_generators_equals_hs_of_the_cleared_ones():
+    rng = random.Random(12)
+    k_cap = {2: 8, 3: 6}
+    for _ in range(30):
+        nvars = rng.randint(2, 3)
+        gens = [Polynomial(nvars, {e: c * Fraction(rng.choice([-1, 1]), rng.randint(1, 6))
+                                   for e, c in g.terms.items()})
+                for g in colliding_ideal(rng, nvars)]
+        cleared = [g.scale(math.lcm(*(c.denominator for c in g.terms.values()))) for g in gens]
+        assert any(type(c) is Fraction for g in gens for c in g.terms.values())
+        k_max = rng.randint(3, k_cap[nvars])
+        got = hilbert_samuel_truncated(gens, k_max)
+        assert got == hilbert_samuel_truncated(cleared, k_max) == hs_dense_reference(cleared, k_max)
+
+
 def hs_per_k_reference(generators, k_max):
     """The former kernel, kept as a reference: a separate elimination for
     every k over the multiples g*m (deg m < k-1) truncated below degree k."""

@@ -7,10 +7,19 @@ exactly on every matrix.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hironaka.linalg import nullspace, reduce_against, rref, solve, sparse_rank, sparse_rref
+from hironaka.linalg import (
+    eliminate,
+    nullspace,
+    reduce_against,
+    rref,
+    solve,
+    sparse_rank,
+    sparse_rref,
+)
 
 
 def dense_rref(rows):
@@ -153,3 +162,64 @@ def test_dense_wrappers_turn_int_rows_into_fractions():
         assert times(rows, vec) == [0, 0, 0]
     entries = [v for row in red for v in row] + x + [v for vec in basis for v in vec]
     assert entries and all(type(v) is Fraction for v in entries)
+
+
+def dividing_echelon(rows):
+    """The elimination the library ran before it went fraction-free: each
+    row, as Fractions, reduced on its smallest column by work -= (w/p)*pivot
+    until that column has no pivot row; pivot column -> pivot row."""
+    pivot_rows = {}
+    for row in rows:
+        work = {c: Fraction(v) for c, v in row.items() if v}
+        while work:
+            c = min(work)
+            pivot = pivot_rows.get(c)
+            if pivot is None:
+                pivot_rows[c] = work
+                break
+            factor = work[c] / pivot[c]
+            for k, v in pivot.items():
+                if nv := work.get(k, 0) - factor * v:
+                    work[k] = nv
+                else:
+                    work.pop(k, None)
+    return pivot_rows
+
+
+def random_int_rows(rng):
+    """Sparse int rows with negative and non-unit entries; some rows are
+    int combinations of earlier ones, so some reduce to zero."""
+    ncols = rng.randint(3, 9)
+    entries = [-6, -4, -3, -2, -1, 1, 2, 3, 5, 9]
+    rows = []
+    for _ in range(rng.randint(2, 12)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.choice(entries), rng.choice(entries)
+            row = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {c: rng.choice(entries) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        if row:
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fraction_free_eliminate_keeps_the_dividing_pivots(seed):
+    rows = random_int_rows(random.Random(5000 + seed))
+    reference = dividing_echelon(rows)
+    pivot_rows = {}
+    for row in rows:
+        work = dict(row)
+        c = eliminate(work, pivot_rows.get)
+        assert all(type(v) is int for v in work.values())
+        if c is not None:
+            assert gcd(*work.values()) == 1  # a kept row is divided by its content
+            pivot_rows[c] = work
+    assert sorted(pivot_rows) == sorted(reference) == sparse_rank(rows)
+    # each kept row is a nonzero multiple of the dividing one
+    for c, row in pivot_rows.items():
+        ref = reference[c]
+        assert row.keys() == ref.keys()
+        assert all(v * ref[c] == ref[k] * row[c] for k, v in row.items())

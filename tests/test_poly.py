@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from hironaka import cli
 from hironaka.cli import parse_problem
+from hironaka.coeff import coefficient_pair
+from hironaka.cone import HomIdeal, graded_piece
+from hironaka.frames import Frame
+from hironaka.pairs import Pair
 from hironaka.errors import PreconditionError, ProblemParseError
 from hironaka.poly import (
     INF,
@@ -73,10 +77,11 @@ def test_ord_multiplicative(fg):
 
 
 def assert_normalized(p: Polynomial):
-    """Every coefficient a nonzero Fraction; every exponent an int when
+    """Every coefficient nonzero, and it and every exponent an int when
     integral and a Fraction otherwise."""
     for exps, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), c
         assert len(exps) == p.nvars
         for e in exps:
             assert type(e) is (int if Fraction(e).denominator == 1 else Fraction), exps
@@ -272,6 +277,39 @@ def test_blowup_of_a_high_monomial_power_takes_no_ladder():
     year = report["trace"]["years"][1]
     assert year["pair"]["components"][0]["gens"] == ["z^2 + x^10000001*y^10000000"]
     assert year["exceptional"] == [{"id": "E1", "variable": "x", "d": "10000001/2", "birth": 1}]
+
+
+def test_invariant_of_a_high_binomial_power_takes_no_ladder():
+    # after the blow-up, the contact search applies x1 -> x1 - x0 to y^400:
+    # the binomial theorem builds (y - x)^400 in one step, where the
+    # multiplication ladder needs O(e^2) term products (seconds)
+    problem = parse_problem(json.dumps({
+        "variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+        "pair": {"components": [{"gens": ["z^2 + x^3*y^400"], "b": "2"}]},
+        "script": {"steps": [{"center": ["x", "y", "z"], "chart": "x"}]},
+    }))
+    start = time.perf_counter()
+    report = cli.run(problem, "invariant")
+    assert time.perf_counter() - start < 0.5
+    assert report["invariant"]["entries"] == [{"nu": "200", "s": 1}, {"nu": "1", "s": 0}]
+
+
+def test_binomial_power_matches_repeated_multiplication():
+    half = Fraction(1, 2)
+    for g in (p2("x - y"), p2("2/3*x + 5"), Polynomial(2, {(half, 0): Fraction(-1, 2), (0, 1): 3})):
+        f = Polynomial.constant(2, 1)
+        for e in range(13):
+            got = substitute(Polynomial.monomial(2, (0, e), Fraction(1, 3)), {1: g})
+            assert_normalized(got)
+            assert got == f.scale(Fraction(1, 3))
+            f = f * g
+
+
+def test_float_and_bool_coefficients_are_refused():
+    for make in (lambda: Polynomial(1, {(1,): 0.5}), lambda: p2("x").scale(0.5),
+                 lambda: Polynomial.constant(1, 0.5), lambda: Polynomial.constant(1, True)):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            make()
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +516,13 @@ def test_corpus_generators_parse_like_the_reference():
 @settings(max_examples=100, deadline=None)
 def test_kernels_return_normal_form(f, i, c, exps):
     halves = {j for j in range(3) if f.has_fractional_exponent(j)}
+    # f with its exponents rounded up: integer exponents for the graded
+    # pieces and the coefficient expansion
+    g = raw_sum(3, ((tuple(map(math.ceil, e)), v) for e, v in f.terms.items()))
+    den = math.lcm(*(v.denominator for v in f.terms.values()))
     outputs = [
+        # a Fraction that makes every coefficient integral
+        f.scale(Fraction(den)), f.scale(c).scale(Fraction(1) / c) if c else f,
         Polynomial.variable(3, i), Polynomial.constant(3, c), Polynomial.monomial(3, exps, c),
         initial_form(f, ord_at_origin(f) if not f.is_zero() else 0),
         hasse_derivative(f, tuple(0 if j in halves else 1 + (j == i) for j in range(3))),
@@ -492,5 +536,10 @@ def test_kernels_return_normal_form(f, i, c, exps):
         low = min(e[i] for e in f.terms)
         outputs.append(divide_by_variable_power(f, i, low))
         outputs.append(divide_by_variable_power(f, i, Fraction(low)))
+    if not g.is_zero():
+        form = initial_form(g, ord_at_origin(g))
+        outputs += graded_piece(HomIdeal(3, (form,)), ord_at_origin(g) + 1)
+        frame = Frame(("x", "y", "z"), (0, 1), (2,))
+        outputs += coefficient_pair(Pair.single([g], 2), frame, [i]).all_generators()
     for p in outputs:
         assert_normalized(p)
