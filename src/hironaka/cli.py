@@ -105,6 +105,8 @@ def parse_problem(source) -> Problem:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal past the digit limit
         raise ProblemParseError(f"problem file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemParseError("problem file is nested too deeply") from None
     return problem_from_data(data)
 
 

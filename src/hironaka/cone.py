@@ -140,17 +140,12 @@ def graded_piece(I: HomIdeal, d: int) -> list[Polynomial]:
 
 def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
     """Exact membership of a homogeneous polynomial in the ideal."""
-    return _member(partial(_piece, I), f)
-
-
-def _member(piece_of, f: Polynomial) -> bool:
-    """Membership of f, with ``piece_of(d)`` the ``_piece`` of degree d."""
     if f.is_zero():
         return True
     degs = {sum(e) for e in f.terms}
     if len(degs) != 1:
         raise PreconditionError("membership test expects a homogeneous polynomial")
-    return not _residue(piece_of(degs.pop()), f)
+    return not _residue(_piece(I, degs.pop()), f)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ class InvariantVector:
 
 @dataclass(frozen=True)
 class PipelineState:
-    r: int
     pair: Pair
     frame: Frame
     exdata: ExceptionalData
@@ -92,11 +91,8 @@ class Terminal:
 
 @dataclass(frozen=True)
 class StepResult:
-    mu: object
-    mu_by_divisor: tuple[tuple[str, Fraction], ...]
     nu: object
     outcome: object                    # PipelineState | Terminal
-    exceptional_factor: Polynomial | None
 
 
 def _by_index(frame: Frame, names) -> tuple[str, ...]:
@@ -206,14 +202,13 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
 
     consumed = state.consumed + (frame.variables[z_indices[-1]],)
     if nu == INF:
-        return StepResult(mu, mus, nu, Terminal(INF, consumed, None), None)
+        return StepResult(nu, Terminal(INF, consumed, None))
     if nu == 0:
         D = _exceptional_monomial(new_frame, mus)
         monomial = format_polynomial(D, list(new_frame.variables))
-        return StepResult(mu, mus, nu, Terminal(Fraction(0), None, monomial), D)
+        return StepResult(nu, Terminal(Fraction(0), None, monomial))
 
     next_state = PipelineState(
-        r=state.r + 1,
         pair=companion_pair(H, new_frame, mus, nu),
         frame=new_frame,
         exdata=exdata,
@@ -221,7 +216,7 @@ def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
         pending=pending,
         adjoin=(),
     )
-    return StepResult(mu, mus, nu, next_state, None)
+    return StepResult(nu, next_state)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
         raise PreconditionError("point not in Sing")
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
     cur = base = PipelineState(
-        r=1, pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
+        pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
         consumed=(), pending=(), adjoin=(),
     )
     tokens: list = [hs.dims]
@@ -273,10 +268,8 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
             if len(pending) > 1:
                 # forced unit step: another adjoined divisor remains
                 deferred.append(pending[0])
-                cur = replace(
-                    cur, r=cur.r + 1, pending=pending[1:], adjoin=(),
-                    consumed=cur.consumed + pending[:1],
-                )
+                cur = replace(cur, pending=pending[1:], adjoin=(),
+                              consumed=cur.consumed + pending[:1])
                 tokens.append(Fraction(1))
                 continue
             deferred.extend(pending)

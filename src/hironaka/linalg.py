@@ -1,13 +1,14 @@
-"""Exact rational linear algebra: one sparse elimination, nullspaces, a tiny
-simplex-based LP feasibility test.
+"""Exact rational linear algebra on dict rows: one sparse elimination,
+nullspaces and an LP feasibility test.
 
-Every elimination reduces dict rows on their smallest key with
-``eliminate``.  ``sparse_rank`` keeps each row that does not reduce to
+Every elimination, the LP included, reduces dict rows with ``_subtract``.
+The rank and reduced forms reduce each row on its smallest key with
+``eliminate``: ``sparse_rank`` keeps each row that does not reduce to
 zero as the pivot row of its smallest column index, and ``sparse_rref``
 adds back-substitution on the same rows; ``cone.hilbert_samuel_truncated``
 keys its rows by monomial and builds its pivot rows on demand.
 
-The elimination is fraction-free: its rows hold ints, and a step replaces
+``eliminate`` is fraction-free: its rows hold ints, and a step replaces
 the row by (p/g)*row - (w/g)*pivot, with p the pivot's lead, w the row's
 entry there and g = gcd(p, w) (just row -= (w/p)*pivot when p divides w):
 integer-preserving elimination as in Bareiss (Math. Comp. 22, 1968), with
@@ -17,11 +18,12 @@ and its lead, so the pivot columns are those of the dividing elimination.
 Rational rows enter through ``clear_denominators``, which ``_echelon``
 applies to each input row and the Hilbert-Samuel count to each generator.
 Fractions are made only by ``sparse_rref``, which divides each pivot row by
-its int lead as ``Fraction(1) / lead``, and by the back-substitution and
-``reduce_against`` on those reduced rows.  ``rref``, ``nullspace`` and
-``solve`` keep their dense interface (lists of rows of ints and Fractions,
-with Fraction results).  The reduced form is unique, so it does not depend
-on the order of the input rows.
+its int lead as ``Fraction(1) / lead``, by the back-substitution and
+``reduce_against`` on those reduced rows, and by the simplex pivots of
+``lp_feasible``.  ``rref``, ``nullspace`` and ``solve`` keep their dense
+interface (lists of rows of ints and Fractions, with Fraction results).
+The reduced form is unique, so it does not depend on the order of the
+input rows.
 """
 
 from __future__ import annotations
@@ -169,67 +171,41 @@ def solve(rows, rhs) -> Row | None:
 
 
 def lp_feasible(A: list[Row], b: Row) -> bool:
-    """Exact feasibility of {x >= 0 : A x = b} via phase-1 simplex.
-
-    Rows are first sign-normalized so b >= 0; Bland's rule guarantees
-    termination.  Sizes here are tiny (tens of columns).
-    """
+    """Exact feasibility of {x >= 0 : A x = b}: phase-1 simplex on dict rows
+    with Bland's rule.  Rows are negated where b < 0; keys 0..n-1 are the
+    columns of A, n..n+m-1 the artificial variables, n+m the right-hand side.
+    The row ``cost`` holds the reduced costs of minimizing the sum of the
+    artificials and, at n+m, minus that sum: feasible iff it ends at 0."""
     m = len(A)
-    if m == 0:
-        return True
-    n = len(A[0])
-    tab: list[Row] = []
-    rhs: list[Fraction] = []
-    for row, bv in zip(A, b):
-        bv = Fraction(bv)
-        r = [Fraction(x) for x in row]
-        if bv < 0:
-            r = [-x for x in r]
-            bv = -bv
-        tab.append(r)
-        rhs.append(bv)
-    # artificial variables occupy columns n .. n+m-1
-    for i in range(m):
-        tab[i] = tab[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-    basis = list(range(n, n + m))
-    # objective: minimize the sum of artificial variables
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    n = len(A[0]) if A else 0
+    rhs = n + m
+    rows: list[SparseRow] = []
+    cost: SparseRow = {}
+    for i, (row, bv) in enumerate(zip(A, b)):
+        sign = -1 if bv < 0 else 1
+        # Fractions throughout: the pivot divides, and 1 / int is a float
+        work = {j: Fraction(sign * v) for j, v in enumerate(row) if v}
+        if bv:
+            work[rhs] = Fraction(sign * bv)
+        _subtract(cost, 1, work)
+        work[n + i] = Fraction(1)
+        rows.append(work)
+    basis = list(range(n, rhs))
     while True:
-        # recompute reduced costs from scratch; instances are tiny
-        z = [Fraction(0)] * (n + m)
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        z[j] += cb * tab[i][j]
-        entering = next(
-            (j for j in range(n + m) if cost[j] - z[j] < 0), None
-        )  # Bland: smallest index
+        entering = min((j for j, v in cost.items() if j < rhs and v < 0), default=None)
         if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = rhs[i] / tab[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            break  # defensive: phase 1 is always bounded
-        piv = tab[leaving][entering]
-        tab[leaving] = [x / piv for x in tab[leaving]]
-        rhs[leaving] = rhs[leaving] / piv
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leaving])]
-                rhs[i] = rhs[i] - f * rhs[leaving]
+            return not cost.get(rhs)
+        # phase 1 is bounded below by 0, so some row has a positive entry in
+        # the entering column; Bland breaks ties by the smallest basic column
+        leaving = min(
+            (i for i, row in enumerate(rows) if row.get(entering, 0) > 0),
+            key=lambda i: (rows[i].get(rhs, 0) / rows[i][entering], basis[i]),
+        )
+        pivot = rows[leaving]
+        lead = pivot[entering]
+        for j in pivot:
+            pivot[j] /= lead
+        for row in (*rows, cost):
+            if row is not pivot and entering in row:
+                _subtract(row, row[entering], pivot)
         basis[leaving] = entering
-    obj = sum(rhs[i] for i in range(m) if basis[i] >= n)
-    return obj == 0

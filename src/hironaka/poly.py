@@ -11,8 +11,9 @@ Normalization invariant: every stored coefficient is nonzero, an int when
 it is integral and a Fraction otherwise; every exponent tuple has the
 polynomial's arity with each entry a nonnegative int, or a Fraction when it
 is not integral.  Integral data thus stays in Python ints, whose arithmetic
-needs no gcd.  A coefficient that is neither an int nor a Fraction, such as
-a float or a bool, is a TypeError, never a silent binary fraction.
+needs no gcd.  A coefficient or an exponent that is neither an int nor a
+Fraction, such as a float or a bool, is a TypeError, never a silent binary
+fraction.
 
 Normalization happens once, where a polynomial is made from raw input: the
 public constructor establishes the invariant from any mapping (it passes
@@ -52,12 +53,15 @@ Exponents = tuple  # length-nvars tuple of int | Fraction
 
 
 def _norm_exp(e) -> int | Fraction:
+    """An exponent in normal form, refused like a coefficient (``_coeff``)
+    when it is not an int or a Fraction, and a ValueError when negative."""
     if type(e) is int and e >= 0:
         return e
-    q = Fraction(e)
-    if q < 0:
+    if type(e) is not int and type(e) is not Fraction:
+        raise TypeError(f"exponent {e!r} is not an int or a Fraction")
+    if e < 0:
         raise ValueError(f"negative exponent {e}")
-    return int(q) if q.denominator == 1 else q
+    return e.numerator if e.denominator == 1 else e
 
 
 def _coeff(c) -> int | Fraction:
@@ -372,7 +376,7 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
 
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
     """Exact division by a single variable power; raises if not exact."""
-    p = Fraction(power)
+    p = _norm_exp(power)
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
         e = exps[index] - p
@@ -614,4 +618,7 @@ def parse_polynomial(
     text: str, names: list[str], fractional_ok: Iterable[int] = ()
 ) -> Polynomial:
     """Parse terms like ``3/2*x^2*y - x + y^(5/2)`` over declared variables."""
-    return _Parser(text, names, set(fractional_ok)).parse()
+    try:
+        return _Parser(text, names, set(fractional_ok)).parse()
+    except RecursionError:
+        raise ProblemParseError("polynomial is nested too deeply") from None

@@ -38,26 +38,19 @@ def dominates(p: Point, q: Point) -> bool:
 
 
 def point_in_hull_orthant(p: Point, points: list[Point]) -> bool:
-    """Exact test for p in conv(points) + R^e_{>=0}."""
+    """Exact test for p in conv(points) + R^e_{>=0}: p dominates one of
+    ``points``, or ``lp_feasible`` finds weights lambda_i >= 0 with sum 1
+    and a slack s >= 0 with sum_i lambda_i q_i + s = p, e + 1 equality rows
+    over the columns (lambda, s)."""
     if not points:
         return False
     for q in points:
         if dominates(p, q):
             return True
     e = len(p)
-    k = len(points)
-    # lambda_i >= 0, slack_j >= 0:  sum_i lambda_i q_i + slack = p, sum lambda = 1
-    rows = []
-    rhs = []
-    for j in range(e):
-        row = [Fraction(q[j]) for q in points] + [
-            Fraction(1) if s == j else Fraction(0) for s in range(e)
-        ]
-        rows.append(row)
-        rhs.append(Fraction(p[j]))
-    rows.append([Fraction(1)] * k + [Fraction(0)] * e)
-    rhs.append(Fraction(1))
-    return lp_feasible(rows, rhs)
+    rows = [[q[j] for q in points] + [int(s == j) for s in range(e)] for j in range(e)]
+    rows.append([1] * len(points) + [0] * e)
+    return lp_feasible(rows, [*p, 1])
 
 
 def minimize_vertices(points) -> list[Point]:

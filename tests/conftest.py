@@ -12,6 +12,8 @@ builds every factor as a Polynomial and combines them with Polynomial
 arithmetic.
 ``coordinate_min`` is the vertex-side reference for
 ``polyhedra.pair_minimum``, which the library reads off the raw points.
+``basic_solution_oracle`` decides LP feasibility from basic solutions,
+each solved by sympy, without a simplex.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
 """
 
@@ -21,7 +23,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,32 @@ def staircase_oracle(points):
                 break
         hull.append(p)
     return sorted(hull)
+
+
+# ---------------------------------------------------------------------------
+# LP feasibility from basic solutions
+
+
+def basic_solution_oracle(A, b) -> bool:
+    """Feasibility of {x >= 0 : A x = b}: b = 0, or some linearly
+    independent columns S give A_S x = b with x >= 0.  Such an S extends to
+    a basis of the column space, so only the column sets of size rank(A)
+    are solved; a set with a free parameter is dependent."""
+    if not any(b):
+        return True
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(A)
+    rank = M.rank()
+    if M.row_join(sympy.Matrix(b)).rank() > rank:
+        return False
+    for S in combinations(range(M.cols), rank):
+        try:
+            x, params = M.extract(list(range(M.rows)), list(S)).gauss_jordan_solve(sympy.Matrix(b))
+        except ValueError:  # b is not in the span of these columns
+            continue
+        if not params and all(v >= 0 for v in x):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

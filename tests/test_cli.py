@@ -157,6 +157,21 @@ def test_rationals_past_the_digit_limit_are_parse_errors(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main([str(path), "hs"]) == 3
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("depth, code", [(300, 0), (400, 3)])
+def test_deeply_parenthesized_generator(tmp_path, capsys, depth, code):
+    gen = "(" * depth + "x" + ")" * depth + "^2"
+    data = {"variables": ["x", "y"], "pair": {"components": [{"gens": [gen], "b": "2"}]}}
+    assert call(tmp_path, data, "hs") == code
+    assert capsys.readouterr().err.startswith("parse error: ") == (code == 3)
+
+
 def test_rationals_are_integers_or_fraction_strings(tmp_path, capsys):
     assert cli.problem_from_data(with_b("+4/2")).pair.components[0].weight == 2
     assert cli.problem_from_data(with_d("3/2")).state.exdata.entries[0].d == Fraction(3, 2)

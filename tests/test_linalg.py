@@ -1,11 +1,14 @@
-"""The sparse elimination kernel against a dense Gauss-Jordan reference.
+"""The sparse elimination kernel against a dense Gauss-Jordan reference,
+and the LP against basic solutions.
 
 ``dense_rref`` is the dense elimination the library used before it kept a
 single sparse one; reduced row echelon form is unique, so both must agree
-exactly on every matrix.
+exactly on every matrix.  ``lp_feasible`` must agree with
+``conftest.basic_solution_oracle``, which solves no LP.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +16,7 @@ import pytest
 
 from hironaka.linalg import (
     eliminate,
+    lp_feasible,
     nullspace,
     reduce_against,
     rref,
@@ -20,6 +24,8 @@ from hironaka.linalg import (
     sparse_rank,
     sparse_rref,
 )
+
+from conftest import basic_solution_oracle
 
 
 def dense_rref(rows):
@@ -223,3 +229,41 @@ def test_fraction_free_eliminate_keeps_the_dividing_pivots(seed):
         ref = reference[c]
         assert row.keys() == ref.keys()
         assert all(v * ref[c] == ref[k] * row[c] for k, v in row.items())
+
+
+def random_lp(rng):
+    """A system A x = b (m <= 4, n <= 6, rational entries) of one of the
+    shapes the LP must decide: as drawn (b of either sign), b = 0, a zero
+    row, a redundant row, feasible by construction, or infeasible by a
+    row with nonnegative entries and a negative b."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    A = [[random_entry(rng, 0.7) for _ in range(n)] for _ in range(m)]
+    b = [random_entry(rng, 0.8) for _ in range(m)]
+    kind = rng.randrange(6)
+    if kind == 1:
+        b = [0] * m
+    elif kind == 2:
+        A[rng.randrange(m)] = [0] * n
+    elif kind == 3 and m >= 3:
+        i, j, k = rng.sample(range(m), 3)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        A[k] = [x + c * y for x, y in zip(A[i], A[j])]
+        b[k] = b[i] + c * b[j]
+    elif kind == 4:
+        x0 = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    elif kind == 5:
+        A[0] = [abs(a) for a in A[0]]
+        b[0] = -Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return A, b
+
+
+def test_lp_feasible_matches_the_basic_solution_oracle():
+    rng = random.Random(6000)
+    answers = Counter()
+    for _ in range(300):
+        A, b = random_lp(rng)
+        answer = lp_feasible(A, b)
+        assert answer == basic_solution_oracle(A, b), (A, b)
+        answers[answer] += 1
+    assert min(answers.values()) >= 60, answers

@@ -307,8 +307,15 @@ def test_binomial_power_matches_repeated_multiplication():
 
 def test_float_and_bool_coefficients_are_refused():
     for make in (lambda: Polynomial(1, {(1,): 0.5}), lambda: p2("x").scale(0.5),
-                 lambda: Polynomial.constant(1, 0.5), lambda: Polynomial.constant(1, True)):
+                 lambda: Polynomial.constant(1, 0.5), lambda: Polynomial.constant(1, True),
+                 lambda: Polynomial(1, {(0.5,): 1}), lambda: Polynomial(1, {(True,): 1}),
+                 lambda: divide_by_variable_power(p2("x"), 0, 0.1),
+                 lambda: divide_by_variable_power(p2("x"), 0, True)):
         with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            make()
+    for make in (lambda: Polynomial(1, {(-1,): 1}), lambda: Polynomial(1, {(Fraction(-1, 2),): 1}),
+                 lambda: divide_by_variable_power(p2("x"), 0, -1)):
+        with pytest.raises(ValueError, match="negative exponent"):
             make()
 
 

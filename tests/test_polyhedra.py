@@ -16,6 +16,7 @@ from hironaka.polyhedra import (
 )
 
 from conftest import (
+    basic_solution_oracle,
     contains,
     coordinate_min,
     random_singular_pair,
@@ -159,6 +160,29 @@ def test_minimize_matches_staircase_oracle(rng):
             for _ in range(rng.randint(1, 9))
         ]
         assert minimize_vertices(pts) == staircase_oracle(pts)
+
+
+def outside_hull_orthant(p, others) -> bool:
+    """p outside conv(others) + orthant: no weights lambda >= 0 with sum 1
+    and slack s >= 0 give sum lambda_i q_i + s = p, by the oracle."""
+    e = len(p)
+    rows = [[q[j] for q in others] + [int(s == j) for s in range(e)] for j in range(e)]
+    rows.append([1] * len(others) + [0] * e)
+    return not basic_solution_oracle(rows, [*p, 1])
+
+
+def test_minimize_matches_the_lp_oracle_in_3_and_4_dimensions(rng):
+    for dim, most in [(3, 5)] * 15 + [(4, 4)] * 10:
+        base = [tuple(Fraction(rng.randint(0, 6)) for _ in range(dim))
+                for _ in range(rng.randint(2, most - 1))]
+        # a convex combination of base points, maybe shifted up one axis:
+        # mostly undominated, so the LP and not the dominance test drops it
+        weights = [Fraction(rng.randint(1, 3)) for _ in base]
+        mix = [sum(w * q[j] for w, q in zip(weights, base)) / sum(weights) for j in range(dim)]
+        mix[rng.randrange(dim)] += Fraction(rng.randint(0, 1), 2)
+        pts = sorted(set(base) | {tuple(mix)})
+        kept = [p for p in pts if outside_hull_orthant(p, [q for q in pts if q != p])]
+        assert minimize_vertices(pts) == kept, pts
 
 
 def test_minimize_idempotent_and_order_independent(rng):
