@@ -94,13 +94,16 @@ def _typed(value, kind: type, where: str, item: type | None = None):
 
 def parse_problem(source) -> Problem:
     """Parse a problem from a path, a file object, or a JSON string."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = str(source)
+            if not text.lstrip().startswith("{"):
+                with open(text, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemParseError(f"cannot read the problem: {exc}") from None
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal past the digit limit

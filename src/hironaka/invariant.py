@@ -8,10 +8,12 @@ order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
 Every step ends in the same tail (``_descend``): coefficient pair, mu,
 mu_H, nu, then a terminal case or the companion pair.  mu and each mu_H
-are ``polyhedra.pair_minimum`` of the coefficient pair.  Along a trace each
-year is evaluated once, oldest first (``_evaluate``): a divisor is old at
-step r when it was born no later than the first earlier year whose
-comparison tokens (hs, s1, nu2, s2, ...) start with the current ones.
+are ``polyhedra.pair_minimum`` of the coefficient pair.  Along a trace a
+divisor is old at step r when it was born no later than the first earlier
+year whose comparison tokens (hs, s1, nu2, s2, ...) start with the current
+ones, as in Bierstone-Milman.  So an earlier year is read token by token,
+only to the depth that s_r compares it (``_evaluate``), and an error it
+would meet past that depth is not raised.
 
 Nothing is cross-checked at run time.  The tests hold the independent
 checks: the paper's theorem (the first nu after the forced unit steps is
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .coeff import coefficient_pair, find_maximal_contact
 from .errors import InternalError, PreconditionError
@@ -234,31 +237,33 @@ def _pipeline_frame(state: PairWithHistory) -> Frame:
     return Frame(fr.variables, tuple(range(fr.nvars)), (), fr.exceptional)
 
 
-def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool):
-    """Evaluate one year against the tokens of the years before it.
+def _drive(state: PairWithHistory, older, opts: Options, fast: bool):
+    """Evaluate one year, whose point is singular, against the earlier
+    years ``older`` (``_Year`` objects, oldest first).
 
-    Returns the vector, one partition record (s_r, E^r ids, remaining ids)
-    per step, and the year's own comparison tokens
-    (hs dims, s1, nu2, s2, ..., terminal).
+    A generator: it yields the year's comparison tokens (hs dims, s1, nu2,
+    s2, ..., terminal) one by one, each as soon as it is known, and returns
+    the vector and one partition record (s_r, E^r ids, remaining ids) per
+    step.
     """
-    if not is_singular_at_origin(state.pair):
-        raise PreconditionError("point not in Sing")
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
     cur = base = PipelineState(
         pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
         consumed=(), pending=(), adjoin=(),
     )
     tokens: list = [hs.dims]
+    yield hs.dims
     records: list = []
     deferred: list[str] = []  # fast path: contacts of the current forced run
 
     while True:
-        i_r = _first_matching_year(tokens, year_tokens)
+        i_r = _first_matching_year(tokens, older)
         placed = cur.exdata.placed(cur.frame)
         Er = {e.divisor_id: idx for e, idx in placed if e.birth_year <= i_r}
         remaining = tuple(e.divisor_id for e, _ in placed if e.birth_year > i_r)
         records.append((len(Er), tuple(Er), remaining))
         tokens.append(len(Er))
+        yield len(Er)
         adjoin = tuple(cur.frame.variables[Er[div_id]] for div_id in sorted(Er))
         kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e.divisor_id not in Er))
         cur = replace(cur, exdata=kept, adjoin=adjoin)
@@ -271,6 +276,7 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
                 cur = replace(cur, pending=pending[1:], adjoin=(),
                               consumed=cur.consumed + pending[:1])
                 tokens.append(Fraction(1))
+                yield Fraction(1)
                 continue
             deferred.extend(pending)
         step = _deferred_step(base, cur, deferred) if deferred else invariant_step(cur)
@@ -278,45 +284,70 @@ def _drive(state: PairWithHistory, year_tokens: list, opts: Options, fast: bool)
 
         if isinstance(step.outcome, Terminal):
             tokens.append(step.outcome.nu)
+            yield step.outcome.nu
             break
         tokens.append(step.nu)
+        yield step.nu
         cur = base = step.outcome
 
     steps = tokens[2:-1]  # nu2, s2, nu3, s3, ...
     entries = tuple(InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2]))
     end = step.outcome
     vec = InvariantVector(hs, tokens[1], entries, end.nu, end.center, end.monomial)
-    return vec, records, tuple(tokens)
+    return vec, records
 
 
-def _first_matching_year(tokens: list, year_tokens: list) -> int:
-    """The first year whose tokens start with ``tokens``; len(year_tokens)
-    when there is none."""
-    mine = tuple(tokens)
-    for k, theirs in enumerate(year_tokens):
-        if theirs is not None and theirs[: len(mine)] == mine:
+class _Year:
+    """An earlier year of a trace, read lazily: its tokens are computed
+    only as far as a comparison asks for them."""
+
+    def __init__(self, state: PairWithHistory, older: tuple, opts: Options, fast: bool):
+        self.tokens: list = []
+        # a year whose point is no longer singular has no tokens
+        self._steps = (_drive(state, older, opts, fast)
+                       if is_singular_at_origin(state.pair) else iter(()))
+
+    def token(self, i: int):
+        """Token i, computed now if it is not known yet; None past the end."""
+        self.tokens.extend(islice(self._steps, max(0, i + 1 - len(self.tokens))))
+        return self.tokens[i] if i < len(self.tokens) else None
+
+
+def _first_matching_year(tokens: list, older) -> int:
+    """The first earlier year whose tokens start with ``tokens``;
+    len(older) when there is none.  A year is read token by token and only
+    while it agrees, so token i is computed only after 0..i-1 matched.
+
+    A read never nests more than one year deep, so a long trace needs no
+    deep recursion: the scan that asks year k for token i has already read
+    every year before k as far as year k's own scans will read them."""
+    for k, year in enumerate(older):
+        if all(year.token(i) == tok for i, tok in enumerate(tokens)):
             return k
-    return len(year_tokens)
+    return len(older)
 
 
 def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None,
               fast: bool):
-    """One pass over the trace, oldest year first: each year is driven once,
-    against the tokens of the years before it (None for a year whose point
-    is no longer singular).  Returns the final year's vector and partition
-    records.  Without a trace ``state`` is the only year."""
+    """The final year's vector and partition records.  The earlier years
+    are created undriven and read only to the depth that s_r compares, as
+    in Bierstone-Milman: an error of an earlier year past that depth is not
+    raised.  Without a trace ``state`` is the only year."""
     opts = opts or Options()
     if trace is not None and state != trace.final:
         raise PreconditionError("the state must be the final year of the trace")
     years = [rec.state for rec in trace.years] if trace is not None else [state]
-    year_tokens: list = []
+    if not is_singular_at_origin(state.pair):
+        raise PreconditionError("point not in Sing")
+    older: list[_Year] = []
     for year in years[:-1]:
-        if is_singular_at_origin(year.pair):
-            year_tokens.append(_drive(year, year_tokens, opts, fast)[2])
-        else:
-            year_tokens.append(None)
-    vec, records, _ = _drive(years[-1], year_tokens, opts, fast)
-    return vec, records
+        older.append(_Year(year, tuple(older), opts, fast))
+    steps = _drive(state, older, opts, fast)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +361,10 @@ def compute_invariant(
     descent.  Nothing is cross-checked at run time.
 
     With a trace, ``state`` must equal ``trace.final``, otherwise
-    PreconditionError.  Every year of the trace is then evaluated once,
-    oldest first, and each s_r counts the divisors born no later than the
-    first year whose invariant agrees with the final one so far.
+    PreconditionError.  Each s_r then counts the divisors born no later
+    than the first year whose invariant agrees with the final one so far;
+    an earlier year is evaluated only to the depth that this comparison
+    reads, and an error past that depth is not raised.
     """
     return _evaluate(state, trace, opts, fast=False)[0]
 
@@ -352,7 +384,9 @@ def fast_path_invariant(
 
 def s_partition(trace: Trace, opts: Options | None = None):
     """The old/new split of the exceptional divisors at the final point:
-    one (s_i, E^i ids, remaining ids) triple per pipeline step."""
+    one (s_i, E^i ids, remaining ids) triple per pipeline step.  Earlier
+    years are read as in ``compute_invariant``: only to the depth that s_i
+    compares, so an error past that depth is not raised."""
     return _evaluate(trace.final, trace, opts, fast=False)[1]
 
 

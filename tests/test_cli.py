@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +163,24 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert cli.main([str(path), "hs"]) == 3
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "utf-16 mark"])
+def test_unreadable_problem_files_are_parse_errors(tmp_path, capsys, make):
+    path = tmp_path / "problem.json"
+    if make == "directory":
+        path.mkdir()
+    elif make == "utf-16 mark":
+        path.write_bytes(b"\xff\xfe" + json.dumps(A3_BLOWN_UP).encode("utf-16-le"))
+    assert cli.main([str(path), "hs"]) == 3
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_undecodable_stdin_is_a_parse_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert cli.main(["-", "hs"]) == 3
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
