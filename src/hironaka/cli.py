@@ -10,6 +10,8 @@ char-poly, delta, d-i, nu, directrix, hs, coeff, blowup, run-lsb and
 invariant.  ``run(..., fast=True)`` computes the invariant by the fast
 path, the differential reference.  Options come from the problem file only:
 its ``options`` keys are fields of ``invariant.Options``, nothing else.
+Every other object of a problem file has a fixed set of keys too, and an
+unknown key is a parse error naming the object.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ def _typed(value, kind: type, where: str, item: type | None = None):
     return value
 
 
+def _known(obj: dict, allowed: str, where: str) -> dict:
+    """``obj`` unchanged when each of its keys is one of the space-separated
+    ``allowed``; else ProblemParseError naming ``where`` and the first
+    unknown key."""
+    unknown = sorted(set(obj) - set(allowed.split()))
+    if unknown:
+        raise ProblemParseError(f"{where}: unknown field {unknown[0]!r}")
+    return obj
+
+
 def parse_problem(source) -> Problem:
     """Parse a problem from a path, a file object, or a JSON string."""
     try:
@@ -116,6 +128,7 @@ def parse_problem(source) -> Problem:
 def problem_from_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemParseError("problem must be a JSON object")
+    _known(data, "variables u y exceptional pair script options", "problem")
     if "variables" not in data:
         raise ProblemParseError("missing field 'variables'")
     variables = tuple(_typed(data["variables"], list, "variables", str))
@@ -140,6 +153,7 @@ def problem_from_data(data: dict) -> Problem:
     entries = []
     for k, item in enumerate(_typed(data.get("exceptional", []), list, "exceptional", dict)):
         div_id = _typed(item.get("id"), str, f"exceptional {k}: id")
+        _known(item, "id d birth variable", f"exceptional {div_id}")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}: d")
         birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
         try:
@@ -158,8 +172,10 @@ def problem_from_data(data: dict) -> Problem:
     pair_data = data.get("pair")
     if not isinstance(pair_data, dict) or "components" not in pair_data:
         raise ProblemParseError("missing field 'pair.components'")
+    _known(pair_data, "components", "pair")
     comps = []
     for k, comp in enumerate(_typed(pair_data["components"], list, "pair.components", dict)):
+        _known(comp, "b gens", f"component {k}")
         gens_text = _typed(comp.get("gens", []), list, f"component {k}: gens", str)
         if not gens_text:
             raise ProblemParseError(f"component {k}: empty generator list")
@@ -175,8 +191,10 @@ def problem_from_data(data: dict) -> Problem:
     pair = Pair(tuple(comps))
 
     script = []
-    steps = _typed(data.get("script", {}), dict, "script").get("steps", [])
+    script_data = _known(_typed(data.get("script", {}), dict, "script"), "steps", "script")
+    steps = script_data.get("steps", [])
     for k, step in enumerate(_typed(steps, list, "script.steps", dict)):
+        _known(step, "center chart", f"script step {k}")
         center = _typed(step.get("center", []), list, f"script step {k}: center", str)
         chart = step.get("chart")
         if not center or chart is None:

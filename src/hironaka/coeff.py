@@ -1,22 +1,35 @@
 """Coefficient pairs, maximal-contact selection (characteristic zero), and
 vertex preparation toward the minimal polyhedron.
 
-Maximal contact follows the derivative recipe: pick a generator whose order
-equals its weight, find a small-integer direction where the top derivative
-is nonzero, apply the corresponding linear change, and take the (b-1)-fold
-derivative as the new hypersurface.  The resulting witness w is then made a
-coordinate by one shift x_p -> x_p - t, t the pivot-free part of w: the
-shift works exactly when w(-t, x') = 0, and a reduction that works never
-needs a second shift (proof in ``tests/test_coeff.py``,
-``test_contact_pair_is_rewritten_once``).  Inputs whose contact would need
-an infinite (completion-level) change are rejected with a clear error.
+Maximal contact follows the derivative recipe: pick a generator f whose
+order b equals its weight, find a small-integer direction v where its top
+form (degree-b part) is nonzero, apply the corresponding linear change, and
+take the (b-1)-fold derivative as the new hypersurface.  The resulting
+witness w is then made a coordinate by one shift x_p -> x_p - t, t the
+pivot-free part of w: the shift works exactly when w(-t, x') = 0, and a
+reduction that works never needs a second shift (proof in
+``tests/test_coeff.py``, ``test_contact_pair_is_rewritten_once``).  Inputs
+whose contact would need an infinite (completion-level) change are rejected
+with a clear error.
+
+The direction sweep is lazy.  It yields only the directions a contact may
+take, supported on the unmarked variables or the unit vector of an adjoined
+marked divisor, in a fixed order: max-norm h = 1, 2, ..., ``CONTACT_HEIGHT``,
+then sparsity, then first nonzero index, then lex.  Every such direction
+reads the top form with the marked variables at 0, or the x_i^b coefficient
+of an adjoined marked x_i.  When both are zero no direction can work, and
+"no maximal contact witness" is raised before any sweep.  Otherwise the
+sweep finds a direction with a nonzero top form whenever b <= 2 *
+``CONTACT_HEIGHT``: a nonzero form of degree b is nonzero somewhere on a grid
+S^m with |S| > b (Alon, Combinatorial Nullstellensatz, 1999), and {-h..h}
+has 2h + 1 points.  So "no maximal contact witness" is a proof for b <= 8
+and a cap of the sweep above that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .cone import DirectrixBasis, directrix, initial_ideal
 from .errors import DirectrixNotSpanned, InternalError, PreconditionError
@@ -69,7 +82,8 @@ def coefficient_pair(E: Pair, frame: Frame, z_indices) -> Pair:
 # Maximal contact
 
 # Largest max-norm of a candidate contact direction: the sweep tries the
-# small-integer vectors of max-norm 1, then 2, ..., up to this.
+# small-integer vectors of max-norm 1, then 2, ..., up to this.  That finds
+# a direction whenever one exists and b <= 2 * CONTACT_HEIGHT.
 CONTACT_HEIGHT = 4
 
 
@@ -82,20 +96,46 @@ class MaximalContact:
     direction: tuple
 
 
-def _direction_candidates(n: int, height: int):
-    """Deterministic sweep up to max-norm ``height``: by height, then
-    sparsity, then lowest variable."""
+def _direction_candidates(n: int, height: int, marked=frozenset(), preferred=()):
+    """The directions up to max-norm ``height`` that a contact may take, in
+    the sweep order of the module docstring, first nonzero entry positive.
+    A branch is cut once it cannot place its remaining nonzeros, so the
+    cost follows the directions yielded, not (2h+1)^n."""
+    free = [i for i in range(n) if i not in marked]
+    units = [i for i in range(n) if i in marked and i in preferred]
     for h in range(1, height + 1):
-        batch = []
-        for vec in iproduct(range(-h, h + 1), repeat=n):
-            if max((abs(x) for x in vec), default=0) != h:
+        values = [*range(-h, 0), 0, *range(1, h + 1)]
+        for s in range(1, max(len(free), 1) + 1):
+            for first in sorted(free + units) if h == s == 1 else free:
+                vec = [0] * n
+                if first in marked:
+                    vec[first] = 1
+                    yield tuple(vec)
+                    continue
+                rest = [i for i in free if i > first]
+                if len(rest) < s - 1:
+                    break
+                for lead in range(1 if s > 1 else h, h + 1):
+                    vec[first] = lead
+                    yield from _fill(vec, rest, 0, s - 1, h, lead == h, values)
+
+
+def _fill(vec, rest, pos, k, h, reached, values):
+    """Every way to place ``k`` nonzeros of ``values`` at ``rest[pos:]`` in
+    lex order, reaching max-norm ``h`` unless ``reached``."""
+    if not k:
+        yield tuple(vec)
+        return
+    i, room = rest[pos], len(rest) - pos - 1
+    for v in values:
+        if v == 0:
+            if room < k:
                 continue
-            first = next((i for i, x in enumerate(vec) if x != 0), None)
-            if first is None or vec[first] < 0:
-                continue
-            batch.append((sum(1 for x in vec if x), first, vec))
-        for _, _, vec in sorted(batch):
-            yield vec
+        elif k == 1 and not reached and abs(v) != h:
+            continue
+        vec[i] = v
+        yield from _fill(vec, rest, pos + 1, k - (v != 0), h, reached or abs(v) == h, values)
+    vec[i] = 0
 
 
 def _evaluate(f: Polynomial, point):
@@ -145,8 +185,15 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     short-circuit the search: if one of them appears as a weight-1 component
     generator it is taken as the contact directly.  The direction sweep
     leaves every other marked variable untouched: the contact must stay
-    transversal to the divisors that were not adjoined.  The sweep tries
-    the small-integer directions up to max-norm ``CONTACT_HEIGHT``.
+    transversal to the divisors that were not adjoined.  It yields, in
+    order, the small-integer directions up to max-norm ``CONTACT_HEIGHT``
+    on the unmarked variables and the unit vectors of the adjoined marked
+    ones (``_direction_candidates``).  When the witness generator's top form
+    vanishes with the marked variables at 0 and has no x_i^b term for an
+    adjoined marked i, no direction can work, and the input is rejected
+    before the sweep.  For b <= 2 * ``CONTACT_HEIGHT`` that is the only way
+    to find no direction (see the module docstring); above it, a sweep that
+    finds none ends in the same rejection, as a cap.
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
@@ -192,18 +239,16 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     f, b = chosen
     top = initial_form(f, b)
     marked = frame.marked_indices()
-    preferred = set(preferred_variables)
+    units = [i for i in preferred_variables if i in marked]
+    # every direction reads top with the marked variables at 0, or top's
+    # x_i^b coefficient for an adjoined marked i
+    if not any(all(e[i] == 0 for i in marked) or any(e[i] == b for i in units)
+               for e in top.terms):
+        raise PreconditionError("no maximal contact witness")
 
     saw_direction = False
     failed_screens = 0
-    for vec in _direction_candidates(n, CONTACT_HEIGHT):
-        touched = {i for i, x in enumerate(vec) if x != 0}
-        if touched & marked:
-            # only a pure direction along an adjoined divisor keeps the
-            # crossings coordinate
-            if not (len(touched) == 1 and touched <= preferred
-                    and vec[next(iter(touched))] == 1):
-                continue
+    for vec in _direction_candidates(n, CONTACT_HEIGHT, marked, units):
         if _evaluate(top, vec) == 0:
             continue
         saw_direction = True

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -358,3 +359,62 @@ def test_blowups_invariants_and_d_i_build_no_vertices(monkeypatch):
     assert calls == Counter()
     cli.run(lsb[0][1], "poly")  # the counters see the vertex path
     assert calls["minimize_vertices"] == 1
+
+
+def with_field(path, key):
+    """A3_BLOWN_UP with a divisor entry, and ``key`` added to the object at
+    ``path``."""
+    data = json.loads(json.dumps(dict(A3_BLOWN_UP, exceptional=[{"id": "E1", "birth": 0}])))
+    obj = data
+    for step in path:
+        obj = obj[step]
+    obj[key] = 1
+    return data
+
+
+@pytest.mark.parametrize("path, key, message", [
+    (("exceptional", 0), "birth_year", "exceptional E1: unknown field 'birth_year'"),
+    ((), "scirpt", "problem: unknown field 'scirpt'"),
+    (("pair", "components", 0), "weight", "component 0: unknown field 'weight'"),
+    (("script", "steps", 0), "charts", "script step 0: unknown field 'charts'"),
+])
+def test_unknown_fields_are_parse_errors(capsys, path, key, message):
+    # each object is complete without the key, which used to be dropped unread
+    assert cli.main([json.dumps(with_field(path, key)), "run-lsb"]) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def marked_contact_family(n):
+    """x0^2 + z^3 with x0 .. x(n-2) marked by divisors born in year 1: the
+    only top form x0^2 vanishes on every direction a contact may take."""
+    names = [f"x{i}" for i in range(n - 1)] + ["z"]
+    return {
+        "variables": names,
+        "exceptional": [{"id": f"E{i}", "birth": 1, "variable": f"x{i}"} for i in range(n - 1)],
+        "pair": {"components": [{"gens": ["x0^2 + z^3"], "b": 2}]},
+    }
+
+
+def unmarked_contact_family(n):
+    """x(n-1)^2 + x0^3 in n unmarked variables: the contact is the last
+    unit direction."""
+    return {
+        "variables": [f"x{i}" for i in range(n)],
+        "pair": {"components": [{"gens": [f"x{n - 1}^2 + x0^3"], "b": 2}]},
+        "options": {"hs_cutoff": 3},
+    }
+
+
+def test_a_hopeless_contact_in_many_marked_variables_is_rejected_fast(capsys):
+    start = time.perf_counter()
+    assert cli.main([json.dumps(marked_contact_family(8)), "invariant"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "precondition failed: no maximal contact witness\n"
+
+
+def test_a_contact_in_many_unmarked_variables_is_found_fast(capsys):
+    start = time.perf_counter()
+    assert cli.main([json.dumps(unmarked_contact_family(12)), "invariant", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 0.5
+    vec = json.loads(capsys.readouterr().out)["invariant"]
+    assert (vec["s1"], vec["entries"], vec["terminal"]) == (0, [{"nu": "3/2", "s": 0}], "inf")

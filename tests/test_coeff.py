@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -195,6 +197,91 @@ def test_contact_unit_tail_is_fine():
     assert mc.contact_index == 1
 
 
+def eager_direction_candidates(n: int, height: int):
+    """The sweep as it was before it became lazy: every vector of max-norm
+    h = 1 .. ``height`` with its first nonzero entry positive, built and
+    sorted by sparsity, then lowest variable, then lex, per height."""
+    for h in range(1, height + 1):
+        batch = []
+        for vec in product(range(-h, h + 1), repeat=n):
+            if max((abs(x) for x in vec), default=0) != h:
+                continue
+            first = next((i for i, x in enumerate(vec) if x != 0), None)
+            if first is None or vec[first] < 0:
+                continue
+            batch.append((sum(1 for x in vec if x), first, vec))
+        for _, _, vec in sorted(batch):
+            yield vec
+
+
+def kept_directions(eager, marked, adjoined):
+    """The eager vectors that ``find_maximal_contact`` kept before the sweep
+    became lazy: those that leave the marked variables alone, and the unit
+    vectors of adjoined marked variables."""
+    for vec in eager:
+        touched = {i for i, x in enumerate(vec) if x != 0}
+        if not touched & marked or (len(touched) == 1 and touched <= set(adjoined)
+                                    and vec[next(iter(touched))] == 1):
+            yield vec
+
+
+def test_the_lazy_sweep_is_the_filtered_eager_sweep():
+    # n <= 4, h <= 3, every marked set and every adjoined subset of it
+    cases = 0
+    for n, height in product(range(5), range(1, 4)):
+        eager = list(eager_direction_candidates(n, height))
+        for marked in (frozenset(m) for r in range(n + 1) for m in combinations(range(n), r)):
+            for adjoined in (a for r in range(len(marked) + 1)
+                             for a in combinations(sorted(marked), r)):
+                assert (list(_direction_candidates(n, height, marked, adjoined))
+                        == list(kept_directions(eager, marked, adjoined))), (n, height, marked)
+                cases += 1
+    assert cases == 363
+
+
+def test_no_witness_is_decided_before_the_sweep(monkeypatch):
+    # top x^2: zero with the marked x at 0, and x^2 counts only once x is adjoined
+    names = ["x", "y", "z"]
+    frame = Frame(tuple(names), (0, 1, 2), (), (("E1", 0),))
+    E = Pair.single([p("x^2 + y*z^2 + z^3", names)], 2)
+    sweep = coeff._direction_candidates
+    monkeypatch.setattr(coeff, "_direction_candidates", None)
+    with pytest.raises(PreconditionError) as err:
+        find_maximal_contact(E, frame)
+    assert str(err.value) == "no maximal contact witness"
+    monkeypatch.setattr(coeff, "_direction_candidates", sweep)
+    mc = find_maximal_contact(E, frame, preferred_variables=(0,))
+    assert (mc.contact_index, mc.direction) == (0, (1, 0, 0))
+
+
+def test_no_witness_exactly_when_no_direction_reads_a_nonzero_top(monkeypatch):
+    """With the height lowered to 2, every b <= 4 is below the grid size 5:
+    on random pairs with every marked set and adjoined subset, the input is
+    rejected with "no maximal contact witness" exactly when no direction of
+    the eager sweep that the contact may take has a nonzero top form."""
+    monkeypatch.setattr(coeff, "CONTACT_HEIGHT", 2)
+    names = ("x", "y", "z")
+    eager = list(eager_direction_candidates(3, 2))
+    tally = Counter()
+    for seed in range(30):
+        E = random_singular_pair(random.Random(seed), 3)
+        f, b = next(((g, comp.weight) for comp in E.components for g in comp.gens
+                     if ord_at_origin(g) == comp.weight), (None, None))
+        if f is None or any(comp.weight == 1 and len(g.terms) == 1 and sum(next(iter(g.terms))) == 1
+                            for comp in E.components for g in comp.gens):
+            continue  # no witness generator, or an adjoined variable might short-circuit
+        top = Polynomial(3, {e: c for e, c in f.terms.items() if sum(e) == b})
+        for marked in (m for r in range(4) for m in combinations(range(3), r)):
+            frame = Frame(names, (0, 1, 2), (), tuple((f"E{i}", i) for i in marked))
+            for adjoined in (a for r in range(len(marked) + 1) for a in combinations(marked, r)):
+                hopeless = not any(_evaluate(top, v)
+                                   for v in kept_directions(eager, set(marked), adjoined))
+                outcome = _contact_outcome(find_maximal_contact, E, frame, adjoined)
+                assert (outcome == "no maximal contact witness") == hopeless, (seed, marked, adjoined)
+                tally[hopeless] += 1
+    assert tally[True] >= 300 and tally[False] >= 200, tally
+
+
 def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap: int = 2):
     """``find_maximal_contact`` as it was before the one-shift reduction, for
     frames without exceptional divisors: each direction's witness is shifted
@@ -213,7 +300,7 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap
     top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
     x = [Polynomial.variable(n, i) for i in range(n)]
     saw_direction, failed_screens = False, 0
-    for vec in _direction_candidates(n, height):
+    for vec in eager_direction_candidates(n, height):
         if _evaluate(top, vec) == 0:
             continue
         saw_direction = True

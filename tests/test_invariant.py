@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from hironaka import invariant
 from hironaka.cli import problem_from_data, run
 from hironaka.coeff import MaximalContact, delta_invariant
-from hironaka.cone import directrix, initial_ideal
+from hironaka.cone import directrix, hilbert_samuel_truncated, initial_ideal
 from hironaka.errors import DirectrixNotSpanned, InternalError, PreconditionError
 from hironaka.frames import Frame
 from hironaka.history import ExceptionalData, PairWithHistory, exceptional_nu, run_lsb
@@ -22,10 +23,10 @@ from hironaka.invariant import (
     s_partition,
 )
 from hironaka.pairs import is_singular_at_origin
-from hironaka.poly import INF, Polynomial
+from hironaka.poly import INF, Polynomial, format_polynomial, format_rational
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
-from conftest import coordinate_min, corpus_problems, random_singular_pair
+from conftest import CORPUS, coordinate_min, corpus_problems, random_singular_pair
 
 
 def hypersurface(f, b, u, y, charts=(), **options):
@@ -496,3 +497,100 @@ def test_the_final_year_precondition_is_reported_first():
     for compute in (compute_invariant, fast_path_invariant):
         with pytest.raises(PreconditionError, match="^point not in Sing$"):
             compute(state, trace, opts)
+
+
+# ---------------------------------------------------------------------------
+# Properties the theory guarantees
+
+
+def _reordered(data, order):
+    """The invariant report of the problem ``data`` with its variables
+    listed in ``order``, with ``center`` as a set and ``monomial`` as a set
+    of factors (both are listed in the variable order); the message of a
+    rejection."""
+    try:
+        vec = run(problem_from_data(dict(data, variables=order)), "invariant")["invariant"]
+    except PreconditionError as exc:
+        return str(exc)
+    return dict(vec, center=vec["center"] and frozenset(vec["center"]),
+                monomial=vec["monomial"] and frozenset(vec["monomial"].split("*")))
+
+
+def _variable_order_tally(cases):
+    """Each problem of ``cases`` against three seeded reorderings of its
+    variables: equal reports, or both rejected, or an accept/reject flip at
+    the completion-level ceiling, which depends on the coordinates."""
+    tally = Counter()
+    for seed, data in cases:
+        rng = random.Random(seed)
+        base = _reordered(data, data["variables"])
+        for _ in range(3):
+            other = _reordered(data, rng.sample(data["variables"], len(data["variables"])))
+            if isinstance(base, str) and isinstance(other, str):
+                tally["both rejected"] += 1
+            elif isinstance(base, str) or isinstance(other, str):
+                assert "completion-level" in (base if isinstance(base, str) else other), seed
+                tally["flip"] += 1
+            else:
+                assert other == base, seed
+                tally["equal"] += 1
+    return tally
+
+
+def test_the_invariant_does_not_depend_on_the_variable_order_on_the_corpus():
+    paths = sorted(CORPUS.glob("*/problems/*.json"))
+    tally = _variable_order_tally(
+        (k, json.loads(path.read_text(encoding="utf-8"))) for k, path in enumerate(paths))
+    assert tally["equal"] >= 200 and tally["flip"] == 0, tally
+
+
+def test_the_invariant_does_not_depend_on_the_variable_order_on_random_pairs():
+    def case(seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(2, 4)
+        names = [f"x{i}" for i in range(nvars)]
+        pair = random_singular_pair(rng, nvars)
+        return seed, {
+            "variables": names,
+            "pair": {"components": [
+                {"gens": [format_polynomial(g, names) for g in comp.gens],
+                 "b": format_rational(comp.weight)} for comp in pair.components]},
+            "options": {"hs_cutoff": 4},
+        }
+    tally = _variable_order_tally(case(seed) for seed in range(200))
+    assert tally["equal"] >= 150 and tally["both rejected"] >= 300, tally
+
+
+def _hilbert_samuel_rises(trace, cutoff):
+    """(year, k) wherever the Hilbert-Samuel dims of a year's pair exceed
+    the previous year's at k < ``cutoff``, and the number of year pairs
+    compared.  The comparison ends at the first year whose point is off X,
+    where every dim is 0."""
+    dims = []
+    for rec in trace.years:
+        gens = list(rec.state.pair.all_generators())
+        if any(g.constant_term() for g in gens):
+            break
+        dims.append(hilbert_samuel_truncated(gens, cutoff))
+    rises = [(year, k) for year, (old, new) in enumerate(zip(dims, dims[1:]), 1)
+             for k, (a, b) in enumerate(zip(old, new)) if b > a]
+    return rises, max(len(dims) - 1, 0)
+
+
+def test_hilbert_samuel_never_rises_along_a_trace():
+    """Bennett: a permissible blow-up does not raise the Hilbert-Samuel
+    function at a point over the center.  Checked between consecutive
+    years of the lsb traces (k < 12) and of the random traces (k < 8);
+    a random trace whose script is not permissible is skipped."""
+    year_pairs = Counter()
+    for _, problem in corpus_problems("lsb-hypersurface"):
+        rises, pairs = _hilbert_samuel_rises(run_lsb(problem.state, problem.script), 12)
+        assert rises == [], problem.script
+        year_pairs["lsb"] += pairs
+    for seed in range(300):
+        case = random_trace(seed)
+        if case is not None:
+            rises, pairs = _hilbert_samuel_rises(case[1], 8)
+            assert rises == [], seed
+            year_pairs["random"] += pairs
+    assert year_pairs["lsb"] == 22 and year_pairs["random"] >= 190, year_pairs

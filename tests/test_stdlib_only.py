@@ -1,0 +1,25 @@
+"""The package needs nothing beyond the standard library: ``pyproject.toml``
+declares no dependencies, and every absolute import under ``src/hironaka``
+must name a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hironaka"
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_absolute_import_is_in_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    outside = [(path.name, name) for path in modules for name in absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
