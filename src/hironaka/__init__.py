@@ -65,8 +65,8 @@ from .invariant import (
     companion_pair,
     compare_invariants,
     compute_invariant,
-    fast_path_invariant,
     invariant_step,
+    projected_invariant,
     s_partition,
 )
 

@@ -7,8 +7,10 @@ rationals always travel as strings like "4/3".  Exit codes: 0 success,
 
 The subcommands are the keys of ``HANDLERS``: order, poly, newton,
 char-poly, delta, d-i, nu, directrix, hs, coeff, blowup, run-lsb and
-invariant.  ``run(..., fast=True)`` computes the invariant by the fast
-path, the differential reference.  Options come from the problem file only:
+invariant.  ``run(..., fast=True)`` computes the invariant by
+``projected_invariant``, the paper's polyhedral route, as a reference; the
+keyword keeps the name the benchmark generator passes.  Options come from
+the problem file only:
 its ``options`` keys are fields of ``invariant.Options``, nothing else.
 Every other object of a problem file has a fixed set of keys too, and an
 unknown key is a parse error naming the object.
@@ -22,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 
 from .coeff import coefficient_pair, delta_invariant, prepare_vertices
 from .cone import directrix, hilbert_samuel_truncated, initial_ideal
@@ -40,7 +43,7 @@ from .invariant import (
     InvariantVector,
     Options,
     compute_invariant,
-    fast_path_invariant,
+    projected_invariant,
 )
 from .pairs import Component, Pair, pair_order
 from .poly import (
@@ -264,10 +267,10 @@ def _invariant_data(vec: InvariantVector):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: handler(problem, chart, fast) -> report without "command"
+# Subcommands: handler(problem, chart) -> report without "command"
 
 
-def _order(problem: Problem, chart, fast):
+def _order(problem: Problem, chart):
     pair = problem.pair
     return {
         "pair_order": format_rational(pair_order(pair)),
@@ -275,12 +278,12 @@ def _order(problem: Problem, chart, fast):
     }
 
 
-def _poly(problem: Problem, chart, fast):
+def _poly(problem: Problem, chart):
     P = polyhedron_of_pair(problem.pair, problem.frame)
     return {"u": list(problem.frame.u_names()), "vertices": _vertices_data(P)}
 
 
-def _newton(problem: Problem, chart, fast):
+def _newton(problem: Problem, chart):
     frame = problem.frame
     P = newton_polyhedron(problem.pair, frame)
     return {
@@ -289,7 +292,7 @@ def _newton(problem: Problem, chart, fast):
     }
 
 
-def _char_poly(problem: Problem, chart, fast):
+def _char_poly(problem: Problem, chart):
     frame = problem.frame
     res = prepare_vertices(problem.pair, frame)
     return {
@@ -301,7 +304,7 @@ def _char_poly(problem: Problem, chart, fast):
     }
 
 
-def _delta(problem: Problem, chart, fast):
+def _delta(problem: Problem, chart):
     try:
         value = delta_invariant(problem.pair, problem.frame)
     except DirectrixNotSpanned as exc:
@@ -309,7 +312,7 @@ def _delta(problem: Problem, chart, fast):
     return {"delta": format_rational(value)}
 
 
-def _d_i(problem: Problem, chart, fast):
+def _d_i(problem: Problem, chart):
     frame = problem.frame
     table = {}
     for i in frame.u_indices:
@@ -318,31 +321,31 @@ def _d_i(problem: Problem, chart, fast):
     return {"d": table}
 
 
-def _nu(problem: Problem, chart, fast):
+def _nu(problem: Problem, chart):
     state = problem.state
     value = exceptional_nu(state.pair, state.frame, state.exdata)
     return {"nu": format_rational(value)}
 
 
-def _directrix(problem: Problem, chart, fast):
+def _directrix(problem: Problem, chart):
     basis = directrix(initial_ideal(problem.pair))
     return {"forms": [_poly_str(f, problem.frame) for f in basis.forms], "dim": basis.dim}
 
 
-def _hs(problem: Problem, chart, fast):
+def _hs(problem: Problem, chart):
     cutoff = problem.options.hs_cutoff
     dims = hilbert_samuel_truncated(list(problem.pair.all_generators()), cutoff)
     return {"dims": dims, "cutoff": cutoff}
 
 
-def _coeff(problem: Problem, chart, fast):
+def _coeff(problem: Problem, chart):
     frame = problem.frame
     C = coefficient_pair(problem.pair, frame, frame.y_indices)
     reduced = frame.drop_variables(frame.y_indices)
     return {"z": list(frame.y_names()), "pair": _pair_data(C, reduced)}
 
 
-def _blowup(problem: Problem, chart, fast):
+def _blowup(problem: Problem, chart):
     state, frame = problem.state, problem.frame
     if problem.script:
         center_names, chart_name = problem.script[0]
@@ -368,14 +371,13 @@ def _blowup(problem: Problem, chart, fast):
     }
 
 
-def _run_lsb(problem: Problem, chart, fast):
+def _run_lsb(problem: Problem, chart):
     return {"trace": _trace_data(run_lsb(problem.state, problem.script))}
 
 
-def _invariant(problem: Problem, chart, fast):
+def _invariant(problem: Problem, chart, compute=compute_invariant):
     trace = run_lsb(problem.state, problem.script) if problem.script else None
     subject = trace.final if trace else problem.state
-    compute = fast_path_invariant if fast else compute_invariant
     return {"invariant": _invariant_data(compute(subject, trace, problem.options))}
 
 
@@ -389,11 +391,13 @@ COMMANDS = tuple(HANDLERS)
 
 def run(problem: Problem, command: str, chart: str | None = None, fast: bool = False):
     """Execute one subcommand; returns a JSON-ready report dict.  ``fast``
-    selects the fast-path invariant."""
+    computes ``invariant`` by ``projected_invariant``."""
     handler = HANDLERS.get(command)
     if handler is None:
         raise PreconditionError(f"unknown command {command!r}")
-    return {"command": command, **handler(problem, chart, fast)}
+    if fast and command == "invariant":
+        handler = partial(_invariant, compute=projected_invariant)
+    return {"command": command, **handler(problem, chart)}
 
 
 def _trace_data(trace: Trace):

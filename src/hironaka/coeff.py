@@ -28,7 +28,7 @@ and a cap of the sweep above that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cone import DirectrixBasis, directrix, initial_ideal
@@ -94,6 +94,9 @@ class MaximalContact:
     contact_index: int         # the variable that now cuts out the hypersurface
     witness: Polynomial        # degree-1 element in the pre-substitution coordinates
     direction: tuple
+    # the substitution that gave ``pair``: variable index -> polynomial,
+    # both in ``frame``'s variables; {} when the pair was not rewritten
+    change: dict = field(default_factory=dict, compare=False)
 
 
 def _direction_candidates(n: int, height: int, marked=frozenset(), preferred=()):
@@ -286,7 +289,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
             shift = {pivot: Polynomial.variable(n, pivot) - tail}
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
         pair = _substitute_pair(E, assignment) if assignment else E
-        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
+        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec), assignment)
 
     if saw_direction:
         raise PreconditionError(

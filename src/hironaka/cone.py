@@ -205,11 +205,12 @@ def _linear_form(coeffs) -> Polynomial:
 
 # Most monomial columns C(k_max - 1 + n, n) one Hilbert-Samuel call may
 # cover; a larger input is refused before any work.  The first generator is
-# counted in closed form, so alone it costs about 0.02 ms at any count (one
-# generator of order 2 in 6 variables at k_max = 17, 74613 columns, on a
-# 2-vCPU VM).  Each later generator costs about one row per shift: adding
-# x1*x2 + x3^3 to that generator takes about 70 ms at k_max = 12 and 3 s at
-# k_max = 17.  The benchmark corpora need at most 1365 columns.
+# counted in closed form, so alone it costs about 0.02 ms at any count
+# (x0^2 + x5^3 in 6 variables at k_max = 17, 74613 columns).  Each later
+# generator costs about one row per shift: adding x1*x2 + x3^3 takes about
+# 45 ms at k_max = 12 and 0.5 s at k_max = 17, and adding x3*x4 + x0*x5^2
+# too about 0.1 s and 1.05 s (CPython 3.11, 2-vCPU Intel Xeon VM).  The
+# benchmark corpora need at most 1365 columns.
 HS_MAX_COLUMNS = 100_000
 
 

@@ -6,9 +6,10 @@ The vector has the shape (nu1, s1; nu2, s2; ...; nu_t) where nu1 is a
 truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
-Every step ends in the same tail (``_descend``): coefficient pair, mu,
-mu_H, nu, then a terminal case or the companion pair.  mu and each mu_H
-are ``polyhedra.pair_minimum`` of the coefficient pair.  Along a trace a
+Each step (``invariant_step``) finds a maximal contact, then reads mu,
+mu_H and nu off the coefficient pair along it and ends in a terminal case
+or the companion pair.  It records the contact's name and the coordinate
+change that ``find_maximal_contact`` applied.  Along a trace a
 divisor is old at step r when it was born no later than the first earlier
 year whose comparison tokens (hs, s1, nu2, s2, ...) start with the current
 ones, as in Bierstone-Milman.  So an earlier year is read token by token,
@@ -17,9 +18,8 @@ would meet past that depth is not raised.
 
 Nothing is cross-checked at run time.  The tests hold the independent
 checks: the paper's theorem (the first nu after the forced unit steps is
-delta of the prepared polyhedron), and the fast path, a second way through
-``_drive`` that collapses each run of forced unit steps and must return the
-same vector.
+delta of the prepared polyhedron), and ``projected_invariant``, which reads
+every nu off projections of one point set, as the paper does.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .history import ExceptionalData, PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
-from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial
-from .polyhedra import pair_minimum
+from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial, substitute
+from .polyhedra import pair_minimum, projected_steps
 from .cone import hilbert_samuel_truncated
 
 
@@ -96,10 +96,7 @@ class Terminal:
 class StepResult:
     nu: object
     outcome: object                    # PipelineState | Terminal
-
-
-def _by_index(frame: Frame, names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=frame.index_of))
+    contact: tuple = ()                # (name, frame variables, MaximalContact.change)
 
 
 # ---------------------------------------------------------------------------
@@ -160,66 +157,47 @@ def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
 
 
 def invariant_step(state: PipelineState) -> StepResult:
-    """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion or terminal."""
-    frame = state.frame
-    n = frame.nvars
+    """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion or terminal.
+    mu and each mu_H are ``pair_minimum`` of the coefficient pair along the
+    contact."""
+    frame, exdata = state.frame, state.exdata
 
     # adjoin the old divisors chosen for this step
     pair = state.pair
-    extra = []
-    for name in state.adjoin:
-        idx = frame.index_of(name)
-        extra.append(Component((Polynomial.variable(n, idx),), Fraction(1)))
-    if extra:
-        pair = Pair(pair.components + tuple(extra))
-    pending = _by_index(frame, set(state.pending) | set(state.adjoin))
+    if state.adjoin:
+        units = (Polynomial.variable(frame.nvars, frame.index_of(nm)) for nm in state.adjoin)
+        pair = Pair(pair.components + tuple(Component((u,), Fraction(1)) for u in units))
+    pending = tuple(sorted(set(state.pending) | set(state.adjoin), key=frame.index_of))
 
-    preferred = tuple(frame.index_of(nm) for nm in pending)
-    mc = find_maximal_contact(pair, frame, preferred_variables=preferred)
-    contact_name = frame.variables[mc.contact_index]
-    pending = tuple(nm for nm in pending if nm != contact_name)
-    return _descend(state, mc.pair, mc.frame, [mc.contact_index], pending)
-
-
-def _deferred_step(base: PipelineState, cur: PipelineState, contacts) -> StepResult:
-    """Collapse a forced run: one multi-variable coefficient pair of the base
-    state with respect to every contact consumed since."""
-    z_indices = [base.frame.index_of(nm) for nm in contacts]
-    return _descend(cur, base.pair, base.frame, z_indices, ())
-
-
-def _descend(state: PipelineState, pair: Pair, frame: Frame, z_indices,
-             pending) -> StepResult:
-    """The tail every step shares: restrict ``pair`` to its coefficient pair
-    along ``z_indices`` (the last one is the step's contact), read off mu,
-    mu_H and nu, and end in a terminal case or the companion pair."""
-    H = coefficient_pair(pair, frame, z_indices)
-    exdata = state.exdata
-    if any(idx in z_indices for _, idx in exdata.placed(frame)):
+    mc = find_maximal_contact(pair, frame, tuple(map(frame.index_of, pending)))
+    y = mc.contact_index
+    contact = (frame.variables[y], frame.variables, mc.change)
+    H = coefficient_pair(mc.pair, mc.frame, [y])
+    if any(idx == y for _, idx in exdata.placed(frame)):
         raise InternalError("tracked divisor variable was consumed")
-    new_frame = frame.drop_variables(z_indices)
+    new_frame = mc.frame.drop_variables([y])
 
     mu = pair_minimum(H, (), range(new_frame.nvars))
     mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
 
-    consumed = state.consumed + (frame.variables[z_indices[-1]],)
+    consumed = state.consumed + (contact[0],)
     if nu == INF:
-        return StepResult(nu, Terminal(INF, consumed, None))
+        return StepResult(nu, Terminal(INF, consumed, None), contact)
     if nu == 0:
         D = _exceptional_monomial(new_frame, mus)
         monomial = format_polynomial(D, list(new_frame.variables))
-        return StepResult(nu, Terminal(Fraction(0), None, monomial))
+        return StepResult(nu, Terminal(Fraction(0), None, monomial), contact)
 
     next_state = PipelineState(
         pair=companion_pair(H, new_frame, mus, nu),
         frame=new_frame,
         exdata=exdata,
         consumed=consumed,
-        pending=pending,
+        pending=tuple(nm for nm in pending if nm != contact[0]),
         adjoin=(),
     )
-    return StepResult(nu, next_state)
+    return StepResult(nu, next_state, contact)
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +215,24 @@ def _pipeline_frame(state: PairWithHistory) -> Frame:
     return Frame(fr.variables, tuple(range(fr.nvars)), (), fr.exceptional)
 
 
-def _drive(state: PairWithHistory, older, opts: Options, fast: bool):
+def _drive(state: PairWithHistory, older, opts: Options):
     """Evaluate one year, whose point is singular, against the earlier
     years ``older`` (``_Year`` objects, oldest first).
 
     A generator: it yields the year's comparison tokens (hs dims, s1, nu2,
     s2, ..., terminal) one by one, each as soon as it is known, and returns
-    the vector and one partition record (s_r, E^r ids, remaining ids) per
-    step.
+    the vector, one partition record (s_r, E^r ids, remaining ids) per
+    step and each step's ``StepResult.contact``.
     """
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
-    cur = base = PipelineState(
+    cur = PipelineState(
         pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
         consumed=(), pending=(), adjoin=(),
     )
     tokens: list = [hs.dims]
     yield hs.dims
     records: list = []
-    deferred: list[str] = []  # fast path: contacts of the current forced run
+    contacts: list = []
 
     while True:
         i_r = _first_matching_year(tokens, older)
@@ -266,45 +244,31 @@ def _drive(state: PairWithHistory, older, opts: Options, fast: bool):
         yield len(Er)
         adjoin = tuple(cur.frame.variables[Er[div_id]] for div_id in sorted(Er))
         kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e.divisor_id not in Er))
-        cur = replace(cur, exdata=kept, adjoin=adjoin)
-
-        if fast:
-            pending = _by_index(cur.frame, set(cur.pending) | set(cur.adjoin))
-            if len(pending) > 1:
-                # forced unit step: another adjoined divisor remains
-                deferred.append(pending[0])
-                cur = replace(cur, pending=pending[1:], adjoin=(),
-                              consumed=cur.consumed + pending[:1])
-                tokens.append(Fraction(1))
-                yield Fraction(1)
-                continue
-            deferred.extend(pending)
-        step = _deferred_step(base, cur, deferred) if deferred else invariant_step(cur)
-        deferred = []
-
+        step = invariant_step(replace(cur, exdata=kept, adjoin=adjoin))
+        contacts.append(step.contact)
         if isinstance(step.outcome, Terminal):
             tokens.append(step.outcome.nu)
             yield step.outcome.nu
             break
         tokens.append(step.nu)
         yield step.nu
-        cur = base = step.outcome
+        cur = step.outcome
 
     steps = tokens[2:-1]  # nu2, s2, nu3, s3, ...
     entries = tuple(InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2]))
     end = step.outcome
     vec = InvariantVector(hs, tokens[1], entries, end.nu, end.center, end.monomial)
-    return vec, records
+    return vec, records, contacts
 
 
 class _Year:
     """An earlier year of a trace, read lazily: its tokens are computed
     only as far as a comparison asks for them."""
 
-    def __init__(self, state: PairWithHistory, older: tuple, opts: Options, fast: bool):
+    def __init__(self, state: PairWithHistory, older: tuple, opts: Options):
         self.tokens: list = []
         # a year whose point is no longer singular has no tokens
-        self._steps = (_drive(state, older, opts, fast)
+        self._steps = (_drive(state, older, opts)
                        if is_singular_at_origin(state.pair) else iter(()))
 
     def token(self, i: int):
@@ -327,9 +291,8 @@ def _first_matching_year(tokens: list, older) -> int:
     return len(older)
 
 
-def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None,
-              fast: bool):
-    """The final year's vector and partition records.  The earlier years
+def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None):
+    """``_drive``'s result for the final year.  The earlier years
     are created undriven and read only to the depth that s_r compares, as
     in Bierstone-Milman: an error of an earlier year past that depth is not
     raised.  Without a trace ``state`` is the only year."""
@@ -341,8 +304,8 @@ def _evaluate(state: PairWithHistory, trace: Trace | None, opts: Options | None,
         raise PreconditionError("point not in Sing")
     older: list[_Year] = []
     for year in years[:-1]:
-        older.append(_Year(year, tuple(older), opts, fast))
-    steps = _drive(state, older, opts, fast)
+        older.append(_Year(year, tuple(older), opts))
+    steps = _drive(state, older, opts)
     while True:
         try:
             next(steps)
@@ -366,20 +329,47 @@ def compute_invariant(
     an earlier year is evaluated only to the depth that this comparison
     reads, and an error past that depth is not raised.
     """
-    return _evaluate(state, trace, opts, fast=False)[0]
+    return _evaluate(state, trace, opts)[0]
 
 
-def fast_path_invariant(
+def _lifted(change: dict, variables: tuple, names: tuple) -> dict:
+    """``change``, an index -> polynomial map over ``variables``, moved by
+    variable name onto ``names``."""
+    at = [names.index(v) for v in variables]
+
+    def spread(exps):
+        placed = dict(zip(at, exps))
+        return tuple(placed.get(j, 0) for j in range(len(names)))
+
+    return {at[i]: Polynomial._wrap(len(names), {spread(e): c for e, c in g.terms.items()})
+            for i, g in change.items()}
+
+
+def projected_invariant(
     state: PairWithHistory, trace: Trace | None = None, opts: Options | None = None
 ) -> InvariantVector:
-    """The same invariant as ``compute_invariant``, with the same trace
-    contract, computed another way: each run of forced unit steps (an
-    adjoined divisor taken as the contact while another one remains) is
-    collapsed into one multi-variable coefficient pair.  It is kept only as
-    the differential reference: on every input both paths must return equal
-    vectors.
-    """
-    return _evaluate(state, trace, opts, fast=True)[0]
+    """The reference for ``compute_invariant``, with its trace contract,
+    by the paper's route through polyhedra and their projections.  The
+    descent's contact changes, lifted to the year's coordinates by name and
+    substituted in step order, compose Phi; every nu, the terminal and its
+    monomial are read off projections of the points exps/b of G o Phi
+    (``polyhedra.projected_steps``).  nu1, each s_r and the center are the
+    descent's: the route checks the numbers, not the s-partition."""
+    vec, records, contacts = _evaluate(state, trace, opts)
+    names, at = state.frame.variables, dict(state.frame.exceptional)
+    gens = [(g, comp.weight) for comp in state.pair.components for g in comp.gens]
+    for _, variables, change in contacts:
+        if change:
+            lifted = _lifted(change, variables, names)
+            gens = [(substitute(g, lifted), b) for g, b in gens]
+    steps = [(names.index(name), [at[d] for d in adjoined], [at[d] for d in tracked])
+             for (name, _, _), (_, adjoined, tracked) in zip(contacts, records)]
+    points = {tuple(e / b for e in exps) for g, b in gens for exps in g.terms}
+    nus, mu_h = projected_steps(points, steps, len(names))
+    entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))
+    monomial = format_polynomial(Polynomial.monomial(len(names), mu_h), list(names))
+    return replace(vec, entries=entries, terminal=nus[-1],
+                   monomial=monomial if nus[-1] == 0 else None)
 
 
 def s_partition(trace: Trace, opts: Options | None = None):
@@ -387,7 +377,7 @@ def s_partition(trace: Trace, opts: Options | None = None):
     one (s_i, E^i ids, remaining ids) triple per pipeline step.  Earlier
     years are read as in ``compute_invariant``: only to the depth that s_i
     compares, so an error past that depth is not raised."""
-    return _evaluate(trace.final, trace, opts, fast=False)[1]
+    return _evaluate(trace.final, trace, opts)[1]
 
 
 def compare_invariants(a: InvariantVector, b: InvariantVector) -> str:

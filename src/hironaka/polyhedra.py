@@ -162,3 +162,31 @@ def pair_minimum(E: Pair, y_indices, coords):
             if q < best:
                 best = q
     return best
+
+
+def projected_steps(points, steps, n: int):
+    """The nu of each step (contact y, adjoined, tracked), indices, read off
+    successive projections of the point set N (n-tuples), and the last
+    mu_H as an n-tuple.  N gains e_E for each adjoined E, then becomes
+    pi_y(N) = {a'/(1 - t) : (a', t) in N, t < 1}, with 0 at y.  mu is its
+    least coordinate sum (INF when it is empty), mu_H the least coordinate
+    of each tracked divisor, nu = mu - sum mu_H.  The run stops at nu = INF
+    or 0; else N becomes (pi_y(N) - mu_H)/nu, plus mu_H/(1 - nu) when
+    nu < 1 and some mu_H != 0."""
+    N, nus, mu_h = set(points), [], (0,) * n
+    for y, adjoined, tracked in steps:
+        N |= {tuple(Fraction(i == e) for i in range(n)) for e in adjoined}
+        N = {tuple(0 if i == y else c / (1 - p[y]) for i, c in enumerate(p))
+             for p in N if p[y] < 1}
+        if not N:
+            nus.append(INF)
+            break
+        mu_h = tuple(min(p[i] for p in N) if i in tracked else 0 for i in range(n))
+        nu = min(sum(p) for p in N) - sum(mu_h)
+        nus.append(nu)
+        if nu == 0:
+            break
+        N = {tuple((c - m) / nu for c, m in zip(p, mu_h)) for p in N}
+        if nu < 1 and any(mu_h):
+            N.add(tuple(m / (1 - nu) for m in mu_h))
+    return nus, mu_h

@@ -364,6 +364,21 @@ def test_one_shift_reduction_matches_iteration(monkeypatch, nvars, seeds, height
     assert shifted >= 1
 
 
+def test_the_recorded_change_gives_the_rewritten_pair():
+    # MaximalContact.change is the substitution that turned the input into
+    # the returned pair, and {} exactly when the pair was not rewritten
+    changed = 0
+    for nvars in (2, 3):
+        frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
+        for seed in range(60):
+            E = random_singular_pair(random.Random(seed), nvars)
+            mc = _contact_outcome(find_maximal_contact, E, frame)
+            if isinstance(mc, MaximalContact):
+                assert (coeff._substitute_pair(E, mc.change) if mc.change else E) == mc.pair
+                changed += bool(mc.change)
+    assert changed >= 5, changed
+
+
 def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
     # pivot x, probe y = 3, t = y^2/lead: w(-t(3), 3) = 0 although
     # w(-t, y) = -y^3*(y - 3)/lead^2; with lead 2 the probe's x is -9/2, not an int

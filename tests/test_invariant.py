@@ -19,7 +19,7 @@ from hironaka.invariant import (
     Options,
     compare_invariants,
     compute_invariant,
-    fast_path_invariant,
+    projected_invariant,
     s_partition,
 )
 from hironaka.pairs import is_singular_at_origin
@@ -106,7 +106,7 @@ PINNED = {
 def test_pinned_invariants(name):
     problem, dims, expected, records = PINNED[name]
     state, trace, opts = hypersurface(*problem)
-    for compute in (compute_invariant, fast_path_invariant):
+    for compute in (compute_invariant, projected_invariant):
         vec = compute(state, trace, opts)
         assert vec.nu1.dims == dims and vec.nu1.cutoff == 12
         assert summary(vec) == expected
@@ -118,7 +118,7 @@ def test_contact_leaves_unadjoined_divisor_alone():
     # E1 = {x = 0} is not adjoined at the first step, so the contact must
     # be transversal to it: taking x would consume E1's variable
     state, trace, opts = hypersurface("y^2 + x^4", 2, ["x"], ["y"], ["x"])
-    for compute in (compute_invariant, fast_path_invariant):
+    for compute in (compute_invariant, projected_invariant):
         assert summary(compute(state, trace, opts)) == (0, (), 0, None, "x")
     assert s_partition(trace, opts) == [(0, (), ("E1",))]
 
@@ -142,16 +142,9 @@ def test_a_contact_on_a_tracked_divisor_is_an_internal_error(monkeypatch):
         compute_invariant(state, trace, opts)
 
 
-def test_skip_unit_steps_only_drops_unit_entries():
-    problem = ("z^3 + x2^3", 3, ["x0", "x1", "x2"], ["z"], ["x1"])
-    state, trace, opts = hypersurface(*problem)
-    full = compute_invariant(state, trace, opts)
-    assert summary(full)[1] == ((1, 0),)
-
-
 def test_state_must_be_final_year_of_trace():
     state, trace, opts = hypersurface("z^2 + x^3*y^2 + y^5", 2, ["x", "y"], ["z"], ["y", "x"])
-    for compute in (compute_invariant, fast_path_invariant):
+    for compute in (compute_invariant, projected_invariant):
         with pytest.raises(PreconditionError):
             compute(trace.years[0].state, trace, opts)
         # an equal copy of the final state is accepted
@@ -194,39 +187,104 @@ def _outcome(compute, state, trace, opts):
         return str(exc)
 
 
-def test_fast_path_agrees_on_random_pairs():
-    # both paths see the same options
+# ---------------------------------------------------------------------------
+# The paper's route as the oracle of the descent: ``projected_invariant``
+# reads every nu off projections of the Newton points of G o Phi, Phi the
+# composed contact changes, and must equal the descent's vector, or raise
+# the same PreconditionError.
+
+
+def _route_tally(cases):
+    tally = Counter()
+    for state, trace, opts in cases:
+        descent = _outcome(compute_invariant, state, trace, opts)
+        assert _outcome(projected_invariant, state, trace, opts) == descent
+        tally["rejected" if isinstance(descent, str) else "accepted"] += 1
+    return tally
+
+
+def random_pair_state(seed, nvars):
+    names = tuple(f"x{i}" for i in range(nvars))
+    pair = random_singular_pair(random.Random(seed), nvars)
+    return PairWithHistory(pair, Frame(names, tuple(range(nvars)), ()), ExceptionalData(()))
+
+
+def test_the_route_agrees_on_the_corpus():
+    cases = []
+    for _, problem in corpus_problems():
+        if problem.script:
+            trace = run_lsb(problem.state, problem.script)
+            cases.append((trace.final, trace, problem.options))
+        else:
+            cases.append((problem.state, None, problem.options))
+    assert _route_tally(cases) == {"accepted": 72, "rejected": 10}
+
+
+def test_the_route_agrees_on_random_pairs():
     opts = Options(hs_cutoff=4)
-    accepted = {}
-    for nvars in (2, 3):
-        frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
-        for seed in range(30):
-            pair = random_singular_pair(random.Random(seed), nvars)
-            state = PairWithHistory(pair, frame, ExceptionalData(()))
-            slow = _outcome(compute_invariant, state, None, opts)
-            assert _outcome(fast_path_invariant, state, None, opts) == slow
-            accepted[nvars] = accepted.get(nvars, 0) + (not isinstance(slow, str))
-    assert accepted[2] >= 8 and accepted[3] >= 5, accepted
+    tally = _route_tally((random_pair_state(seed, nvars), None, opts)
+                         for seed in range(200) for nvars in (2, 3, 4))
+    assert tally == {"accepted": 187, "rejected": 413}
 
 
-def test_fast_path_agrees_on_random_traces():
-    accepted = 0
-    for seed in range(60):
-        rng = random.Random(seed)
-        b = rng.randint(2, 3)
-        a, c = rng.randint(0, b + 3), rng.randint(0, b + 3)
-        f = f"z^{b} + x^{max(a, b - c)}*y^{c}"
-        charts = [rng.choice("xy") for _ in range(rng.randint(1, 3))]
-        try:
-            state, trace, opts = hypersurface(f, b, ["x", "y"], ["z"], charts, hs_cutoff=4)
-        except PreconditionError:
-            continue  # a later center is not permissible
-        slow = _outcome(compute_invariant, state, trace, opts)
-        assert _outcome(fast_path_invariant, state, trace, opts) == slow
-        if not isinstance(slow, str):
-            accepted += 1
-            assert len(s_partition(trace, opts)) == 1 + len(slow.entries)
-    assert accepted >= 30
+def cusp_trace(seed):
+    """z^b + x^max(a, b - c)*y^c, b = 2 or 3, u = x, y and y = z, blown up
+    at the origin in 1-3 charts x or y; None when a center is not
+    permissible."""
+    rng = random.Random(seed)
+    b = rng.randint(2, 3)
+    a, c = rng.randint(0, b + 3), rng.randint(0, b + 3)
+    charts = [rng.choice("xy") for _ in range(rng.randint(1, 3))]
+    try:
+        return hypersurface(f"z^{b} + x^{max(a, b - c)}*y^{c}", b, ["x", "y"], ["z"], charts,
+                            hs_cutoff=4)
+    except PreconditionError:
+        return None
+
+
+def test_the_route_agrees_on_random_traces():
+    tally = _route_tally(filter(None, map(random_trace, range(300))))
+    assert tally == {"accepted": 65, "rejected": 73}
+    assert _route_tally(filter(None, map(cusp_trace, range(60))))["accepted"] >= 30
+
+
+@pytest.mark.parametrize("case", ["pairs-local 028", "random pair, seed 55"])
+def test_the_route_needs_the_composed_change(monkeypatch, case):
+    if case == "pairs-local 028":
+        problem = dict(corpus_problems("pairs-local"))["028"]
+        state, opts = problem.state, problem.options
+    else:
+        state, opts = random_pair_state(55, 2), Options(hs_cutoff=4)
+    descent = compute_invariant(state, None, opts)
+    assert descent.terminal == INF
+    assert projected_invariant(state, None, opts) == descent
+    monkeypatch.setattr(invariant, "_lifted", lambda *args: {})
+    assert projected_invariant(state, None, opts).terminal != INF
+
+
+def test_the_s_partition_is_a_partition():
+    cases = []
+    for _, problem in corpus_problems("lsb-hypersurface"):
+        trace = run_lsb(problem.state, problem.script)
+        cases.append((trace.final, trace, problem.options))
+    cases += filter(None, map(random_trace, range(300)))
+    checked = 0
+    for state, trace, opts in cases:
+        vec = _outcome(compute_invariant, state, trace, opts)
+        if isinstance(vec, str):
+            continue
+        records = s_partition(trace, opts)
+        assert len(records) == 1 + len(vec.entries)
+        remaining = {d for d, _ in state.frame.exceptional}
+        seen = set()
+        for s, E, rest in records:
+            assert s == len(E) == len(set(E))
+            assert not seen & set(E) and not set(E) & set(rest)
+            assert set(E) | set(rest) == remaining
+            seen |= set(E)
+            remaining = set(rest)
+        checked += 1
+    assert checked == 77
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +425,23 @@ class DrivenYear:
         return self.tokens[i] if i < len(self.tokens) else None
 
 
-def eager_evaluate(state, trace, opts, fast=False):
+def eager_evaluate(state, trace, opts):
     """(vector, partition records) of the final year, every earlier year
     driven to its end first."""
     years = [rec.state for rec in trace.years] if trace is not None else [state]
     older = []
     for year in years[:-1]:
         singular = is_singular_at_origin(year.pair)
-        steps = invariant._drive(year, tuple(older), opts, fast) if singular else ()
+        steps = invariant._drive(year, tuple(older), opts) if singular else ()
         older.append(DrivenYear(tuple(steps)))
     if not is_singular_at_origin(state.pair):
         raise PreconditionError("point not in Sing")
-    steps = invariant._drive(state, older, opts, fast)
+    steps = invariant._drive(state, older, opts)
     while True:
         try:
             next(steps)
         except StopIteration as done:
-            return done.value
+            return done.value[:2]
 
 
 def lazy_evaluate(state, trace, opts):
@@ -400,7 +458,7 @@ def test_lazy_reads_match_the_eager_oracle_on_the_corpus_and_the_pins():
     for state, trace, opts in cases:
         vec, records = eager_evaluate(state, trace, opts)
         assert lazy_evaluate(state, trace, opts) == (vec, records if trace else None)
-        assert fast_path_invariant(state, trace, opts) == eager_evaluate(state, trace, opts, True)[0]
+        assert projected_invariant(state, trace, opts) == vec
 
 
 def random_trace(seed):
@@ -494,7 +552,7 @@ def test_the_final_year_precondition_is_reported_first():
     state, trace, opts = hypersurface(*problem, hs_cutoff=4)
     with pytest.raises(PreconditionError, match="completion-level"):
         eager_evaluate(state, trace, opts)
-    for compute in (compute_invariant, fast_path_invariant):
+    for compute in (compute_invariant, projected_invariant):
         with pytest.raises(PreconditionError, match="^point not in Sing$"):
             compute(state, trace, opts)
 
