@@ -3,7 +3,10 @@ JSON.
 
 One self-describing JSON schema covers problems, traces and reports; exact
 rationals always travel as strings like "4/3".  Exit codes: 0 success,
-2 precondition failure, 3 parse error, 4 internal assertion.
+2 precondition failure, 3 parse error, 4 internal assertion.  A number
+with more digits than the interpreter converts between int and str is a
+parse error where it is read and a precondition failure where a report
+would print it.
 
 The subcommands are the keys of ``HANDLERS``: order, poly, newton,
 char-poly, delta, d-i, nu, directrix, hs, coeff, blowup, run-lsb and

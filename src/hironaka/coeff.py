@@ -154,8 +154,8 @@ def _evaluate(f: Polynomial, point):
 
 def _shift_clears(witness: Polynomial, pivot: int) -> bool:
     """Whether the witness becomes a coordinate by one shift: with L its
-    pivot coefficient, T its pivot-free part and w = witness/L, t = T/L,
-    whether t = 0 or w(-t, x') = 0, the pivot-free part of w after
+    pivot coefficient (nonzero), T its pivot-free part and w = witness/L,
+    t = T/L, whether t = 0 or w(-t, x') = 0, the pivot-free part of w after
     pivot -> pivot - t.  Witnesses over 150 terms with t != 0 fail.
 
     The screen stays in the witness's own (int) coefficients.  Write the
@@ -165,19 +165,28 @@ def _shift_clears(witness: Polynomial, pivot: int) -> bool:
 
     so its value at a fixed int point a' is nonzero exactly when
     w(-t(a'), a') is: a nonzero value proves the shift fails, and only a
-    zero value needs the substitution."""
-    n = witness.nvars
-    parts = split_by_variables(witness, [pivot])  # (k,) -> W_k
-    if (0,) not in parts:
+    zero value needs the substitution.  The values W_k(a') are added up in
+    one pass over the witness's terms."""
+    n, terms = witness.nvars, witness.terms
+    if len(terms) > 150:
+        return all(e[pivot] for e in terms)
+    # a' = (2, 3, ...) on the variables other than the pivot
+    point = [j + 2 if j < pivot else j + 1 for j in range(n)]
+    point[pivot] = 1
+    values: dict[int, int | Fraction] = {}  # k -> W_k(a')
+    for exps, c in terms.items():
+        for e, x in zip(exps, point):
+            if e:
+                c *= x ** e
+        k = exps[pivot]
+        values[k] = values.get(k, 0) + c
+    if 0 not in values:
         return True
-    if len(witness.terms) > 150:
-        return False
-    point = [i + 2 for i in range(n) if i != pivot]
-    values = {k: _evaluate(part, point) for (k,), part in parts.items()}
-    lead, top, x = parts[(1,)].constant_term(), max(values), -values[0]
+    lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
+    top, x = max(values), -values[0]
     if sum(v * x ** k * lead ** (top - k) for k, v in values.items()):
         return False
-    tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
+    tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
     return substitute(witness, {pivot: tail.scale(Fraction(-1) / lead)}).is_zero()
 
 
@@ -251,6 +260,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
     saw_direction = False
     failed_screens = 0
+    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for vec in _direction_candidates(n, CONTACT_HEIGHT, marked, units):
         if _evaluate(top, vec) == 0:
             continue
@@ -258,10 +268,11 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
         pivot = next(i for i, x in enumerate(vec) if x != 0)
         change = None
         if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
+            # x_pivot -> v_pivot * x_pivot, x_i -> x_i + v_i * x_pivot
             change = {
-                i: (Polynomial.variable(n, i) + Polynomial.variable(n, pivot).scale(vec[i])
-                    if i != pivot else Polynomial.variable(n, pivot).scale(vec[pivot]))
-                for i in range(n) if vec[i] != 0 or i == pivot
+                i: Polynomial._wrap(n, {unit[i]: 1, unit[pivot]: x} if i != pivot
+                                    else {unit[pivot]: x})
+                for i, x in enumerate(vec) if x
             }
         fvec = substitute(f, change) if change else f
 
@@ -269,7 +280,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
         witness = hasse_derivative(fvec, M)
         if ord_at_origin(witness) != 1:
             raise InternalError("contact derivative does not have order one")
-        lead = witness.terms.get(tuple(1 if j == pivot else 0 for j in range(n)))
+        lead = witness.terms.get(unit[pivot])
         if not lead:
             raise InternalError("contact derivative lost the pivot direction")
         if not _shift_clears(witness, pivot):

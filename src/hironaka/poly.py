@@ -24,23 +24,24 @@ each term in normal form.  Everything else builds its result through
 ``variable``, sums, negations, products of int exponents,
 ``initial_form`` and ``split_by_variables`` (subsets of normalized terms),
 ``hasse_derivative`` (no two terms meet and none cancels), ``substitute``
-and ``divide_by_variable_power``.  Zero coefficients are dropped where they
-arise.  int*int and int+int are ints, so only a Fraction result can need
-renormalizing, when its denominator is 1: sums check each coefficient that
-two terms add into, and products, scalings and derivatives check their
-term dict once (``_ints``).  A product with a fractional exponent goes back
-through the normalizing constructor, because x^(1/2)*x^(1/2) must store its
-exponent as the int 1; ``divide_by_variable_power`` normalizes the one
-exponent it changes, and ``substitute`` each exponent of a power of a
-monomial or a binomial.
+when no exponent is fractional, and ``divide_by_variable_power``.  Zero
+coefficients are dropped where they arise.  int*int and int+int are ints,
+so only a Fraction result can need renormalizing, when its denominator is
+1: sums check each coefficient that two terms add into, and products,
+scalings, derivatives and substitutions check their term dict once
+(``_ints``).  A product with a fractional exponent goes back through the
+normalizing constructor, because x^(1/2)*x^(1/2) must store its exponent as
+the int 1, and so does a substitution in which f or a substituted
+polynomial has a fractional exponent; ``divide_by_variable_power``
+normalizes the one exponent it changes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Mapping
@@ -99,6 +100,28 @@ def _add_terms(out: dict, terms) -> None:
                 out[exps] = acc.numerator
             else:
                 out[exps] = acc
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The term dict of the product of the term dicts ``a`` and ``b``, the
+    entries whose coefficients cancel dropped; coefficients and exponents as
+    the products and sums give them."""
+    out: dict[Exponents, int | Fraction] = {}
+    b_terms = b.items()
+    for ea, ca in a.items():
+        for eb, cb in b_terms:
+            key = tuple(map(add, ea, eb))
+            c = ca * cb
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c
+            else:
+                acc += c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return out
 
 
 class Polynomial:
@@ -206,21 +229,7 @@ class Polynomial:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        out: dict[Exponents, int | Fraction] = {}
-        other_terms = other.terms.items()
-        for ea, ca in self.terms.items():
-            for eb, cb in other_terms:
-                key = tuple(map(add, ea, eb))
-                c = ca * cb
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    acc += c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+        out = _convolve(self.terms, other.terms)
         if self.has_fractional_exponent() or other.has_fractional_exponent():
             return Polynomial(self.nvars, out)
         return Polynomial._wrap(self.nvars, _ints(out))
@@ -295,15 +304,18 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
             raise PreconditionError("derivative undefined on fractional variable")
     # distinct exponents stay distinct after subtracting M, and C(D, M) >= 1,
     # so no two terms meet and none cancels
+    active = [(i, m) for i, m in enumerate(M) if m]
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
-        if any(e < m for e, m in zip(exps, M)):
-            continue
-        w = 1
-        for e, m in zip(exps, M):
-            if m:
-                w *= math.comb(e, m)
-        out[tuple(e - m for e, m in zip(exps, M))] = c * w
+        key, w = list(exps), 1
+        for i, m in active:
+            e = exps[i]
+            if e < m:
+                break
+            w *= math.comb(e, m)
+            key[i] = e - m
+        else:
+            out[tuple(key)] = c * w
     return Polynomial._wrap(f.nvars, _ints(out))
 
 
@@ -314,64 +326,86 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
 def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomial:
     """Exact composite polynomial; variables absent from the map stay fixed.
 
-    Only the assigned variables are expanded: the exponents of the others
-    stay in the term key.  Each power g_i^e is built once per call and
-    shared by every term that needs it.  The power of a single-term g_i is
-    built in one step, c^e * x^(e*E), and that of a two-term g_i = a + b
-    by the binomial theorem, sum_k C(e, k) a^k b^(e-k).  The powers of any
-    other g_i are built as g_i^(e-1) * g_i.
+    The work is on term dicts.  Each term of f has its mapped exponents
+    zeroed; the power c^e * x^(e*E) of every single-term g_i is folded into
+    the term's exponent tuple and coefficient, and only the powers of the
+    multi-term g_i are convolved with it.  Each power is built once per
+    call, in a table local to the call.  That of a two-term g_i = a + b
+    comes from the binomial theorem, sum_k C(e, k) a^k b^(e-k), and that of
+    any other g_i from g_i^(e-1) * g_i.
 
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
-    fractional power stays exact.
+    fractional power stays exact.  When f or a g_i has a fractional
+    exponent, the result goes through the normalizing constructor, since
+    two fractional exponents may add up to an int.
     """
     n = f.nvars
     mapped = [i for i in range(n) if i in assignment]
     for i in mapped:
         if assignment[i].nvars != n:
             raise ValueError("substitution must preserve the variable list")
-    ladders = {i: [assignment[i]] for i in mapped}  # ladders[i][e - 1] = g_i^e
+    # (i, e) -> g_i^e: ((index, exponent) pairs, coefficient) for a
+    # single-term g_i, else its term dict; ladders[i][e - 1] = g_i^e
+    powers: dict = {}
+    ladders: dict[int, list[dict]] = {}
 
-    @cache
-    def power(i: int, e) -> Polynomial:
-        g = assignment[i]
+    def power(i: int, e):
+        g = assignment[i].terms
         integral = type(e) is int
-        if len(g.terms) == 1:
-            (gexps, gc), = g.terms.items()
+        if len(g) == 1:
+            (gexps, gc), = g.items()
             if not integral and gc != 1:
                 raise PreconditionError(
                     "fractional power of a non-unit monomial substitution"
                 )
-            # a normalized gc stays normalized: p/q with q > 1 has q^e > 1
-            scaled = tuple([_norm_exp(ge * e) for ge in gexps])
-            return Polynomial._wrap(n, {scaled: gc ** e if integral else gc})
+            return [(j, ge * e) for j, ge in enumerate(gexps) if ge], gc ** e if integral else gc
         if not integral:
             raise PreconditionError(
                 "fractional power of a non-monomial substitution"
             )
-        if len(g.terms) == 2:
+        if len(g) == 2:
             # the terms' exponents differ, so distinct k give distinct keys
-            (ea, ca), (eb, cb) = g.terms.items()
+            (ea, ca), (eb, cb) = g.items()
             terms, binom = {}, 1  # binom = C(e, k)
             for k in range(e + 1):
-                key = tuple([_norm_exp(x * k + y * (e - k)) for x, y in zip(ea, eb)])
-                terms[key] = binom * ca ** k * cb ** (e - k)
+                terms[tuple([x * k + y * (e - k) for x, y in zip(ea, eb)])] = (
+                    binom * ca ** k * cb ** (e - k))
                 binom = binom * (e - k) // (k + 1)
-            return Polynomial._wrap(n, _ints(terms))
-        ladder = ladders[i]
+            return terms
+        ladder = ladders.setdefault(i, [g])
         while len(ladder) < e:
-            ladder.append(ladder[-1] * g)
+            ladder.append(_convolve(ladder[-1], g))
         return ladder[e - 1]
 
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
-        fixed = tuple(0 if i in assignment else e for i, e in enumerate(exps))
-        term = Polynomial._wrap(n, {fixed: c})
+        key = list(exps)
         for i in mapped:
-            if exps[i]:
-                term = term * power(i, exps[i])
-        _add_terms(out, term.terms.items())
-    return Polynomial._wrap(n, out)
+            key[i] = 0
+        factors = []
+        for i in mapped:
+            e = exps[i]
+            if not e:
+                continue
+            p = powers.get((i, e))
+            if p is None:
+                p = powers[i, e] = power(i, e)
+            if type(p) is tuple:
+                shifts, pc = p
+                for j, x in shifts:
+                    key[j] += x
+                c *= pc
+            else:
+                factors.append(p)
+        term = {tuple(key): c}
+        for p in factors:
+            term = _convolve(term, p)
+        _add_terms(out, term.items())
+    if f.has_fractional_exponent() or any(
+            assignment[i].has_fractional_exponent() for i in mapped):
+        return Polynomial(n, out)
+    return Polynomial._wrap(n, _ints(out))
 
 
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
@@ -409,11 +443,40 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
 
 
+def _number(tok: str) -> int:
+    """The int a digit token spells; a ProblemParseError when it has more
+    digits than the interpreter converts from a str."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ProblemParseError(
+            f"a number of {len(tok)} digits is past the limit of "
+            f"{sys.get_int_max_str_digits()}") from None
+
+
+def _refuse_long_power(c: int | Fraction, q: int) -> None:
+    """A ProblemParseError when the number c^q would have more digits than
+    the interpreter converts to a str, told before c^q is computed: p^q has
+    more than ``limit`` digits when q * log10(p) >= limit."""
+    limit = sys.get_int_max_str_digits()
+    for p in (abs(c.numerator), c.denominator):
+        if limit and q and p > 1 and math.log10(p) >= limit / q:
+            raise ProblemParseError(
+                f"a numeric power has more digits than the limit of {limit}")
+
+
 def format_rational(q) -> str:
+    """q as digits, "p/q" or "inf"; a PreconditionError naming the limit
+    when a number has more digits than the interpreter converts to a str."""
     if q == INF:
         return "inf"
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    q = q if type(q) is int else Fraction(q)
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise PreconditionError(
+            "a number has more digits than can be printed, the limit is "
+            f"{sys.get_int_max_str_digits()}") from None
 
 
 def format_polynomial(f: Polynomial, names: list[str] | None = None) -> str:
@@ -430,7 +493,7 @@ def format_polynomial(f: Polynomial, names: list[str] | None = None) -> str:
             if e == 1:
                 factors.append(names[i])
             elif isinstance(e, int):
-                factors.append(f"{names[i]}^{e}")
+                factors.append(f"{names[i]}^{format_rational(e)}")
             else:
                 factors.append(f"{names[i]}^({format_rational(e)})")
         mag = abs(coeff)
@@ -459,16 +522,14 @@ class _Parser:
     arithmetic."""
 
     def __init__(self, text: str, names: list[str], fractional_ok: set[int]):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ProblemParseError(f"bad character in polynomial: {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
+        self.tokens: list[str] = _TOKEN.findall(text)
+        # findall skips what no token matches: the tokens cover the text
+        # exactly when they spell it without its whitespace
+        if "".join(self.tokens) != "".join(text.split()):
+            pos = 0
+            while m := _TOKEN.match(text, pos):
+                pos = m.end()
+            raise ProblemParseError(f"bad character in polynomial: {text[pos:]!r}")
         self.pos = 0
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
@@ -564,14 +625,17 @@ class _Parser:
                 return Polynomial.monomial(len(self.names), tuple(e * q for e in exps))
             if q.denominator != 1:
                 raise ProblemParseError("fractional exponent on a compound expression")
+            if poly.is_constant():
+                _refuse_long_power(poly.constant_term(), int(q))
             return poly ** int(q)
         if tok.isdigit():
-            c = int(tok)
+            c = _number(tok)
             if self.peek() == "^":
                 self.next()
                 q = self.parse_exponent()
                 if q.denominator != 1:
                     raise ProblemParseError("fractional exponent on a compound expression")
+                _refuse_long_power(c, int(q))
                 c **= int(q)
             return c, None, 0
         idx = self.index.get(tok)
@@ -598,19 +662,20 @@ class _Parser:
             num = self.next()
             if not (num and num.isdigit()):
                 raise ProblemParseError("malformed exponent")
-            q = int(num)
+            q = _number(num)
             if self.peek() == "/":
                 self.next()
                 den = self.next()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
-                if not int(den):
+                den = _number(den)
+                if not den:
                     raise ProblemParseError("zero denominator in exponent")
-                q = Fraction(q, int(den))
+                q = Fraction(q, den)
             self.expect(")")
             return q
         if tok and tok.isdigit():
-            return int(tok)
+            return _number(tok)
         raise ProblemParseError(f"malformed exponent at {tok!r}")
 
 

@@ -15,6 +15,9 @@ arithmetic.
 ``basic_solution_oracle`` decides LP feasibility from basic solutions,
 each solved by sympy, without a simplex.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
+``reference_substitute`` is the ``poly.substitute`` the library had before
+its kernel worked on term dicts: it builds every term and every power as a
+Polynomial and multiplies them with Polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
@@ -30,7 +34,7 @@ import pytest
 
 from hironaka.cli import parse_problem
 from hironaka.errors import PreconditionError, ProblemParseError
-from hironaka.poly import INF, Polynomial
+from hironaka.poly import INF, Polynomial, _add_terms, _ints, _norm_exp
 from hironaka.pairs import Component, Pair
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
 
@@ -249,6 +253,56 @@ class _ReferenceParser:
 
 def reference_parse(text: str, names: list[str], fractional_ok=()) -> Polynomial:
     return _ReferenceParser(text, names, set(fractional_ok)).parse()
+
+
+def reference_substitute(f: Polynomial, assignment) -> Polynomial:
+    """``poly.substitute`` by Polynomial arithmetic, with the same results,
+    errors and term order."""
+    n = f.nvars
+    mapped = [i for i in range(n) if i in assignment]
+    for i in mapped:
+        if assignment[i].nvars != n:
+            raise ValueError("substitution must preserve the variable list")
+    ladders = {i: [assignment[i]] for i in mapped}  # ladders[i][e - 1] = g_i^e
+
+    @cache
+    def power(i: int, e) -> Polynomial:
+        g = assignment[i]
+        integral = type(e) is int
+        if len(g.terms) == 1:
+            (gexps, gc), = g.terms.items()
+            if not integral and gc != 1:
+                raise PreconditionError(
+                    "fractional power of a non-unit monomial substitution"
+                )
+            scaled = tuple([_norm_exp(ge * e) for ge in gexps])
+            return Polynomial._wrap(n, {scaled: gc ** e if integral else gc})
+        if not integral:
+            raise PreconditionError(
+                "fractional power of a non-monomial substitution"
+            )
+        if len(g.terms) == 2:
+            (ea, ca), (eb, cb) = g.terms.items()
+            terms, binom = {}, 1  # binom = C(e, k)
+            for k in range(e + 1):
+                key = tuple([_norm_exp(x * k + y * (e - k)) for x, y in zip(ea, eb)])
+                terms[key] = binom * ca ** k * cb ** (e - k)
+                binom = binom * (e - k) // (k + 1)
+            return Polynomial._wrap(n, _ints(terms))
+        ladder = ladders[i]
+        while len(ladder) < e:
+            ladder.append(ladder[-1] * g)
+        return ladder[e - 1]
+
+    out: dict = {}
+    for exps, c in f.terms.items():
+        fixed = tuple(0 if i in assignment else e for i, e in enumerate(exps))
+        term = Polynomial._wrap(n, {fixed: c})
+        for i in mapped:
+            if exps[i]:
+                term = term * power(i, exps[i])
+        _add_terms(out, term.terms.items())
+    return Polynomial._wrap(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -158,6 +160,48 @@ def test_rationals_past_the_digit_limit_are_parse_errors(capsys):
     integer = json.dumps(with_b(0)).replace('"b": 0', '"b": ' + digits)
     assert cli.main([integer, "hs"]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def xyz(gen):
+    return {"variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+            "pair": {"components": [{"gens": [gen], "b": "2"}]}}
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("gen, message", [
+    ("z^2 + " + "7" * 5000 + "*x^3", f"a number of 5000 digits is past the limit of {LIMIT}"),
+    ("z^2 + x^" + "7" * 5000, f"a number of 5000 digits is past the limit of {LIMIT}"),
+    ("z^(1/" + "7" * 5000 + ")", f"a number of 5000 digits is past the limit of {LIMIT}"),
+    ("3^100000*z^2 + x^3", f"a numeric power has more digits than the limit of {LIMIT}"),
+    ("7^20000000*z^2 + x^3", f"a numeric power has more digits than the limit of {LIMIT}"),
+    ("(7)^20000000*z^2 + x^3", f"a numeric power has more digits than the limit of {LIMIT}"),
+    (f"z^2 + 10^{LIMIT}*x^3", f"a numeric power has more digits than the limit of {LIMIT}"),
+], ids=["literal", "exponent", "denominator", "3^100000", "7^20000000", "(7)^20000000",
+        "10^limit"])
+@pytest.mark.parametrize("command", ["hs", "run-lsb", "invariant"])
+def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, capsys, gen, message, command):
+    # each is refused before the number is built: 7^20000000 alone takes
+    # seconds to compute
+    start = time.perf_counter()
+    assert call(tmp_path, xyz(gen), command) == 3
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_number_at_the_digit_limit_is_read(tmp_path, capsys):
+    assert call(tmp_path, xyz(f"10^{LIMIT - 1}*z^2 + x^3"), "run-lsb") == 0
+    assert f"1{'0' * (LIMIT - 1)}*z^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run-lsb", "coeff"])
+def test_a_result_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # (10^2000)^3 is read; the report would print it
+    assert call(tmp_path, xyz("(z^2 + 10^2000*x^3)^3"), command) == 2
+    assert capsys.readouterr().err == (
+        f"precondition failed: a number has more digits than can be printed, the limit is {LIMIT}\n")
+    assert call(tmp_path, xyz("(z^2 + 10^2000*x^3)^3"), "hs") == 0
 
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
@@ -418,3 +462,36 @@ def test_a_contact_in_many_unmarked_variables_is_found_fast(capsys):
     assert time.perf_counter() - start < 0.5
     vec = json.loads(capsys.readouterr().out)["invariant"]
     assert (vec["s1"], vec["entries"], vec["terminal"]) == (0, [{"nu": "3/2", "s": 0}], "inf")
+
+
+# ---------------------------------------------------------------------------
+# The entry point as a process
+
+
+def run_module(*args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "hironaka.cli", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+
+
+def test_the_module_runs_as_a_program(tmp_path):
+    path = sorted((Path(__file__).resolve().parent.parent / "bench" / "corpus"
+                   / "lsb-hypersurface" / "problems").glob("*.json"))[0]
+    done = run_module(str(path), "invariant", "--format", "json")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == cli.render(cli.run(cli.parse_problem(str(path)), "invariant"), "json")
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"variables": ["x"]')
+    done = run_module(str(malformed), "hs")
+    assert done.returncode == 3
+    assert done.stderr.startswith(b"parse error: ")
+    assert b"Traceback" not in done.stderr
+
+    smooth = tmp_path / "smooth.json"
+    smooth.write_text(json.dumps({"variables": ["x", "z"], "u": ["x"], "y": ["z"],
+                                    "pair": {"components": [{"gens": ["z + x^2"], "b": "2"}]}}))
+    done = run_module(str(smooth), "invariant")
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"precondition failed: ")
+    assert b"Traceback" not in done.stderr

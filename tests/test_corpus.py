@@ -1,12 +1,19 @@
 """The checked-in benchmark corpora as a regression gate: every expected
 entry of ``bench/corpus/*/expected.json`` is run through the benchmark's
-own ``invoke``, ``attempt`` and ``judge`` and must be judged consistent.
-The corpus files are only read."""
+own ``invoke``, ``attempt`` and ``judge`` and must be judged consistent,
+and every ``substitute`` call the corpora make must agree with the
+reference kernel.  The corpus files are only read."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from hironaka import coeff, history, invariant
+from hironaka.errors import PreconditionError
+from hironaka.poly import substitute
+
+from conftest import reference_substitute
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -32,3 +39,32 @@ def test_corpus_reports_are_reproduced(workload):
         if not consistent:
             wrong.append((expect["problem"], item["command"], verdict, status))
     assert not wrong
+
+
+def test_every_corpus_substitution_matches_the_reference(monkeypatch):
+    """Every ``substitute`` call the three corpora make, rerun through the
+    Polynomial-arithmetic reference: the same terms in the same order with
+    the same types, or the same error."""
+    calls = []
+
+    def recording(f, assignment):
+        calls.append((f, dict(assignment)))
+        return substitute(f, assignment)
+
+    for module in (coeff, history, invariant):
+        monkeypatch.setattr(module, "substitute", recording)
+    cli = corpus.import_cli()
+    for workload in sorted(corpus.WORKLOADS):
+        for item in corpus.load(workload):
+            corpus.attempt(corpus.invoke, cli, item["text"], item["command"])
+    monkeypatch.undo()
+
+    def outcome(kernel, f, assignment):
+        try:
+            return repr(list(kernel(f, assignment).terms.items()))
+        except PreconditionError as exc:
+            return str(exc)
+
+    assert len(calls) > 100
+    for f, assignment in calls:
+        assert outcome(substitute, f, assignment) == outcome(reference_substitute, f, assignment)

@@ -141,27 +141,85 @@ def test_product_of_half_powers_has_int_exponents():
     assert_normalized(square)
 
 
+def half_power(nvars, j):
+    return Polynomial.monomial(nvars, [Fraction(1, 2) if i == j else 0 for i in range(nvars)])
+
+
+def term_by_term(f, assignment):
+    """substitute(f, assignment) as a sum of products of powers; a
+    fractional power only of a unit monomial."""
+    n = f.nvars
+    want = Polynomial.zero(n)
+    for exps, c in f.terms.items():
+        term = Polynomial.constant(n, c)
+        for i, e in enumerate(exps):
+            if i not in assignment:
+                term = term * Polynomial.monomial(n, [e if k == i else 0 for k in range(n)])
+            elif type(e) is int:
+                term = term * assignment[i] ** e
+            else:
+                (gexps, gc), = assignment[i].terms.items()
+                assert gc == 1
+                term = term * Polynomial.monomial(n, [ge * e for ge in gexps])
+        want = want + term
+    return want
+
+
+# beyond a random f and map: "free" gives half of f's terms a fractional
+# exponent on an unmapped variable; "unit" does so on x0, mapped to a unit
+# monomial, and "non-unit" and "non-monomial" on x0 mapped to 2 times a
+# monomial or to a sum, both refused; "cancel" maps only x0, to a sum g,
+# and adds x0^2 - g^2 to f, whose images cancel
+SUBSTITUTE_CASES = ("", "free", "unit", "non-unit", "non-monomial", "cancel")
+REFUSED = {
+    "non-unit": "^fractional power of a non-unit monomial substitution$",
+    "non-monomial": "^fractional power of a non-monomial substitution$",
+}
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3),
-       st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_substitute_matches_term_by_term_sum(seed, mapped, half):
+       st.sampled_from(SUBSTITUTE_CASES))
+@settings(max_examples=120, deadline=None)
+def test_substitute_matches_term_by_term_sum(seed, mapped, case):
     rng = random.Random(seed)
     f = random_polynomial(rng, 3, max_degree=4, max_terms=5)
     assignment = {i: random_polynomial(rng, 3, max_degree=2, max_terms=3) for i in mapped}
-    if half and len(mapped) < 3:
-        # half of the terms get a fractional exponent on an unassigned variable
-        j = min(set(range(3)) - mapped)
-        f = f + f * Polynomial.monomial(3, [Fraction(1, 2) if i == j else 0 for i in range(3)])
-    want = Polynomial.zero(3)
-    for exps, c in f.terms.items():
-        term = Polynomial.constant(3, c)
-        for i, e in enumerate(exps):
-            unit = [e if k == i else 0 for k in range(3)]
-            term = term * (assignment[i] ** e if i in mapped else Polynomial.monomial(3, unit))
-        want = want + term
+    if case == "free" and len(mapped) < 3:
+        f = f + f * half_power(3, min(set(range(3)) - mapped))
+    elif case in ("unit", "non-unit", "non-monomial"):
+        f = f + (f + Polynomial.constant(3, 1)) * half_power(3, 0)
+        exps = [rng.choice([0, 1, 2, Fraction(1, 2)]) for _ in range(3)]
+        assignment[0] = {
+            "unit": Polynomial.monomial(3, exps),
+            "non-unit": Polynomial.monomial(3, exps, 2),
+            "non-monomial": Polynomial.monomial(3, exps) + Polynomial.variable(3, 1),
+        }[case]
+    elif case == "cancel":
+        g = Polynomial(3, {(0, 1, 0): rng.choice([-2, 1, 3]), (0, 0, 1): rng.choice([-1, 2])})
+        assignment = {0: g}
+        f = f + Polynomial.variable(3, 0) ** 2 - g * g
+    if case in REFUSED:
+        with pytest.raises(PreconditionError, match=REFUSED[case]):
+            substitute(f, assignment)
+        return
     got = substitute(f, assignment)
     assert_normalized(got)
-    assert got.terms == want.terms
+    assert got.terms == term_by_term(f, assignment).terms
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3),
+       st.sets(st.integers(0, 2), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_substitution_composes(seed, first, second):
+    # f(A)(B) = f(A o B): x_i -> A_i(B) for i in A, else B_i, else x_i
+    rng = random.Random(seed)
+    f = random_polynomial(rng, 3, max_degree=3, max_terms=4)
+    A = {i: random_polynomial(rng, 3, max_degree=2, max_terms=3) for i in first}
+    B = {i: random_polynomial(rng, 3, max_degree=2, max_terms=2) for i in second}
+    composed = {**B, **{i: substitute(g, B) for i, g in A.items()}}
+    got = substitute(substitute(f, A), B)
+    assert_normalized(got)
+    assert got == substitute(f, composed)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +261,25 @@ def test_hasse_composition_identity(seed, M, Mp):
     total = tuple(a + b for a, b in zip(M, Mp))
     factor = Fraction(math.prod(math.comb(a + b, a) for a, b in zip(M, Mp)))
     assert lhs == hasse_derivative(f, total).scale(factor)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.tuples(*[st.integers(0, 3)] * 3))
+@settings(max_examples=80, deadline=None)
+def test_hasse_derivative_maps_each_monomial_by_binomials(seed, M):
+    # x^D -> C(D, M) x^(D - M) when D >= M, else 0; a variable of order 0
+    # may carry fractional exponents
+    rng = random.Random(seed)
+    f = random_polynomial(rng, 3, max_degree=5, max_terms=6)
+    if 0 in M:
+        f = f + f * half_power(3, M.index(0))
+    want = Polynomial.zero(3)
+    for D, c in f.terms.items():
+        if all(d >= m for d, m in zip(D, M)):
+            weight = math.prod(math.comb(d, m) for d, m in zip(D, M) if m)
+            want = want + Polynomial.monomial(3, [d - m for d, m in zip(D, M)], c * weight)
+    got = hasse_derivative(f, M)
+    assert_normalized(got)
+    assert got.terms == want.terms
 
 
 # ---------------------------------------------------------------------------
