@@ -12,6 +12,10 @@ reduction that works never needs a second shift (proof in
 whose contact would need an infinite (completion-level) change are rejected
 with a clear error.
 
+Each direction is first probed on a line (``_line_value``): w(-t(a'), a') = 0
+is an identity among the coefficients of f(a' + s*v), and a direction that
+fails it never changes or differentiates f.
+
 The direction sweep is lazy.  It yields only the directions a contact may
 take, supported on the unmarked variables or the unit vector of an adjoined
 marked divisor, in a fixed order: max-norm h = 1, 2, ..., ``CONTACT_HEIGHT``,
@@ -28,6 +32,7 @@ and a cap of the sweep above that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -152,40 +157,58 @@ def _evaluate(f: Polynomial, point):
     return total
 
 
+def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
+    """The witness probe at a', read off f on the line a' + s*v: zero
+    exactly when w(-t(a'), a') is, for w = witness/lead, t = T/lead, T the
+    witness's pivot-free part and ``lead`` = b*top(v) its pivot coefficient.
+
+    a' is (2, 3, ...) off the pivot and 0 at it.  The change of direction v
+    maps (a', s) to a' + s*v, so the witness's pivot coefficients at a' are
+    W_k = C(k+b-1, b-1) * phi_(k+b-1), phi(s) = f(a' + s*v), and the value
+    sum_k W_k * (-W_0)^k * lead^(D-k), D the largest k with a term, is
+    lead^(D+1) * w(-t(a'), a'); 0 when no term of f reaches s^(b-1).  A
+    nonzero value forces T != 0: the shift of ``_shift_clears`` fails."""
+    if not any(e[pivot] < b <= sum(d for d, x in zip(e, vec) if x) + 1 for e in f.terms):
+        return 0
+    phi: dict = {}  # k -> the s^k coefficient of phi
+    for exps, c in f.terms.items():
+        # a'_pivot = 0: the pivot's factor is (v_pivot*s)^e
+        line = [c * vec[pivot] ** exps[pivot]]
+        for i, e in enumerate(exps):
+            if not e or i == pivot:
+                continue
+            # the coefficients of (a'_i + v_i*s)^e
+            a, x = i + 2 if i < pivot else i + 1, vec[i]
+            if not x:
+                line = [y * a ** e for y in line]
+                continue
+            p = [math.comb(e, k) * a ** (e - k) * x ** k for k in range(e + 1)]
+            product = [0] * (len(line) + len(p) - 1)
+            for j, y in enumerate(line):
+                for k, z in enumerate(p):
+                    product[j + k] += y * z
+            line = product
+        for k, y in enumerate(line, exps[pivot]):
+            phi[k] = phi.get(k, 0) + y
+    x, top = -phi.get(b - 1, 0), max(phi)  # x = -W_0
+    return x and sum(math.comb(k, b - 1) * y * x ** (k - b + 1) * lead ** (top - k)
+                     for k, y in phi.items() if k >= b - 1)
+
+
 def _shift_clears(witness: Polynomial, pivot: int) -> bool:
     """Whether the witness becomes a coordinate by one shift: with L its
     pivot coefficient (nonzero), T its pivot-free part and w = witness/L,
     t = T/L, whether t = 0 or w(-t, x') = 0, the pivot-free part of w after
     pivot -> pivot - t.  Witnesses over 150 terms with t != 0 fail.
 
-    The screen stays in the witness's own (int) coefficients.  Write the
-    witness as sum_k W_k(x') pivot^k, of pivot degree D.  Then
-
-        L^(D+1) * w(-t, x') = sum_k W_k(x') * (-T(x'))^k * L^(D-k),
-
-    so its value at a fixed int point a' is nonzero exactly when
-    w(-t(a'), a') is: a nonzero value proves the shift fails, and only a
-    zero value needs the substitution.  The values W_k(a') are added up in
-    one pass over the witness's terms."""
+    Its caller builds a witness only when ``_line_value`` is 0; a nonzero
+    line value forces t != 0, so the cap would reject that witness too."""
     n, terms = witness.nvars, witness.terms
-    if len(terms) > 150:
-        return all(e[pivot] for e in terms)
-    # a' = (2, 3, ...) on the variables other than the pivot
-    point = [j + 2 if j < pivot else j + 1 for j in range(n)]
-    point[pivot] = 1
-    values: dict[int, int | Fraction] = {}  # k -> W_k(a')
-    for exps, c in terms.items():
-        for e, x in zip(exps, point):
-            if e:
-                c *= x ** e
-        k = exps[pivot]
-        values[k] = values.get(k, 0) + c
-    if 0 not in values:
+    if all(e[pivot] for e in terms):
         return True
-    lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
-    top, x = max(values), -values[0]
-    if sum(v * x ** k * lead ** (top - k) for k, v in values.items()):
+    if len(terms) > 150:
         return False
+    lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
     tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
     return substitute(witness, {pivot: tail.scale(Fraction(-1) / lead)}).is_zero()
 
@@ -209,10 +232,11 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
-    the linear change composed with pivot -> pivot - t.  ``_shift_clears``
-    decides this on the unscaled witness, by an exact int probe before any
-    expansion; only an accepted witness is divided by its pivot
-    coefficient.  After 12 failed directions the input is rejected.
+    the linear change composed with pivot -> pivot - t.  A nonzero
+    ``_line_value``, read off f before any expansion, rejects the direction;
+    otherwise w is built for the exact check of ``_shift_clears``, and
+    divided by its pivot coefficient once accepted.  After 12 failed
+    directions the input is rejected.
     """
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
@@ -262,28 +286,27 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     failed_screens = 0
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for vec in _direction_candidates(n, CONTACT_HEIGHT, marked, units):
-        if _evaluate(top, vec) == 0:
+        lead = b * _evaluate(top, vec)
+        if not lead:
             continue
         saw_direction = True
         pivot = next(i for i, x in enumerate(vec) if x != 0)
-        change = None
-        if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
-            # x_pivot -> v_pivot * x_pivot, x_i -> x_i + v_i * x_pivot
-            change = {
-                i: Polynomial._wrap(n, {unit[i]: 1, unit[pivot]: x} if i != pivot
-                                    else {unit[pivot]: x})
-                for i, x in enumerate(vec) if x
-            }
-        fvec = substitute(f, change) if change else f
-
-        M = tuple(b - 1 if j == pivot else 0 for j in range(n))
-        witness = hasse_derivative(fvec, M)
-        if ord_at_origin(witness) != 1:
-            raise InternalError("contact derivative does not have order one")
-        lead = witness.terms.get(unit[pivot])
-        if not lead:
-            raise InternalError("contact derivative lost the pivot direction")
-        if not _shift_clears(witness, pivot):
+        change = witness = None
+        if not _line_value(f, b, vec, pivot, lead):
+            if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
+                # x_pivot -> v_pivot * x_pivot, x_i -> x_i + v_i * x_pivot
+                change = {
+                    i: Polynomial._wrap(n, {unit[i]: 1, unit[pivot]: x} if i != pivot
+                                        else {unit[pivot]: x})
+                    for i, x in enumerate(vec) if x
+                }
+            fvec = substitute(f, change) if change else f
+            witness = hasse_derivative(fvec, tuple(b - 1 if j == pivot else 0 for j in range(n)))
+            if ord_at_origin(witness) != 1:
+                raise InternalError("contact derivative does not have order one")
+            if not witness.terms.get(unit[pivot]):
+                raise InternalError("contact derivative lost the pivot direction")
+        if witness is None or not _shift_clears(witness, pivot):
             failed_screens += 1
             if failed_screens >= 12:
                 raise PreconditionError(

@@ -244,16 +244,14 @@ class Polynomial:
         return Polynomial._wrap(self.nvars, _ints({e: c * v for e, v in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        """self^n by ``substitute``'s power builder: the binomial theorem
+        for two terms, the multiplication ladder for more."""
+        if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        if not self.nvars:
+            return Polynomial.constant(0, self.constant_term() ** n)
+        x0n = Polynomial._wrap(self.nvars, {(n,) + (0,) * (self.nvars - 1): 1})
+        return substitute(x0n, {0: self})
 
     def __eq__(self, other) -> bool:
         return (

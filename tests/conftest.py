@@ -225,7 +225,9 @@ class _ReferenceParser:
             else:
                 if q.denominator != 1:
                     raise ProblemParseError("fractional exponent on a compound expression")
-                poly = poly ** int(q)
+                base, poly = poly, Polynomial.constant(n, 1)
+                for _ in range(int(q)):
+                    poly = poly * base
         return poly
 
     def parse_exponent(self) -> Fraction:

@@ -190,6 +190,16 @@ def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, capsys, gen, me
     assert time.perf_counter() - start < 0.5
 
 
+def test_a_high_binomial_power_parses_in_one_pass(tmp_path, capsys):
+    # (x + y)^3000 comes from the binomial theorem; repeated squaring of
+    # full products took seconds
+    start = time.perf_counter()
+    assert call(tmp_path, xyz("z^2 + (x + y)^3000"), "hs") == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.startswith(
+        "command: hs\ndims: 1 4 9 16 25 36 49 64 81 100 121 144\n")
+
+
 def test_a_number_at_the_digit_limit_is_read(tmp_path, capsys):
     assert call(tmp_path, xyz(f"10^{LIMIT - 1}*z^2 + x^3"), "run-lsb") == 0
     assert f"1{'0' * (LIMIT - 1)}*z^2" in capsys.readouterr().out

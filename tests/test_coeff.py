@@ -10,6 +10,7 @@ from hironaka.coeff import (
     MaximalContact,
     _direction_candidates,
     _evaluate,
+    _line_value,
     _shift_clears,
     _substitute_pair,
     coefficient_pair,
@@ -30,7 +31,7 @@ from hironaka.poly import (
 )
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
-from conftest import corpus_problems, random_singular_pair, subset_of
+from conftest import corpus_problems, random_polynomial, random_singular_pair, subset_of
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -380,19 +381,98 @@ def test_the_recorded_change_gives_the_rewritten_pair():
 
 
 def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
-    # pivot x, probe y = 3, t = y^2/lead: w(-t(3), 3) = 0 although
-    # w(-t, y) = -y^3*(y - 3)/lead^2; with lead 2 the probe's x is -9/2, not an int
-    for lead in (1, 2):
-        w = p(f"{lead}*x + y^2 + x*y*(y - 3)")
-        assert _evaluate(w.scale(Fraction(1, lead)), (Fraction(-9, lead), 3)) == 0
+    # b = 1, pivot x, probe y = 2, t = y^2/lead: the line value is 0 although
+    # w(-t, y) = -y^3*(y - 2)/lead^2; with lead 3 the probe's x is -4/3, not an int
+    for lead in (1, 3):
+        w = p(f"{lead}*x + y^2 + x*y*(y - 2)")
+        assert _evaluate(w.scale(Fraction(1, lead)), (Fraction(-4, lead), 2)) == 0
+        assert _line_value(w, 1, (1, 0), 0, lead) == 0
         assert not _shift_clears(w, 0)
         # (lead*x + y^2)(1 + x) becomes lead*x*(1 + x - y^2/lead) under x -> x - y^2/lead
         assert _shift_clears(p(f"({lead}*x + y^2)*(1 + x)"), 0)
         E = Pair.single([w], 1)
         for height in (1, 2):
             monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
+            shifted = []
+            monkeypatch.setattr(coeff, "substitute",
+                                lambda g, change: shifted.append(g) or substitute(g, change))
             assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
-                    == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height))
+                    == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height)
+                    == "maximal contact requires a completion-level coordinate change")
+            # direction (1, 0) was rejected by the substitution of its witness
+            assert w in shifted
+
+
+def witness_probe_reference(witness: Polynomial, pivot: int):
+    """The probe the contact search ran on each expanded witness before the
+    line screen: sum_k W_k(a') * (-T(a'))^k * L^(D-k), W_k the pivot
+    coefficients, T = W_0, D the pivot degree and L the pivot coefficient of
+    the witness, at a' = (2, 3, ...) on the variables other than the pivot."""
+    n = witness.nvars
+    point = [j + 2 if j < pivot else j + 1 for j in range(n)]
+    point[pivot] = 1
+    values = {}  # k -> W_k(a')
+    for exps, c in witness.terms.items():
+        for e, x in zip(exps, point):
+            c *= x ** e
+        values[exps[pivot]] = values.get(exps[pivot], 0) + c
+    lead = witness.terms[tuple(1 if j == pivot else 0 for j in range(n))]
+    top, x = max(values), -values.get(0, 0)
+    return sum(v * x ** k * lead ** (top - k) for k, v in values.items())
+
+
+def generator_with_contact(rng, n, b):
+    """A random generator of order b; half the time one whose witness along
+    some x_p becomes a coordinate by one shift: g(x_p + q) with
+    g = x_p^b + sum_(0 < j < b-1) c_j*x_p^j + c_0, the c_j free of x_p and
+    of order above b - j, and q free of x_p."""
+    if rng.random() < 0.5:
+        return random_polynomial(rng, n, max_degree=b + 2, min_order=b)
+    p = rng.randrange(n)
+
+    def free(g):
+        return Polynomial(n, {e: c for e, c in g.terms.items() if not e[p]})
+
+    x = Polynomial.variable(n, p)
+    g = free(random_polynomial(rng, n, max_degree=b + 2, min_order=b + 1))
+    for j in (*range(1, b - 1), b):
+        c = Polynomial.constant(n, 1) if j == b else free(
+            random_polynomial(rng, n, max_degree=b + 1 - j, min_order=b + 1 - j))
+        for _ in range(j):
+            c = c * x
+        g = g + c
+    return substitute(g, {p: x + free(random_polynomial(rng, n, max_degree=2, min_order=1))})
+
+
+def test_line_value_vanishes_with_the_witness_probe():
+    """Over every swept direction with top(v) != 0, marked variables and
+    adjoined units included, the line value of f is 0 exactly when the
+    probe of the expanded witness is."""
+    rng = random.Random(19)
+    zeros = checked = 0
+    for n, count in ((2, 20), (3, 6), (4, 2)):
+        for b in (2, 3, 4):
+            for _ in range(count):
+                f = generator_with_contact(rng, n, b)
+                marked = frozenset(i for i in range(n) if rng.random() < 0.3)
+                units = [i for i in sorted(marked) if rng.random() < 0.5]
+                top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
+                for vec in _direction_candidates(n, coeff.CONTACT_HEIGHT, marked, units):
+                    lead = b * _evaluate(top, vec)
+                    if not lead:
+                        continue
+                    pivot = next(i for i, c in enumerate(vec) if c != 0)
+                    x = [Polynomial.variable(n, i) for i in range(n)]
+                    change = {i: x[i] + x[pivot].scale(c) if i != pivot else x[pivot].scale(c)
+                              for i, c in enumerate(vec) if c}
+                    witness = hasse_derivative(substitute(f, change),
+                                               tuple(b - 1 if j == pivot else 0 for j in range(n)))
+                    reference = witness_probe_reference(witness, pivot)
+                    assert (_line_value(f, b, vec, pivot, lead) == 0) == (reference == 0), (f, vec)
+                    checked += 1
+                    zeros += reference == 0 and any(e[pivot] == 0 for e in witness.terms)
+    # enough directions whose probe is 0 with a nonzero pivot-free part
+    assert checked > 2000 and zeros > 300, (checked, zeros)
 
 
 # ---------------------------------------------------------------------------

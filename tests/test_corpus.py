@@ -68,3 +68,29 @@ def test_every_corpus_substitution_matches_the_reference(monkeypatch):
     assert len(calls) > 100
     for f, assignment in calls:
         assert outcome(substitute, f, assignment) == outcome(reference_substitute, f, assignment)
+
+
+@pytest.mark.parametrize("workload, expanded", [
+    ("contact-reject", (0, 0)),
+    ("lsb-hypersurface", (40, 42)),
+    ("pairs-local", (317, 163)),
+])
+def test_rejected_directions_never_expand_the_generator(monkeypatch, workload, expanded):
+    """Calls of ``substitute`` and ``hasse_derivative`` in ``coeff`` over one
+    ``invariant`` pass of a corpus.  The line screen rejects every direction
+    of contact-reject before f is changed or differentiated."""
+    calls = {"substitute": 0, "hasse_derivative": 0}
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(coeff, name, counted(name, getattr(coeff, name)))
+    cli = corpus.import_cli()
+    for item in corpus.load(workload):
+        if item["command"] == "invariant":
+            corpus.attempt(corpus.invoke, cli, item["text"], item["command"])
+    assert (calls["substitute"], calls["hasse_derivative"]) == expanded
