@@ -18,16 +18,17 @@ fails it never changes or differentiates f.
 
 The direction sweep is lazy.  It yields only the directions a contact may
 take, supported on the unmarked variables or the unit vector of an adjoined
-marked divisor, in a fixed order: max-norm h = 1, 2, ..., ``CONTACT_HEIGHT``,
-then sparsity, then first nonzero index, then lex.  Every such direction
-reads the top form with the marked variables at 0, or the x_i^b coefficient
-of an adjoined marked x_i.  When both are zero no direction can work, and
-"no maximal contact witness" is raised before any sweep.  Otherwise the
-sweep finds a direction with a nonzero top form whenever b <= 2 *
-``CONTACT_HEIGHT``: a nonzero form of degree b is nonzero somewhere on a grid
-S^m with |S| > b (Alon, Combinatorial Nullstellensatz, 1999), and {-h..h}
-has 2h + 1 points.  So "no maximal contact witness" is a proof for b <= 8
-and a cap of the sweep above that.
+marked divisor, in a fixed order: max-norm h = 1, 2, ..., then sparsity,
+then first nonzero index, then lex.  Every such direction reads R, the top
+form with the marked variables at 0, or the x_i^b coefficient of an
+adjoined marked x_i.  When both are zero no direction can work, and "no
+maximal contact witness" is raised before any sweep.  Otherwise the sweep
+ends by proof, with no height limit.  If R = 0, only the adjoined unit
+vectors can read a nonzero top form, and only they are swept.  If R != 0,
+R is nonzero somewhere on the grid {-h..h}^m once 2h + 1 > b (Alon,
+Combinatorial Nullstellensatz, 1999), and R(k*v) = k^b * R(v), so such
+directions recur at every larger height: the sweep ends by accepting one or
+at the 12th failed screen.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .cone import DirectrixBasis, directrix, initial_ideal
 from .errors import DirectrixNotSpanned, InternalError, PreconditionError
@@ -86,12 +88,6 @@ def coefficient_pair(E: Pair, frame: Frame, z_indices) -> Pair:
 # ---------------------------------------------------------------------------
 # Maximal contact
 
-# Largest max-norm of a candidate contact direction: the sweep tries the
-# small-integer vectors of max-norm 1, then 2, ..., up to this.  That finds
-# a direction whenever one exists and b <= 2 * CONTACT_HEIGHT.
-CONTACT_HEIGHT = 4
-
-
 @dataclass(frozen=True)
 class MaximalContact:
     pair: Pair                 # the pair rewritten in the adapted coordinates
@@ -104,14 +100,16 @@ class MaximalContact:
     change: dict = field(default_factory=dict, compare=False)
 
 
-def _direction_candidates(n: int, height: int, marked=frozenset(), preferred=()):
-    """The directions up to max-norm ``height`` that a contact may take, in
-    the sweep order of the module docstring, first nonzero entry positive.
-    A branch is cut once it cannot place its remaining nonzeros, so the
-    cost follows the directions yielded, not (2h+1)^n."""
+def _direction_candidates(n: int, marked=frozenset(), preferred=()):
+    """The directions that a contact may take, in the sweep order of the
+    module docstring, first nonzero entry positive: every max-norm h = 1,
+    2, ... while some variable is unmarked, else only the unit vectors of
+    the ``preferred`` marked ones.  A branch is cut once it cannot place its
+    remaining nonzeros, so the cost follows the directions yielded, not
+    (2h+1)^n."""
     free = [i for i in range(n) if i not in marked]
     units = [i for i in range(n) if i in marked and i in preferred]
-    for h in range(1, height + 1):
+    for h in count(1) if free else (1,):
         values = [*range(-h, 0), 0, *range(1, h + 1)]
         for s in range(1, max(len(free), 1) + 1):
             for first in sorted(free + units) if h == s == 1 else free:
@@ -167,7 +165,7 @@ def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
     W_k = C(k+b-1, b-1) * phi_(k+b-1), phi(s) = f(a' + s*v), and the value
     sum_k W_k * (-W_0)^k * lead^(D-k), D the largest k with a term, is
     lead^(D+1) * w(-t(a'), a'); 0 when no term of f reaches s^(b-1).  A
-    nonzero value forces T != 0: the shift of ``_shift_clears`` fails."""
+    nonzero value forces T != 0: ``_clearing_tail`` finds no shift."""
     if not any(e[pivot] < b <= sum(d for d, x in zip(e, vec) if x) + 1 for e in f.terms):
         return 0
     phi: dict = {}  # k -> the s^k coefficient of phi
@@ -195,22 +193,24 @@ def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
                      for k, y in phi.items() if k >= b - 1)
 
 
-def _shift_clears(witness: Polynomial, pivot: int) -> bool:
-    """Whether the witness becomes a coordinate by one shift: with L its
-    pivot coefficient (nonzero), T its pivot-free part and w = witness/L,
-    t = T/L, whether t = 0 or w(-t, x') = 0, the pivot-free part of w after
-    pivot -> pivot - t.  Witnesses over 150 terms with t != 0 fail.
+def _clearing_tail(witness: Polynomial, pivot: int) -> Polynomial | None:
+    """The t that makes the witness a coordinate by one shift, or None:
+    with L its pivot coefficient (nonzero), T its pivot-free part and
+    w = witness/L, t = T/L when t = 0 or w(-t, x') = 0, the pivot-free part
+    of w after pivot -> pivot - t.  Witnesses over 150 terms with t != 0
+    get None.
 
     Its caller builds a witness only when ``_line_value`` is 0; a nonzero
     line value forces t != 0, so the cap would reject that witness too."""
     n, terms = witness.nvars, witness.terms
     if all(e[pivot] for e in terms):
-        return True
+        return Polynomial.zero(n)
     if len(terms) > 150:
-        return False
+        return None
     lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
     tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
-    return substitute(witness, {pivot: tail.scale(Fraction(-1) / lead)}).is_zero()
+    tail = tail.scale(Fraction(1) / lead)
+    return tail if substitute(witness, {pivot: -tail}).is_zero() else None
 
 
 def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> MaximalContact:
@@ -221,20 +221,18 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     generator it is taken as the contact directly.  The direction sweep
     leaves every other marked variable untouched: the contact must stay
     transversal to the divisors that were not adjoined.  It yields, in
-    order, the small-integer directions up to max-norm ``CONTACT_HEIGHT``
-    on the unmarked variables and the unit vectors of the adjoined marked
-    ones (``_direction_candidates``).  When the witness generator's top form
-    vanishes with the marked variables at 0 and has no x_i^b term for an
-    adjoined marked i, no direction can work, and the input is rejected
-    before the sweep.  For b <= 2 * ``CONTACT_HEIGHT`` that is the only way
-    to find no direction (see the module docstring); above it, a sweep that
-    finds none ends in the same rejection, as a cap.
+    order, the small-integer directions on the unmarked variables and the
+    unit vectors of the adjoined marked ones (``_direction_candidates``).
+    When the witness generator's top form vanishes with the marked
+    variables at 0 and has no x_i^b term for an adjoined marked i, no
+    direction can work, and the input is rejected before the sweep; past
+    that check the sweep ends by proof (see the module docstring).
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
     the linear change composed with pivot -> pivot - t.  A nonzero
     ``_line_value``, read off f before any expansion, rejects the direction;
-    otherwise w is built for the exact check of ``_shift_clears``, and
+    otherwise w is built for the exact check of ``_clearing_tail``, and
     divided by its pivot coefficient once accepted.  After 12 failed
     directions the input is rejected.
     """
@@ -276,22 +274,21 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     top = initial_form(f, b)
     marked = frame.marked_indices()
     units = [i for i in preferred_variables if i in marked]
-    # every direction reads top with the marked variables at 0, or top's
+    # every direction reads R, top with the marked variables at 0, or top's
     # x_i^b coefficient for an adjoined marked i
-    if not any(all(e[i] == 0 for i in marked) or any(e[i] == b for i in units)
-               for e in top.terms):
+    restricted = any(all(e[i] == 0 for i in marked) for e in top.terms)  # R != 0
+    if not restricted and not any(e[i] == b for e in top.terms for i in units):
         raise PreconditionError("no maximal contact witness")
 
-    saw_direction = False
     failed_screens = 0
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for vec in _direction_candidates(n, CONTACT_HEIGHT, marked, units):
+    # with R = 0 only the adjoined unit vectors can work: sweep them alone
+    for vec in _direction_candidates(n, marked if restricted else range(n), units):
         lead = b * _evaluate(top, vec)
         if not lead:
             continue
-        saw_direction = True
         pivot = next(i for i, x in enumerate(vec) if x != 0)
-        change = witness = None
+        change = tail = None
         if not _line_value(f, b, vec, pivot, lead):
             if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
                 # x_pivot -> v_pivot * x_pivot, x_i -> x_i + v_i * x_pivot
@@ -306,30 +303,23 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
                 raise InternalError("contact derivative does not have order one")
             if not witness.terms.get(unit[pivot]):
                 raise InternalError("contact derivative lost the pivot direction")
-        if witness is None or not _shift_clears(witness, pivot):
+            tail = _clearing_tail(witness, pivot)
+        if tail is None:
             failed_screens += 1
-            if failed_screens >= 12:
-                raise PreconditionError(
-                    "maximal contact requires a completion-level coordinate change"
-                )
+            if failed_screens == 12:
+                break
             continue
 
         # the tail is free of the pivot: compose the linear change with
         # pivot -> pivot - tail and rewrite the pair once
         witness = witness.scale(Fraction(1) / lead)
-        tail = Polynomial._wrap(n, {e: c for e, c in witness.terms.items() if e[pivot] == 0})
         assignment = change or {}
         if not tail.is_zero():
             shift = {pivot: Polynomial.variable(n, pivot) - tail}
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
         pair = _substitute_pair(E, assignment) if assignment else E
         return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec), assignment)
-
-    if saw_direction:
-        raise PreconditionError(
-            "maximal contact requires a completion-level coordinate change"
-        )
-    raise PreconditionError("no maximal contact witness")
+    raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
 def _substitute_pair(E: Pair, assignment) -> Pair:
@@ -376,15 +366,17 @@ def _check_spanning(E: Pair, frame: Frame) -> None:
 def _solvability_system(E: Pair, frame: Frame, vertex):
     """Linear system on the translation coefficients removing the vertex.
 
-    Returns (rows, rhs, contributing) or None when the vertex face carries a
-    component with non-integral weight (never solvable).
+    Returns (rows, rhs), or None when no face carries the vertex or a face
+    has a non-integral weight or exponent.  A fractional exponent on a face
+    makes its system inconsistent unless the face also holds a degree-b
+    pure-y term with a fractional exponent, and past ``_check_spanning``
+    only a generator of order below b carries one.
     """
     u_idx = list(frame.u_indices)
     y_idx = list(frame.y_indices)
     r = len(y_idx)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    contributing = False
+    rows: list[list] = []
+    rhs: list = []
     for comp in E.components:
         b = comp.weight
         for g in comp.gens:
@@ -407,25 +399,17 @@ def _solvability_system(E: Pair, frame: Frame, vertex):
                 face[(tdeg,) + B] = c
             if not face:
                 continue
-            if b.denominator != 1:
-                return None  # fractional ladder on the face: unsolvable
-            contributing = True
-            # condition: d/dT Q + sum_j lambda_j d/dy_j Q = 0
-            eq: dict[tuple, list[Fraction]] = {}
-            const: dict[tuple, Fraction] = {}
-            for key, c in face.items():
-                tdeg, B = key[0], key[1:]
-                if tdeg > 0:
-                    mono = (tdeg - 1,) + B
-                    const[mono] = const.get(mono, Fraction(0)) + c * tdeg
-                for j in range(r):
-                    if B[j] > 0:
-                        mono = (key[0],) + B[:j] + (B[j] - 1,) + B[j + 1:]
-                        eq.setdefault(mono, [Fraction(0)] * r)[j] += c * B[j]
-            for mono in sorted(set(eq) | set(const)):
-                rows.append(eq.get(mono, [Fraction(0)] * r))
-                rhs.append(-const.get(mono, Fraction(0)))
-    if not contributing:
+            # the face polynomial Q(T, y); condition: d/dT Q + sum_j
+            # lambda_j d/dy_j Q = 0, one row per monomial
+            Q = Polynomial(r + 1, face)
+            if b.denominator != 1 or Q.has_fractional_exponent():
+                return None  # fractional ladder or exponent on the face: unsolvable
+            dT, *dy = (hasse_derivative(Q, [int(j == k) for j in range(r + 1)]).terms
+                       for k in range(r + 1))
+            for mono in sorted(set(dT).union(*dy)):
+                rows.append([d.get(mono, 0) for d in dy])
+                rhs.append(-dT.get(mono, 0))
+    if not rows:
         return None
     return rows, rhs
 

@@ -94,7 +94,7 @@ def is_permissible(H: PairWithHistory, center) -> bool:
     if not center:
         raise PreconditionError("only coordinate centers supported")
     n = H.pair.nvars if H.pair.components else H.frame.nvars
-    if any((not isinstance(i, int)) or i < 0 or i >= n for i in center):
+    if any(type(i) is not int or not 0 <= i < n for i in center):
         raise PreconditionError("only coordinate centers supported")
     return pair_minimum(H.pair, (), center) >= 1
 

@@ -295,7 +295,7 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
     M = tuple(order)
     if len(M) != f.nvars:
         raise ValueError("derivative order must cover all variables")
-    if any((not isinstance(m, int)) or m < 0 for m in M):
+    if any(type(m) is not int or m < 0 for m in M):
         raise ValueError("derivative orders must be nonnegative integers")
     for i, m in enumerate(M):
         if m > 0 and f.has_fractional_exponent(i):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,7 +109,8 @@ def test_skip_unit_steps_is_no_longer_an_option(tmp_path, capsys):
 
 @pytest.mark.parametrize("options", [{"max_prep_iters": 0}, {"contact_height_cap": 1}])
 def test_cost_caps_are_not_options(tmp_path, capsys, options):
-    # the caps are the constants coeff.MAX_PREP_ITERS and coeff.CONTACT_HEIGHT
+    # the preparation cap is the constant coeff.MAX_PREP_ITERS, and the
+    # contact sweep has no height to cap: it ends by proof
     assert call(tmp_path, dict(A3_BLOWN_UP, options=options), "invariant") == 3
     assert f"options: unknown option {next(iter(options))!r}" in capsys.readouterr().err
 
@@ -472,6 +474,21 @@ def test_a_contact_in_many_unmarked_variables_is_found_fast(capsys):
     assert time.perf_counter() - start < 0.5
     vec = json.loads(capsys.readouterr().out)["invariant"]
     assert (vec["s1"], vec["entries"], vec["terminal"]) == (0, [{"nu": "3/2", "s": 0}], "inf")
+
+
+def test_a_contact_past_every_low_height_direction_is_found(capsys):
+    # f is the product of the 24 lines c*x - a*y, one for each primitive (a, c)
+    # of max-norm <= 4: its top form vanishes on every direction of height
+    # <= 4, and the sweep finds the contact at height 5
+    forms = [f"({c}*x - {a}*y)" for a in range(5) for c in range(-4, 5)
+             if math.gcd(a, c) == 1 and (a > 0 or c > 0)]
+    assert len(forms) == 24
+    data = {"variables": ["x", "y"], "pair": {"components": [{"gens": ["*".join(forms)], "b": 24}]}}
+    start = time.perf_counter()
+    assert cli.main([json.dumps(data), "invariant", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 0.5
+    vec = json.loads(capsys.readouterr().out)["invariant"]
+    assert (vec["entries"], vec["terminal"], vec["center"]) == ([{"nu": "1", "s": 0}], "inf", ["x", "y"])
 
 
 # ---------------------------------------------------------------------------

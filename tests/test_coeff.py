@@ -1,17 +1,17 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, islice, product, takewhile
 
 import pytest
 
 from hironaka import coeff
 from hironaka.coeff import (
     MaximalContact,
+    _clearing_tail,
     _direction_candidates,
     _evaluate,
     _line_value,
-    _shift_clears,
     _substitute_pair,
     coefficient_pair,
     delta_invariant,
@@ -198,11 +198,12 @@ def test_contact_unit_tail_is_fine():
     assert mc.contact_index == 1
 
 
-def eager_direction_candidates(n: int, height: int):
+def eager_direction_candidates(n: int, height: int | None = None):
     """The sweep as it was before it became lazy: every vector of max-norm
-    h = 1 .. ``height`` with its first nonzero entry positive, built and
-    sorted by sparsity, then lowest variable, then lex, per height."""
-    for h in range(1, height + 1):
+    h = 1 .. ``height`` (every h when None) with its first nonzero entry
+    positive, built and sorted by sparsity, then lowest variable, then lex,
+    per height."""
+    for h in range(1, height + 1) if height else count(1):
         batch = []
         for vec in product(range(-h, h + 1), repeat=n):
             if max((abs(x) for x in vec), default=0) != h:
@@ -213,6 +214,12 @@ def eager_direction_candidates(n: int, height: int):
             batch.append((sum(1 for x in vec if x), first, vec))
         for _, _, vec in sorted(batch):
             yield vec
+
+
+def up_to_height(directions, height: int):
+    """The directions of max-norm at most ``height``, from a sweep in
+    height order."""
+    return takewhile(lambda vec: max(map(abs, vec), default=0) <= height, directions)
 
 
 def kept_directions(eager, marked, adjoined):
@@ -234,8 +241,8 @@ def test_the_lazy_sweep_is_the_filtered_eager_sweep():
         for marked in (frozenset(m) for r in range(n + 1) for m in combinations(range(n), r)):
             for adjoined in (a for r in range(len(marked) + 1)
                              for a in combinations(sorted(marked), r)):
-                assert (list(_direction_candidates(n, height, marked, adjoined))
-                        == list(kept_directions(eager, marked, adjoined))), (n, height, marked)
+                lazy = up_to_height(_direction_candidates(n, marked, adjoined), height)
+                assert list(lazy) == list(kept_directions(eager, marked, adjoined)), (n, height, marked)
                 cases += 1
     assert cases == 363
 
@@ -255,12 +262,11 @@ def test_no_witness_is_decided_before_the_sweep(monkeypatch):
     assert (mc.contact_index, mc.direction) == (0, (1, 0, 0))
 
 
-def test_no_witness_exactly_when_no_direction_reads_a_nonzero_top(monkeypatch):
-    """With the height lowered to 2, every b <= 4 is below the grid size 5:
-    on random pairs with every marked set and adjoined subset, the input is
-    rejected with "no maximal contact witness" exactly when no direction of
-    the eager sweep that the contact may take has a nonzero top form."""
-    monkeypatch.setattr(coeff, "CONTACT_HEIGHT", 2)
+def test_no_witness_exactly_when_no_direction_reads_a_nonzero_top():
+    """Every b <= 4 is below the grid size 5 of height 2: on random pairs
+    with every marked set and adjoined subset, the input is rejected with
+    "no maximal contact witness" exactly when no direction of the eager
+    sweep to height 2 that the contact may take has a nonzero top form."""
     names = ("x", "y", "z")
     eager = list(eager_direction_candidates(3, 2))
     tally = Counter()
@@ -283,12 +289,33 @@ def test_no_witness_exactly_when_no_direction_reads_a_nonzero_top(monkeypatch):
     assert tally[True] >= 300 and tally[False] >= 200, tally
 
 
-def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap: int = 2):
+def test_a_sweep_with_no_free_variable_stops():
+    # every variable marked and x1 adjoined: the unit vector of x1, then nothing
+    marked = frozenset(range(3))
+    assert list(islice(_direction_candidates(3, marked, (1,)), 1000)) == [(0, 1, 0)]
+    assert list(islice(_direction_candidates(3, marked), 1000)) == []
+
+
+def test_one_free_variable_is_rejected_at_the_twelfth_screen(monkeypatch):
+    # with x marked, y is the only free variable: the sweep meets (0, h) at
+    # every height h, each with top(v) = h^2, and each screen fails
+    frame = Frame(("x", "y"), (0,), (1,), (("E1", 0),))
+    screens = []
+    monkeypatch.setattr(coeff, "_line_value", lambda f, b, vec, *rest: screens.append(vec)
+                        or _line_value(f, b, vec, *rest))
+    with pytest.raises(PreconditionError, match="completion-level"):
+        find_maximal_contact(Pair.single([p("(y + y^2 + x^2)^2")], 2), frame)
+    assert screens == [(0, h) for h in range(1, 13)]
+
+
+def contact_by_iteration_reference(E: Pair, frame: Frame, shift_cap: int = 2):
     """``find_maximal_contact`` as it was before the one-shift reduction, for
     frames without exceptional divisors: each direction's witness is shifted
     by its pivot-free part until none is left, at most ``shift_cap`` times
     (150-term cap checked before each shift, 12 failed directions at most),
-    and the pair is rewritten once by the sum of the shifts."""
+    and the pair is rewritten once by the sum of the shifts.  The eager
+    sweep has no height limit: with no marked variable the top form is
+    nonzero, so it meets a direction to screen at every height past b/2."""
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
     n = E.nvars
@@ -300,11 +327,10 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap
     f, b = chosen
     top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
     x = [Polynomial.variable(n, i) for i in range(n)]
-    saw_direction, failed_screens = False, 0
-    for vec in eager_direction_candidates(n, height):
+    failed_screens = 0
+    for vec in eager_direction_candidates(n):
         if _evaluate(top, vec) == 0:
             continue
-        saw_direction = True
         pivot = next(i for i, c in enumerate(vec) if c != 0)
         change = None
         if any(c != 0 and i != pivot for i, c in enumerate(vec)) or vec[pivot] != 1:
@@ -334,9 +360,7 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, height: int, shift_cap
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
         pair = _substitute_pair(E, assignment) if assignment else E
         return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
-    if saw_direction:
-        raise PreconditionError("maximal contact requires a completion-level coordinate change")
-    raise PreconditionError("no maximal contact witness")
+    raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
 def _contact_outcome(find, *args):
@@ -347,19 +371,17 @@ def _contact_outcome(find, *args):
         return str(exc).split(":")[0]
 
 
-@pytest.mark.parametrize("height", [1, 2])
 @pytest.mark.parametrize("nvars, seeds", [(2, 40), (3, 10)])
-def test_one_shift_reduction_matches_iteration(monkeypatch, nvars, seeds, height):
+def test_one_shift_reduction_matches_iteration(nvars, seeds):
     """The same contact, direction, witness and rewritten pair, or the same
     rejection, as the multi-shift loop.  A larger shift cap would agree too
     (a reduction that ends takes at most one shift) at a higher cost."""
-    monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
     frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
     shifted = 0
     for seed in range(seeds):
         E = random_singular_pair(random.Random(seed), nvars)
         new = _contact_outcome(find_maximal_contact, E, frame)
-        assert new == _contact_outcome(contact_by_iteration_reference, E, frame, height), seed
+        assert new == _contact_outcome(contact_by_iteration_reference, E, frame), seed
         if isinstance(new, MaximalContact):
             shifted += any(e[new.contact_index] == 0 for e in new.witness.terms)
     assert shifted >= 1
@@ -387,20 +409,18 @@ def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
         w = p(f"{lead}*x + y^2 + x*y*(y - 2)")
         assert _evaluate(w.scale(Fraction(1, lead)), (Fraction(-4, lead), 2)) == 0
         assert _line_value(w, 1, (1, 0), 0, lead) == 0
-        assert not _shift_clears(w, 0)
+        assert _clearing_tail(w, 0) is None
         # (lead*x + y^2)(1 + x) becomes lead*x*(1 + x - y^2/lead) under x -> x - y^2/lead
-        assert _shift_clears(p(f"({lead}*x + y^2)*(1 + x)"), 0)
+        assert _clearing_tail(p(f"({lead}*x + y^2)*(1 + x)"), 0) == p("y^2").scale(Fraction(1, lead))
         E = Pair.single([w], 1)
-        for height in (1, 2):
-            monkeypatch.setattr(coeff, "CONTACT_HEIGHT", height)
-            shifted = []
-            monkeypatch.setattr(coeff, "substitute",
-                                lambda g, change: shifted.append(g) or substitute(g, change))
-            assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
-                    == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY, height)
-                    == "maximal contact requires a completion-level coordinate change")
-            # direction (1, 0) was rejected by the substitution of its witness
-            assert w in shifted
+        shifted = []
+        monkeypatch.setattr(coeff, "substitute",
+                            lambda g, change: shifted.append(g) or substitute(g, change))
+        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
+                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY)
+                == "maximal contact requires a completion-level coordinate change")
+        # direction (1, 0) was rejected by the substitution of its witness
+        assert w in shifted
 
 
 def witness_probe_reference(witness: Polynomial, pivot: int):
@@ -457,7 +477,7 @@ def test_line_value_vanishes_with_the_witness_probe():
                 marked = frozenset(i for i in range(n) if rng.random() < 0.3)
                 units = [i for i in sorted(marked) if rng.random() < 0.5]
                 top = Polynomial(n, {e: c for e, c in f.terms.items() if sum(e) == b})
-                for vec in _direction_candidates(n, coeff.CONTACT_HEIGHT, marked, units):
+                for vec in up_to_height(_direction_candidates(n, marked, units), 4):
                     lead = b * _evaluate(top, vec)
                     if not lead:
                         continue

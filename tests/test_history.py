@@ -89,8 +89,9 @@ def test_nonsingular_pair_never_permissible():
 
 
 def test_non_coordinate_center_rejected():
-    with pytest.raises(PreconditionError, match="coordinate"):
-        is_permissible(state("y^2 - x^3", 2), [])
+    for center in ([], [True], [2], [-1]):
+        with pytest.raises(PreconditionError, match="coordinate"):
+            is_permissible(state("y^2 - x^3", 2), center)
 
 
 def ord_along_center(g: Polynomial, center) -> Fraction:

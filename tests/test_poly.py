@@ -397,6 +397,9 @@ def test_float_and_bool_coefficients_are_refused():
                  lambda: divide_by_variable_power(p2("x"), 0, -1)):
         with pytest.raises(ValueError, match="negative exponent"):
             make()
+    for order in ((True, False), (0.5, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="derivative orders must be nonnegative integers"):
+            hasse_derivative(p2("x^2*y"), order)
 
 
 # ---------------------------------------------------------------------------
