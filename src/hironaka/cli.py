@@ -343,9 +343,8 @@ def _hs(problem: Problem, chart):
 
 def _coeff(problem: Problem, chart):
     frame = problem.frame
-    C = coefficient_pair(problem.pair, frame, frame.y_indices)
-    reduced = frame.drop_variables(frame.y_indices)
-    return {"z": list(frame.y_names()), "pair": _pair_data(C, reduced)}
+    C = coefficient_pair(problem.pair, frame)
+    return {"z": list(frame.y_names()), "pair": _pair_data(C, frame)}
 
 
 def _blowup(problem: Problem, chart):

@@ -17,12 +17,12 @@ is an identity among the coefficients of f(a' + s*v), and a direction that
 fails it never changes or differentiates f.
 
 The direction sweep is lazy.  It yields only the directions a contact may
-take, supported on the unmarked variables or the unit vector of an adjoined
-marked divisor, in a fixed order: max-norm h = 1, 2, ..., then sparsity,
-then first nonzero index, then lex.  Every such direction reads R, the top
-form with the marked variables at 0, or the x_i^b coefficient of an
-adjoined marked x_i.  When both are zero no direction can work, and "no
-maximal contact witness" is raised before any sweep.  Otherwise the sweep
+take, supported on the unmarked u-variables or the unit vector of an
+adjoined marked divisor, in a fixed order: max-norm h = 1, 2, ..., then
+sparsity, then first nonzero index, then lex.  Every such direction reads
+R, the top form with the marked and the y-variables at 0, or the x_i^b
+coefficient of an adjoined marked x_i.  When both are zero no direction can
+work, and "no maximal contact witness" is raised before any sweep.  Otherwise the sweep
 ends by proof, with no height limit.  If R = 0, only the adjoined unit
 vectors can read a nonzero top form, and only they are swept.  If R != 0,
 R is nonzero somewhere on the grid {-h..h}^m once 2h + 1 > b (Alon,
@@ -55,15 +55,16 @@ from .poly import (
 from .polyhedra import OrthantPolyhedron, delta, polyhedron_of_pair
 
 
-def coefficient_pair(E: Pair, frame: Frame, z_indices) -> Pair:
-    """Expand the generators in powers of the z-variables and collect, per
-    component and per level l < b, the coefficient polynomials with weight
-    b - l.  The result lives in the remaining variables.
+def coefficient_pair(E: Pair, frame: Frame) -> Pair:
+    """Expand the generators in powers of the frame's y-variables and
+    collect, per component and per level l < b, the coefficient polynomials
+    with weight b - l.  The result keeps the frame's variables, with
+    exponent 0 on the y-part: along the descent, the consumed contacts.
 
-    Exceptional-marked z-variables may carry fractional exponents; the
+    Exceptional-marked y-variables may carry fractional exponents; the
     grouping is then by the exact rational level.
     """
-    zs = sorted(set(z_indices))
+    zs = sorted(frame.y_indices)
     marked = frame.marked_indices()
     for comp in E.components:
         for g in comp.gens:
@@ -100,21 +101,21 @@ class MaximalContact:
     change: dict = field(default_factory=dict, compare=False)
 
 
-def _direction_candidates(n: int, marked=frozenset(), preferred=()):
+def _direction_candidates(n: int, fixed=frozenset(), preferred=()):
     """The directions that a contact may take, in the sweep order of the
     module docstring, first nonzero entry positive: every max-norm h = 1,
-    2, ... while some variable is unmarked, else only the unit vectors of
-    the ``preferred`` marked ones.  A branch is cut once it cannot place its
-    remaining nonzeros, so the cost follows the directions yielded, not
+    2, ... while some variable is not ``fixed``, else only the unit vectors
+    of the ``preferred`` fixed ones.  A branch is cut once it cannot place
+    its remaining nonzeros, so the cost follows the directions yielded, not
     (2h+1)^n."""
-    free = [i for i in range(n) if i not in marked]
-    units = [i for i in range(n) if i in marked and i in preferred]
+    free = [i for i in range(n) if i not in fixed]
+    units = [i for i in range(n) if i in fixed and i in preferred]
     for h in count(1) if free else (1,):
         values = [*range(-h, 0), 0, *range(1, h + 1)]
         for s in range(1, max(len(free), 1) + 1):
             for first in sorted(free + units) if h == s == 1 else free:
                 vec = [0] * n
-                if first in marked:
+                if first in fixed:
                     vec[first] = 1
                     yield tuple(vec)
                     continue
@@ -220,13 +221,15 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     short-circuit the search: if one of them appears as a weight-1 component
     generator it is taken as the contact directly.  The direction sweep
     leaves every other marked variable untouched: the contact must stay
-    transversal to the divisors that were not adjoined.  It yields, in
-    order, the small-integer directions on the unmarked variables and the
-    unit vectors of the adjoined marked ones (``_direction_candidates``).
-    When the witness generator's top form vanishes with the marked
-    variables at 0 and has no x_i^b term for an adjoined marked i, no
-    direction can work, and the input is rejected before the sweep; past
-    that check the sweep ends by proof (see the module docstring).
+    transversal to the divisors that were not adjoined, and the y-part, the
+    descent's consumed contacts.  It yields, in order, the small-integer
+    directions on the unmarked u-variables and the unit vectors of the
+    adjoined marked ones (``_direction_candidates``).  When the witness
+    generator's top form vanishes with the marked and the y-variables at 0
+    and has no x_i^b term for an adjoined marked i, no direction can work,
+    and the input is rejected before the sweep; past that check the sweep
+    ends by proof (see the module docstring).  Everything it returns is in
+    the frame's variables, the contact appended to the y-part.
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
@@ -274,16 +277,17 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     top = initial_form(f, b)
     marked = frame.marked_indices()
     units = [i for i in preferred_variables if i in marked]
-    # every direction reads R, top with the marked variables at 0, or top's
-    # x_i^b coefficient for an adjoined marked i
-    restricted = any(all(e[i] == 0 for i in marked) for e in top.terms)  # R != 0
+    # every direction reads R, top with the marked and the y-variables at 0,
+    # or top's x_i^b coefficient for an adjoined marked i
+    fixed = marked.union(frame.y_indices)
+    restricted = any(all(e[i] == 0 for i in fixed) for e in top.terms)  # R != 0
     if not restricted and not any(e[i] == b for e in top.terms for i in units):
         raise PreconditionError("no maximal contact witness")
 
     failed_screens = 0
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     # with R = 0 only the adjoined unit vectors can work: sweep them alone
-    for vec in _direction_candidates(n, marked if restricted else range(n), units):
+    for vec in _direction_candidates(n, fixed if restricted else range(n), units):
         lead = b * _evaluate(top, vec)
         if not lead:
             continue

@@ -54,9 +54,6 @@ class HomIdeal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(next(iter(g.terms))) for g in self.generators)
-
 
 def initial_ideal(E: Pair) -> HomIdeal:
     """Degree-b initial forms of the order-b generators, per component.
@@ -171,12 +168,9 @@ def directrix(I: HomIdeal) -> DirectrixBasis:
     if I.is_zero():
         raise PreconditionError("directrix undefined")
     n = I.nvars
-    if 0 in I.degrees():
-        # a unit generator: the whole space is invariant, no forms needed
-        dirs = tuple(tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in range(n))
-        return DirectrixBasis((), dirs)
     # rows of the linear system on a direction v: for each generator g and
-    # each monomial coordinate, sum_i v_i * (residue of d_i g mod I) = 0
+    # each monomial coordinate, sum_i v_i * (residue of d_i g mod I) = 0.
+    # a unit ideal holds every slice: no rows, so W is everything, no form
     piece_of = cache(partial(_piece, I))  # each degree's basis is built once
     sys_rows: list[list[Fraction]] = []
     for g in I.generators:

@@ -4,7 +4,9 @@ always the origin of the frame's coordinates.
 
 The markings are the only record of where a divisor sits: a divisor passes
 through the base point exactly when the frame marks it, and the derived
-frames below carry the marks along (``drop_variables`` remaps them).
+frames below carry the marks along.  None of them adds or removes a
+variable: a year has one coordinate system, and the invariant's descent
+works in it, moving each consumed contact from u to the end of y.
 """
 
 from __future__ import annotations
@@ -90,16 +92,3 @@ class Frame:
     def with_mark(self, div_id: str, index: int) -> "Frame":
         marks = tuple(m for m in self.exceptional if m[0] != div_id and m[1] != index)
         return Frame(self.variables, self.u_indices, self.y_indices, marks + ((div_id, index),))
-
-    def drop_variables(self, indices) -> "Frame":
-        """Remove variables, renumbering the rest; a mark on a removed
-        variable goes with it."""
-        dropped = set(indices)
-        keep = [i for i in range(self.nvars) if i not in dropped]
-        remap = {old: new for new, old in enumerate(keep)}
-        return Frame(
-            tuple(self.variables[i] for i in keep),
-            tuple(remap[i] for i in self.u_indices if i in remap),
-            tuple(remap[i] for i in self.y_indices if i in remap),
-            tuple((d, remap[i]) for d, i in self.exceptional if i in remap),
-        )

@@ -9,12 +9,15 @@ order (INF and 0 terminate), and s_i counts old exceptional divisors.
 Each step (``invariant_step``) finds a maximal contact, then reads mu,
 mu_H and nu off the coefficient pair along it and ends in a terminal case
 or the companion pair.  It records the contact's name and the coordinate
-change that ``find_maximal_contact`` applied.  Along a trace a
-divisor is old at step r when it was born no later than the first earlier
-year whose comparison tokens (hs, s1, nu2, s2, ...) start with the current
-ones, as in Bierstone-Milman.  So an earlier year is read token by token,
-only to the depth that s_r compares it (``_evaluate``), and an error it
-would meet past that depth is not raised.
+change that ``find_maximal_contact`` applied.  No step drops a variable:
+the frame's y-part collects the consumed contacts in order, on which the
+pair has exponent 0, so every step, every change, Phi and the INF center
+are in the year's coordinates.  Along a trace a divisor is old at step r
+when it was born no later than the first earlier year whose comparison
+tokens (hs, s1, nu2, s2, ...) start with the current ones, as in
+Bierstone-Milman.  So an earlier year is read token by token, only to the
+depth that s_r compares it (``_evaluate``), and an error it would meet past
+that depth is not raised.
 
 Nothing is cross-checked at run time.  The tests hold the independent
 checks: the paper's theorem (the first nu after the forced unit steps is
@@ -78,9 +81,8 @@ class InvariantVector:
 @dataclass(frozen=True)
 class PipelineState:
     pair: Pair
-    frame: Frame
+    frame: Frame                       # the year's variables, y = consumed contacts
     exdata: ExceptionalData
-    consumed: tuple[str, ...]
     pending: tuple[str, ...]           # adjoined divisor variables, unconsumed
     adjoin: tuple[str, ...]            # divisor variables adjoined this step
 
@@ -96,7 +98,7 @@ class Terminal:
 class StepResult:
     nu: object
     outcome: object                    # PipelineState | Terminal
-    contact: tuple = ()                # (name, frame variables, MaximalContact.change)
+    contact: tuple = ()                # (contact name, MaximalContact.change)
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +173,27 @@ def invariant_step(state: PipelineState) -> StepResult:
 
     mc = find_maximal_contact(pair, frame, tuple(map(frame.index_of, pending)))
     y = mc.contact_index
-    contact = (frame.variables[y], frame.variables, mc.change)
-    H = coefficient_pair(mc.pair, mc.frame, [y])
+    contact = (frame.variables[y], mc.change)
     if any(idx == y for _, idx in exdata.placed(frame)):
         raise InternalError("tracked divisor variable was consumed")
-    new_frame = mc.frame.drop_variables([y])
+    frame = mc.frame
+    H = coefficient_pair(mc.pair, frame)
 
-    mu = pair_minimum(H, (), range(new_frame.nvars))
-    mus = divisor_multiplicities(H, new_frame, exdata) if not H.is_empty() else ()
+    mu = pair_minimum(H, (), frame.u_indices)
+    mus = divisor_multiplicities(H, frame, exdata) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
 
-    consumed = state.consumed + (contact[0],)
     if nu == INF:
-        return StepResult(nu, Terminal(INF, consumed, None), contact)
+        return StepResult(nu, Terminal(INF, frame.y_names(), None), contact)
     if nu == 0:
-        D = _exceptional_monomial(new_frame, mus)
-        monomial = format_polynomial(D, list(new_frame.variables))
+        D = _exceptional_monomial(frame, mus)
+        monomial = format_polynomial(D, list(frame.variables))
         return StepResult(nu, Terminal(Fraction(0), None, monomial), contact)
 
     next_state = PipelineState(
-        pair=companion_pair(H, new_frame, mus, nu),
-        frame=new_frame,
+        pair=companion_pair(H, frame, mus, nu),
+        frame=frame,
         exdata=exdata,
-        consumed=consumed,
         pending=tuple(nm for nm in pending if nm != contact[0]),
         adjoin=(),
     )
@@ -227,7 +227,7 @@ def _drive(state: PairWithHistory, older, opts: Options):
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
     cur = PipelineState(
         pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
-        consumed=(), pending=(), adjoin=(),
+        pending=(), adjoin=(),
     )
     tokens: list = [hs.dims]
     yield hs.dims
@@ -332,38 +332,24 @@ def compute_invariant(
     return _evaluate(state, trace, opts)[0]
 
 
-def _lifted(change: dict, variables: tuple, names: tuple) -> dict:
-    """``change``, an index -> polynomial map over ``variables``, moved by
-    variable name onto ``names``."""
-    at = [names.index(v) for v in variables]
-
-    def spread(exps):
-        placed = dict(zip(at, exps))
-        return tuple(placed.get(j, 0) for j in range(len(names)))
-
-    return {at[i]: Polynomial._wrap(len(names), {spread(e): c for e, c in g.terms.items()})
-            for i, g in change.items()}
-
-
 def projected_invariant(
     state: PairWithHistory, trace: Trace | None = None, opts: Options | None = None
 ) -> InvariantVector:
     """The reference for ``compute_invariant``, with its trace contract,
     by the paper's route through polyhedra and their projections.  The
-    descent's contact changes, lifted to the year's coordinates by name and
-    substituted in step order, compose Phi; every nu, the terminal and its
-    monomial are read off projections of the points exps/b of G o Phi
+    descent's contact changes, all in the year's coordinates, substituted
+    as recorded and in step order, compose Phi; every nu, the terminal and
+    its monomial are read off projections of the points exps/b of G o Phi
     (``polyhedra.projected_steps``).  nu1, each s_r and the center are the
     descent's: the route checks the numbers, not the s-partition."""
     vec, records, contacts = _evaluate(state, trace, opts)
     names, at = state.frame.variables, dict(state.frame.exceptional)
     gens = [(g, comp.weight) for comp in state.pair.components for g in comp.gens]
-    for _, variables, change in contacts:
+    for _, change in contacts:
         if change:
-            lifted = _lifted(change, variables, names)
-            gens = [(substitute(g, lifted), b) for g, b in gens]
+            gens = [(substitute(g, change), b) for g, b in gens]
     steps = [(names.index(name), [at[d] for d in adjoined], [at[d] for d in tracked])
-             for (name, _, _), (_, adjoined, tracked) in zip(contacts, records)]
+             for (name, _), (_, adjoined, tracked) in zip(contacts, records)]
     points = {tuple(e / b for e in exps) for g, b in gens for exps in g.terms}
     nus, mu_h = projected_steps(points, steps, len(names))
     entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))

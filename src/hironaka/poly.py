@@ -22,9 +22,10 @@ so do ``constant``, ``monomial``, ``scale`` and the parser, which builds
 each term in normal form.  Everything else builds its result through
 ``Polynomial._wrap``, which trusts the term dict as given: ``zero``,
 ``variable``, sums, negations, products of int exponents,
-``initial_form`` and ``split_by_variables`` (subsets of normalized terms),
-``hasse_derivative`` (no two terms meet and none cancels), ``substitute``
-when no exponent is fractional, and ``divide_by_variable_power``.  Zero
+``initial_form`` and ``split_by_variables`` (subsets of normalized terms,
+in the latter with the z-exponents set to the int 0), ``hasse_derivative``
+(no two terms meet and none cancels), ``substitute`` when no exponent is
+fractional, and ``divide_by_variable_power``.  Zero
 coefficients are dropped where they arise.  int*int and int+int are ints,
 so only a Fraction result can need renormalizing, when its denominator is
 1: sums check each coefficient that two terms add into, and products,
@@ -422,17 +423,17 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
     """Group terms of f by their exponents on the z-variables.
 
     Returns a map from the z-exponent tuple B (in z_indices order) to the
-    coefficient polynomial in the remaining variables (reindexed in their
-    original relative order).
+    coefficient polynomial in f's variables: the terms with those
+    exponents, their z-exponents set to 0.
     """
     zs = list(z_indices)
-    zset = set(zs)
-    rest = [i for i in range(f.nvars) if i not in zset]
+    keep = [i not in zs for i in range(f.nvars)]
     out: dict[tuple, dict[Exponents, int | Fraction]] = {}
     for exps, c in f.terms.items():
+        rest = tuple(e if k else 0 for e, k in zip(exps, keep))
         # terms with equal z-exponents differ in the rest: no two meet
-        out.setdefault(tuple(exps[i] for i in zs), {})[tuple(exps[i] for i in rest)] = c
-    return {b: Polynomial._wrap(len(rest), terms) for b, terms in out.items()}
+        out.setdefault(tuple(exps[i] for i in zs), {})[rest] = c
+    return {b: Polynomial._wrap(f.nvars, terms) for b, terms in out.items()}
 
 
 # ---------------------------------------------------------------------------

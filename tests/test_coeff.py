@@ -37,6 +37,9 @@ NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
 FRAME_XY = Frame(("x", "y"), (0,), (1,))
 FRAME_T = Frame(("x", "y", "z", "t"), (0, 1, 2), (3,))
+# the contact search sweeps the u-part: these frames let it sweep everything
+ALL_U_XY = Frame(("x", "y"), (0, 1), ())
+ALL_U_T = Frame(("x", "y", "z", "t"), (0, 1, 2, 3), ())
 
 
 def p(text, names=NAMES2):
@@ -48,19 +51,19 @@ def p(text, names=NAMES2):
 
 
 def test_coefficient_pair_of_curve():
-    C = coefficient_pair(Pair.single([p("y^2 - x^3")], 2), FRAME_XY, [1])
+    C = coefficient_pair(Pair.single([p("y^2 - x^3")], 2), FRAME_XY)
     assert len(C.components) == 1
     comp = C.components[0]
     assert comp.weight == 2
-    assert comp.gens == (parse_polynomial("-x^3", ["x"]),)
+    assert comp.gens == (p("-x^3"),)
 
 
 def test_coefficient_pair_of_threefold():
     E = Pair.single([p("t^2 + x*y*z", NAMES4)], 2)
-    C = coefficient_pair(E, FRAME_T, [3])
+    C = coefficient_pair(E, FRAME_T)
     assert len(C.components) == 1
     assert C.components[0].weight == 2
-    assert C.components[0].gens == (parse_polynomial("x*y*z", ["x", "y", "z"]),)
+    assert C.components[0].gens == (p("x*y*z", NAMES4),)
 
 
 def test_coefficient_pair_two_variable_restriction():
@@ -69,28 +72,28 @@ def test_coefficient_pair_two_variable_restriction():
         Component((p("t", NAMES4),), Fraction(1)),
     ))
     frame = Frame(tuple(NAMES4), (0, 1), (2, 3))
-    C = coefficient_pair(E, frame, [2, 3])
+    C = coefficient_pair(E, frame)
     assert len(C.components) == 1
     assert C.components[0].weight == 3
-    assert C.components[0].gens == (parse_polynomial("-x^2*y^2", ["x", "y"]),)
+    assert C.components[0].gens == (p("-x^2*y^2", NAMES4),)
 
 
 def test_coefficient_pair_levels_carry_weights():
     E = Pair.single([p("y^3 + y*x^3 + x^5")], 3)
-    C = coefficient_pair(E, FRAME_XY, [1])
+    C = coefficient_pair(E, FRAME_XY)
     data = {comp.weight: comp.gens for comp in C.components}
     assert set(data) == {Fraction(3), Fraction(2)}
-    assert data[Fraction(3)] == (parse_polynomial("x^5", ["x"]),)
-    assert data[Fraction(2)] == (parse_polynomial("x^3", ["x"]),)
+    assert data[Fraction(3)] == (p("x^5"),)
+    assert data[Fraction(2)] == (p("x^3"),)
 
 
 def test_coefficient_pair_fractional_level_on_marked_variable():
-    frame = Frame(("x", "y"), (0,), (1,), (("E1", 0),))
+    frame = Frame(("x", "y"), (1,), (0,), (("E1", 0),))
     D = Polynomial(2, {(Fraction(1, 2), Fraction(1, 2)): Fraction(1)})
     E = Pair((Component((D,), Fraction(1, 2)), Component((p("y"),), Fraction(1))))
-    C = coefficient_pair(E, frame, [0])
+    C = coefficient_pair(E, frame)
     # the monomial sits exactly at its weight: nothing survives from it
-    assert [comp.gens for comp in C.components] == [(parse_polynomial("y", ["y"]),)]
+    assert [comp.gens for comp in C.components] == [(p("y"),)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +101,7 @@ def test_coefficient_pair_fractional_level_on_marked_variable():
 
 
 def test_contact_on_curve():
-    mc = find_maximal_contact(Pair.single([p("y^2 - x^3")], 2), FRAME_XY)
+    mc = find_maximal_contact(Pair.single([p("y^2 - x^3")], 2), ALL_U_XY)
     assert mc.witness == p("y")
     assert mc.contact_index == 1
     assert mc.pair.all_generators() == (p("y^2 - x^3"),)
@@ -106,14 +109,14 @@ def test_contact_on_curve():
 
 def test_contact_on_threefold():
     E = Pair.single([p("t^2 + x*y*z", NAMES4)], 2)
-    mc = find_maximal_contact(E, FRAME_T)
+    mc = find_maximal_contact(E, ALL_U_T)
     assert mc.witness == p("t", NAMES4)
     assert mc.contact_index == 3
 
 
 def test_contact_after_shift():
     E = Pair.single([p("(y+x)^2 - x^3")], 2)
-    mc = find_maximal_contact(E, FRAME_XY)
+    mc = find_maximal_contact(E, ALL_U_XY)
     assert mc.witness == p("y + x")
     # in the adapted coordinates the pair is the plain cusp again
     assert mc.pair.all_generators() == (p("y^2 - x^3"),)
@@ -153,7 +156,7 @@ def test_contact_prefers_given_variables():
         Component((p("y^2 - x^3"),), Fraction(2)),
         Component((p("x"),), Fraction(1)),
     ))
-    mc = find_maximal_contact(E, FRAME_XY, preferred_variables=(0,))
+    mc = find_maximal_contact(E, ALL_U_XY, preferred_variables=(0,))
     assert mc.contact_index == 0
     assert mc.witness == p("x")
 
@@ -162,39 +165,39 @@ def test_contact_requires_witness():
     # both generators have order strictly above their weight
     E = Pair.single([p("y^3")], 2)
     with pytest.raises(PreconditionError, match="no maximal contact witness"):
-        find_maximal_contact(E, FRAME_XY)
+        find_maximal_contact(E, ALL_U_XY)
 
 
 def test_missing_witness_names_the_pair_order():
     E = Pair((Component((p("y^3"), p("x^4")), Fraction(2)), Component((p("x*y"),), Fraction(1))))
     with pytest.raises(PreconditionError) as err:
-        find_maximal_contact(E, FRAME_XY)
+        find_maximal_contact(E, ALL_U_XY)
     assert str(err.value) == (
         "no maximal contact witness: every generator's order exceeds its weight "
         "(pair order 3/2 > 1)")
     # order equal to the weight, but only on a fractional weight: no claim
     D = Polynomial(2, {(Fraction(1, 2), Fraction(1, 2)): Fraction(1)})
     with pytest.raises(PreconditionError) as err:
-        find_maximal_contact(Pair((Component((D,), Fraction(1)),)), FRAME_XY)
+        find_maximal_contact(Pair((Component((D,), Fraction(1)),)), ALL_U_XY)
     assert str(err.value) == "no maximal contact witness"
 
 
 def test_contact_requires_singularity():
     with pytest.raises(PreconditionError, match="point not in Sing"):
-        find_maximal_contact(Pair.single([p("y - x^2")], 2), FRAME_XY)
+        find_maximal_contact(Pair.single([p("y - x^2")], 2), ALL_U_XY)
 
 
 def test_contact_rejects_completion_level_input():
     # V(z) for z = y + y^2 + x^2 is a graph with an infinite expansion
     E = Pair.single([p("(y + y^2 + x^2)^2")], 2)
     with pytest.raises(PreconditionError, match="completion"):
-        find_maximal_contact(E, FRAME_XY)
+        find_maximal_contact(E, ALL_U_XY)
 
 
 def test_contact_unit_tail_is_fine():
     # y(1+y) generates the same hypersurface germ as y
     E = Pair.single([p("(y + y^2)^2 - x^5")], 2)
-    mc = find_maximal_contact(E, FRAME_XY)
+    mc = find_maximal_contact(E, ALL_U_XY)
     assert mc.contact_index == 1
 
 
@@ -289,6 +292,18 @@ def test_no_witness_exactly_when_no_direction_reads_a_nonzero_top():
     assert tally[True] >= 300 and tally[False] >= 200, tally
 
 
+def test_the_sweep_leaves_the_y_part_alone():
+    # along the descent the y-part holds the consumed contacts: y is never
+    # swept, so a top form that needs y reads nothing, before any sweep
+    E = Pair.single([p("y^2 - x^3")], 2)
+    assert find_maximal_contact(E, ALL_U_XY).contact_index == 1
+    with pytest.raises(PreconditionError) as err:
+        find_maximal_contact(E, FRAME_XY)
+    assert str(err.value) == "no maximal contact witness"
+    mc = find_maximal_contact(Pair.single([p("x^2 + y^3")], 2), FRAME_XY)
+    assert (mc.contact_index, mc.direction, mc.frame.y_indices) == (0, (1, 0), (1, 0))
+
+
 def test_a_sweep_with_no_free_variable_stops():
     # every variable marked and x1 adjoined: the unit vector of x1, then nothing
     marked = frozenset(range(3))
@@ -299,7 +314,7 @@ def test_a_sweep_with_no_free_variable_stops():
 def test_one_free_variable_is_rejected_at_the_twelfth_screen(monkeypatch):
     # with x marked, y is the only free variable: the sweep meets (0, h) at
     # every height h, each with top(v) = h^2, and each screen fails
-    frame = Frame(("x", "y"), (0,), (1,), (("E1", 0),))
+    frame = Frame(("x", "y"), (0, 1), (), (("E1", 0),))
     screens = []
     monkeypatch.setattr(coeff, "_line_value", lambda f, b, vec, *rest: screens.append(vec)
                         or _line_value(f, b, vec, *rest))
@@ -417,8 +432,8 @@ def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
         shifted = []
         monkeypatch.setattr(coeff, "substitute",
                             lambda g, change: shifted.append(g) or substitute(g, change))
-        assert (_contact_outcome(find_maximal_contact, E, FRAME_XY)
-                == _contact_outcome(contact_by_iteration_reference, E, FRAME_XY)
+        assert (_contact_outcome(find_maximal_contact, E, ALL_U_XY)
+                == _contact_outcome(contact_by_iteration_reference, E, ALL_U_XY)
                 == "maximal contact requires a completion-level coordinate change")
         # direction (1, 0) was rejected by the substitution of its witness
         assert w in shifted
@@ -620,20 +635,18 @@ def test_coefficient_delta_identity_fixed_cases():
         (Pair.single([p("y^2 - x^5")], 2), FRAME_XY),
     ]
     for E, frame in cases:
-        C = coefficient_pair(E, frame, frame.y_indices)
-        reduced = frame.drop_variables(frame.y_indices)
-        inner = Frame(reduced.variables, tuple(range(reduced.nvars)), ())
-        assert delta(polyhedron_of_pair(C, inner)) == delta(polyhedron_of_pair(E, frame))
+        # C has exponent 0 on y: its polyhedron is that of its u-exponents
+        C = coefficient_pair(E, frame)
+        assert delta(polyhedron_of_pair(C, frame)) == delta(polyhedron_of_pair(E, frame))
 
 
 def test_coefficient_delta_identity_random(rng):
     frame = Frame(("x", "y", "z"), (0, 1), (2,))
-    inner = Frame(("x", "y"), (0, 1), ())
     tested = 0
     while tested < 25:
         E = random_singular_pair(rng, 3)
-        C = coefficient_pair(E, frame, [2])
-        lhs = delta(polyhedron_of_pair(C, inner)) if not C.is_empty() else None
+        C = coefficient_pair(E, frame)
+        lhs = delta(polyhedron_of_pair(C, frame)) if not C.is_empty() else None
         rhs = delta(polyhedron_of_pair(E, frame))
         if C.is_empty():
             from hironaka.poly import INF
@@ -648,7 +661,7 @@ def test_contact_choice_invariance_of_polyhedron():
     # two successful contact runs from different presentations give the same
     # projected polyhedron
     E1 = Pair.single([p("(y+x)^2 - x^3")], 2)
-    mc1 = find_maximal_contact(E1, FRAME_XY)
+    mc1 = find_maximal_contact(E1, ALL_U_XY)
     E2 = Pair.single([p("y^2 - x^3")], 2)
-    mc2 = find_maximal_contact(E2, FRAME_XY)
+    mc2 = find_maximal_contact(E2, ALL_U_XY)
     assert polyhedron_of_pair(mc1.pair, mc1.frame) == polyhedron_of_pair(mc2.pair, mc2.frame)

@@ -226,6 +226,15 @@ def test_directrix_quadric_needs_all_three():
     assert basis.dim == 3
 
 
+@pytest.mark.parametrize("gens", [["1"], ["3", "x^2 + y*z"], ["x*y", "2"]])
+def test_directrix_of_a_unit_ideal_is_the_origin(gens):
+    # every direction leaves a unit ideal invariant, so no form cuts it out
+    basis = directrix(HomIdeal(3, tuple(hp(g, 3) for g in gens)))
+    assert basis.forms == ()
+    assert basis.directions == tuple(tuple(Fraction(int(i == j)) for j in range(3))
+                                     for i in range(3))
+
+
 def test_directrix_zero_ideal_error():
     with pytest.raises(PreconditionError, match="directrix undefined"):
         directrix(HomIdeal(2, ()))

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,13 @@ from hironaka.coeff import MaximalContact, delta_invariant
 from hironaka.cone import directrix, hilbert_samuel_truncated, initial_ideal
 from hironaka.errors import DirectrixNotSpanned, InternalError, PreconditionError
 from hironaka.frames import Frame
-from hironaka.history import ExceptionalData, PairWithHistory, exceptional_nu, run_lsb
+from hironaka.history import (
+    ExcDivisor,
+    ExceptionalData,
+    PairWithHistory,
+    exceptional_nu,
+    run_lsb,
+)
 from hironaka.invariant import (
     Options,
     compare_invariants,
@@ -258,8 +264,44 @@ def test_the_route_needs_the_composed_change(monkeypatch, case):
     descent = compute_invariant(state, None, opts)
     assert descent.terminal == INF
     assert projected_invariant(state, None, opts) == descent
-    monkeypatch.setattr(invariant, "_lifted", lambda *args: {})
+    # a route that drops the recorded changes reads the wrong terminal
+    monkeypatch.setattr(invariant, "substitute", lambda g, change: g)
     assert projected_invariant(state, None, opts).terminal != INF
+
+
+def test_every_step_works_in_the_year_s_coordinates(monkeypatch):
+    """No step drops a variable: each contact search gets a frame with the
+    year's variables whose y-part is the consumed contacts, in order, with
+    exponent 0 on them, and returns a change over the year's variables.
+    Every descent on the corpora, random pairs and random traces."""
+    find, year, seen = invariant.find_maximal_contact, [], Counter()
+
+    def checked(pair, frame, preferred_variables=()):
+        n = len(year[0])
+        assert frame.variables == year[0] and pair.nvars == n
+        assert not any(e[i] for g in pair.all_generators() for e in g.terms for i in frame.y_indices)
+        mc = find(pair, frame, preferred_variables)
+        assert mc.frame.variables == year[0]
+        assert mc.frame.y_indices == frame.y_indices + (mc.contact_index,)
+        assert all(0 <= i < n and g.nvars == n for i, g in mc.change.items())
+        seen["steps"] += 1
+        seen["consumed before"] += len(frame.y_indices)
+        seen["changes"] += bool(mc.change)
+        return mc
+
+    monkeypatch.setattr(invariant, "find_maximal_contact", checked)
+    cases = []
+    for _, problem in corpus_problems():
+        trace = run_lsb(problem.state, problem.script) if problem.script else None
+        cases.append((trace.final if trace else problem.state, trace, problem.options))
+    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
+              for seed in range(200) for nvars in (2, 3, 4))
+    cases += filter(None, map(random_trace, range(300)))
+    cases += filter(None, map(cusp_trace, range(60)))
+    for state, trace, opts in cases:
+        year[:] = [state.frame.variables]
+        _outcome(compute_invariant, state, trace, opts)
+    assert seen["steps"] >= 900 and seen["consumed before"] >= 600 and seen["changes"] >= 200, seen
 
 
 def test_the_s_partition_is_a_partition():
@@ -287,6 +329,35 @@ def test_the_s_partition_is_a_partition():
     assert checked == 77
 
 
+def test_divisor_names_do_not_matter():
+    """Two divisors born in year 0 on x0 and x1, named A, B and then B, A:
+    ``_drive`` adjoins E^r in sorted id order, yet the vector, and the
+    records with the names swapped back, must be the same, or the
+    rejection identical."""
+    opts, back = Options(hs_cutoff=4), {"A": "B", "B": "A"}
+    tally = Counter()
+    for nvars, seed in product((3, 4), range(200)):
+        pair = random_singular_pair(random.Random(seed), nvars)
+        variables = tuple(f"x{i}" for i in range(nvars))
+        outcomes = []
+        for names in ("AB", "BA"):
+            frame = Frame(variables, tuple(range(nvars)), (), ((names[0], 0), (names[1], 1)))
+            state = PairWithHistory(pair, frame, ExceptionalData(
+                tuple(ExcDivisor(d, 0, 0) for d in names)))
+            outcomes.append(_outcome(lazy_evaluate, state, run_lsb(state, ()), opts))
+        first, second = outcomes
+        if isinstance(first, str):
+            assert second == first, (nvars, seed)
+            tally["rejected"] += 1
+            continue
+        vec, records = second
+        swapped = [(s, tuple(back[d] for d in E), tuple(back[d] for d in rest))
+                   for s, E, rest in records]
+        assert (vec, swapped) == first, (nvars, seed)
+        tally["equal"] += 1
+    assert tally == {"equal": 391, "rejected": 9}
+
+
 # ---------------------------------------------------------------------------
 # The paper's theorem as the oracle: when y spans the directrix, the
 # descent's first nu after its dim(directrix) - 1 forced unit steps is delta
@@ -306,14 +377,12 @@ def checked_steps(monkeypatch):
     seen = Counter()
     pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
 
-    def coefficient_pair(pair, frame, z_indices):
-        H = pair_of(pair, frame, z_indices)
-        zs = tuple(sorted(set(z_indices)))
-        rest = tuple(i for i in range(frame.nvars) if i not in zs)
-        along = Frame(frame.variables, rest, zs, frame.exceptional)
+    def coefficient_pair(pair, frame):
+        # the frame's y-part is the consumed contacts, the newest last
+        H = pair_of(pair, frame)
         mu = INF if H.is_empty() else min(
             Fraction(comp.ideal_order()) / comp.weight for comp in H.components)
-        assert delta(polyhedron_of_pair(pair, along)) == mu
+        assert delta(polyhedron_of_pair(pair, frame)) == mu
         seen["order"] += 1
         return H
 

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hironaka import cli
@@ -167,10 +167,11 @@ def term_by_term(f, assignment):
 
 
 # beyond a random f and map: "free" gives half of f's terms a fractional
-# exponent on an unmapped variable; "unit" does so on x0, mapped to a unit
-# monomial, and "non-unit" and "non-monomial" on x0 mapped to 2 times a
-# monomial or to a sum, both refused; "cancel" maps only x0, to a sum g,
-# and adds x0^2 - g^2 to f, whose images cancel
+# exponent on an unmapped variable; "unit" adds (f^2 + 1)*x0^(1/2), which
+# never vanishes, and maps x0 to a unit monomial, and "non-unit" and
+# "non-monomial" add the same and map x0 to 2 times a monomial or to a sum,
+# both refused; "cancel" maps only x0, to a sum g, and adds x0^2 - g^2 to
+# f, whose images cancel
 SUBSTITUTE_CASES = ("", "free", "unit", "non-unit", "non-monomial", "cancel")
 REFUSED = {
     "non-unit": "^fractional power of a non-unit monomial substitution$",
@@ -181,6 +182,7 @@ REFUSED = {
 @given(st.integers(min_value=0, max_value=10**6), st.sets(st.integers(0, 2), max_size=3),
        st.sampled_from(SUBSTITUTE_CASES))
 @settings(max_examples=120, deadline=None)
+@example(seed=127, mapped=set(), case="non-unit")  # f = -1: f + 1 would vanish
 def test_substitute_matches_term_by_term_sum(seed, mapped, case):
     rng = random.Random(seed)
     f = random_polynomial(rng, 3, max_degree=4, max_terms=5)
@@ -188,7 +190,7 @@ def test_substitute_matches_term_by_term_sum(seed, mapped, case):
     if case == "free" and len(mapped) < 3:
         f = f + f * half_power(3, min(set(range(3)) - mapped))
     elif case in ("unit", "non-unit", "non-monomial"):
-        f = f + (f + Polynomial.constant(3, 1)) * half_power(3, 0)
+        f = f + (f * f + Polynomial.constant(3, 1)) * half_power(3, 0)
         exps = [rng.choice([0, 1, 2, Fraction(1, 2)]) for _ in range(3)]
         assignment[0] = {
             "unit": Polynomial.monomial(3, exps),
@@ -426,10 +428,11 @@ def test_initial_form_at_ord_is_nonzero(rng):
 
 def test_split_by_variables_groups_levels():
     f = p2("y^2 - x^3 + 2*x*y")
+    # the coefficients keep the arity, with exponent 0 on y
     groups = split_by_variables(f, [1])
-    assert groups[(2,)] == Polynomial.constant(1, 1)
-    assert groups[(0,)] == parse_polynomial("-x^3", ["x"])
-    assert groups[(1,)] == parse_polynomial("2*x", ["x"])
+    assert groups[(2,)] == Polynomial.constant(2, 1)
+    assert groups[(0,)] == p2("-x^3")
+    assert groups[(1,)] == p2("2*x")
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +632,7 @@ def test_kernels_return_normal_form(f, i, c, exps):
     if not g.is_zero():
         form = initial_form(g, ord_at_origin(g))
         outputs += graded_piece(HomIdeal(3, (form,)), ord_at_origin(g) + 1)
-        frame = Frame(("x", "y", "z"), (0, 1), (2,))
-        outputs += coefficient_pair(Pair.single([g], 2), frame, [i]).all_generators()
+        frame = Frame(("x", "y", "z"), tuple(j for j in range(3) if j != i), (i,))
+        outputs += coefficient_pair(Pair.single([g], 2), frame).all_generators()
     for p in outputs:
         assert_normalized(p)
