@@ -16,6 +16,14 @@ Each direction is first probed on a line (``_line_value``): w(-t(a'), a') = 0
 is an identity among the coefficients of f(a' + s*v), and a direction that
 fails it never changes or differentiates f.
 
+The rewrite stays integral: with L' the least common denominator of t and
+T' = L'*t, one substitution x_i -> L'*x_i + v_i*(x_p - T') (i != p), x_p ->
+v_p*(x_p - T') of g, each term pre-scaled by L'^(D - its degree in the
+mapped variables), gives L'^D * g o rho, rho the rational rewrite composed
+with x_p -> x_p/L' (``_cleared``).  Constants and a scaled coordinate change
+no support, hence no polyhedron, level or later decision; L' = 1 gives the
+rational rewrite itself.
+
 The direction sweep is lazy.  It yields only the directions a contact may
 take, supported on the unmarked u-variables or the unit vector of an
 adjoined marked divisor, in a fixed order: max-norm h = 1, 2, ..., then
@@ -45,6 +53,7 @@ from .linalg import solve
 from .pairs import Component, Pair, is_singular_at_origin, pair_order
 from .poly import (
     Polynomial,
+    _ints,
     format_rational,
     hasse_derivative,
     initial_form,
@@ -75,10 +84,10 @@ def coefficient_pair(E: Pair, frame: Frame) -> Pair:
                     )
     out: list[Component] = []
     for comp in E.components:
-        levels: dict[Fraction, list[Polynomial]] = {}
+        levels: dict = {}  # level |B|, an int or a Fraction -> coefficients
         for g in comp.gens:
             for B, coeff in sorted(split_by_variables(g, zs).items()):
-                l = Fraction(sum(B))
+                l = sum(B)
                 if l < comp.weight and not coeff.is_zero():
                     levels.setdefault(l, []).append(coeff)
         for l in sorted(levels):
@@ -96,8 +105,10 @@ class MaximalContact:
     contact_index: int         # the variable that now cuts out the hypersurface
     witness: Polynomial        # degree-1 element in the pre-substitution coordinates
     direction: tuple
-    # the substitution that gave ``pair``: variable index -> polynomial,
-    # both in ``frame``'s variables; {} when the pair was not rewritten
+    # the substitution rho that gave ``pair``, {} if none: variable index ->
+    # polynomial in ``frame``'s variables.  pair = L'^D_g * substitute(g,
+    # change) per generator g, L' the tail's least common denominator and
+    # D_g g's largest degree in the mapped variables
     change: dict = field(default_factory=dict, compare=False)
 
 
@@ -199,7 +210,7 @@ def _clearing_tail(witness: Polynomial, pivot: int) -> Polynomial | None:
     with L its pivot coefficient (nonzero), T its pivot-free part and
     w = witness/L, t = T/L when t = 0 or w(-t, x') = 0, the pivot-free part
     of w after pivot -> pivot - t.  Witnesses over 150 terms with t != 0
-    get None.
+    get None.  The check is ``_line_value``'s: L^D * w(-T/L, x') = 0.
 
     Its caller builds a witness only when ``_line_value`` is 0; a nonzero
     line value forces t != 0, so the cap would reject that witness too."""
@@ -210,8 +221,22 @@ def _clearing_tail(witness: Polynomial, pivot: int) -> Polynomial | None:
         return None
     lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
     tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
-    tail = tail.scale(Fraction(1) / lead)
-    return tail if substitute(witness, {pivot: -tail}).is_zero() else None
+    if not _cleared(witness, {pivot: -tail}, lead).is_zero():
+        return None
+    return tail.scale(Fraction(1) / lead)
+
+
+def _cleared(g: Polynomial, assignment, L) -> Polynomial:
+    """L^D * g o (assignment/L), D the largest degree of a term of g in the
+    mapped variables, by one ``substitute`` of g with each term pre-scaled
+    by L^(D - its degree).  A fractional exponent on a mapped variable goes
+    to ``substitute`` unscaled, which refuses it for L != 1."""
+    if L == 1 or any(g.has_fractional_exponent(i) for i in assignment):
+        return substitute(g, assignment)
+    degree = [sum(e[i] for i in assignment) for e in g.terms]
+    top = max(degree)
+    return substitute(Polynomial._wrap(g.nvars, _ints({
+        e: c * L ** (top - d) for (e, c), d in zip(g.terms.items(), degree)})), assignment)
 
 
 def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> MaximalContact:
@@ -233,7 +258,8 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
-    the linear change composed with pivot -> pivot - t.  A nonzero
+    the linear change composed with pivot -> pivot - t, over the ints
+    (module docstring).  A nonzero
     ``_line_value``, read off f before any expansion, rejects the direction;
     otherwise w is built for the exact check of ``_clearing_tail``, and
     divided by its pivot coefficient once accepted.  After 12 failed
@@ -314,21 +340,24 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
                 break
             continue
 
-        # the tail is free of the pivot: compose the linear change with
-        # pivot -> pivot - tail and rewrite the pair once
+        # the tail is free of the pivot: rewrite the pair once, over the ints
         witness = witness.scale(Fraction(1) / lead)
-        assignment = change or {}
-        if not tail.is_zero():
-            shift = {pivot: Polynomial.variable(n, pivot) - tail}
-            assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
-        pair = _substitute_pair(E, assignment) if assignment else E
-        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec), assignment)
+        pair, rho = E, {}
+        if change or not tail.is_zero():
+            L = math.lcm(*(c.denominator for c in tail.terms.values()))
+            shift = Polynomial.variable(n, pivot) - tail.scale(L)
+            assignment = {i: shift.scale(x) if i == pivot else
+                          Polynomial._wrap(n, {unit[i]: L}) + shift.scale(x)
+                          for i, x in enumerate(vec) if x}
+            pair = _substitute_pair(E, assignment, L)
+            rho = {i: g.scale(Fraction(1, L)) for i, g in assignment.items()} if L > 1 else assignment
+        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec), rho)
     raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
-def _substitute_pair(E: Pair, assignment) -> Pair:
+def _substitute_pair(E: Pair, assignment, L=1) -> Pair:
     return Pair(tuple(
-        Component(tuple(substitute(g, assignment) for g in comp.gens), comp.weight)
+        Component(tuple(_cleared(g, assignment, L) for g in comp.gens), comp.weight)
         for comp in E.components
     ))
 

@@ -133,7 +133,6 @@ def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
     ``divisor_multiplicities`` of H: (divisor id, mu_H) pairs."""
     if nu == INF or nu == 0:
         raise PreconditionError("terminal case, no companion pair")
-    nu = Fraction(nu)
     factors = [(frame.variable_of(d), mu) for d, mu in mus if mu != 0]
     comps: list[Component] = []
     for comp in H.components:
@@ -161,14 +160,15 @@ def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
 def invariant_step(state: PipelineState) -> StepResult:
     """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion or terminal.
     mu and each mu_H are ``pair_minimum`` of the coefficient pair along the
-    contact."""
+    contact.  Adjoined divisors get the int weight 1, and on integral input
+    every pair of the step has int coefficients."""
     frame, exdata = state.frame, state.exdata
 
     # adjoin the old divisors chosen for this step
     pair = state.pair
     if state.adjoin:
         units = (Polynomial.variable(frame.nvars, frame.index_of(nm)) for nm in state.adjoin)
-        pair = Pair(pair.components + tuple(Component((u,), Fraction(1)) for u in units))
+        pair = Pair(pair.components + tuple(Component((u,), 1) for u in units))
     pending = tuple(sorted(set(state.pending) | set(state.adjoin), key=frame.index_of))
 
     mc = find_maximal_contact(pair, frame, tuple(map(frame.index_of, pending)))
@@ -350,7 +350,8 @@ def projected_invariant(
             gens = [(substitute(g, change), b) for g, b in gens]
     steps = [(names.index(name), [at[d] for d in adjoined], [at[d] for d in tracked])
              for (name, _), (_, adjoined, tracked) in zip(contacts, records)]
-    points = {tuple(e / b for e in exps) for g, b in gens for exps in g.terms}
+    # Fraction(e): e / b of two ints would be a float
+    points = {tuple(Fraction(e) / b for e in exps) for g, b in gens for exps in g.terms}
     nus, mu_h = projected_steps(points, steps, len(names))
     entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))
     monomial = format_polynomial(Polynomial.monomial(len(names), mu_h), list(names))

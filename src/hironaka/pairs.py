@@ -1,6 +1,9 @@
 """Pairs: finite intersections of (generator list, positive rational weight)
 components, with their order and the singular-locus test at the origin.
 
+A weight is stored like a coefficient (``poly._coeff``): an int when
+integral, else a Fraction; a float or a bool weight is a TypeError.
+
 Equivalence of pairs is never decided, and no rewrite of a pair lives
 here.  Pairs change only in the modules that need it: coordinate changes
 and coefficient pairs in ``coeff``, companion pairs in ``invariant``,
@@ -13,16 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .poly import INF, Polynomial, ord_at_origin
+from .poly import INF, Polynomial, _coeff, ord_at_origin
 
 
 @dataclass(frozen=True)
 class Component:
     gens: tuple[Polynomial, ...]
-    weight: Fraction
+    weight: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        object.__setattr__(self, "weight", _coeff(self.weight, "weight"))
         object.__setattr__(self, "gens", tuple(self.gens))
         if self.weight <= 0:
             raise PreconditionError("component weight must be positive")
@@ -49,7 +52,7 @@ class Pair:
 
     @staticmethod
     def single(gens, weight) -> "Pair":
-        return Pair((Component(tuple(gens), Fraction(weight)),))
+        return Pair((Component(tuple(gens), weight),))
 
     @property
     def nvars(self) -> int:

@@ -13,7 +13,8 @@ polynomial's arity with each entry a nonnegative int, or a Fraction when it
 is not integral.  Integral data thus stays in Python ints, whose arithmetic
 needs no gcd.  A coefficient or an exponent that is neither an int nor a
 Fraction, such as a float or a bool, is a TypeError, never a silent binary
-fraction.
+fraction.  Weights (``pairs``) share this normal form and the contact
+rewrite (``coeff``) stays integral, so the descent of integral input is.
 
 Normalization happens once, where a polynomial is made from raw input: the
 public constructor establishes the invariant from any mapping (it passes
@@ -66,13 +67,14 @@ def _norm_exp(e) -> int | Fraction:
     return e.numerator if e.denominator == 1 else e
 
 
-def _coeff(c) -> int | Fraction:
-    """A coefficient in normal form: an int when integral, else a Fraction.
-    Anything but an int or a Fraction is a TypeError: 1/2 is a float."""
+def _coeff(c, what: str = "coefficient") -> int | Fraction:
+    """A coefficient (or the ``what`` named, such as a component weight) in
+    normal form: an int when integral, else a Fraction.  Anything but an
+    int or a Fraction is a TypeError: 1/2 is a float."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
-        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        raise TypeError(f"{what} {c!r} is not an int or a Fraction")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -281,10 +283,9 @@ def ord_at_origin(f: Polynomial):
 def initial_form(f: Polynomial, b) -> Polynomial:
     """Sum of the terms of degree exactly b; the zero polynomial when b is
     negative or not an integer."""
-    bq = Fraction(b)
-    if bq < 0 or bq.denominator != 1:
+    if type(b) is not int and Fraction(b).denominator != 1 or b < 0:
         return Polynomial.zero(f.nvars)
-    return Polynomial._wrap(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == bq})
+    return Polynomial._wrap(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == b})
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,11 @@ def pair_minimum(E: Pair, y_indices, coords):
     the generating points A/(b - |B|), |B| < b, of ``polyhedron_of_pair``
     with y-part ``y_indices``; INF when there is no such point.
 
-    Per component and level |B| only the least exponent sum is kept, and
-    it is divided once.
+    Per component and level |B| only the least exponent sum is kept.  The
+    quotients s/(b - |B|) are compared by cross-multiplication, in ints on
+    integral data, and the least one is made a Fraction once.
     """
-    best = INF
+    num, den = INF, 1  # the least quotient so far, num/den with den > 0
     for comp in E.components:
         least = {}  # level |B| -> least coordinate sum at that level
         for g in comp.gens:
@@ -151,17 +152,9 @@ def pair_minimum(E: Pair, y_indices, coords):
                     least[level] = s
         b = comp.weight
         for level, s in least.items():
-            # level 0 (every point when there is no y-part) is below b and
-            # skips two Fraction operations
-            if not level:
-                q = s / b
-            elif level < b:
-                q = s / (b - level)
-            else:
-                continue
-            if q < best:
-                best = q
-    return best
+            if level < b and s * den < num * (b - level):
+                num, den = s, b - level
+    return INF if num == INF else Fraction(num, den)
 
 
 def projected_steps(points, steps, n: int):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -148,7 +149,28 @@ def test_contact_pair_is_rewritten_once():
         sequential = [substitute(g, shift) for g in sequential]
         shifts += 1
     assert shifts == 1 and mc.witness == p("x - 2/3*y - 4/3*z^3", names)
-    assert mc.pair == Pair.single(sequential, 3)
+    # the tail's denominator L' = 3: the pair is L'^D * g o rho, rho the
+    # sequential rewrite followed by x -> x/3, D = g's degree in x and y
+    assert mc.pair == Pair.single([cleared(g, h, 0, {0, 1}, 3) for g, h in zip(gens, sequential)], 3)
+    assert all(type(c) is int for g in mc.pair.all_generators() for c in g.terms.values())
+
+
+def factor(g, mapped, L):
+    """L^D, D the largest degree of a term of g in the variables ``mapped``."""
+    return L ** max(sum(e[i] for i in mapped) for e in g.terms)
+
+
+def cleared(g, rewritten, pivot, mapped, L):
+    """The generator that the contract of ``MaximalContact.change`` gives
+    from ``rewritten`` = g o (the linear change and the shift): the pivot
+    scaled by 1/L, times ``factor(g, mapped, L)``."""
+    pivot_over_L = Polynomial.variable(g.nvars, pivot).scale(Fraction(1, L))
+    return substitute(rewritten, {pivot: pivot_over_L}).scale(factor(g, mapped, L))
+
+
+def denominator(tail_coefficients):
+    """L', the least common denominator of a contact's tail."""
+    return math.lcm(*(c.denominator for c in tail_coefficients))
 
 
 def test_contact_prefers_given_variables():
@@ -374,6 +396,12 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, shift_cap: int = 2):
             shift = {pivot: x[pivot] - removed}
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
         pair = _substitute_pair(E, assignment) if assignment else E
+        # the documented integral form: pivot -> pivot/L', times L'^D
+        L, mapped = denominator(removed.terms.values()), {i for i, c in enumerate(vec) if c}
+        pair = Pair(tuple(
+            Component(tuple(cleared(g, h, pivot, mapped, L) for g, h in zip(comp.gens, new.gens)),
+                      comp.weight)
+            for comp, new in zip(E.components, pair.components)))
         return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec))
     raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
@@ -404,8 +432,9 @@ def test_one_shift_reduction_matches_iteration(nvars, seeds, shift_cap):
 
 
 def test_the_recorded_change_gives_the_rewritten_pair():
-    # MaximalContact.change is the substitution that turned the input into
-    # the returned pair, and {} exactly when the pair was not rewritten
+    # MaximalContact.change is the substitution rho that turned the input
+    # into the returned pair up to the factor L'^D per generator, and {}
+    # exactly when the pair was not rewritten
     changed = 0
     for nvars in (2, 3):
         frame = Frame(tuple(f"x{i}" for i in range(nvars)), tuple(range(nvars)), ())
@@ -413,9 +442,34 @@ def test_the_recorded_change_gives_the_rewritten_pair():
             E = random_singular_pair(random.Random(seed), nvars)
             mc = _contact_outcome(find_maximal_contact, E, frame)
             if isinstance(mc, MaximalContact):
-                assert (coeff._substitute_pair(E, mc.change) if mc.change else E) == mc.pair
+                # each generator is L'^D * substitute(g, change), integral
+                y = mc.contact_index
+                L = denominator(c for e, c in mc.witness.terms.items() if e[y] == 0)
+                assert (Pair(tuple(Component(tuple(
+                    substitute(g, mc.change).scale(factor(g, mc.change, L)) for g in comp.gens),
+                    comp.weight) for comp in E.components)) if mc.change else E) == mc.pair
+                assert all(type(c) is int for g in mc.pair.all_generators() for c in g.terms.values())
                 changed += bool(mc.change)
     assert changed >= 5, changed
+
+
+def test_a_cleared_shift_of_a_fractional_variable_is_refused(monkeypatch):
+    # the adjoined divisor x is the contact, with witness 8x + 4y, so
+    # x -> x - y/2 and L' = 2; another generator has x^(1/2) and x: no float
+    # 2^(1 - 1/2) is formed, and the substitution refuses the fractional
+    # power of x - y as it refuses that of the rational shift x - y/2
+    frame = Frame(("x", "y"), (0, 1), (), (("E1", 0),))
+    root = Polynomial(2, {(Fraction(1, 2), 2): 1, (1, 2): 1})
+    E = Pair((Component((p("(2*x + y)^2"),), 2), Component((root,), Fraction(1, 2))))
+    kernel = coeff.substitute
+
+    def exact(g, change):
+        assert all(type(c) in (int, Fraction) for c in g.terms.values())
+        return kernel(g, change)
+
+    monkeypatch.setattr(coeff, "substitute", exact)
+    with pytest.raises(PreconditionError, match="^fractional power of a non-monomial substitution$"):
+        find_maximal_contact(E, frame, preferred_variables=(0,))
 
 
 def test_zero_probe_falls_back_to_the_substitution(monkeypatch):

@@ -304,6 +304,96 @@ def test_every_step_works_in_the_year_s_coordinates(monkeypatch):
     assert seen["steps"] >= 900 and seen["consumed before"] >= 600 and seen["changes"] >= 200, seen
 
 
+def _normal(x) -> bool:
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
+def _exact(x) -> bool:
+    """An int, a Fraction or the sentinel INF: never any other float."""
+    return type(x) in (int, Fraction) or x is INF
+
+
+def test_the_descent_stays_integral_and_float_free(monkeypatch):
+    """On integral input every pair of the descent has int coefficients:
+    the pair a contact is sought in, the pair rewritten by it (also when
+    its shift is not integral), the coefficient pair and the companion
+    pair.  Every weight (so every level b - |B|) and exponent is in normal
+    form, and every mu, mu_H, nu and token is an int or a Fraction.  Every
+    descent on the corpora, random int pairs and random traces, all of
+    them integral."""
+    seen = Counter()
+
+    def check(pair):
+        for comp in pair.components:
+            assert _normal(comp.weight)
+            for g in comp.gens:
+                for exps, c in g.terms.items():
+                    assert type(c) is int
+                    assert all(map(_normal, exps))
+        seen["pairs"] += 1
+
+    def checked(name):
+        kernel = getattr(invariant, name)
+
+        def call(*args):
+            result = kernel(*args)
+            if name == "find_maximal_contact":
+                check(args[0])
+                check(result.pair)
+                seen["shifts by 1/L', L' > 1"] += any(
+                    type(c) is Fraction for g in result.change.values() for c in g.terms.values())
+            elif name == "pair_minimum":
+                assert _exact(result)
+                seen["minima"] += 1
+            else:
+                check(result)
+            return result
+        return call
+
+    for name in ("find_maximal_contact", "coefficient_pair", "companion_pair", "pair_minimum"):
+        monkeypatch.setattr(invariant, name, checked(name))
+    cases = []
+    for _, problem in corpus_problems():
+        trace = run_lsb(problem.state, problem.script) if problem.script else None
+        cases.append((trace.final if trace else problem.state, trace, problem.options))
+    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
+              for seed in range(200) for nvars in (2, 3, 4))
+    cases += filter(None, map(random_trace, range(300)))
+    for state, trace, opts in cases:
+        check(state.pair)
+        vec = _outcome(compute_invariant, state, trace, opts)
+        if not isinstance(vec, str):
+            assert all(type(d) is int for d in vec.nu1.dims)
+            assert all(map(_exact, vec.tokens()))
+    assert seen["pairs"] >= 3800 and seen["minima"] >= 900, seen
+    assert seen["shifts by 1/L', L' > 1"] >= 150, seen
+
+
+@pytest.mark.parametrize("e", [100, 1000])
+def test_a_non_integral_contact_shift_keeps_the_known_vector(monkeypatch, e):
+    """z^2 + x^3*y^e (u = x, y; y = z; b = 2): nu = (e + 3)/2, then 1, then
+    INF.  The second contact's witness is x - e/(e + 3)*y after
+    y -> y - x, so the pair is rewritten with L' = e + 3: x -> (x + e*y)/L',
+    y -> (3*y - x)/L', and its coefficients stay ints."""
+    find, changes = invariant.find_maximal_contact, []
+
+    def recorded(*args):
+        mc = find(*args)
+        changes.append(mc.change)
+        assert all(type(c) is int for g in mc.pair.all_generators() for c in g.terms.values())
+        return mc
+
+    monkeypatch.setattr(invariant, "find_maximal_contact", recorded)
+    state, _, opts = hypersurface(f"z^2 + x^3*y^{e}", 2, ["x", "y"], ["z"])
+    vec = compute_invariant(state, None, opts)
+    assert summary(vec) == (0, ((Fraction(e + 3, 2), 0), (1, 0)), INF, ("z", "x", "y"), None)
+    names = ["x", "y", "z"]
+    assert [{names[i]: format_polynomial(g, names) for i, g in change.items()}
+            for change in changes] == [{}, {"x": f"{e}/{e + 3}*y + 1/{e + 3}*x",
+                                            "y": f"3/{e + 3}*y - 1/{e + 3}*x"}, {}]
+
+
 def test_the_s_partition_is_a_partition():
     cases = []
     for _, problem in corpus_problems("lsb-hypersurface"):

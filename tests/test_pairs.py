@@ -126,3 +126,18 @@ def test_component_rejects_zero_generator():
 def test_component_rejects_nonpositive_weight():
     with pytest.raises(PreconditionError):
         Component((p("x"),), Fraction(0))
+
+
+def test_weights_are_stored_in_normal_form():
+    # an int when integral, a Fraction otherwise, like a coefficient
+    for weight, stored in ((2, 2), (Fraction(4, 2), 2), (Fraction(3, 2), Fraction(3, 2))):
+        for comp in (Component((p("x^2"),), weight), Pair.single([p("x^2")], weight).components[0]):
+            assert comp.weight == stored and type(comp.weight) is type(stored)
+
+
+def test_float_and_bool_weights_are_refused():
+    # 0.1 is no binary fraction and True no weight 1
+    for weight in (0.1, 2.0, True):
+        for make in (lambda: Component((p("x^2"),), weight), lambda: Pair.single([p("x^2")], weight)):
+            with pytest.raises(TypeError, match=f"^weight {weight!r} is not an int or a Fraction$"):
+                make()
