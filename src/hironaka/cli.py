@@ -25,7 +25,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
@@ -56,12 +55,13 @@ from .poly import (
     parse_polynomial,
 )
 from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minimum, polyhedron_of_pair
+from .record import Record
 
-@dataclass(frozen=True)
-class Problem:
+
+class Problem(Record):
     state: PairWithHistory
     script: tuple = ()
-    options: Options = field(default_factory=Options)
+    options: Options = Options()
 
     @property
     def frame(self) -> Frame:
@@ -211,7 +211,7 @@ def problem_from_data(data: dict) -> Problem:
         script.append((center, chart))
 
     odata = _typed(data.get("options", {}), dict, "options")
-    kinds = {f.name: type(f.default) for f in fields(Options)}
+    kinds = {name: type(default) for name, default in Options._field_defaults.items()}
     for key in odata:
         if key not in kinds:
             raise ProblemParseError(f"options: unknown option {key!r}")

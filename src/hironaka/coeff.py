@@ -42,7 +42,6 @@ at the 12th failed screen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
@@ -62,6 +61,7 @@ from .poly import (
     substitute,
 )
 from .polyhedra import OrthantPolyhedron, delta, polyhedron_of_pair
+from .record import Record
 
 
 def coefficient_pair(E: Pair, frame: Frame) -> Pair:
@@ -98,8 +98,7 @@ def coefficient_pair(E: Pair, frame: Frame) -> Pair:
 # ---------------------------------------------------------------------------
 # Maximal contact
 
-@dataclass(frozen=True)
-class MaximalContact:
+class MaximalContact(Record):
     pair: Pair                 # the pair rewritten in the adapted coordinates
     frame: Frame               # same variables, contact index moved to the y-part
     contact_index: int         # the variable that now cuts out the hypersurface
@@ -108,8 +107,21 @@ class MaximalContact:
     # the substitution rho that gave ``pair``, {} if none: variable index ->
     # polynomial in ``frame``'s variables.  pair = L'^D_g * substitute(g,
     # change) per generator g, L' the tail's least common denominator and
-    # D_g g's largest degree in the mapped variables
-    change: dict = field(default_factory=dict, compare=False)
+    # D_g g's largest degree in the mapped variables.  Not compared or
+    # hashed: equality is that of the other fields
+    change: dict
+
+    def __new__(cls, pair, frame, contact_index, witness, direction, change=None):
+        return super().__new__(cls, pair, frame, contact_index, witness, direction,
+                               {} if change is None else change)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:-1] == other[:-1]
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 def _direction_candidates(n: int, fixed=frozenset(), preferred=()):
@@ -192,7 +204,11 @@ def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
             if not x:
                 line = [y * a ** e for y in line]
                 continue
-            p = [math.comb(e, k) * a ** (e - k) * x ** k for k in range(e + 1)]
+            # C(e, k) * a^(e-k) * x^k, each from the last: the division
+            # is exact, as the quotient is the next coefficient
+            p = [a ** e]
+            for k in range(e):
+                p.append(p[-1] * (e - k) * x // ((k + 1) * a))
             product = [0] * (len(line) + len(p) - 1)
             for j, y in enumerate(line):
                 for k, z in enumerate(p):
@@ -370,8 +386,7 @@ def _substitute_pair(E: Pair, assignment, L=1) -> Pair:
 MAX_PREP_ITERS = 32
 
 
-@dataclass(frozen=True)
-class PrepareResult:
+class PrepareResult(Record):
     pair: Pair
     frame: Frame
     polyhedron: OrthantPolyhedron

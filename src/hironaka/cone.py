@@ -24,7 +24,6 @@ leads collide are built and reduced with ``linalg.eliminate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, combinations_with_replacement
@@ -34,15 +33,15 @@ from .errors import PreconditionError
 from .linalg import clear_denominators, eliminate, nullspace, reduce_against, sparse_rref
 from .pairs import Pair
 from .poly import Polynomial, hasse_derivative, initial_form, ord_at_origin
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HomIdeal:
+class HomIdeal(Record):
     nvars: int
     generators: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        for g in self.generators:
+    def __new__(cls, nvars, generators):
+        for g in generators:
             if g.is_zero():
                 raise PreconditionError("homogeneous generators must be nonzero")
             degs = {sum(e) for e in g.terms}
@@ -50,6 +49,7 @@ class HomIdeal:
                 raise PreconditionError("generators must be homogeneous")
             if g.has_fractional_exponent():
                 raise PreconditionError("homogeneous ideals use integer exponents")
+        return super().__new__(cls, nvars, generators)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -149,8 +149,7 @@ def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
 # Directrix
 
 
-@dataclass(frozen=True)
-class DirectrixBasis:
+class DirectrixBasis(Record):
     forms: tuple[Polynomial, ...]       # independent degree-1 polynomials
     directions: tuple[tuple, ...]       # basis of the invariance space W
 

@@ -11,34 +11,33 @@ works in it, moving each consumed contact from u to the end of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import PreconditionError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     variables: tuple[str, ...]
     u_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
-    exceptional: tuple[tuple[str, int], ...] = field(default=())
+    exceptional: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        n = len(self.variables)
-        if len(set(self.variables)) != n:
+    def __new__(cls, variables, u_indices, y_indices, exceptional=()):
+        n = len(variables)
+        if len(set(variables)) != n:
             raise PreconditionError("duplicate variable names")
-        split = sorted(self.u_indices) + sorted(self.y_indices)
+        split = sorted(u_indices) + sorted(y_indices)
         if sorted(split) != list(range(n)) or len(split) != n:
             raise PreconditionError("u and y must partition the variables")
         seen_vars: set[int] = set()
         seen_ids: set[str] = set()
-        for div_id, idx in self.exceptional:
+        for div_id, idx in exceptional:
             if idx < 0 or idx >= n:
                 raise PreconditionError(f"exceptional mark {div_id!r} on unknown variable")
             if idx in seen_vars or div_id in seen_ids:
                 raise PreconditionError("exceptional markings must be pairwise distinct")
             seen_vars.add(idx)
             seen_ids.add(div_id)
+        return super().__new__(cls, variables, u_indices, y_indices, exceptional)
 
     # -- queries -----------------------------------------------------------
 

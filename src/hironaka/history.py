@@ -14,36 +14,36 @@ over the raw points of the pair: a blow-up builds no vertex set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
-from .poly import INF, Polynomial, divide_by_variable_power, substitute
+from .poly import INF, Polynomial, _coeff, divide_by_variable_power, substitute
 from .polyhedra import pair_minimum
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ExcDivisor:
+class ExcDivisor(Record):
     divisor_id: str
     d: Fraction                 # assigned multiplicity
     birth_year: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", Fraction(self.d))
-        if self.d < 0:
+    def __new__(cls, divisor_id, d, birth_year):
+        d = Fraction(_coeff(d, "assigned number"))
+        if d < 0:
             raise PreconditionError("assigned numbers are nonnegative")
+        return super().__new__(cls, divisor_id, d, birth_year)
 
 
-@dataclass(frozen=True)
-class ExceptionalData:
-    entries: tuple[ExcDivisor, ...] = ()
+class ExceptionalData(Record):
+    entries: tuple[ExcDivisor, ...]
 
-    def __post_init__(self):
-        ids = [e.divisor_id for e in self.entries]
+    def __new__(cls, entries=()):
+        ids = [e.divisor_id for e in entries]
         if len(ids) != len(set(ids)):
             raise PreconditionError("divisor ids must be distinct")
+        return super().__new__(cls, entries)
 
     def placed(self, frame: Frame) -> tuple[tuple[ExcDivisor, int], ...]:
         """(entry, frame index) for each entry the frame marks, in entry order."""
@@ -57,16 +57,16 @@ class ExceptionalData:
         return None
 
 
-@dataclass(frozen=True)
-class PairWithHistory:
+class PairWithHistory(Record):
     pair: Pair
     frame: Frame
-    exdata: ExceptionalData = field(default_factory=ExceptionalData)
+    exdata: ExceptionalData
 
-    def __post_init__(self):
-        if any(e.d != 0 and self.frame.variable_of(e.divisor_id) is None
-               for e in self.exdata.entries):
+    def __new__(cls, pair, frame, exdata=ExceptionalData()):
+        if any(e.d != 0 and frame.variable_of(e.divisor_id) is None
+               for e in exdata.entries):
             raise PreconditionError("absent divisors carry assigned number 0")
+        return super().__new__(cls, pair, frame, exdata)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,7 @@ def is_permissible(H: PairWithHistory, center) -> bool:
 # Blow-up charts
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(Record):
     state: PairWithHistory
     center: tuple[int, ...]
     chart: int
@@ -194,15 +193,13 @@ def blowup_chart(
 # Local sequences of blow-ups
 
 
-@dataclass(frozen=True)
-class YearRecord:
+class YearRecord(Record):
     year: int
     state: PairWithHistory
     step: ChartReport | None      # the step that produced this year (None at 0)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     years: tuple[YearRecord, ...]
 
     @property
@@ -211,6 +208,11 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.years)
+
+    @classmethod
+    def _make(cls, iterable) -> "Trace":
+        # namedtuple's checks the field count with ``len``, the year count here
+        return tuple.__new__(cls, iterable)
 
 
 def run_lsb(H: PairWithHistory, script) -> Trace:

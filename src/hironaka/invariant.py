@@ -27,7 +27,6 @@ every nu off projections of one point set, as the paper does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -39,27 +38,24 @@ from .pairs import Component, Pair, is_singular_at_origin
 from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial, substitute
 from .polyhedra import pair_minimum, projected_steps
 from .cone import hilbert_samuel_truncated
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(Record):
     hs_cutoff: int = 12
 
 
-@dataclass(frozen=True)
-class HilbertSamuel:
+class HilbertSamuel(Record):
     dims: tuple[int, ...]
     cutoff: int
 
 
-@dataclass(frozen=True)
-class InvariantEntry:
+class InvariantEntry(Record):
     nu: Fraction
     s: int
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(Record):
     nu1: HilbertSamuel
     s1: int
     entries: tuple[InvariantEntry, ...]
@@ -78,8 +74,7 @@ class InvariantVector:
         return tuple(toks)
 
 
-@dataclass(frozen=True)
-class PipelineState:
+class PipelineState(Record):
     pair: Pair
     frame: Frame                       # the year's variables, y = consumed contacts
     exdata: ExceptionalData
@@ -87,15 +82,13 @@ class PipelineState:
     adjoin: tuple[str, ...]            # divisor variables adjoined this step
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     nu: object                         # Fraction(0) or INF
     center: tuple[str, ...] | None
     monomial: str | None
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(Record):
     nu: object
     outcome: object                    # PipelineState | Terminal
     contact: tuple = ()                # (contact name, MaximalContact.change)
@@ -244,7 +237,7 @@ def _drive(state: PairWithHistory, older, opts: Options):
         yield len(Er)
         adjoin = tuple(cur.frame.variables[Er[div_id]] for div_id in sorted(Er))
         kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e.divisor_id not in Er))
-        step = invariant_step(replace(cur, exdata=kept, adjoin=adjoin))
+        step = invariant_step(cur._replace(exdata=kept, adjoin=adjoin))
         contacts.append(step.contact)
         if isinstance(step.outcome, Terminal):
             tokens.append(step.outcome.nu)
@@ -355,8 +348,8 @@ def projected_invariant(
     nus, mu_h = projected_steps(points, steps, len(names))
     entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))
     monomial = format_polynomial(Polynomial.monomial(len(names), mu_h), list(names))
-    return replace(vec, entries=entries, terminal=nus[-1],
-                   monomial=monomial if nus[-1] == 0 else None)
+    return vec._replace(entries=entries, terminal=nus[-1],
+                        monomial=monomial if nus[-1] == 0 else None)
 
 
 def s_partition(trace: Trace, opts: Options | None = None):

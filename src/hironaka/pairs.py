@@ -12,25 +12,25 @@ blow-ups in ``history``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .poly import INF, Polynomial, _coeff, ord_at_origin
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     gens: tuple[Polynomial, ...]
     weight: int | Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _coeff(self.weight, "weight"))
-        object.__setattr__(self, "gens", tuple(self.gens))
-        if self.weight <= 0:
+    def __new__(cls, gens, weight):
+        weight = _coeff(weight, "weight")
+        gens = tuple(gens)
+        if weight <= 0:
             raise PreconditionError("component weight must be positive")
-        if not self.gens or any(g.is_zero() for g in self.gens):
+        if not gens or any(g.is_zero() for g in gens):
             raise PreconditionError("every component needs at least one nonzero generator")
+        return super().__new__(cls, gens, weight)
 
     @property
     def nvars(self) -> int:
@@ -40,15 +40,15 @@ class Component:
         return min(ord_at_origin(g) for g in self.gens)
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Record):
     components: tuple[Component, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        arities = {c.nvars for c in self.components}
+    def __new__(cls, components):
+        components = tuple(components)
+        arities = {c.nvars for c in components}
         if len(arities) > 1:
             raise PreconditionError("components must share one variable list")
+        return super().__new__(cls, components)
 
     @staticmethod
     def single(gens, weight) -> "Pair":

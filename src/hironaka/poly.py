@@ -43,10 +43,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter
-from typing import Iterable, Mapping
 
 from .errors import PreconditionError, ProblemParseError
 
@@ -468,9 +468,11 @@ def _refuse_long_power(c: int | Fraction, q: int) -> None:
 def format_rational(q) -> str:
     """q as digits, "p/q" or "inf"; a PreconditionError naming the limit
     when a number has more digits than the interpreter converts to a str."""
-    if q == INF:
-        return "inf"
-    q = q if type(q) is int else Fraction(q)
+    if type(q) is not int and type(q) is not Fraction:
+        # only here: a Fraction compared with the float INF takes microseconds
+        if q == INF:
+            return "inf"
+        q = Fraction(q)
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:

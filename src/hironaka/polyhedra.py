@@ -13,7 +13,6 @@ and vertex preparation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -21,6 +20,7 @@ from .frames import Frame
 from .linalg import lp_feasible
 from .pairs import Pair
 from .poly import INF
+from .record import Record
 
 Point = tuple  # tuple of Fraction | int, length = dimension
 
@@ -68,8 +68,7 @@ def minimize_vertices(points) -> list[Point]:
     return keep
 
 
-@dataclass(frozen=True)
-class OrthantPolyhedron:
+class OrthantPolyhedron(Record):
     dimension: int
     vertices: tuple[Point, ...]
 

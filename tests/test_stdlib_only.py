@@ -3,6 +3,7 @@ declares no dependencies, and every absolute import under ``src/hironaka``
 must name a standard-library module."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +24,15 @@ def test_every_absolute_import_is_in_the_standard_library():
     outside = [(path.name, name) for path in modules for name in absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect_nor_typing():
+    """Start-up is most of what one command costs, and these modules are
+    costly to import and not needed: ``dataclasses`` with the ``inspect``
+    it pulls in was most of the start-up.  ``-S`` keeps the site packages,
+    which may import any of them, out of the checked interpreter."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hironaka.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-I", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "\n", "")
