@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .coeff import delta_invariant
 from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
@@ -169,15 +170,17 @@ def blowup_chart(
         d = pair_minimum(pair, new_frame.y_indices, (var,))
         return Fraction(0) if d == INF else d
 
-    # an unmarked divisor misses the tracked point and carries 0
+    # an unmarked divisor misses the tracked point and carries 0; an entry
+    # whose d does not change is kept, so a divisor that has left is built once
     d_of = {e.divisor_id: derived(idx) for e, idx in H.exdata.placed(new_frame)}
     d_new = derived(chart)
-    entries = tuple(
-        ExcDivisor(e.divisor_id, d_of.get(e.divisor_id, 0), e.birth_year)
-        for e in H.exdata.entries
-    ) + (ExcDivisor(new_id, d_new, year),)
+    entries = []
+    for e in H.exdata.entries:
+        d = d_of.get(e.divisor_id, 0)
+        entries.append(e if d == e.d else ExcDivisor(e.divisor_id, d, e.birth_year))
+    entries.append(ExcDivisor(new_id, d_new, year))
 
-    state = PairWithHistory(pair, new_frame, ExceptionalData(entries))
+    state = PairWithHistory(pair, new_frame, ExceptionalData(tuple(entries)))
     return ChartReport(
         state=state,
         center=tuple(center),
@@ -243,8 +246,6 @@ def run_lsb(H: PairWithHistory, script) -> Trace:
 def exceptional_nu(E: Pair, frame: Frame, exdata: ExceptionalData):
     """delta of the prepared polyhedron minus the assigned multiplicities of
     the present divisors sitting in the u-part."""
-    from .coeff import delta_invariant
-
     d = delta_invariant(E, frame)
     u_set = set(frame.u_indices)
     total = sum(

@@ -6,15 +6,16 @@ The vector has the shape (nu1, s1; nu2, s2; ...; nu_t) where nu1 is a
 truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
-Each step (``invariant_step``) finds a maximal contact, then reads mu,
-mu_H and nu off the coefficient pair along it and ends in a terminal case
-or the companion pair.  It records the contact's name and the coordinate
-change that ``find_maximal_contact`` applied.  No step drops a variable:
-the frame's y-part collects the consumed contacts in order, on which the
-pair has exponent 0, so every step, every change, Phi and the INF center
-are in the year's coordinates.  Along a trace a divisor is old at step r
-when it was born no later than the first earlier year whose comparison
-tokens (hs, s1, nu2, s2, ...) start with the current ones, as in
+Each step (``invariant_step``) finds a maximal contact, reads mu, mu_H and
+nu off the coefficient pair along it, and returns one ``StepResult``: nu,
+the contact, the coordinate change ``find_maximal_contact`` applied, each
+mu_H and the next state (None once nu is INF or 0).  No step drops a
+variable: the frame's y-part collects the consumed contacts in order, on
+which the pair has exponent 0, so the descent works in the year's variable
+indices (a divisor is its variable's index), and every change, Phi and
+the INF center are in the year's coordinates.  Along a trace a divisor is
+old at step r when it was born no later than the first earlier year whose
+comparison tokens (hs, s1, nu2, s2, ...) start with the current ones, as in
 Bierstone-Milman.  So an earlier year is read token by token, only to the
 depth that s_r compares it (``_evaluate``), and an error it would meet past
 that depth is not raised.
@@ -33,7 +34,7 @@ from itertools import islice
 from .coeff import coefficient_pair, find_maximal_contact
 from .errors import InternalError, PreconditionError
 from .frames import Frame
-from .history import ExceptionalData, PairWithHistory, Trace
+from .history import PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
 from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial, substitute
 from .polyhedra import pair_minimum, projected_steps
@@ -77,56 +78,44 @@ class InvariantVector(Record):
 class PipelineState(Record):
     pair: Pair
     frame: Frame                       # the year's variables, y = consumed contacts
-    exdata: ExceptionalData
-    pending: tuple[str, ...]           # adjoined divisor variables, unconsumed
-    adjoin: tuple[str, ...]            # divisor variables adjoined this step
-
-
-class Terminal(Record):
-    nu: object                         # Fraction(0) or INF
-    center: tuple[str, ...] | None
-    monomial: str | None
+    tracked: tuple[int, ...]           # variables of the divisors in no E^r yet
+    pending: tuple[int, ...] = ()      # adjoined divisor variables, unconsumed, sorted
 
 
 class StepResult(Record):
     nu: object
-    outcome: object                    # PipelineState | Terminal
-    contact: tuple = ()                # (contact name, MaximalContact.change)
+    contact: int                       # the contact's variable index
+    change: dict                       # MaximalContact.change
+    mus: tuple                         # (variable index, mu_H) per tracked divisor
+    state: PipelineState | None        # the next step; None when nu is INF or 0
 
 
 # ---------------------------------------------------------------------------
 # Companion pair
 
 
-def _exceptional_monomial(frame: Frame, mu_by_divisor) -> Polynomial:
-    n = frame.nvars
+def _exceptional_monomial(n: int, mus) -> Polynomial:
     exps = [Fraction(0)] * n
-    for div_id, mu in mu_by_divisor:
-        idx = frame.variable_of(div_id)
-        if idx is None:
-            raise InternalError("divisor without a frame variable")
+    for idx, mu in mus:
         exps[idx] += mu
     return Polynomial.monomial(n, tuple(exps))
 
 
-def divisor_multiplicities(H: Pair, frame: Frame, exdata: ExceptionalData):
+def divisor_multiplicities(H: Pair, tracked):
     """mu_H = min over components of (multiplicity along H) / weight, for
-    each placed divisor in the u-part of a nonempty H: the least coordinate
-    of its variable over the points exps/b (``pair_minimum``, no y-part)."""
-    u_set = set(frame.u_indices)
-    return tuple(
-        (e.divisor_id, pair_minimum(H, (), (idx,)))
-        for e, idx in exdata.placed(frame) if idx in u_set
-    )
+    each tracked divisor variable (all in the u-part) of a nonempty H: the
+    least coordinate of the variable over the points exps/b
+    (``pair_minimum``, no y-part), as (index, mu_H) pairs."""
+    return tuple((idx, pair_minimum(H, (), (idx,))) for idx in tracked)
 
 
-def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
+def companion_pair(H: Pair, mus, nu) -> Pair:
     """Factor the exceptional monomial D out of every generator, reweight by
     nu, and adjoin (D, 1 - nu) exactly when nu < 1.  ``mus`` is
-    ``divisor_multiplicities`` of H: (divisor id, mu_H) pairs."""
+    ``divisor_multiplicities`` of H: (variable index, mu_H) pairs."""
     if nu == INF or nu == 0:
         raise PreconditionError("terminal case, no companion pair")
-    factors = [(frame.variable_of(d), mu) for d, mu in mus if mu != 0]
+    factors = [(idx, mu) for idx, mu in mus if mu != 0]
     comps: list[Component] = []
     for comp in H.components:
         gens = []
@@ -141,7 +130,7 @@ def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
         comps.append(Component(tuple(gens), comp.weight * nu))
     result = Pair(tuple(comps))
     if nu < 1 and factors:
-        D = _exceptional_monomial(frame, mus)
+        D = _exceptional_monomial(H.nvars, mus)
         result = Pair(result.components + (Component((D,), 1 - nu),))
     return result
 
@@ -151,46 +140,24 @@ def companion_pair(H: Pair, frame: Frame, mus, nu) -> Pair:
 
 
 def invariant_step(state: PipelineState) -> StepResult:
-    """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion or terminal.
+    """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion pair.
     mu and each mu_H are ``pair_minimum`` of the coefficient pair along the
     contact.  Adjoined divisors get the int weight 1, and on integral input
     every pair of the step has int coefficients."""
-    frame, exdata = state.frame, state.exdata
-
-    # adjoin the old divisors chosen for this step
-    pair = state.pair
-    if state.adjoin:
-        units = (Polynomial.variable(frame.nvars, frame.index_of(nm)) for nm in state.adjoin)
-        pair = Pair(pair.components + tuple(Component((u,), 1) for u in units))
-    pending = tuple(sorted(set(state.pending) | set(state.adjoin), key=frame.index_of))
-
-    mc = find_maximal_contact(pair, frame, tuple(map(frame.index_of, pending)))
-    y = mc.contact_index
-    contact = (frame.variables[y], mc.change)
-    if any(idx == y for _, idx in exdata.placed(frame)):
+    mc = find_maximal_contact(state.pair, state.frame, state.pending)
+    y, frame = mc.contact_index, mc.frame
+    if y in state.tracked:
         raise InternalError("tracked divisor variable was consumed")
-    frame = mc.frame
     H = coefficient_pair(mc.pair, frame)
 
     mu = pair_minimum(H, (), frame.u_indices)
-    mus = divisor_multiplicities(H, frame, exdata) if not H.is_empty() else ()
+    mus = divisor_multiplicities(H, state.tracked) if not H.is_empty() else ()
     nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
-
-    if nu == INF:
-        return StepResult(nu, Terminal(INF, frame.y_names(), None), contact)
-    if nu == 0:
-        D = _exceptional_monomial(frame, mus)
-        monomial = format_polynomial(D, list(frame.variables))
-        return StepResult(nu, Terminal(Fraction(0), None, monomial), contact)
-
-    next_state = PipelineState(
-        pair=companion_pair(H, frame, mus, nu),
-        frame=frame,
-        exdata=exdata,
-        pending=tuple(nm for nm in pending if nm != contact[0]),
-        adjoin=(),
-    )
-    return StepResult(nu, next_state, contact)
+    if nu == INF or nu == 0:
+        return StepResult(nu, y, mc.change, mus, None)
+    pending = tuple(i for i in state.pending if i != y)
+    next_state = PipelineState(companion_pair(H, mus, nu), frame, state.tracked, pending)
+    return StepResult(nu, y, mc.change, mus, next_state)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +169,6 @@ def _hs_of_pair(pair: Pair, cutoff: int) -> HilbertSamuel:
     return HilbertSamuel(tuple(dims), cutoff)
 
 
-def _pipeline_frame(state: PairWithHistory) -> Frame:
-    """The working frame: everything in the u-part, markings preserved."""
-    fr = state.frame
-    return Frame(fr.variables, tuple(range(fr.nvars)), (), fr.exceptional)
-
-
 def _drive(state: PairWithHistory, older, opts: Options):
     """Evaluate one year, whose point is singular, against the earlier
     years ``older`` (``_Year`` objects, oldest first).
@@ -215,43 +176,44 @@ def _drive(state: PairWithHistory, older, opts: Options):
     A generator: it yields the year's comparison tokens (hs dims, s1, nu2,
     s2, ..., terminal) one by one, each as soon as it is known, and returns
     the vector, one partition record (s_r, E^r ids, remaining ids) per
-    step and each step's ``StepResult.contact``.
+    step and each step's ``StepResult``.  Before step r it adjoins
+    (x_i, 1) for each divisor of E^r, in id order.
     """
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
-    cur = PipelineState(
-        pair=state.pair, frame=_pipeline_frame(state), exdata=state.exdata,
-        pending=(), adjoin=(),
-    )
+    names, placed = state.frame.variables, state.exdata.placed(state.frame)
+    # the working frame: everything in the u-part, markings preserved
+    frame = Frame(names, tuple(range(len(names))), (), state.frame.exceptional)
+    cur = PipelineState(state.pair, frame, tuple(idx for _, idx in placed))
     tokens: list = [hs.dims]
     yield hs.dims
-    records: list = []
-    contacts: list = []
+    records, steps = [], []
 
-    while True:
+    while cur is not None:
         i_r = _first_matching_year(tokens, older)
-        placed = cur.exdata.placed(cur.frame)
-        Er = {e.divisor_id: idx for e, idx in placed if e.birth_year <= i_r}
-        remaining = tuple(e.divisor_id for e, _ in placed if e.birth_year > i_r)
+        live = [(e, idx) for e, idx in placed if idx in cur.tracked]
+        Er = {e.divisor_id: idx for e, idx in live if e.birth_year <= i_r}
+        remaining = tuple(e.divisor_id for e, _ in live if e.birth_year > i_r)
         records.append((len(Er), tuple(Er), remaining))
         tokens.append(len(Er))
         yield len(Er)
-        adjoin = tuple(cur.frame.variables[Er[div_id]] for div_id in sorted(Er))
-        kept = ExceptionalData(tuple(e for e in cur.exdata.entries if e.divisor_id not in Er))
-        step = invariant_step(cur._replace(exdata=kept, adjoin=adjoin))
-        contacts.append(step.contact)
-        if isinstance(step.outcome, Terminal):
-            tokens.append(step.outcome.nu)
-            yield step.outcome.nu
-            break
+        adjoined = tuple(Er[d] for d in sorted(Er))
+        units = (Component((Polynomial.variable(frame.nvars, i),), 1) for i in adjoined)
+        step = invariant_step(PipelineState(
+            Pair(cur.pair.components + tuple(units)), cur.frame,
+            tuple(i for i in cur.tracked if i not in adjoined),
+            tuple(sorted(cur.pending + adjoined))))
+        steps.append(step)
         tokens.append(step.nu)
         yield step.nu
-        cur = step.outcome
+        cur = step.state
 
-    steps = tokens[2:-1]  # nu2, s2, nu3, s3, ...
-    entries = tuple(InvariantEntry(nu, s) for nu, s in zip(steps[::2], steps[1::2]))
-    end = step.outcome
-    vec = InvariantVector(hs, tokens[1], entries, end.nu, end.center, end.monomial)
-    return vec, records, contacts
+    pairs = tokens[2:-1]  # nu2, s2, nu3, s3, ...
+    entries = tuple(InvariantEntry(nu, s) for nu, s in zip(pairs[::2], pairs[1::2]))
+    center = tuple(names[s.contact] for s in steps) if step.nu == INF else None
+    monomial = (format_polynomial(_exceptional_monomial(len(names), step.mus), list(names))
+                if step.nu == 0 else None)
+    vec = InvariantVector(hs, tokens[1], entries, step.nu, center, monomial)
+    return vec, records, steps
 
 
 class _Year:
@@ -335,17 +297,17 @@ def projected_invariant(
     its monomial are read off projections of the points exps/b of G o Phi
     (``polyhedra.projected_steps``).  nu1, each s_r and the center are the
     descent's: the route checks the numbers, not the s-partition."""
-    vec, records, contacts = _evaluate(state, trace, opts)
+    vec, records, steps = _evaluate(state, trace, opts)
     names, at = state.frame.variables, dict(state.frame.exceptional)
     gens = [(g, comp.weight) for comp in state.pair.components for g in comp.gens]
-    for _, change in contacts:
-        if change:
-            gens = [(substitute(g, change), b) for g, b in gens]
-    steps = [(names.index(name), [at[d] for d in adjoined], [at[d] for d in tracked])
-             for (name, _), (_, adjoined, tracked) in zip(contacts, records)]
+    for step in steps:
+        if step.change:
+            gens = [(substitute(g, step.change), b) for g, b in gens]
+    route = [(step.contact, [at[d] for d in adjoined], [at[d] for d in tracked])
+             for step, (_, adjoined, tracked) in zip(steps, records)]
     # Fraction(e): e / b of two ints would be a float
     points = {tuple(Fraction(e) / b for e in exps) for g, b in gens for exps in g.terms}
-    nus, mu_h = projected_steps(points, steps, len(names))
+    nus, mu_h = projected_steps(points, route, len(names))
     entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))
     monomial = format_polynomial(Polynomial.monomial(len(names), mu_h), list(names))
     return vec._replace(entries=entries, terminal=nus[-1],

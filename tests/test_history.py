@@ -330,3 +330,24 @@ def test_exceptional_nu_after_blowup():
     tr = run_lsb(state("t^2 + x*y*z", 2, NAMES4), [(NAMES4, "x")])
     st = tr.final
     assert exceptional_nu(st.pair, st.frame, st.exdata) == 1
+
+
+def test_an_entry_that_has_left_the_point_is_kept_as_it_is():
+    """A divisor whose strict transform has left the tracked point keeps
+    d = 0 and no mark, so ``blowup_chart`` reuses its entry instead of
+    building it again: along 400 origin blow-ups of a cusp, each in chart
+    x, every entry unmarked in two consecutive years is the same object in
+    both."""
+    names = ("x", "y", "z")
+    start = PairWithHistory(Pair.single([p("z^2 + x^3*y^2", names)], 2),
+                            Frame(names, (0, 1), (2,)))
+    trace = run_lsb(start, [(names, "x")] * 400)
+    kept = 0
+    for before, after in zip(trace.years, trace.years[1:]):
+        marked = {d for d, _ in before.state.frame.exceptional + after.state.frame.exceptional}
+        entries = {e.divisor_id: e for e in before.state.exdata.entries}
+        for e in after.state.exdata.entries:
+            if e.divisor_id in entries and e.divisor_id not in marked:
+                assert e is entries[e.divisor_id], (after.year, e)
+                kept += 1
+    assert kept == 399 * 398 // 2

@@ -468,7 +468,7 @@ def test_divisor_names_do_not_matter():
 
 @pytest.fixture
 def checked_steps(monkeypatch):
-    seen = Counter()
+    seen, frames = Counter(), []
     pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
 
     def coefficient_pair(pair, frame):
@@ -478,14 +478,18 @@ def checked_steps(monkeypatch):
             Fraction(comp.ideal_order()) / comp.weight for comp in H.components)
         assert delta(polyhedron_of_pair(pair, frame)) == mu
         seen["order"] += 1
+        frames.append(frame)
         return H
 
-    def divisor_multiplicities(H, frame, exdata):
-        mus = multiplicities_of(H, frame, exdata)
+    def divisor_multiplicities(H, tracked):
+        # H is the coefficient pair just built, in the frame it was built in
+        mus = multiplicities_of(H, tracked)
+        frame = frames[-1]
         PH = polyhedron_of_pair(H, frame)
-        for div_id, m in mus:
-            pos = frame.u_indices.index(frame.variable_of(div_id))
-            assert coordinate_min(PH, (pos,)) == m, div_id
+        assert [idx for idx, _ in mus] == list(tracked)
+        for idx, m in mus:
+            pos = frame.u_indices.index(idx)
+            assert coordinate_min(PH, (pos,)) == m, idx
             seen["divisor"] += 1
         return mus
 
@@ -588,9 +592,9 @@ class DrivenYear:
         return self.tokens[i] if i < len(self.tokens) else None
 
 
-def eager_evaluate(state, trace, opts):
-    """(vector, partition records) of the final year, every earlier year
-    driven to its end first."""
+def eager_run(state, trace, opts):
+    """Every earlier year driven to its end (``DrivenYear``, oldest first),
+    then the final year: its tokens and ``_drive``'s result."""
     years = [rec.state for rec in trace.years] if trace is not None else [state]
     older = []
     for year in years[:-1]:
@@ -599,12 +603,18 @@ def eager_evaluate(state, trace, opts):
         older.append(DrivenYear(tuple(steps)))
     if not is_singular_at_origin(state.pair):
         raise PreconditionError("point not in Sing")
-    steps = invariant._drive(state, older, opts)
+    steps, tokens = invariant._drive(state, older, opts), []
     while True:
         try:
-            next(steps)
+            tokens.append(next(steps))
         except StopIteration as done:
-            return done.value[:2]
+            return older, tuple(tokens), done.value
+
+
+def eager_evaluate(state, trace, opts):
+    """(vector, partition records) of the final year, every earlier year
+    driven to its end first."""
+    return eager_run(state, trace, opts)[2][:2]
 
 
 def lazy_evaluate(state, trace, opts):
@@ -641,6 +651,50 @@ def random_trace(seed):
         return hypersurface(f, b, ["x", "y"], ["z"], charts, hs_cutoff=4)
     except PreconditionError:
         return None
+
+
+def test_the_year_of_birth_starts_the_final_block():
+    """The s-partition from its definition (Bierstone-Milman).  At step r
+    the years whose tokens start with the final year's (hs, s1, nu2, ...,
+    nu_r) must form one block that ends at the final year, so the first of
+    them, i_r, is where that block starts; and E^r must be the divisors in
+    no earlier E^q born no later than that year.  The years' tokens are the
+    eager oracle's, each year driven to its end; the block and every
+    (s_r, E^r, remaining) are recomputed from them and the births alone.
+    Every fully drivable trace of the lsb corpus, the pins, the random and
+    the cusp traces."""
+    cases = [hypersurface(*PINNED[name][0]) for name in sorted(PINNED)]
+    for _, problem in corpus_problems("lsb-hypersurface"):
+        trace = run_lsb(problem.state, problem.script)
+        cases.append((trace.final, trace, problem.options))
+    cases += filter(None, map(random_trace, range(300)))
+    cases += filter(None, map(cusp_trace, range(60)))
+    tally = Counter()
+    for state, trace, opts in cases:
+        try:
+            older, tokens, (_, records, _) = eager_run(state, trace, opts)
+        except PreconditionError:
+            tally["not fully drivable"] += 1
+            continue
+        years = [tuple(year.tokens) for year in older] + [tokens]
+        marks = dict(state.frame.exceptional)
+        tracked = [e for e in state.exdata.entries if e.divisor_id in marks]
+        for r, record in enumerate(records):
+            prefix = tokens[:2 * r + 1]
+            matching = [k for k, toks in enumerate(years) if toks[:len(prefix)] == prefix]
+            start = len(years) - 1
+            while start - 1 in matching:
+                start -= 1
+            assert matching[0] == start, (tokens, years)
+            E = tuple(e.divisor_id for e in tracked if e.birth_year <= start)
+            tracked = [e for e in tracked if e.birth_year > start]
+            assert record == (len(E), E, tuple(e.divisor_id for e in tracked))
+            tally["steps"] += 1
+            tally["blocks of two or more years"] += start < len(years) - 1
+            tally["steps with s_r > 0"] += bool(E)
+        tally["traces"] += 1
+    assert tally == {"traces": 112, "not fully drivable": 94, "steps": 209,
+                     "blocks of two or more years": 155, "steps with s_r > 0": 25}, tally
 
 
 def test_lazy_reads_match_the_eager_oracle_on_random_traces():
