@@ -16,18 +16,21 @@ of one degree).  Within one ``directrix`` call each degree's basis is built
 once and reduces the derivatives of every generator one degree higher.
 
 Hilbert-Samuel numbers no columns: it counts the leading monomials of the
-truncated multiples of the generators, keyed by monomial.  The first
-generator's leads are counted in closed form, and only the rows whose
-leads collide are built and reduced with ``linalg.eliminate``.
+truncated multiples of the generators, each monomial packed into one int
+whose order is the monomial order.  The first generator's leads are
+counted in closed form, the rows that earlier generators span by a
+Koszul syzygy are skipped, and only the rows whose leads collide are built
+and reduced with ``linalg.eliminate``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, chain, combinations_with_replacement
-from operator import add, sub
+from itertools import accumulate, combinations_with_replacement
+from operator import add
 
 from .errors import PreconditionError
 from .linalg import clear_denominators, eliminate, nullspace, reduce_against, sparse_rref
@@ -200,21 +203,22 @@ def _linear_form(coeffs) -> Polynomial:
 # cover; a larger input is refused before any work.  The first generator is
 # counted in closed form, so alone it costs about 0.02 ms at any count
 # (x0^2 + x5^3 in 6 variables at k_max = 17, 74613 columns).  Each later
-# generator costs about one row per shift: adding x1*x2 + x3^3 takes about
-# 45 ms at k_max = 12 and 0.5 s at k_max = 17, and adding x3*x4 + x0*x5^2
-# too about 0.1 s and 1.05 s (CPython 3.11, 2-vCPU Intel Xeon VM).  The
-# benchmark corpora need at most 1365 columns.
+# generator costs a packed int per shift and a lead per shift that no
+# earlier lead divides: adding x1*x2 + x3^3 takes about 3 ms at k_max = 12
+# and 26 ms at k_max = 17, and adding x3*x4 + x0*x5^2 too about 5 ms and
+# 40 ms (CPython 3.11, 2-vCPU Intel Xeon VM).  The benchmark corpora need at
+# most 1365 columns.
 HS_MAX_COLUMNS = 100_000
 
 
 def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     """dim of the ambient power-series ring modulo (ideal + M^k), k = 1..k_max.
 
-    Order the monomials by degree, then ascending lex exponents, as keys
-    (degree, *exponents).  That is a monomial order, so the smallest key of
-    g*m, its lead, is lead(g) + m, where lead(g) is the smallest key of g and
-    has degree ord g.  The rows are the multiples g*m of each generator,
-    truncated below degree k_max (deg m < k_max - ord g), and then
+    Order the monomials by degree, then ascending lex exponents.  That is a
+    monomial order, so the smallest monomial of g*m, its lead, is
+    lead(g)*m, where lead(g) is the smallest monomial of g and has degree
+    ord g.  The rows are the multiples g*m of each generator, truncated
+    below degree k_max (deg m < k_max - ord g), and then
 
         HS(k) = #monomials of degree < k - #leads of degree < k,
 
@@ -227,6 +231,31 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     others keep their distinct leads below k, so their truncations stay
     independent.
 
+    Each monomial of degree < k_max is one int, its key: the degree is the
+    top digit and the exponents follow, the first variable's highest, each
+    in a digit of ``k_max.bit_length() + 1`` bits whose top bit (the guard)
+    is 0.  Int order is the monomial order, multiplying monomials adds
+    keys, a product lies below degree k_max iff its key is below
+    ``k_max << top``, and a key a divides a key b iff ``(b | guard) - a``
+    keeps every guard bit: no digit borrows from the next, since a guarded
+    digit exceeds every exponent.  Only the terms of degree < k_max are
+    packed, so no sum that is kept overflows a digit, and a generator with
+    no such term truncates to zero.
+
+    Rows the earlier generators span are skipped (the trivial syzygies of
+    F5: Faugere, ISSAC 2002).  Write an earlier generator as
+    g_i = c*lead_i + tail_i.  If the shift of a row g_j*m of a later
+    generator is m = lead_i*m', then
+
+        c*g_j*m = g_i*(g_j*m') - g_j*tail_i*m'.
+
+    Truncation is linear.  g_i*(g_j*m') truncates to a sum of rows of g_i,
+    and g_j*tail_i*m' to a sum of rows of g_j whose shifts are larger than
+    m, each term of tail_i being larger than lead_i.  By induction on j and
+    then on the shift, descending, every skipped row lies in the span of
+    the rows kept, so the span, its leads and every HS value are those of
+    all the rows.
+
     The leads are found by an elimination that builds only the rows it
     needs (the symbolic preprocessing of F4: Faugere, J. Pure Appl. Algebra
     139, 1999):
@@ -235,14 +264,14 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
       multiples of lead(g1); they are pivots as they stand.  Their
       C(d - ord g1 + n - 1, n - 1) leads of degree d are counted, not
       enumerated.
-    - A row g*m of a later generator whose lead is not yet a pivot is a
-      pivot as it stands and is only recorded as (g, m).  Only a row whose
-      lead is already a pivot is built and reduced.
+    - A kept row g*m of a later generator whose lead is not yet a pivot is
+      a pivot as it stands and is only recorded as (g, m).  Only a row
+      whose lead is already a pivot is built and reduced.
     - Reducing on a pivot builds that pivot's row on first use: g*m from
-      its record, or g1*(lead - lead(g1)).  A reduced row whose lead is no
+      its record, or g1*(lead / lead(g1)).  A reduced row whose lead is no
       pivot becomes one.
 
-    The pivot rows have distinct leads and every row reduces to zero
+    The pivot rows have distinct leads and every kept row reduces to zero
     against them, so they are a basis of the row span, and their leads are
     its leads whatever the order of elimination.
 
@@ -279,31 +308,51 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
             raise PreconditionError("point not on X")
         if g.has_fractional_exponent():
             raise PreconditionError("Hilbert-Samuel needs integer exponents")
-    leads = [0] * k_max  # pivots of each degree
-    if gens:
-        first, *rest = [[((sum(e), *e), c) for e, c in clear_denominators(g.terms).items()]
-                        for g in gens]
-        lead1 = min(first)[0]
-        for d in range(lead1[0], k_max):
-            leads[d] = math.comb(d - lead1[0] + nvars - 1, nvars - 1)
-        owners: dict[tuple, object] = {}  # lead -> its pivot row, or (terms, shift)
+    width = k_max.bit_length() + 1
+    top = width * nvars
+    limit = k_max << top
+    guard = sum(1 << (width * i + width - 1) for i in range(nvars))
 
-        def multiple(terms, shift) -> dict[tuple, int]:
-            return {tuple(map(add, key, shift)): c for key, c in terms if key[0] + shift[0] < k_max}
+    def pack(exps) -> int:
+        key = sum(exps)
+        for e in exps:
+            key = key << width | e
+        return key
+
+    # each generator's terms below degree k_max, packed and ascending: its lead first
+    packed = [sorted((pack(e), c) for e, c in clear_denominators(g.terms).items()
+                     if sum(e) < k_max) for g in gens]
+    packed = [terms for terms in packed if terms]
+    leads = [0] * k_max  # pivots of each degree
+    if packed:
+        first, *rest = packed
+        lead1 = first[0][0]
+        for d in range(lead1 >> top, k_max):
+            leads[d] = math.comb(d - (lead1 >> top) + nvars - 1, nvars - 1)
+        owners: dict[int, object] = {}  # lead -> its pivot row, or (terms, shift)
+
+        def multiple(terms, shift) -> dict[int, int]:
+            return {key + shift: c for key, c in terms if key + shift < limit}
 
         def pivot_of(lead):
             owner = owners.get(lead)
-            if owner is None and min(map(sub, lead, lead1)) >= 0:
-                owner = (first, tuple(map(sub, lead, lead1)))
-            if isinstance(owner, tuple):
+            if owner is None and (lead | guard) - lead1 & guard == guard:
+                owner = (first, lead - lead1)
+            if type(owner) is tuple:
                 owner = owners[lead] = multiple(*owner)
             return owner
 
-        shifts = cache(lambda d: [(d, *m) for m in monomials_of_degree(nvars, d)])
+        orders = [terms[0][0] >> top for terms in rest]
+        shifts = _packed_monomials(nvars, width, top, k_max - min(orders, default=k_max))
+        earlier = [lead1]
         for terms in rest:
-            lead_g = min(terms)[0]
-            for shift in chain.from_iterable(map(shifts, range(k_max - lead_g[0]))):
-                lead = tuple(map(add, lead_g, shift))
+            lead_g = terms[0][0]
+            kept = shifts[:bisect_left(shifts, (k_max - (lead_g >> top)) << top)]
+            for lead_i in earlier:
+                kept = [m for m in kept if (m | guard) - lead_i & guard != guard]
+            earlier.append(lead_g)
+            for shift in kept:
+                lead = lead_g + shift
                 if pivot_of(lead) is None:
                     owners[lead] = (terms, shift)
                 else:
@@ -312,5 +361,19 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
                     if lead is None:
                         continue
                     owners[lead] = row
-                leads[lead[0]] += 1
+                leads[lead >> top] += 1
     return [below(k) - n for k, n in zip(range(1, k_max + 1), accumulate(leads))]
+
+
+def _packed_monomials(nvars: int, width: int, top: int, d_max: int) -> list[int]:
+    """The keys of ``hilbert_samuel_truncated`` of every monomial of degree
+    < d_max, ascending.  Each monomial of degree d + 1 is made once, from a
+    monomial of degree d times a variable no earlier than its last one."""
+    units = [(1 << top) | (1 << width * (nvars - 1 - i)) for i in range(nvars)]
+    layer = [(0, 0)]  # (key, index of the last variable multiplied in)
+    out = [0] if d_max > 0 else []
+    for _ in range(d_max - 1):
+        layer = [(key + units[j], j) for key, last in layer for j in range(last, nvars)]
+        out += [key for key, _ in layer]
+    out.sort()
+    return out

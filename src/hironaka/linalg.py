@@ -6,7 +6,8 @@ The rank and reduced forms reduce each row on its smallest key with
 ``eliminate``: ``sparse_rank`` keeps each row that does not reduce to
 zero as the pivot row of its smallest column index, and ``sparse_rref``
 adds back-substitution on the same rows; ``cone.hilbert_samuel_truncated``
-keys its rows by monomial and builds its pivot rows on demand.
+keys its rows by monomials packed into ints and builds its pivot rows on
+demand.
 
 ``eliminate`` is fraction-free: its rows hold ints, and a step replaces
 the row by (p/g)*row - (w/g)*pivot, with p the pivot's lead, w the row's

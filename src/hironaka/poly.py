@@ -465,6 +465,25 @@ def _refuse_long_power(c: int | Fraction, q: int) -> None:
                 f"a numeric power has more digits than the limit of {limit}")
 
 
+# Most terms a power of a compound may have, bounded before the power is
+# built: a polynomial of m terms to the q has at most C(q + m - 1, m - 1)
+# terms, the monomials of degree q in m unknowns.  (x + y)^3000 has 3001;
+# (x + y + z + w)^5000 could have C(5003, 3) = 20845835001.
+MAX_POWER_TERMS = 100_000
+
+
+def _refuse_large_power(m: int, q: int) -> None:
+    """A ProblemParseError naming the bound when a compound of m terms to
+    the q may have more than ``MAX_POWER_TERMS`` terms."""
+    bound = 1
+    for i in range(1, m):  # bound = C(q + i, i), which grows with i
+        bound = bound * (q + i) // i
+        if bound > MAX_POWER_TERMS:
+            raise ProblemParseError(
+                f"a power of {m} terms to the {q} may have up to C({q} + {m - 1}, "
+                f"{m - 1}) terms, past the limit of {MAX_POWER_TERMS}")
+
+
 def format_rational(q) -> str:
     """q as digits, "p/q" or "inf"; a PreconditionError naming the limit
     when a number has more digits than the interpreter converts to a str."""
@@ -629,6 +648,7 @@ class _Parser:
                 raise ProblemParseError("fractional exponent on a compound expression")
             if poly.is_constant():
                 _refuse_long_power(poly.constant_term(), int(q))
+            _refuse_large_power(len(poly.terms), int(q))
             return poly ** int(q)
         if tok.isdigit():
             c = _number(tok)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hironaka import cli, coeff, polyhedra
-from hironaka.errors import PreconditionError
+from hironaka import cli, coeff, poly, polyhedra
+from hironaka.errors import PreconditionError, ProblemParseError
 
 from conftest import corpus_problems
 
@@ -190,6 +190,34 @@ def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, capsys, gen, me
     assert call(tmp_path, xyz(gen), command) == 3
     assert capsys.readouterr().err == f"parse error: {message}\n"
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("command", ["hs", "invariant"])
+def test_a_power_past_the_term_bound_is_refused_at_once(tmp_path, capsys, command):
+    # unbounded, the ladder runs past a 15 s timeout: C(5003, 3) = 20845835001
+    data = {"variables": ["x", "y", "z", "w"], "u": ["x", "y", "z"], "y": ["w"],
+            "pair": {"components": [{"gens": ["w^2 + (x + y + z + w)^5000"], "b": "2"}]}}
+    start = time.perf_counter()
+    assert call(tmp_path, data, command) == 3
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (
+        "parse error: a power of 4 terms to the 5000 may have up to C(5000 + 3, 3) "
+        "terms, past the limit of 100000\n")
+
+
+@pytest.mark.parametrize("gen, refused", [
+    ("(x + y)^9", False), ("(x + y)^10", True),          # 10 and 11 terms
+    ("(x + y + z)^3", False), ("(x + y + z)^4", True),  # C(5, 2) = 10, C(6, 2) = 15
+    ("(x + x^2 + x^3)^3", False), ("(x + x^2 + x^3)^4", True),  # bounds, not counts
+    ("(x + y + z)^0", False), ("(2 + 3)^9", False), ("(x - x)^9", False),
+])
+def test_the_term_bound_is_multinomial(monkeypatch, gen, refused):
+    monkeypatch.setattr(poly, "MAX_POWER_TERMS", 10)
+    if refused:
+        with pytest.raises(ProblemParseError, match="past the limit of 10$"):
+            poly.parse_polynomial(gen, ["x", "y", "z"])
+    else:
+        poly.parse_polynomial(gen, ["x", "y", "z"])
 
 
 def test_a_high_binomial_power_parses_in_one_pass(tmp_path, capsys):

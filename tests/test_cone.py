@@ -527,6 +527,65 @@ def test_hs_matches_the_dense_reference_where_rows_collide(monkeypatch):
     assert len(eliminated) - eliminated.count(None) > 50
 
 
+@pytest.mark.parametrize("texts, k_max", [
+    (["x^2 + y^70"], 4),         # a term past k_max with an exponent wider than a digit
+    (["x^2 + y^70", "x*y + y^9"], 4),
+    (["y^70", "x^2 + y^3"], 4),  # a first generator with no term below k_max
+    (["y^70", "x^70"], 5),
+    (["x^2 + y^3", "y^70*x"], 6),
+    (["x^2 + y^3"], 1),
+    (["x*y", "x^2 + y^5", "y^70"], 1),
+    (["y^70"], 1),
+], ids=["wide-tail", "wide-tail-two", "no-term-first", "no-term-any", "no-term-later",
+        "k1", "k1-three", "k1-no-term"])
+def test_hs_packed_keys_at_their_edges(texts, k_max):
+    gens = [hp(text, 2) for text in texts]
+    assert hilbert_samuel_truncated(gens, k_max) == hs_dense_reference(gens, k_max)
+
+
+def test_hs_is_an_invariant_of_the_ideal():
+    # the skipped rows depend on the order of the generators, the span
+    # they leave does not: permuting, duplicating a generator or adding an
+    # integer multiple of one to another keeps every value
+    rng = random.Random(25)
+    k_cap = {2: 9, 3: 7, 4: 5}
+    for _ in range(40):
+        nvars = rng.randint(2, 4)
+        gens = colliding_ideal(rng, nvars) if rng.random() < 0.5 else random_ideal(rng, nvars)
+        k_max = rng.randint(2, k_cap[nvars])
+        want = hilbert_samuel_truncated(gens, k_max)
+        assert want == hs_dense_reference(gens, k_max), gens
+        permuted = rng.sample(gens, len(gens))
+        duplicated = gens + [rng.choice(gens).scale(rng.choice([-3, 1, 2]))]
+        rng.shuffle(duplicated)
+        combined = list(gens)
+        if len(gens) > 1:
+            i, j = rng.sample(range(len(gens)), 2)
+            combined[i] = gens[i] + gens[j].scale(rng.choice([-2, -1, 1, 3]))
+        for other in (permuted, duplicated, combined):
+            assert hilbert_samuel_truncated(other, k_max) == want, (gens, other)
+
+
+def test_hs_skips_the_rows_that_koszul_syzygies_span(monkeypatch):
+    # the 6-variable ideal of ROADMAP item 6: its leads x0^2, x1*x2 and
+    # x3*x4 are coprime, so every row whose shift no earlier lead divides
+    # has a lead of its own and the ceiling is 0 reduced rows.  Without the
+    # skip, 6394 rows go through eliminate at k_max = 12 (4686 to zero).
+    eliminated = []
+
+    def recording(row, pivot_of):
+        eliminated.append(lead := eliminate(row, pivot_of))
+        return lead
+
+    monkeypatch.setattr(cone, "eliminate", recording)
+    names = [f"x{i}" for i in range(6)]
+    gens = [parse_polynomial(text, names)
+            for text in ["x0^2 + x5^3", "x1*x2 + x3^3", "x3*x4 + x0*x5^2"]]
+    assert hilbert_samuel_truncated(gens, 12) == [
+        1, 7, 25, 63, 129, 231, 377, 575, 833, 1159, 1561, 2047]
+    assert eliminated == []
+
+
 def test_hs_of_rational_generators_equals_hs_of_the_cleared_ones():
     rng = random.Random(12)
     k_cap = {2: 8, 3: 6}
