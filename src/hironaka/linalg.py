@@ -18,13 +18,14 @@ the gcd of its entries.  Scaling a row by a nonzero constant keeps its span
 and its lead, so the pivot columns are those of the dividing elimination.
 Rational rows enter through ``clear_denominators``, which ``_echelon``
 applies to each input row and the Hilbert-Samuel count to each generator.
-Fractions are made only by ``sparse_rref``, which divides each pivot row by
-its int lead as ``Fraction(1) / lead``, by the back-substitution and
-``reduce_against`` on those reduced rows, and by the simplex pivots of
-``lp_feasible``.  ``rref``, ``nullspace`` and ``solve`` keep their dense
-interface (lists of rows of ints and Fractions, with Fraction results).
-The reduced form is unique, so it does not depend on the order of the
-input rows.
+The simplex of ``lp_feasible`` keeps int rows too: a pivot with lead
+p > 0 replaces each other row by p*row - w*pivot and divides it by its
+content.  Fractions are made only by ``sparse_rref``, which divides each
+pivot row by its int lead as ``Fraction(1) / lead``, and by the
+back-substitution and ``reduce_against`` on those reduced rows.  ``rref``,
+``nullspace`` and ``solve`` keep their dense interface (lists of rows of
+ints and Fractions, with Fraction results).  The reduced form is unique,
+so it does not depend on the order of the input rows.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _subtract(work: SparseRow, factor, row: SparseRow) -> None:
             work.pop(k, None)
 
 
+def _divide_by_content(work: SparseRow) -> None:
+    content = gcd(*work.values())
+    if content > 1:
+        for k in work:
+            work[k] //= content
+
+
 def eliminate(work: dict, pivot_of):
     """Reduce the int row ``work`` in place on its smallest key against
     ``pivot_of(key)``, an int pivot row whose smallest key is that key (or
@@ -64,10 +72,7 @@ def eliminate(work: dict, pivot_of):
         c = min(work)
         pivot = pivot_of(c)
         if pivot is None:
-            content = gcd(*work.values())
-            if content != 1:
-                for k in work:
-                    work[k] //= content
+            _divide_by_content(work)
             return c
         p, w = pivot[c], work[c]
         factor, rest = divmod(w, p)
@@ -172,11 +177,14 @@ def solve(rows, rhs) -> Row | None:
 
 
 def lp_feasible(A: list[Row], b: Row) -> bool:
-    """Exact feasibility of {x >= 0 : A x = b}: phase-1 simplex on dict rows
-    with Bland's rule.  Rows are negated where b < 0; keys 0..n-1 are the
-    columns of A, n..n+m-1 the artificial variables, n+m the right-hand side.
-    The row ``cost`` holds the reduced costs of minimizing the sum of the
-    artificials and, at n+m, minus that sum: feasible iff it ends at 0."""
+    """Exact feasibility of {x >= 0 : A x = b}: phase-1 simplex on int dict
+    rows with Bland's rule.  Rows are negated where b < 0; keys 0..n-1 are
+    the columns of A, n..n+m-1 the artificial variables, n+m the right-hand
+    side.  The row ``cost`` holds the reduced costs of minimizing the sum of
+    the artificials and, at n+m, minus that sum: feasible iff it ends at 0.
+    Every row is an int positive multiple of its tableau row: a pivot on
+    the lead p > 0 maps each other row to p*row - w*pivot over its content
+    (Edmonds 1967; Bareiss 1968), and the ratio test cross-multiplies."""
     m = len(A)
     n = len(A[0]) if A else 0
     rhs = n + m
@@ -184,29 +192,33 @@ def lp_feasible(A: list[Row], b: Row) -> bool:
     cost: SparseRow = {}
     for i, (row, bv) in enumerate(zip(A, b)):
         sign = -1 if bv < 0 else 1
-        # Fractions throughout: the pivot divides, and 1 / int is a float
-        work = {j: Fraction(sign * v) for j, v in enumerate(row) if v}
+        work = {j: sign * v for j, v in enumerate(row) if v}
         if bv:
-            work[rhs] = Fraction(sign * bv)
+            work[rhs] = sign * bv
         _subtract(cost, 1, work)
-        work[n + i] = Fraction(1)
-        rows.append(work)
+        work[n + i] = 1
+        rows.append(clear_denominators(work))
+    cost = clear_denominators(cost)
     basis = list(range(n, rhs))
     while True:
         entering = min((j for j, v in cost.items() if j < rhs and v < 0), default=None)
         if entering is None:
-            return not cost.get(rhs)
+            return rhs not in cost
         # phase 1 is bounded below by 0, so some row has a positive entry in
         # the entering column; Bland breaks ties by the smallest basic column
-        leaving = min(
-            (i for i, row in enumerate(rows) if row.get(entering, 0) > 0),
-            key=lambda i: (rows[i].get(rhs, 0) / rows[i][entering], basis[i]),
-        )
+        leaving = None
+        for i, row in enumerate(rows):
+            a = row.get(entering, 0)
+            if a > 0:
+                r = row.get(rhs, 0)
+                if leaving is None or r * lead < least * a or (
+                        r * lead == least * a and basis[i] < basis[leaving]):
+                    leaving, least, lead = i, r, a
         pivot = rows[leaving]
-        lead = pivot[entering]
-        for j in pivot:
-            pivot[j] /= lead
         for row in (*rows, cost):
             if row is not pivot and entering in row:
-                _subtract(row, row[entering], pivot)
+                w = row[entering]
+                row.update({k: v * lead for k, v in row.items()})
+                _subtract(row, w, pivot)
+                _divide_by_content(row)
         basis[leaving] = entering

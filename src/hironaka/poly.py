@@ -484,6 +484,11 @@ def _refuse_large_power(m: int, q: int) -> None:
                 f"{m - 1}) terms, past the limit of {MAX_POWER_TERMS}")
 
 
+# Most term products a product of two compound factors may form, counted
+# before it is formed: (x + y + z + w)^20 squared would form 1771 * 1771.
+MAX_PRODUCT_TERMS = 1_000_000
+
+
 def format_rational(q) -> str:
     """q as digits, "p/q" or "inf"; a PreconditionError naming the limit
     when a number has more digits than the interpreter converts to a str."""
@@ -603,6 +608,11 @@ class _Parser:
                     raise ProblemParseError("division only by nonzero constants")
                 coeff = Fraction(coeff) / den
             elif isinstance(factor, Polynomial):
+                m, k = 0 if compound is None else len(compound.terms), len(factor.terms)
+                if m * k > MAX_PRODUCT_TERMS:
+                    raise ProblemParseError(
+                        f"a product of {m} by {k} terms forms {m * k} term products, "
+                        f"past the limit of {MAX_PRODUCT_TERMS}")
                 compound = factor if compound is None else compound * factor
             else:
                 c, idx, q = factor

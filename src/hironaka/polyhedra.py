@@ -6,9 +6,12 @@ Each number the pipeline reads off the polyhedron of a pair (mu, mu_H,
 delta_center, d, the ``d-i`` table, permissibility) is the minimum of a
 coordinate sum with nonnegative coefficients, which a generating point
 reaches: ``pair_minimum`` takes it over the raw points A/(b - |B|).
-Vertices, and the exact LPs that minimize them, are built only where
-vertices are reported or prepared (``poly``, ``newton``, ``char-poly``
-and vertex preparation).
+Vertices are built only where they are reported or prepared (``poly``,
+``newton``, ``char-poly`` and vertex preparation).  In dimension at most 2
+``minimize_vertices`` reads them off the sorted points in closed form, the
+lower-left convex chain of the staircase (Andrew's monotone chain, IPL
+1979); above it tests each point with an exact LP, ``lp_feasible``, whose
+pivots stay in ints (Edmonds 1967; Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -19,18 +22,15 @@ from .errors import PreconditionError
 from .frames import Frame
 from .linalg import lp_feasible
 from .pairs import Pair
-from .poly import INF
+from .poly import INF, _coeff
 from .record import Record
 
 Point = tuple  # tuple of Fraction | int, length = dimension
 
 
 def _pt(coords) -> Point:
-    out = []
-    for c in coords:
-        q = Fraction(c)
-        out.append(int(q) if q.denominator == 1 else q)
-    return tuple(out)
+    """Coordinates in ``_coeff``'s normal form; a float or a bool is a TypeError."""
+    return tuple([_coeff(c, "coordinate") for c in coords])
 
 
 def dominates(p: Point, q: Point) -> bool:
@@ -41,7 +41,7 @@ def point_in_hull_orthant(p: Point, points: list[Point]) -> bool:
     """Exact test for p in conv(points) + R^e_{>=0}: p dominates one of
     ``points``, or ``lp_feasible`` finds weights lambda_i >= 0 with sum 1
     and a slack s >= 0 with sum_i lambda_i q_i + s = p, e + 1 equality rows
-    over the columns (lambda, s)."""
+    over the columns (lambda, s), pivoted in ints."""
     if not points:
         return False
     for q in points:
@@ -54,18 +54,31 @@ def point_in_hull_orthant(p: Point, points: list[Point]) -> bool:
 
 
 def minimize_vertices(points) -> list[Point]:
-    """Minimal subset generating the same conv + orthant; canonically sorted."""
+    """Minimal subset generating the same conv + orthant; canonically sorted.
+
+    Up to dimension 2 no LP is solved: the sorted points whose last
+    coordinate falls strictly are the undominated ones, and the vertices are
+    their lower-left convex chain (Andrew's monotone chain, IPL 1979), with
+    no point on a segment (exact cross product <= 0).  Above, each point in
+    the hull of the others is dropped."""
     pts = sorted({_pt(p) for p in points})
-    keep = list(pts)
-    i = 0
-    while i < len(keep):
-        p = keep[i]
-        others = keep[:i] + keep[i + 1:]
-        if point_in_hull_orthant(p, others):
-            keep.pop(i)
-        else:
-            i += 1
-    return keep
+    if pts and len(pts[0]) > 2:
+        i = 0
+        while i < len(pts):
+            if point_in_hull_orthant(pts[i], pts[:i] + pts[i + 1:]):
+                pts.pop(i)
+            else:
+                i += 1
+        return pts
+    chain: list[Point] = []
+    for p in pts:
+        if chain and p[-1] >= chain[-1][-1]:
+            continue  # dominated by an earlier point
+        while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                  <= (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])):
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 class OrthantPolyhedron(Record):
@@ -74,13 +87,13 @@ class OrthantPolyhedron(Record):
 
     @staticmethod
     def from_points(dimension: int, points) -> "OrthantPolyhedron":
-        verts = minimize_vertices(points)
-        for v in verts:
+        points = list(points)
+        for v in points:
             if len(v) != dimension:
                 raise PreconditionError("point dimension mismatch")
             if any(c < 0 for c in v):
                 raise PreconditionError("orthant polyhedron points must be nonnegative")
-        return OrthantPolyhedron(dimension, tuple(verts))
+        return OrthantPolyhedron(dimension, tuple(minimize_vertices(points)))
 
     def is_empty(self) -> bool:
         return not self.vertices

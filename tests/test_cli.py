@@ -220,6 +220,34 @@ def test_the_term_bound_is_multinomial(monkeypatch, gen, refused):
         poly.parse_polynomial(gen, ["x", "y", "z"])
 
 
+def test_a_product_past_the_term_bound_is_refused_at_once(tmp_path, capsys):
+    # unbounded, two 1771-term powers form 3136441 term products: seconds
+    data = {"variables": ["x", "y", "z", "w"], "u": ["x", "y", "z"], "y": ["w"],
+            "pair": {"components": [
+                {"gens": ["(x + y + z + w)^20 * (x + y + z + w)^20"], "b": "2"}]}}
+    start = time.perf_counter()
+    assert call(tmp_path, data, "hs") == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "parse error: a product of 1771 by 1771 terms forms 3136441 term products, "
+        "past the limit of 1000000\n")
+
+
+@pytest.mark.parametrize("gen, refused", [
+    ("(x + y)*(x + y + z)", False), ("(x + y + z)*(x + y + z)", True),  # 6 and 9
+    ("(x + y)*(x - y)*(x + y + z)", False),  # 2*2, then x^2 - y^2 by 3: counts
+    ("(x + y)*(x + y)*(x + y + z)", True),   # 2*2, then 3 terms by 3
+    ("x*(x + y + z)*3*y*(x + y)", False), ("(x + y)^2*(x + y + z)", True),
+])
+def test_the_product_bound_counts_term_products(monkeypatch, gen, refused):
+    monkeypatch.setattr(poly, "MAX_PRODUCT_TERMS", 6)
+    if refused:
+        with pytest.raises(ProblemParseError, match="term products, past the limit of 6$"):
+            poly.parse_polynomial(gen, ["x", "y", "z"])
+    else:
+        poly.parse_polynomial(gen, ["x", "y", "z"])
+
+
 def test_a_high_binomial_power_parses_in_one_pass(tmp_path, capsys):
     # (x + y)^3000 comes from the binomial theorem; repeated squaring of
     # full products took seconds

@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+from hironaka import linalg
 from hironaka.linalg import (
     eliminate,
     lp_feasible,
@@ -267,3 +268,19 @@ def test_lp_feasible_matches_the_basic_solution_oracle():
         assert answer == basic_solution_oracle(A, b), (A, b)
         answers[answer] += 1
     assert min(answers.values()) >= 60, answers
+
+
+def test_lp_feasible_pivots_in_ints(monkeypatch):
+    # every row a pivot touches is divided by its content: each must hold
+    # ints only, Fraction input included
+    rng = random.Random(6001)
+    rows = Counter()
+    original = linalg._divide_by_content
+
+    def checked(row):
+        rows[all(type(v) is int for v in row.values())] += 1
+        original(row)
+    monkeypatch.setattr(linalg, "_divide_by_content", checked)
+    for _ in range(100):
+        lp_feasible(*random_lp(rng))
+    assert rows[False] == 0 and rows[True] >= 100, rows

@@ -3,6 +3,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from hironaka import polyhedra
+from hironaka.errors import PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair
 from hironaka.poly import INF, Polynomial, parse_polynomial
@@ -183,6 +187,79 @@ def test_minimize_matches_the_lp_oracle_in_3_and_4_dimensions(rng):
         pts = sorted(set(base) | {tuple(mix)})
         kept = [p for p in pts if outside_hull_orthant(p, [q for q in pts if q != p])]
         assert minimize_vertices(pts) == kept, pts
+
+
+def random_point_set(rng, dim):
+    """Points with int and Fraction coordinates, some on the segment between
+    two others, three on one line, and duplicates with every integral
+    coordinate written as a Fraction, 1 against Fraction(2, 2)."""
+    def coordinate():
+        return rng.choice([rng.randint(0, 5), Fraction(rng.randint(0, 11), rng.randint(1, 3))])
+    small = dim > 2  # the oracle of the LP route solves every column subset
+    pts = [tuple(coordinate() for _ in range(dim)) for _ in range(rng.randint(1, 3 if small else 4))]
+    for _ in range(rng.randint(0, 2 if small else 3)):
+        p, q = rng.choice(pts), rng.choice(pts)
+        kind = rng.randrange(3)
+        if kind == 0:
+            pts.append(tuple(Fraction(2 * c, 2) for c in p))
+        elif kind == 1:
+            t = Fraction(rng.randint(0, 4), 4)
+            pts.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        else:
+            step = [rng.choice([-1, 1]) * coordinate() for _ in range(dim)]
+            pts += [tuple(a + k * d for a, d in zip(p, step)) for k in (1, 2)]
+    rng.shuffle(pts)
+    return pts
+
+
+def test_minimize_matches_the_oracles_in_1_to_4_dimensions(rng):
+    assert minimize_vertices([]) == []
+    assert minimize_vertices([(), ()]) == [()]
+    assert minimize_vertices([(1,), (Fraction(2, 2),)]) == [(1,)]
+    for dim, sets in [(1, 40), (2, 120), (3, 25), (4, 12)]:
+        for _ in range(sets):
+            pts = random_point_set(rng, dim)
+            got = minimize_vertices(pts)
+            assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                       for v in got for c in v), got
+            if dim <= 2:
+                padded = staircase_oracle([(*p, 0) if dim == 1 else p for p in pts])
+                assert got == [v[:dim] for v in padded], pts
+            else:
+                distinct = sorted(set(pts))
+                kept = [p for p in distinct
+                        if outside_hull_orthant(p, [q for q in distinct if q != p])]
+                assert got == kept, pts
+
+
+def test_minimize_solves_no_lp_up_to_2_dimensions(monkeypatch, rng):
+    calls = Counter()
+    original = polyhedra.lp_feasible
+
+    def counted(A, b):
+        calls[len(A) - 1] += 1  # the dimension: e rows and the weight row
+        return original(A, b)
+    monkeypatch.setattr(polyhedra, "lp_feasible", counted)
+    for dim in (0, 1, 2):
+        for _ in range(40):
+            minimize_vertices(random_point_set(rng, dim))
+    assert calls == Counter()
+    # the counter sees the LP: no point of these dominates another, so each
+    # is tested by one, and the midpoint of the other two is dropped
+    assert minimize_vertices([(0, 0, 2), (1, 1, 1), (2, 2, 0)]) == [(0, 0, 2), (2, 2, 0)]
+    assert calls == Counter({3: 3})
+
+
+@pytest.mark.parametrize("points", [[(0, 1), (1,)], [(0, 1, 2), (1, 1, 1), (1, 1)]])
+def test_a_point_of_another_dimension_is_refused(points):
+    with pytest.raises(PreconditionError, match="point dimension mismatch"):
+        OrthantPolyhedron.from_points(len(points[0]), points)
+
+
+@pytest.mark.parametrize("coordinate", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+def test_a_coordinate_that_is_not_exact_is_refused(coordinate):
+    with pytest.raises(TypeError, match="coordinate .* is not an int or a Fraction"):
+        minimize_vertices([(coordinate, 1), (1, 0)])
 
 
 def test_minimize_idempotent_and_order_independent(rng):
