@@ -102,7 +102,6 @@ class MaximalContact(Record):
     pair: Pair                 # the pair rewritten in the adapted coordinates
     frame: Frame               # same variables, contact index moved to the y-part
     contact_index: int         # the variable that now cuts out the hypersurface
-    witness: Polynomial        # degree-1 element in the pre-substitution coordinates
     direction: tuple
     # the substitution rho that gave ``pair``, {} if none: variable index ->
     # polynomial in ``frame``'s variables.  pair = L'^D_g * substitute(g,
@@ -111,8 +110,8 @@ class MaximalContact(Record):
     # hashed: equality is that of the other fields
     change: dict
 
-    def __new__(cls, pair, frame, contact_index, witness, direction, change=None):
-        return super().__new__(cls, pair, frame, contact_index, witness, direction,
+    def __new__(cls, pair, frame, contact_index, direction, change=None):
+        return super().__new__(cls, pair, frame, contact_index, direction,
                                {} if change is None else change)
 
     def __eq__(self, other):
@@ -277,23 +276,19 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     the linear change composed with pivot -> pivot - t, over the ints
     (module docstring).  A nonzero
     ``_line_value``, read off f before any expansion, rejects the direction;
-    otherwise w is built for the exact check of ``_clearing_tail``, and
-    divided by its pivot coefficient once accepted.  After 12 failed
-    directions the input is rejected.
+    otherwise w is built for the exact check of ``_clearing_tail``.  After
+    12 failed directions the input is rejected.
     """
     if not is_singular_at_origin(E):
         raise PreconditionError("point not in Sing")
     n = E.nvars
 
     for idx in preferred_variables:
-        var = Polynomial.variable(n, idx)
+        unit_idx = tuple(1 if j == idx else 0 for j in range(n))
         for comp in E.components:
-            if comp.weight == 1 and any(
-                len(g.terms) == 1 and g.terms.get(tuple(1 if j == idx else 0 for j in range(n)))
-                for g in comp.gens
-            ):
-                return MaximalContact(E, frame.move_to_y(idx), idx, var, tuple(
-                    1 if j == idx else 0 for j in range(n)))
+            if comp.weight == 1 and any(len(g.terms) == 1 and g.terms.get(unit_idx)
+                                        for g in comp.gens):
+                return MaximalContact(E, frame.move_to_y(idx), idx, unit_idx)
 
     # choose the witness generator: first component with integral weight whose
     # ideal order equals the weight, first generator attaining it
@@ -357,7 +352,6 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
             continue
 
         # the tail is free of the pivot: rewrite the pair once, over the ints
-        witness = witness.scale(Fraction(1) / lead)
         pair, rho = E, {}
         if change or not tail.is_zero():
             L = math.lcm(*(c.denominator for c in tail.terms.values()))
@@ -367,7 +361,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
                           for i, x in enumerate(vec) if x}
             pair = _substitute_pair(E, assignment, L)
             rho = {i: g.scale(Fraction(1, L)) for i, g in assignment.items()} if L > 1 else assignment
-        return MaximalContact(pair, frame.move_to_y(pivot), pivot, witness, tuple(vec), rho)
+        return MaximalContact(pair, frame.move_to_y(pivot), pivot, tuple(vec), rho)
     raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
@@ -428,19 +422,19 @@ def _solvability_system(E: Pair, frame: Frame, vertex):
     for comp in E.components:
         b = comp.weight
         for g in comp.gens:
-            face: dict[tuple, Fraction] = {}
+            face = {}
             for exps, c in g.terms.items():
                 B = tuple(exps[i] for i in y_idx)
                 lb = sum(B)
                 if lb > b:
                     continue
-                A = tuple(Fraction(exps[i]) for i in u_idx)
+                A = tuple(exps[i] for i in u_idx)
                 if lb == b:
                     if any(a != 0 for a in A):
                         continue
                     tdeg = 0
                 else:
-                    scaled = tuple((b - lb) * Fraction(v) for v in vertex)
+                    scaled = tuple((b - lb) * v for v in vertex)
                     if A != scaled:
                         continue
                     tdeg = b - lb

@@ -174,7 +174,7 @@ def directrix(I: HomIdeal) -> DirectrixBasis:
     # each monomial coordinate, sum_i v_i * (residue of d_i g mod I) = 0.
     # a unit ideal holds every slice: no rows, so W is everything, no form
     piece_of = cache(partial(_piece, I))  # each degree's basis is built once
-    sys_rows: list[list[Fraction]] = []
+    sys_rows: list[list] = []
     for g in I.generators:
         piece = piece_of(sum(next(iter(g.terms))) - 1)
         residues = [
@@ -182,7 +182,7 @@ def directrix(I: HomIdeal) -> DirectrixBasis:
             for i in range(n)
         ]
         for coord in sorted(set().union(*residues)):
-            sys_rows.append([residues[i].get(coord, Fraction(0)) for i in range(n)])
+            sys_rows.append([residues[i].get(coord, 0) for i in range(n)])
     directions = nullspace(sys_rows, n)
     ann = nullspace(directions, n)
     forms = tuple(_linear_form(vec) for vec in ann)

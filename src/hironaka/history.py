@@ -27,11 +27,11 @@ from .record import Record
 
 class ExcDivisor(Record):
     divisor_id: str
-    d: Fraction                 # assigned multiplicity
+    d: int | Fraction           # assigned multiplicity
     birth_year: int
 
     def __new__(cls, divisor_id, d, birth_year):
-        d = Fraction(_coeff(d, "assigned number"))
+        d = _coeff(d, "assigned number")
         if d < 0:
             raise PreconditionError("assigned numbers are nonnegative")
         return super().__new__(cls, divisor_id, d, birth_year)
@@ -74,7 +74,7 @@ class PairWithHistory(Record):
 # Permissibility
 
 
-def delta_center(E: Pair, frame: Frame, center) -> Fraction | float:
+def delta_center(E: Pair, frame: Frame, center) -> int | Fraction | float:
     """Minimal sum of the selected u-coordinates over the polyhedron.
 
     The center is V(all y-variables, selected u-variables); only the
@@ -108,10 +108,10 @@ class ChartReport(Record):
     state: PairWithHistory
     center: tuple[int, ...]
     chart: int
-    delta_center_value: Fraction | float
+    delta_center_value: int | Fraction | float
     new_divisor: str
-    d_from_center: Fraction          # delta_center - 1
-    d_from_polyhedron: Fraction      # minimum of the new chart coordinate
+    d_from_center: int | Fraction    # delta_center - 1
+    d_from_polyhedron: int | Fraction  # minimum of the new chart coordinate
 
 
 def blowup_chart(
@@ -164,11 +164,11 @@ def blowup_chart(
     # chart origin
     new_frame = frame.move_to_u(chart).with_mark(new_id, chart)
 
-    def derived(var: int) -> Fraction:
+    def derived(var: int) -> int | Fraction:
         if var not in new_frame.u_indices:
-            return Fraction(0)
+            return 0
         d = pair_minimum(pair, new_frame.y_indices, (var,))
-        return Fraction(0) if d == INF else d
+        return 0 if d == INF else d
 
     # an unmarked divisor misses the tracked point and carries 0; an entry
     # whose d does not change is kept, so a divisor that has left is built once
@@ -185,9 +185,9 @@ def blowup_chart(
         state=state,
         center=tuple(center),
         chart=chart,
-        delta_center_value=dD if dD is not None else Fraction(0),
+        delta_center_value=0 if dD is None else dD,
         new_divisor=new_id,
-        d_from_center=(dD - 1) if isinstance(dD, Fraction) else Fraction(0),
+        d_from_center=0 if dD is None or dD == INF else dD - 1,
         d_from_polyhedron=d_new,
     )
 
@@ -208,14 +208,6 @@ class Trace(Record):
     @property
     def final(self) -> PairWithHistory:
         return self.years[-1].state
-
-    def __len__(self) -> int:
-        return len(self.years)
-
-    @classmethod
-    def _make(cls, iterable) -> "Trace":
-        # namedtuple's checks the field count with ``len``, the year count here
-        return tuple.__new__(cls, iterable)
 
 
 def run_lsb(H: PairWithHistory, script) -> Trace:
@@ -247,10 +239,7 @@ def exceptional_nu(E: Pair, frame: Frame, exdata: ExceptionalData):
     """delta of the prepared polyhedron minus the assigned multiplicities of
     the present divisors sitting in the u-part."""
     d = delta_invariant(E, frame)
-    u_set = set(frame.u_indices)
-    total = sum(
-        (e.d for e, idx in exdata.placed(frame) if idx in u_set), start=Fraction(0)
-    )
     if d == INF:
         return INF
-    return d - total
+    u_set = set(frame.u_indices)
+    return _coeff(d - sum(e.d for e, idx in exdata.placed(frame) if idx in u_set))

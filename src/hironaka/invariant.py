@@ -36,7 +36,7 @@ from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .history import PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
-from .poly import INF, Polynomial, divide_by_variable_power, format_polynomial, substitute
+from .poly import INF, Polynomial, _coeff, divide_by_variable_power, format_polynomial, substitute
 from .polyhedra import pair_minimum, projected_steps
 from .cone import hilbert_samuel_truncated
 from .record import Record
@@ -52,7 +52,7 @@ class HilbertSamuel(Record):
 
 
 class InvariantEntry(Record):
-    nu: Fraction
+    nu: int | Fraction
     s: int
 
 
@@ -60,7 +60,7 @@ class InvariantVector(Record):
     nu1: HilbertSamuel
     s1: int
     entries: tuple[InvariantEntry, ...]
-    terminal: object | None            # Fraction(0) or INF once the run ends
+    terminal: object | None            # 0 or INF once the run ends
     center: tuple[str, ...] | None     # blow-up center for the INF case
     monomial: str | None               # exceptional monomial for the 0 case
 
@@ -95,7 +95,7 @@ class StepResult(Record):
 
 
 def _exceptional_monomial(n: int, mus) -> Polynomial:
-    exps = [Fraction(0)] * n
+    exps = [0] * n
     for idx, mu in mus:
         exps[idx] += mu
     return Polynomial.monomial(n, tuple(exps))
@@ -152,7 +152,7 @@ def invariant_step(state: PipelineState) -> StepResult:
 
     mu = pair_minimum(H, (), frame.u_indices)
     mus = divisor_multiplicities(H, state.tracked) if not H.is_empty() else ()
-    nu = mu if mu == INF else mu - sum((m for _, m in mus), start=Fraction(0))
+    nu = mu if mu == INF else _coeff(mu - sum(m for _, m in mus))
     if nu == INF or nu == 0:
         return StepResult(nu, y, mc.change, mus, None)
     pending = tuple(i for i in state.pending if i != y)
@@ -308,6 +308,7 @@ def projected_invariant(
     # Fraction(e): e / b of two ints would be a float
     points = {tuple(Fraction(e) / b for e in exps) for g, b in gens for exps in g.terms}
     nus, mu_h = projected_steps(points, route, len(names))
+    nus = [nu if nu == INF else _coeff(nu) for nu in nus]
     entries = tuple(InvariantEntry(nu, rec[0]) for nu, rec in zip(nus[:-1], records[1:]))
     monomial = format_polynomial(Polynomial.monomial(len(names), mu_h), list(names))
     return vec._replace(entries=entries, terminal=nus[-1],

@@ -77,7 +77,7 @@ def pair_order(E: Pair):
     best = INF
     for comp in E.components:
         o = comp.ideal_order()
-        val = INF if o == INF else (Fraction(o) / comp.weight if o >= comp.weight else Fraction(0))
+        val = INF if o == INF else (_coeff(Fraction(o, comp.weight)) if o >= comp.weight else 0)
         best = min(best, val)
     return best
 

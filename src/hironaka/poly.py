@@ -13,8 +13,14 @@ polynomial's arity with each entry a nonnegative int, or a Fraction when it
 is not integral.  Integral data thus stays in Python ints, whose arithmetic
 needs no gcd.  A coefficient or an exponent that is neither an int nor a
 Fraction, such as a float or a bool, is a TypeError, never a silent binary
-fraction.  Weights (``pairs``) share this normal form and the contact
+fraction.  The rule covers every stored exact rational, through
+``_coeff``: weights (``pairs``), polyhedron coordinates and the minima read
+off them (``polyhedra``), assigned multiplicities and chart numbers
+(``history``), and each nu and terminal (``invariant``).  The contact
 rewrite (``coeff``) stays integral, so the descent of integral input is.
+Only two intermediates that divide keep Fractions, as an int ``/`` would
+give a float: the reduced rows of ``linalg`` and the point set that
+``polyhedra.projected_steps`` divides.
 
 Normalization happens once, where a polynomial is made from raw input: the
 public constructor establishes the invariant from any mapping (it passes

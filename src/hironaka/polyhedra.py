@@ -140,7 +140,7 @@ def delta(P: OrthantPolyhedron):
     """Minimal coordinate sum over the polyhedron; INF when empty."""
     if P.is_empty():
         return INF
-    return min(sum(Fraction(c) for c in v) for v in P.vertices)
+    return _coeff(min(sum(v) for v in P.vertices))
 
 
 def pair_minimum(E: Pair, y_indices, coords):
@@ -150,7 +150,7 @@ def pair_minimum(E: Pair, y_indices, coords):
 
     Per component and level |B| only the least exponent sum is kept.  The
     quotients s/(b - |B|) are compared by cross-multiplication, in ints on
-    integral data, and the least one is made a Fraction once.
+    integral data, and the least one is put in ``_coeff``'s normal form once.
     """
     num, den = INF, 1  # the least quotient so far, num/den with den > 0
     for comp in E.components:
@@ -166,7 +166,7 @@ def pair_minimum(E: Pair, y_indices, coords):
         for level, s in least.items():
             if level < b and s * den < num * (b - level):
                 num, den = s, b - level
-    return INF if num == INF else Fraction(num, den)
+    return INF if num == INF else _coeff(Fraction(num, den))
 
 
 def projected_steps(points, steps, n: int):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hironaka import cli, coeff, poly, polyhedra
 from hironaka.errors import PreconditionError, ProblemParseError
 
-from conftest import corpus_problems
+from conftest import CORPUS, corpus_problems
 
 A3_BLOWN_UP = {
     "variables": ["x", "y"], "u": ["x"], "y": ["y"],
@@ -578,3 +578,76 @@ def test_the_module_runs_as_a_program(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith(b"precondition failed: ")
     assert b"Traceback" not in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# newton and blowup, pinned in both formats
+
+NEWTON_PINS = [
+    ("contact-reject", {"coordinates": ["x0", "x1"], "vertices": [["1", "2"], ["2", "1"]]},
+     "coordinates: x0 x1\nvertices:\n  [0]: 1 2\n  [1]: 2 1\n"),
+    ("lsb-hypersurface",
+     {"coordinates": ["x0", "x1", "x2", "z"], "vertices": [["0", "0", "0", "2"], ["3", "1", "1", "0"]]},
+     "coordinates: x0 x1 x2 z\nvertices:\n  [0]: 0 0 0 2\n  [1]: 3 1 1 0\n"),
+    ("pairs-local", {"coordinates": ["x0", "x1"], "vertices": [["0", "1"], ["3", "0"]]},
+     "coordinates: x0 x1\nvertices:\n  [0]: 0 1\n  [1]: 3 0\n"),
+]
+
+A3_UNSCRIPTED = {key: value for key, value in A3_BLOWN_UP.items() if key != "script"}
+# E1 already holds the year-1 id, so the new divisor is E1.1
+E1_HELD = {
+    "variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+    "pair": {"components": [{"gens": ["z^2 + x^3*y^4"], "b": "2"}]},
+    "exceptional": [{"id": "E1", "variable": "x", "d": "3/2"}],
+}
+A3_CHART_X = (
+    {"center": ["x", "y"], "chart": "x", "delta_center": "2", "new_divisor": "E1",
+     "d_from_center": "1", "d_from_polyhedron": "1",
+     "pair": {"components": [{"gens": ["y^2 + x^2"], "b": "2"}]},
+     "frame": {"variables": ["x", "y"], "u": ["x"], "y": ["y"],
+               "exceptional": [{"id": "E1", "variable": "x"}]}},
+    "center: x y\nchart: x\ndelta_center: 2\nnew_divisor: E1\nd_from_center: 1\n"
+    "d_from_polyhedron: 1\npair:\n  components:\n    [0]:\n      gens: y^2 + x^2\n      b: 2\n"
+    "frame:\n  variables: x y\n  u: x\n  y: y\n  exceptional:\n    [0]:\n      id: E1\n"
+    "      variable: x\n",
+)
+BLOWUP_PINS = [
+    ("first script step", A3_BLOWN_UP, [], *A3_CHART_X),
+    ("no script, --chart", A3_UNSCRIPTED, ["--chart", "x"], *A3_CHART_X),
+    ("id suffix", E1_HELD, ["--chart", "y"],
+     {"center": ["x", "y", "z"], "chart": "y", "delta_center": "7/2", "new_divisor": "E1.1",
+      "d_from_center": "5/2", "d_from_polyhedron": "5/2",
+      "pair": {"components": [{"gens": ["z^2 + x^3*y^5"], "b": "2"}]},
+      "frame": {"variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+                "exceptional": [{"id": "E1", "variable": "x"}, {"id": "E1.1", "variable": "y"}]}},
+     "center: x y z\nchart: y\ndelta_center: 7/2\nnew_divisor: E1.1\nd_from_center: 5/2\n"
+     "d_from_polyhedron: 5/2\npair:\n  components:\n    [0]:\n      gens: z^2 + x^3*y^5\n"
+     "      b: 2\nframe:\n  variables: x y z\n  u: x y\n  y: z\n  exceptional:\n    [0]:\n"
+     "      id: E1\n      variable: x\n    [1]:\n      id: E1.1\n      variable: y\n"),
+]
+
+
+def assert_pinned(capsys, args, command, report, text):
+    """``cli.main`` prints the report pinned for ``command`` in both formats."""
+    assert cli.main([*args, "--format", "json"]) == 0
+    want = json.dumps({"command": command, **report}, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr() == (want, "")
+    assert cli.main([*args, "--format", "text"]) == 0
+    assert capsys.readouterr() == (f"command: {command}\n{text}", "")
+
+
+@pytest.mark.parametrize("workload, report, text", NEWTON_PINS, ids=[pin[0] for pin in NEWTON_PINS])
+def test_newton_reports_are_pinned(capsys, workload, report, text):
+    path = CORPUS / workload / "problems" / "000.json"
+    assert_pinned(capsys, [str(path), "newton"], "newton", report, text)
+
+
+@pytest.mark.parametrize("case, data, flags, report, text", BLOWUP_PINS, ids=[c[0] for c in BLOWUP_PINS])
+def test_blowup_reports_are_pinned(capsys, case, data, flags, report, text):
+    assert_pinned(capsys, [json.dumps(data), "blowup", *flags], "blowup", report, text)
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+def test_blowup_without_a_chart_exits_2(capsys, format):
+    assert cli.main([json.dumps(A3_UNSCRIPTED), "blowup", "--format", format]) == 2
+    assert capsys.readouterr() == ("", "precondition failed: blowup needs a chart variable (--chart)\n")

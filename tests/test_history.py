@@ -274,13 +274,13 @@ def test_pair_order_never_increases_on_corpus(rng):
 
 def test_empty_script_single_year():
     tr = run_lsb(state("y^2 - x^3", 2), [])
-    assert len(tr) == 1
+    assert len(tr.years) == 1
     assert tr.final.pair.all_generators() == (p("y^2 - x^3"),)
 
 
 def test_one_blowup_trace():
     tr = run_lsb(state("t^2 + x*y*z", 2, NAMES4), [(NAMES4, "x")])
-    assert len(tr) == 2
+    assert len(tr.years) == 2
     entries = tr.final.exdata.entries
     assert [e.divisor_id for e in entries] == ["E1"]
     assert entries[0].birth_year == 1

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hironaka import invariant
+from hironaka import coeff, history, invariant
 from hironaka.cli import problem_from_data, run
 from hironaka.coeff import MaximalContact, delta_invariant
 from hironaka.cone import directrix, hilbert_samuel_truncated, initial_ideal
@@ -22,6 +22,9 @@ from hironaka.history import (
     run_lsb,
 )
 from hironaka.invariant import (
+    HilbertSamuel,
+    InvariantEntry,
+    InvariantVector,
     Options,
     compare_invariants,
     compute_invariant,
@@ -29,7 +32,7 @@ from hironaka.invariant import (
     s_partition,
 )
 from hironaka.pairs import is_singular_at_origin
-from hironaka.poly import INF, Polynomial, format_polynomial, format_rational
+from hironaka.poly import INF, format_polynomial, format_rational
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
 from conftest import CORPUS, coordinate_min, corpus_problems, random_singular_pair
@@ -140,8 +143,7 @@ def test_a_contact_on_a_tracked_divisor_is_an_internal_error(monkeypatch):
         if idx is None:
             return find(pair, frame, preferred_variables)
         direction = tuple(int(i == idx) for i in range(frame.nvars))
-        return MaximalContact(pair, frame.move_to_y(idx), idx,
-                              Polynomial.variable(frame.nvars, idx), direction)
+        return MaximalContact(pair, frame.move_to_y(idx), idx, direction)
 
     monkeypatch.setattr(invariant, "find_maximal_contact", onto_the_divisor)
     with pytest.raises(InternalError, match="^tracked divisor variable was consumed$"):
@@ -165,6 +167,60 @@ def test_invariant_orders_compare():
     after = compute_invariant(state, trace, opts)
     assert compare_invariants(after, before) == "less"
     assert compare_invariants(before, before) == "equal"
+
+
+def vector(dims, cutoff, s1=0, entries=(), terminal=INF):
+    return InvariantVector(HilbertSamuel(tuple(dims), cutoff), s1,
+                           tuple(InvariantEntry(nu, s) for nu, s in entries), terminal, None, None)
+
+
+FLIPPED = {"less": "greater", "greater": "less", "equal": "equal",
+           "incomparable-at-cutoff": "incomparable-at-cutoff"}
+
+
+@pytest.mark.parametrize("a, b, order", [
+    (vector((1, 3, 5), 3), vector((1, 3, 5), 3), "equal"),
+    (vector((1, 3, 5), 3, terminal=0), vector((1, 3, 5), 3), "less"),
+    (vector((1, 3, 5), 3, 1, [(2, 0)]), vector((1, 3, 5), 3, 1, [(Fraction(3, 2), 1)]), "greater"),
+    # the dims of y^2 + x^3 and of y^3 + x^4 at cutoff 3 (below)
+    (vector((1, 3, 5), 3), vector((1, 3, 6), 3), "less"),
+    # unequal dims within the common cutoff decide before the cutoffs do
+    (vector((1, 3), 2), vector((1, 2, 3), 3), "greater"),
+    # equal within the common cutoff, computed at different cutoffs
+    (vector((1, 3, 5), 3), vector((1, 3, 5, 7), 4), "incomparable-at-cutoff"),
+    # a run cut before its terminal is a prefix of its completion
+    (vector((1, 3, 5), 3, 0, [(Fraction(3, 2), 0)], None),
+     vector((1, 3, 5), 3, 0, [(Fraction(3, 2), 0)]), "less"),
+])
+def test_every_branch_of_the_comparison(a, b, order):
+    assert compare_invariants(a, b) == order
+    assert compare_invariants(b, a) == FLIPPED[order]
+
+
+def test_unequal_hilbert_samuel_dims_compare_first():
+    # below degree 3, an order-2 generator removes the one monomial of its
+    # lead, y^2, and an order-3 generator none: dims (1, 3, 5) and (1, 3, 6)
+    cusp, higher = (compute_invariant(state, None, opts) for state, _, opts in (
+        hypersurface("y^2 + x^3", 2, ["x"], ["y"], hs_cutoff=3),
+        hypersurface("y^3 + x^4", 3, ["x"], ["y"], hs_cutoff=3)))
+    assert (cusp.nu1.dims, higher.nu1.dims) == ((1, 3, 5), (1, 3, 6))
+    assert (compare_invariants(cusp, higher), compare_invariants(higher, cusp)) == ("less", "greater")
+
+
+def test_the_comparison_is_antisymmetric_on_the_corpora():
+    vectors = []
+    for _, problem in corpus_problems():
+        trace = run_lsb(problem.state, problem.script) if problem.script else None
+        vec = _outcome(compute_invariant, trace.final if trace else problem.state, trace,
+                       problem.options)
+        if not isinstance(vec, str):
+            vectors.append(vec)
+    seen = Counter()
+    for a, b in product(vectors, repeat=2):
+        order = compare_invariants(a, b)
+        assert compare_invariants(b, a) == FLIPPED[order], (a, b)
+        seen[order] += 1
+    assert len(vectors) >= 60 and len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 def test_divisor_multiplicities_run_once_per_step(monkeypatch):
@@ -370,6 +426,58 @@ def test_the_descent_stays_integral_and_float_free(monkeypatch):
             assert all(map(_exact, vec.tokens()))
     assert seen["pairs"] >= 3800 and seen["minima"] >= 900, seen
     assert seen["shifts by 1/L', L' > 1"] >= 150, seen
+
+
+def test_every_stored_rational_has_one_normal_form(monkeypatch):
+    """``poly._coeff``'s rule holds for every stored exact rational: an int
+    when integral, a non-integral Fraction otherwise, never a float, and
+    INF only where a minimum may be empty.  Every ``pair_minimum`` of the
+    blow-ups and the descent, every ``delta``, the assigned number d of
+    every divisor and the chart report of every year, ``exceptional_nu`` of
+    every year, and each nu and terminal of both routes.  Every case on the
+    corpora, random int pairs and random traces."""
+    seen = Counter()
+
+    def normal_or_inf(x) -> bool:
+        seen["INF" if x is INF else type(x).__name__] += 1
+        return _normal(x) or x is INF
+
+    for module, name in ((history, "pair_minimum"), (invariant, "pair_minimum"), (coeff, "delta")):
+        def call(*args, kernel=getattr(module, name), name=name):
+            result = kernel(*args)
+            assert normal_or_inf(result), (name, result)
+            seen[name] += 1
+            return result
+        monkeypatch.setattr(module, name, call)
+
+    cases = []
+    for _, problem in corpus_problems():
+        trace = run_lsb(problem.state, problem.script) if problem.script else None
+        cases.append((trace.final if trace else problem.state, trace, problem.options))
+    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
+              for seed in range(200) for nvars in (2, 3, 4))
+    cases += filter(None, map(random_trace, range(300)))
+    for state, trace, opts in cases:
+        for year in trace.years if trace else ():
+            if year.step is not None:
+                report = year.step
+                assert normal_or_inf(report.delta_center_value)
+                assert _normal(report.d_from_center) and _normal(report.d_from_polyhedron)
+                seen["chart reports"] += 1
+            assert all(_normal(e.d) for e in year.state.exdata.entries)
+            seen["divisors"] += len(year.state.exdata.entries)
+        for year in [rec.state for rec in trace.years] if trace else [state]:
+            nu = _outcome(lambda s, *_: exceptional_nu(s.pair, s.frame, s.exdata), year, None, None)
+            assert isinstance(nu, str) or normal_or_inf(nu)
+        for compute in (compute_invariant, projected_invariant):
+            vec = _outcome(compute, state, trace, opts)
+            if not isinstance(vec, str):
+                assert all(_normal(e.nu) for e in vec.entries)
+                assert vec.terminal is INF or type(vec.terminal) is int and vec.terminal == 0
+                seen["entries"] += len(vec.entries)
+    assert seen["pair_minimum"] >= 3000 and seen["delta"] >= 200, seen
+    assert seen["chart reports"] >= 250 and seen["divisors"] >= 400 and seen["entries"] >= 700, seen
+    assert min(seen["int"], seen["Fraction"], seen["INF"]) >= 100, seen
 
 
 @pytest.mark.parametrize("e", [100, 1000, 3000])

@@ -108,8 +108,8 @@ def test_the_contact_change_is_neither_compared_nor_hashed():
     contact = next(r for r in SAMPLES if type(r) is hironaka.MaximalContact)
     assert contact._replace(change={0: X}) == contact
     assert contact._replace(contact_index=1) != contact
-    # hashable stand-ins for the pair, frame and witness
-    bare = hironaka.MaximalContact("E", "frame", 2, "z", (0, 0, 1))
+    # hashable stand-ins for the pair and the frame
+    bare = hironaka.MaximalContact("E", "frame", 2, (0, 0, 1))
     assert hash(bare._replace(change={0: X})) == hash(bare)
     assert bare.change == {} and bare.change is not hironaka.MaximalContact(*bare[:-1]).change
 
@@ -122,7 +122,8 @@ def test_defaults_and_normalizations():
     comp = Component([poly("x")], Fraction(4, 2))
     assert comp.gens == (poly("x"),) and type(comp.weight) is int
     assert Pair([comp]).components == (comp,)
-    assert type(ExcDivisor("E", 1, 0).d) is Fraction
+    assert type(ExcDivisor("E", 1, 0).d) is int
+    assert type(ExcDivisor("E", Fraction(4, 2), 0).d) is int
 
 
 VALIDATORS = [
