@@ -53,6 +53,7 @@ from .poly import (
     format_polynomial,
     format_rational,
     parse_polynomial,
+    variable_index,
 )
 from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minimum, polyhedron_of_pair
 from .record import Record
@@ -75,13 +76,19 @@ class Problem(Record):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rational(value, where: str) -> Fraction:
-    """A JSON integer, or a string of the form [+-]digits[/digits]."""
-    if type(value) is int or type(value) is str and _RATIONAL.fullmatch(value):
+def _parse_rational(value, where: str) -> int | Fraction:
+    """A JSON integer, or a string of the form [+-]digits[/digits], as an
+    int when it is integral and a Fraction otherwise; a digit string never
+    makes a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is str and _RATIONAL.fullmatch(value):
         try:
-            return Fraction(value)
+            q = Fraction(value) if "/" in value else int(value)
         except (ValueError, ZeroDivisionError):  # too many digits, or n/0
             pass
+        else:
+            return q.numerator if q.denominator == 1 else q
     raise ProblemParseError(f"{where}: bad rational {value!r}")
 
 
@@ -100,14 +107,21 @@ def _typed(value, kind: type, where: str, item: type | None = None):
     return value
 
 
-def _known(obj: dict, allowed: str, where: str) -> dict:
-    """``obj`` unchanged when each of its keys is one of the space-separated
-    ``allowed``; else ProblemParseError naming ``where`` and the first
-    unknown key."""
-    unknown = sorted(set(obj) - set(allowed.split()))
-    if unknown:
-        raise ProblemParseError(f"{where}: unknown field {unknown[0]!r}")
+def _known(obj: dict, allowed: frozenset, where: str) -> dict:
+    """``obj`` unchanged when each of its keys is in ``allowed``; else
+    ProblemParseError naming ``where`` and the first unknown key."""
+    if not allowed.issuperset(obj):
+        raise ProblemParseError(f"{where}: unknown field {min(set(obj) - allowed)!r}")
     return obj
+
+
+# the keys of each object of a problem file
+_PROBLEM_KEYS = frozenset("variables u y exceptional pair script options".split())
+_DIVISOR_KEYS = frozenset("id d birth variable".split())
+_PAIR_KEYS = frozenset(("components",))
+_COMPONENT_KEYS = frozenset(("b", "gens"))
+_SCRIPT_KEYS = frozenset(("steps",))
+_STEP_KEYS = frozenset(("center", "chart"))
 
 
 def parse_problem(source) -> Problem:
@@ -134,7 +148,7 @@ def parse_problem(source) -> Problem:
 def problem_from_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemParseError("problem must be a JSON object")
-    _known(data, "variables u y exceptional pair script options", "problem")
+    _known(data, _PROBLEM_KEYS, "problem")
     if "variables" not in data:
         raise ProblemParseError("missing field 'variables'")
     variables = tuple(_typed(data["variables"], list, "variables", str))
@@ -159,7 +173,7 @@ def problem_from_data(data: dict) -> Problem:
     entries = []
     for k, item in enumerate(_typed(data.get("exceptional", []), list, "exceptional", dict)):
         div_id = _typed(item.get("id"), str, f"exceptional {k}: id")
-        _known(item, "id d birth variable", f"exceptional {div_id}")
+        _known(item, _DIVISOR_KEYS, f"exceptional {div_id}")
         d = _parse_rational(item.get("d", 0), f"exceptional {div_id}: d")
         birth = _typed(item.get("birth", 0), int, f"exceptional {div_id}: birth")
         try:
@@ -175,19 +189,18 @@ def problem_from_data(data: dict) -> Problem:
         raise ProblemParseError(str(exc)) from None
 
     fractional_ok = frame.marked_indices()
+    parse_index = variable_index(variables)  # built once, for every generator
     pair_data = data.get("pair")
     if not isinstance(pair_data, dict) or "components" not in pair_data:
         raise ProblemParseError("missing field 'pair.components'")
-    _known(pair_data, "components", "pair")
+    _known(pair_data, _PAIR_KEYS, "pair")
     comps = []
     for k, comp in enumerate(_typed(pair_data["components"], list, "pair.components", dict)):
-        _known(comp, "b gens", f"component {k}")
+        _known(comp, _COMPONENT_KEYS, f"component {k}")
         gens_text = _typed(comp.get("gens", []), list, f"component {k}: gens", str)
         if not gens_text:
             raise ProblemParseError(f"component {k}: empty generator list")
-        gens = tuple(
-            parse_polynomial(g, list(variables), fractional_ok) for g in gens_text
-        )
+        gens = tuple(parse_polynomial(g, variables, fractional_ok, parse_index) for g in gens_text)
         if any(g.is_zero() for g in gens):
             raise ProblemParseError(f"component {k}: zero generator")
         b = _parse_rational(comp.get("b"), f"component {k}: b")
@@ -197,10 +210,10 @@ def problem_from_data(data: dict) -> Problem:
     pair = Pair(tuple(comps))
 
     script = []
-    script_data = _known(_typed(data.get("script", {}), dict, "script"), "steps", "script")
+    script_data = _known(_typed(data.get("script", {}), dict, "script"), _SCRIPT_KEYS, "script")
     steps = script_data.get("steps", [])
     for k, step in enumerate(_typed(steps, list, "script.steps", dict)):
-        _known(step, "center chart", f"script step {k}")
+        _known(step, _STEP_KEYS, f"script step {k}")
         center = _typed(step.get("center", []), list, f"script step {k}: center", str)
         chart = step.get("chart")
         if not center or chart is None:

@@ -42,6 +42,12 @@ normalizing constructor, because x^(1/2)*x^(1/2) must store its exponent as
 the int 1, and so does a substitution in which f or a substituted
 polynomial has a fractional exponent; ``divide_by_variable_power``
 normalizes the one exponent it changes.
+
+The parser (``parse_polynomial``) walks the tokens of the text once, by
+index: a product of numbers and variable powers goes straight into one
+term's coefficient and exponent list, and only a parenthesized factor, or
+a power of one, is built as a Polynomial, a power of a compound by
+``substitute``'s power builder.
 """
 
 from __future__ import annotations
@@ -254,7 +260,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         """self^n by ``substitute``'s power builder: the binomial theorem
-        for two terms, the multiplication ladder for more."""
+        for two terms, the multinomial theorem for more."""
         if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
         if not self.nvars:
@@ -338,7 +344,10 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     multi-term g_i are convolved with it.  Each power is built once per
     call, in a table local to the call.  That of a two-term g_i = a + b
     comes from the binomial theorem, sum_k C(e, k) a^k b^(e-k), and that of
-    any other g_i from g_i^(e-1) * g_i.
+    a g_i of three or more terms from the multinomial theorem: up to e = 3
+    as a sum over the multisets of e terms (``_multiset_power``), which
+    walks fewest monomials there, and beyond it one term at a time
+    (``_multinomial_power``), which merges the colliding ones.
 
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
@@ -352,9 +361,8 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
         if assignment[i].nvars != n:
             raise ValueError("substitution must preserve the variable list")
     # (i, e) -> g_i^e: ((index, exponent) pairs, coefficient) for a
-    # single-term g_i, else its term dict; ladders[i][e - 1] = g_i^e
+    # single-term g_i, else its term dict
     powers: dict = {}
-    ladders: dict[int, list[dict]] = {}
 
     def power(i: int, e):
         g = assignment[i].terms
@@ -379,10 +387,9 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
                     binom * ca ** k * cb ** (e - k))
                 binom = binom * (e - k) // (k + 1)
             return terms
-        ladder = ladders.setdefault(i, [g])
-        while len(ladder) < e:
-            ladder.append(_convolve(ladder[-1], g))
-        return ladder[e - 1]
+        if e == 1 or not g:
+            return g
+        return _multiset_power(g, e) if e <= 3 else _multinomial_power(g, e)
 
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
@@ -412,6 +419,90 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
             assignment[i].has_fractional_exponent() for i in mapped):
         return Polynomial(n, out)
     return Polynomial._wrap(n, _ints(out))
+
+
+def _multiset_power(g: dict, e: int) -> dict:
+    """The term dict of g^e for a small e, by the multinomial theorem read
+    as a sum over the multisets of e terms of g.  Each is walked once, as a
+    sorted tuple of term indices, and its count C(e; k) grows with it: the
+    d-th index, the r-th in a run of equal ones, multiplies it by d / r.
+    Sorted tuples in lexicographic order meet the monomials in the order of
+    repeated multiplication."""
+    items = list(g.items())
+    out: dict[Exponents, int | Fraction] = {}
+
+    def walk(first: int, d: int, exps, count: int, c, run: int) -> None:
+        for a in range(first, len(items)):
+            ea, ca = items[a]
+            r = run + 1 if a == first else 1
+            new, k, w = tuple(map(add, exps, ea)) if d else ea, count * (d + 1) // r, c * ca
+            if d + 1 < e:
+                walk(a, d + 1, new, k, w, r)
+            else:
+                acc = out.get(new, 0) + k * w
+                if acc:
+                    out[new] = acc
+                else:
+                    del out[new]
+
+    walk(0, 0, None, 1, 1, 0)
+    return out
+
+
+def _multinomial_power(g: dict, e: int) -> dict:
+    """The term dict of g^e for a term dict g of three or more terms, by the
+    multinomial theorem.  A composition k of e is built one term u at a
+    time, with a table of u's powers: with ``left`` of e still to give out,
+    u takes k of it and the factor C(left, k) u^k, so a whole composition
+    gets C(e; k) = e! / (k_1! ... k_m!).  The compositions that leave the
+    same part of e and meet in one monomial add up before the next term, so
+    colliding monomials, such as those of (x + y + x*y)^e, cost no more than
+    distinct ones.  Each k runs down from ``left``, which meets the
+    monomials in the order of repeated multiplication.  The work is in
+    ints: g is scaled by the lcm D of its coefficients' denominators, and
+    (D g)^e divided by D^e."""
+    items, den = list(g.items()), 1
+    if Fraction in set(map(type, g.values())):
+        den = math.lcm(*[c.denominator for c in g.values()])
+        items = [(exps, c.numerator * (den // c.denominator)) for exps, c in items]
+    *head, (exps, c) = items
+    # (*exponents, what is left of e) -> coefficient
+    partial = {(0,) * len(exps) + (e,): 1}
+    for hexps, hc in head:
+        powers = _powers((*hexps, -1), hc, e)
+        grown: dict = {}
+        for key, v in partial.items():
+            left = key[-1]
+            binom = 1  # C(left, k)
+            for k in range(left, -1, -1):
+                kexps, kc = powers[k]
+                new = tuple(map(add, key, kexps)) if k else key
+                acc = grown.get(new, 0) + binom * v * kc
+                if acc:
+                    grown[new] = acc
+                else:
+                    del grown[new]
+                binom = binom * k // (left - k + 1)
+        partial = grown
+    powers = _powers(exps, c, e)
+    out: dict[Exponents, int | Fraction] = {}
+    # the last term takes what is left; map drops the key's last entry
+    _add_terms(out, ((tuple(map(add, key, powers[key[-1]][0])), v * powers[key[-1]][1])
+                     for key, v in partial.items()))
+    if den != 1:
+        scale = den ** e
+        for key, v in out.items():
+            out[key] = _coeff(Fraction(v, scale))
+    return out
+
+
+def _powers(step: tuple, c: int, top: int) -> list:
+    """[(k * step, c^k) for k = 0 ... top], each from the one before."""
+    out = [((0,) * len(step), 1)]
+    for _ in range(top):
+        exps, ck = out[-1]
+        out.append((tuple(map(add, exps, step)), ck * c))
+    return out
 
 
 def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
@@ -447,6 +538,11 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
 # Text I/O
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
+_OPERATORS = frozenset("()^*+-/")
+# the digit tokens that the parser reads inline, without ``_number``
+_SMALL_INTS = {str(i): i for i in range(100)}
+# the tokens after a factor that end its product; a digit ends it too
+_PRODUCT_ENDS = frozenset((None, ")", "^", "+", "-"))
 
 
 def _number(tok: str) -> int:
@@ -545,131 +641,157 @@ def format_polynomial(f: Polynomial, names: list[str] | None = None) -> str:
 
 
 class _Parser:
-    """Recursive descent over the tokens of one polynomial.
+    """Recursive descent over the tokens of one polynomial, walked by index.
 
-    A product of numbers and variable powers is gathered straight into one
-    term, a coefficient and an exponent list, and the terms of a sum go
-    into one term dict that is wrapped once.  Only a parenthesized factor,
-    or a power of a number or of a compound, goes through Polynomial
-    arithmetic."""
+    The tokens are a list that ends in a ``None`` sentinel, read by a
+    position.  A product gathers its numbers and variable powers straight
+    into one term, a coefficient and an exponent list, and the terms of a
+    sum go into one term dict that is wrapped once.  ``parse_product``
+    reads a number, or a variable with a small ``^int`` power, inline in
+    its loop; only a parenthesized factor (the one recursion), a ``(p/q)``
+    exponent, a power of a number or of a compound, a division and the
+    error cases go through ``parse_factor`` and its helpers, and only a
+    parenthesized factor or a power of one through Polynomial arithmetic."""
 
-    def __init__(self, text: str, names: list[str], fractional_ok: set[int]):
-        self.tokens: list[str] = _TOKEN.findall(text)
+    def __init__(self, text: str, names, index: dict[str, int], fractional_ok):
+        tokens: list = _TOKEN.findall(text)
         # findall skips what no token matches: the tokens cover the text
         # exactly when they spell it without its whitespace
-        if "".join(self.tokens) != "".join(text.split()):
+        if "".join(tokens) != "".join(text.split()):
             pos = 0
             while m := _TOKEN.match(text, pos):
                 pos = m.end()
             raise ProblemParseError(f"bad character in polynomial: {text[pos:]!r}")
+        tokens.append(None)  # read on the way, never consumed without an error
+        self.tokens = tokens
         self.pos = 0
         self.names = names
-        self.index = {n: i for i, n in enumerate(names)}
+        self.nvars = len(names)
+        self.index = index
         self.fractional_ok = fractional_ok
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
+    def take(self):
+        """The token at the position, which moves past it."""
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, tok: str):
-        got = self.next()
+        got = self.take()
         if got != tok:
             raise ProblemParseError(f"expected {tok!r}, got {got!r}")
 
     def parse(self) -> Polynomial:
         poly = self.parse_sum()
-        if self.peek() is not None:
-            raise ProblemParseError(f"trailing input at {self.peek()!r}")
+        if self.tokens[self.pos] is not None:
+            raise ProblemParseError(f"trailing input at {self.tokens[self.pos]!r}")
         return poly
 
     def parse_sum(self) -> Polynomial:
+        toks, pos = self.tokens, self.pos
         terms: dict[Exponents, int | Fraction] = {}
         while True:
             sign = 1
-            while self.peek() in ("+", "-"):
-                if self.next() == "-":
+            tok = toks[pos]
+            while tok == "+" or tok == "-":
+                if tok == "-":
                     sign = -sign
-            self.parse_product(sign, terms)
-            if self.peek() not in ("+", "-"):
-                return Polynomial._wrap(len(self.names), terms)
+                pos += 1
+                tok = toks[pos]
+            pos = self.parse_product(pos, sign, terms)
+            tok = toks[pos]
+            if tok != "+" and tok != "-":
+                self.pos = pos
+                return Polynomial._wrap(self.nvars, terms)
 
-    def parse_product(self, coeff: int, terms: dict[Exponents, int | Fraction]) -> None:
-        """Add ``coeff`` times the next product into ``terms``."""
-        exps = [0] * len(self.names)
+    def parse_product(self, pos: int, coeff: int, terms: dict[Exponents, int | Fraction]) -> int:
+        """Add ``coeff`` times the product at ``pos`` into ``terms``; the
+        position after it."""
+        toks, index = self.tokens, self.index
+        exps: list = [0] * self.nvars
         compound = None  # the product of the Polynomial factors, if any
-        divide = False
         while True:
-            factor = self.parse_factor()
-            if divide:
-                if isinstance(factor, Polynomial):
-                    den = factor.constant_term() if factor.is_constant() else 0
-                else:
-                    c, idx, q = factor
-                    den = c if idx is None or q == 0 else 0
-                if not den:
-                    raise ProblemParseError("division only by nonzero constants")
-                coeff = Fraction(coeff) / den
-            elif isinstance(factor, Polynomial):
-                m, k = 0 if compound is None else len(compound.terms), len(factor.terms)
-                if m * k > MAX_PRODUCT_TERMS:
-                    raise ProblemParseError(
-                        f"a product of {m} by {k} terms forms {m * k} term products, "
-                        f"past the limit of {MAX_PRODUCT_TERMS}")
-                compound = factor if compound is None else compound * factor
-            else:
-                c, idx, q = factor
+            # a token after a variable, or after "^", is at worst the sentinel
+            tok = toks[pos]
+            idx = index.get(tok)
+            if idx is not None and toks[pos + 1] != "^":
+                exps[idx] += 1
+                pos += 1
+            elif idx is not None and (q := _SMALL_INTS.get(toks[pos + 2])) is not None:
+                exps[idx] += q
+                pos += 3
+            elif (c := _SMALL_INTS.get(tok)) is not None and toks[pos + 1] != "^":
                 coeff *= c
-                if idx is not None:
-                    exps[idx] += q
-            tok = self.peek()
-            if tok == "*" or tok == "/":
-                self.next()
-                divide = tok == "/"
-            elif tok is not None and (tok[0].isalpha() or tok[0] == "_" or tok == "("):
-                # implicit multiplication such as "3x" or "x(y+1)"
-                divide = False
+                pos += 1
             else:
+                self.pos = pos
+                factor = self.parse_factor()
+                pos = self.pos
+                if type(factor) is tuple:
+                    c, idx, q = factor
+                    coeff *= c
+                    if idx is not None:
+                        exps[idx] = _norm_exp(exps[idx] + q)
+                else:
+                    m, k = 0 if compound is None else len(compound.terms), len(factor.terms)
+                    if m * k > MAX_PRODUCT_TERMS:
+                        raise ProblemParseError(
+                            f"a product of {m} by {k} terms forms {m * k} term products, "
+                            f"past the limit of {MAX_PRODUCT_TERMS}")
+                    compound = factor if compound is None else compound * factor
+            tok = toks[pos]
+            while tok == "/":
+                self.pos = pos + 1
+                coeff = self.divide(coeff)
+                pos = self.pos
+                tok = toks[pos]
+            if tok == "*":
+                pos += 1
+            elif tok in _PRODUCT_ENDS or tok.isdigit():
                 break
+            # else a variable or "(": implicit multiplication such as "3x"
         if not coeff:
-            return
-        term = {tuple(map(_norm_exp, exps)): _coeff(coeff)}
-        if compound is not None:
-            term = (compound * Polynomial._wrap(len(self.names), term)).terms
-        _add_terms(terms, term.items())
+            return pos
+        key = tuple(exps)
+        if type(coeff) is not int:
+            coeff = _coeff(coeff)
+        if compound is None and key not in terms:
+            terms[key] = coeff
+        else:
+            term = {key: coeff} if compound is None else (
+                compound * Polynomial._wrap(self.nvars, {key: coeff})).terms
+            _add_terms(terms, term.items())
+        return pos
 
     def parse_factor(self):
         """The next factor with its power: (coefficient, variable index or
         None, exponent) for a number or a variable power, else a Polynomial."""
-        tok = self.next()
-        if tok is None:
-            raise ProblemParseError("unexpected end of polynomial")
+        tok = self.take()
         if tok == "(":
             poly = self.parse_sum()
             self.expect(")")
-            if self.peek() != "^":
+            if self.tokens[self.pos] != "^":
                 return poly
-            self.next()
+            self.pos += 1
             q = self.parse_exponent()
             if len(poly.terms) == 1 and next(iter(poly.terms.values())) == 1 and not poly.is_constant():
                 exps = next(iter(poly.terms))
                 for idx, e in enumerate(exps):
                     if e:
                         self.permit(idx, q)
-                return Polynomial.monomial(len(self.names), tuple(e * q for e in exps))
+                return Polynomial.monomial(self.nvars, tuple(e * q for e in exps))
             if q.denominator != 1:
                 raise ProblemParseError("fractional exponent on a compound expression")
             if poly.is_constant():
                 _refuse_long_power(poly.constant_term(), int(q))
             _refuse_large_power(len(poly.terms), int(q))
             return poly ** int(q)
+        if tok is None:
+            raise ProblemParseError("unexpected end of polynomial")
         if tok.isdigit():
             c = _number(tok)
-            if self.peek() == "^":
-                self.next()
+            if self.tokens[self.pos] == "^":
+                self.pos += 1
                 q = self.parse_exponent()
                 if q.denominator != 1:
                     raise ProblemParseError("fractional exponent on a compound expression")
@@ -678,13 +800,28 @@ class _Parser:
             return c, None, 0
         idx = self.index.get(tok)
         if idx is None:
-            raise ProblemParseError(f"undeclared variable {tok!r}")
+            if tok[0].isalpha() or tok[0] == "_":
+                raise ProblemParseError(f"undeclared variable {tok!r}")
+            raise ProblemParseError(f"expected a factor, got {tok!r}")
         q = 1
-        if self.peek() == "^":
-            self.next()
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
             q = self.parse_exponent()
             self.permit(idx, q)
         return 1, idx, q
+
+    def divide(self, coeff):
+        """``coeff`` over the factor at the position, which must be a
+        nonzero constant."""
+        factor = self.parse_factor()
+        if type(factor) is tuple:
+            c, idx, q = factor
+            den = c if idx is None or q == 0 else 0
+        else:
+            den = factor.constant_term() if factor.is_constant() else 0
+        if not den:
+            raise ProblemParseError("division only by nonzero constants")
+        return Fraction(coeff) / den
 
     def permit(self, idx: int, q) -> None:
         """Reject a fractional power of a variable not allowed one."""
@@ -695,15 +832,15 @@ class _Parser:
 
     def parse_exponent(self) -> int | Fraction:
         """The exponent after ``^``: an int, or a Fraction written ``(p/q)``."""
-        tok = self.next()
+        tok = self.take()
         if tok == "(":
-            num = self.next()
+            num = self.take()
             if not (num and num.isdigit()):
                 raise ProblemParseError("malformed exponent")
             q = _number(num)
-            if self.peek() == "/":
-                self.next()
-                den = self.next()
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
+                den = self.take()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
                 den = _number(den)
@@ -717,11 +854,24 @@ class _Parser:
         raise ProblemParseError(f"malformed exponent at {tok!r}")
 
 
+def variable_index(names: Iterable[str]) -> dict[str, int]:
+    """The map from each of ``names`` to its position, but for a name
+    spelled like a number or an operator: in a polynomial, such a token
+    never names a variable."""
+    return {name: i for i, name in enumerate(names)
+            if not name.isdigit() and name not in _OPERATORS}
+
+
 def parse_polynomial(
-    text: str, names: list[str], fractional_ok: Iterable[int] = ()
+    text: str, names, fractional_ok: Iterable[int] = (),
+    index: dict[str, int] | None = None,
 ) -> Polynomial:
-    """Parse terms like ``3/2*x^2*y - x + y^(5/2)`` over declared variables."""
+    """Parse terms like ``3/2*x^2*y - x + y^(5/2)`` over the declared
+    ``names``.  ``index`` is ``variable_index(names)``, which a caller
+    that parses many polynomials over the same names builds once."""
+    if index is None:
+        index = variable_index(names)
     try:
-        return _Parser(text, names, set(fractional_ok)).parse()
+        return _Parser(text, names, index, frozenset(fractional_ok)).parse()
     except RecursionError:
         raise ProblemParseError("polynomial is nested too deeply") from None

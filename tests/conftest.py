@@ -17,7 +17,9 @@ each solved by sympy, without a simplex.
 ``corpus_problems`` reads the benchmark's checked-in problem files.
 ``reference_substitute`` is the ``poly.substitute`` the library had before
 its kernel worked on term dicts: it builds every term and every power as a
-Polynomial and multiplies them with Polynomial arithmetic.
+Polynomial and multiplies them with Polynomial arithmetic, a power of three
+or more terms by repeated multiplication where the library uses the
+multinomial theorem.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -129,6 +132,15 @@ def coordinate_min(P: OrthantPolyhedron, positions):
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
 
 
+def _reference_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # past the interpreter's digit limit
+        raise ProblemParseError(
+            f"a number of {len(tok)} digits is past the limit of "
+            f"{sys.get_int_max_str_digits()}") from None
+
+
 class _ReferenceParser:
     def __init__(self, text: str, names: list[str], fractional_ok: set[int]):
         self.tokens: list[str] = []
@@ -206,7 +218,9 @@ class _ReferenceParser:
             poly = self.parse_sum()
             self.expect(")")
         elif tok.isdigit():
-            poly = Polynomial.constant(n, int(tok))
+            poly = Polynomial.constant(n, _reference_int(tok))
+        elif not (tok[0].isalpha() or tok[0] == "_"):
+            raise ProblemParseError(f"expected a factor, got {tok!r}")
         elif tok in self.index:
             poly = Polynomial.variable(n, self.index[tok])
         else:
@@ -236,20 +250,19 @@ class _ReferenceParser:
             num = self.next()
             if not (num and num.isdigit()):
                 raise ProblemParseError("malformed exponent")
+            q = Fraction(_reference_int(num))
             if self.peek() == "/":
                 self.next()
                 den = self.next()
                 if not (den and den.isdigit()):
                     raise ProblemParseError("malformed exponent")
-                if not int(den):
+                if not _reference_int(den):
                     raise ProblemParseError("zero denominator in exponent")
-                q = Fraction(int(num), int(den))
-            else:
-                q = Fraction(int(num))
+                q /= _reference_int(den)
             self.expect(")")
             return q
         if tok and tok.isdigit():
-            return Fraction(int(tok))
+            return Fraction(_reference_int(tok))
         raise ProblemParseError(f"malformed exponent at {tok!r}")
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hironaka.errors import PreconditionError, ProblemParseError
 from hironaka.poly import (
     INF,
     Polynomial,
+    _convolve,
     divide_by_variable_power,
     format_polynomial,
     hasse_derivative,
@@ -387,6 +389,31 @@ def test_binomial_power_matches_repeated_multiplication():
     assert Polynomial.constant(0, Fraction(-2, 3)) ** 3 == Polynomial.constant(0, Fraction(-8, 27))
 
 
+# the terms of g: exponents in x1, x2 only, so that x0 -> g leaves the
+# other variables alone; a small range makes monomials collide in g^e
+MULTINOMIAL_TERMS = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool) | st.fractions(-2, 2, max_denominator=3).filter(bool),
+    min_size=1, max_size=5)
+
+
+@given(MULTINOMIAL_TERMS, st.integers(0, 8), raw_polynomials(2))
+@settings(max_examples=150, deadline=None)
+@example({(0, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1}, 4, Polynomial(2, {(1, 0): -1}))  # x + y + x*y
+@example({(0, 0, 0): Fraction(-1, 2), (0, 1, 0): 2, (0, 0, 1): -3, (0, 2, 2): Fraction(2, 3)},
+         8, Polynomial(2, {(0, 0): 1}))  # a constant term
+def test_the_multinomial_power_matches_repeated_multiplication(terms, e, rest):
+    g = Polynomial(3, terms)
+    h = Polynomial(3, {(0, *exps): c for exps, c in rest.terms.items()})
+    want = {(0, 0, 0): 1}
+    for _ in range(e):
+        want = _convolve(want, g.terms)
+    x0e = Polynomial.monomial(3, (e, 0, 0))
+    for got, product in ((g ** e, want), (substitute(x0e * h, {0: g}), _convolve(want, h.terms))):
+        assert_normalized(got)
+        assert got == Polynomial(3, product)
+
+
 def test_float_and_bool_coefficients_are_refused():
     for make in (lambda: Polynomial(1, {(1,): 0.5}), lambda: p2("x").scale(0.5),
                  lambda: Polynomial.constant(1, 0.5), lambda: Polynomial.constant(1, True),
@@ -552,6 +579,23 @@ def test_parser_matches_the_arithmetic_reference(text):
     assert_parses_like_the_reference(text)
 
 
+@given(parse_sums(depth=0))
+@settings(max_examples=300, deadline=None)
+def test_flat_sums_parse_like_the_reference(text):
+    # no parenthesis: every factor a number or a variable power, most of
+    # them read inline by the product loop
+    assert_parses_like_the_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3x", "x y", "2 3", "x^2 3", "x ^ 2", "--x", "x*", "-", "x^2x",
+    pytest.param("7" * (sys.get_int_max_str_digits() + 1) + "*x", id="long-coefficient"),
+    pytest.param("x^" + "7" * (sys.get_int_max_str_digits() + 1), id="long-exponent"),
+])
+def test_flat_edge_cases_parse_like_the_reference(text):
+    assert_parses_like_the_reference(text)
+
+
 # (input, error class, message), as both parsers report them
 PARSE_ERRORS = [
     ("x^", ProblemParseError, "malformed exponent at None"),
@@ -567,6 +611,12 @@ PARSE_ERRORS = [
     ("", ProblemParseError, "unexpected end of polynomial"),
     ("x^-1", ProblemParseError, "malformed exponent at '-'"),
     ("z^(1/0)", ProblemParseError, "zero denominator in exponent"),
+    # an operator where a factor belongs
+    ("x**2", ProblemParseError, "expected a factor, got '*'"),
+    ("x*+y", ProblemParseError, "expected a factor, got '+'"),
+    ("()", ProblemParseError, "expected a factor, got ')'"),
+    ("x + )", ProblemParseError, "expected a factor, got ')'"),
+    ("x*^2", ProblemParseError, "expected a factor, got '^'"),
 ]
 
 
