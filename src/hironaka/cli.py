@@ -27,6 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from .coeff import coefficient_pair, delta_invariant, prepare_vertices
 from .cone import directrix, hilbert_samuel_truncated, initial_ideal
@@ -50,10 +51,10 @@ from .invariant import (
 from .pairs import Component, Pair, pair_order
 from .poly import (
     INF,
+    _NAME,
     format_polynomial,
     format_rational,
     parse_polynomial,
-    variable_index,
 )
 from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minimum, polyhedron_of_pair
 from .record import Record
@@ -152,6 +153,10 @@ def problem_from_data(data: dict) -> Problem:
     if "variables" not in data:
         raise ProblemParseError("missing field 'variables'")
     variables = tuple(_typed(data["variables"], list, "variables", str))
+    for name in variables:
+        if not _NAME.fullmatch(name):
+            raise ProblemParseError(f"variables: no polynomial can use the name {name!r}")
+    # every name is one identifier, so this is also the parser's map
     index = {name: i for i, name in enumerate(variables)}
     if len(index) != len(variables):
         raise ProblemParseError("duplicate variable names")
@@ -189,7 +194,6 @@ def problem_from_data(data: dict) -> Problem:
         raise ProblemParseError(str(exc)) from None
 
     fractional_ok = frame.marked_indices()
-    parse_index = variable_index(variables)  # built once, for every generator
     pair_data = data.get("pair")
     if not isinstance(pair_data, dict) or "components" not in pair_data:
         raise ProblemParseError("missing field 'pair.components'")
@@ -200,7 +204,7 @@ def problem_from_data(data: dict) -> Problem:
         gens_text = _typed(comp.get("gens", []), list, f"component {k}: gens", str)
         if not gens_text:
             raise ProblemParseError(f"component {k}: empty generator list")
-        gens = tuple(parse_polynomial(g, variables, fractional_ok, parse_index) for g in gens_text)
+        gens = tuple(parse_polynomial(g, variables, fractional_ok, index) for g in gens_text)
         if any(g.is_zero() for g in gens):
             raise ProblemParseError(f"component {k}: zero generator")
         b = _parse_rational(comp.get("b"), f"component {k}: b")
@@ -451,11 +455,59 @@ def _trace_data(trace: Trace):
 
 
 def render(report: dict, format: str = "text") -> bytes:
+    """The report as text, or as JSON: exactly the bytes of
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, written by
+    ``_write_json``.  A JSON report holds dicts with str keys, lists,
+    tuples, strs, ints, bools and None only; any other value, such as a
+    float or a Fraction, is a TypeError, since an exact report never holds
+    one."""
     if format == "json":
-        return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+        out: list[str] = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        return "".join(out).encode()
     if format == "text":
         return _render_text(report).encode()
     raise PreconditionError(f"unknown format {format!r}")
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the JSON of ``value`` to ``out``, as ``json.dumps`` lays it
+    out with an indent of 2 and sorted keys; ``newline`` is the line break
+    and indentation of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # a key that is no str is a TypeError here
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"a JSON report holds no {kind.__name__}: {value!r}")
 
 
 def _render_text(report: dict, indent: int = 0) -> str:

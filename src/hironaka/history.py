@@ -10,6 +10,10 @@ data passes through the tracked point exactly when the frame marks its id.
 Every number read off a polyhedron here (delta_center, the d of each
 divisor, and ord_C >= b for permissibility) is a ``polyhedra.pair_minimum``
 over the raw points of the pair: a blow-up builds no vertex set.
+
+A chart blow-up is a linear map on exponents, and so on the points exps/b,
+shifted in the chart's coordinate (``blowup_chart``): it multiplies no
+polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .coeff import delta_invariant
 from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
-from .poly import INF, Polynomial, _coeff, divide_by_variable_power, substitute
+from .poly import INF, Polynomial, _coeff, _norm_exp
 from .polyhedra import pair_minimum
 from .record import Record
 
@@ -114,14 +118,39 @@ class ChartReport(Record):
     d_from_polyhedron: int | Fraction  # minimum of the new chart coordinate
 
 
+def _chart_pair(E: Pair, center: list[int], chart: int) -> Pair:
+    """E in the chart of ``chart``, by the exponent map of ``blowup_chart``."""
+    comps = []
+    for comp in E.components:
+        b = comp.weight
+        gens = []
+        for g in comp.gens:
+            terms = {}
+            for exps, c in g.terms.items():
+                e = sum([exps[v] for v in center]) - b
+                if e < 0:  # ruled out by is_permissible
+                    raise InternalError("inexact exceptional division")
+                if type(e) is not int:
+                    e = _norm_exp(e)
+                terms[exps[:chart] + (e,) + exps[chart + 1:]] = c
+            gens.append(Polynomial._wrap(g.nvars, terms))
+        comps.append(Component(tuple(gens), b))
+    return Pair(tuple(comps))
+
+
 def blowup_chart(
     H: PairWithHistory, center, chart: int, year: int | None = None
 ) -> ChartReport:
     """Transform to the chart where `chart` spans the exceptional divisor.
 
-    Every other center variable v is replaced by chart*v and each component
-    is divided by chart^weight exactly; the new divisor is marked on the
-    chart variable with its multiplicity re-derived from the polyhedron.
+    x_v -> x_chart*x_v for every other center variable v, then the exact
+    division of each component by x_chart^b, is one linear map on
+    exponents shifted by -b in the chart's coordinate, and so on the
+    points exps/b with a shift by -1: a term keeps its coefficient and
+    every exponent but the chart's, which becomes the sum of its center
+    exponents minus b.  The map is injective, so no two terms meet.
+    The new divisor is marked on the chart variable with its multiplicity
+    re-derived from the polyhedron.
     """
     center = sorted(set(center))
     if chart not in center:
@@ -130,25 +159,8 @@ def blowup_chart(
         raise PreconditionError("center not permissible (order along center below a weight)")
 
     frame = H.frame
-    n = frame.nvars
     dD = delta_center(H.pair, frame, center) if set(frame.y_indices) <= set(center) else None
-
-    assignment = {
-        v: Polynomial.variable(n, chart) * Polynomial.variable(n, v)
-        for v in center
-        if v != chart
-    }
-    comps = []
-    for comp in H.pair.components:
-        gens = []
-        for g in comp.gens:
-            moved = substitute(g, assignment)
-            try:
-                gens.append(divide_by_variable_power(moved, chart, comp.weight))
-            except ValueError as exc:
-                raise InternalError("inexact exceptional division") from exc
-        comps.append(Component(tuple(gens), comp.weight))
-    pair = Pair(tuple(comps))
+    pair = _chart_pair(H.pair, center, chart)
 
     if year is None:
         year = max((e.birth_year for e in H.exdata.entries), default=0) + 1

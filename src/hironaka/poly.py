@@ -537,8 +537,9 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
 # ---------------------------------------------------------------------------
 # Text I/O
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
-_OPERATORS = frozenset("()^*+-/")
+# a variable name: exactly what the tokenizer reads as one identifier
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|\d+|[()^*+-]|/)")
 # the digit tokens that the parser reads inline, without ``_number``
 _SMALL_INTS = {str(i): i for i in range(100)}
 # the tokens after a factor that end its product; a digit ends it too
@@ -855,11 +856,10 @@ class _Parser:
 
 
 def variable_index(names: Iterable[str]) -> dict[str, int]:
-    """The map from each of ``names`` to its position, but for a name
-    spelled like a number or an operator: in a polynomial, such a token
-    never names a variable."""
-    return {name: i for i, name in enumerate(names)
-            if not name.isdigit() and name not in _OPERATORS}
+    """The map from each of ``names`` to its position, but for a name that
+    the tokenizer never reads as one identifier, such as ``2``, ``+`` or
+    ``x y``: no polynomial can use it."""
+    return {name: i for i, name in enumerate(names) if _NAME.fullmatch(name)}
 
 
 def parse_polynomial(

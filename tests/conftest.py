@@ -20,6 +20,9 @@ its kernel worked on term dicts: it builds every term and every power as a
 Polynomial and multiplies them with Polynomial arithmetic, a power of three
 or more terms by repeated multiplication where the library uses the
 multinomial theorem.
+``reference_chart_pair`` is the chart transform ``history.blowup_chart``
+had before it mapped exponents: it substitutes x_v -> x_chart*x_v and then
+divides each component by x_chart^b.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from pathlib import Path
 import pytest
 
 from hironaka.cli import parse_problem
-from hironaka.errors import PreconditionError, ProblemParseError
-from hironaka.poly import INF, Polynomial, _add_terms, _ints, _norm_exp
+from hironaka.errors import InternalError, PreconditionError, ProblemParseError
+from hironaka.poly import (
+    INF, Polynomial, _add_terms, _ints, _norm_exp, divide_by_variable_power, substitute,
+)
 from hironaka.pairs import Component, Pair
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
 
@@ -318,6 +323,23 @@ def reference_substitute(f: Polynomial, assignment) -> Polynomial:
                 term = term * power(i, exps[i])
         _add_terms(out, term.terms.items())
     return Polynomial._wrap(n, out)
+
+
+def reference_chart_pair(E: Pair, center, chart: int) -> Pair:
+    """``history._chart_pair`` by substitution and exact division."""
+    n = E.nvars
+    assignment = {v: Polynomial.variable(n, chart) * Polynomial.variable(n, v)
+                  for v in center if v != chart}
+    comps = []
+    for comp in E.components:
+        gens = []
+        for g in comp.gens:
+            try:
+                gens.append(divide_by_variable_power(substitute(g, assignment), chart, comp.weight))
+            except ValueError as exc:
+                raise InternalError("inexact exceptional division") from exc
+        comps.append(Component(tuple(gens), comp.weight))
+    return Pair(tuple(comps))
 
 
 # ---------------------------------------------------------------------------

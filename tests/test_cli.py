@@ -418,6 +418,17 @@ def test_containers_must_have_json_shapes(tmp_path, capsys, field, value, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["2", "+", "x y", "\u00e9"])
+def test_a_variable_no_polynomial_can_use_is_a_parse_error(capsys, name):
+    """A declared name that the tokenizer never reads as one identifier: a
+    number, an operator, two words, a non-ASCII letter."""
+    data = {"variables": ["x", "y", name], "y": ["y"],
+            "pair": {"components": [{"gens": ["y^2 + x^4"], "b": "2"}]}}
+    assert cli.main([json.dumps(data), "order"]) == 3
+    assert capsys.readouterr() == (
+        "", f"parse error: variables: no polynomial can use the name {name!r}\n")
+
+
 NAMES = st.sampled_from(["x", "y", "z", "E1", ""])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
@@ -651,3 +662,54 @@ def test_blowup_reports_are_pinned(capsys, case, data, flags, report, text):
 def test_blowup_without_a_chart_exits_2(capsys, format):
     assert cli.main([json.dumps(A3_UNSCRIPTED), "blowup", "--format", format]) == 2
     assert capsys.readouterr() == ("", "precondition failed: blowup needs a chart variable (--chart)\n")
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer, byte for byte against json.dumps
+
+
+def dumps(report) -> bytes:
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("workload", ["contact-reject", "lsb-hypersurface", "pairs-local"])
+def test_every_corpus_report_is_written_as_json_dumps_writes_it(workload):
+    """Every command on every problem of a corpus, ``blowup`` charted at
+    the first variable."""
+    written = Counter()
+    for name, problem in corpus_problems(workload):
+        for command in cli.COMMANDS:
+            try:
+                report = cli.run(problem, command, chart=problem.frame.variables[0])
+            except PreconditionError:
+                continue
+            assert cli.render(report, "json") == dumps(report), (name, command)
+            written[command] += 1
+    assert written["blowup"] and written["run-lsb"], written
+
+
+JSON_TEXT = st.text(st.sampled_from('x"\\/\x00\x1f\x7f\n\t \u00e9\u20ac\U0001f600') | st.characters(),
+                    max_size=6)
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=REPORT_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    """Strings with non-ASCII, quotes, backslashes and control characters;
+    negative and large ints; bools and None; tuples; empty and nested
+    containers."""
+    assert cli.render(value, "json") == dumps(value)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1: "a key that is no str"}])
+def test_the_json_writer_refuses_what_no_report_holds(value):
+    """An inexact number, which an exact report never holds, and a dict key
+    that is not a str."""
+    with pytest.raises(TypeError):
+        cli.render({"entries": [{"nu": value, "s": 0}]}, "json")

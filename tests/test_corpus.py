@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hironaka import coeff, history, invariant
+from hironaka import coeff, invariant
 from hironaka.errors import PreconditionError
 from hironaka.poly import substitute
 
@@ -51,7 +51,7 @@ def test_every_corpus_substitution_matches_the_reference(monkeypatch):
         calls.append((f, dict(assignment)))
         return substitute(f, assignment)
 
-    for module in (coeff, history, invariant):
+    for module in (coeff, invariant):
         monkeypatch.setattr(module, "substitute", recording)
     cli = corpus.import_cli()
     for workload in sorted(corpus.WORKLOADS):

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from hironaka.errors import PreconditionError
+from hironaka import history
+from hironaka.errors import InternalError, PreconditionError
 from hironaka.frames import Frame
 from hironaka.history import (
     ExcDivisor,
@@ -20,7 +21,13 @@ from hironaka.history import (
 from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import INF, Polynomial, parse_polynomial
 
-from conftest import merge_to_single, random_singular_pair, scale_exponents
+from conftest import (
+    corpus_problems,
+    merge_to_single,
+    random_singular_pair,
+    reference_chart_pair,
+    scale_exponents,
+)
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -172,6 +179,88 @@ def test_blowup_old_divisor_on_chart_becomes_absent():
 def test_blowup_requires_permissible_center():
     with pytest.raises(PreconditionError, match="permissible"):
         blowup_chart(state("y^2 - x^3", 2), [1], 1, year=1)
+
+
+# ---------------------------------------------------------------------------
+# the exponent map against substitution and exact division
+
+
+def _terms(pair: Pair) -> str:
+    """Every generator's terms in order, with the types of their numbers."""
+    return repr([list(g.terms.items()) for g in pair.all_generators()])
+
+
+def _outcome(transform, E, center, chart):
+    try:
+        return _terms(transform(E, center, chart))
+    except InternalError as exc:
+        return str(exc)
+
+
+def _fractional_pair(rng: random.Random, nvars: int, marked: int) -> Pair:
+    """A singular pair whose marked variable carries exponents scaled by
+    1/2, 1 or 3/2, with each weight scaled by 1/3, 1/2, 2/3 or 1."""
+    pair = scale_exponents(random_singular_pair(rng, nvars), marked,
+                           Fraction(rng.randint(1, 3), 2))
+    return Pair(tuple(
+        Component(comp.gens, comp.weight * Fraction(rng.randint(1, 2), rng.randint(2, 3))
+                  if rng.random() < 0.7 else comp.weight)
+        for comp in pair.components))
+
+
+def test_the_exponent_map_is_substitution_then_division(monkeypatch):
+    """Every coordinate center and chart of random pairs in 2-4 variables,
+    with Fraction weights and fractional exponents on a marked variable:
+    the exponent map gives the pair of the route by substitution and exact
+    division, in the same term order with the same number types, and the
+    same ChartReport; on an impermissible center both refuse the
+    division."""
+    seen = Counter()
+    for nvars in (2, 3, 4):
+        names = tuple(NAMES4[:nvars])
+        for seed in range(30):
+            rng = random.Random(seed)
+            marked = rng.randrange(nvars)
+            pair = _fractional_pair(rng, nvars, marked)
+            y = (nvars - 1,) if marked != nvars - 1 and rng.random() < 0.5 else ()
+            frame = Frame(names, tuple(i for i in range(nvars) if i not in y), y,
+                          (("H", marked),))
+            st = PairWithHistory(pair, frame, ExceptionalData((ExcDivisor("H", Fraction(1, 2), 0),)))
+            for k in range(1, nvars + 1):
+                for center in combinations(range(nvars), k):
+                    for chart in center:
+                        got = _outcome(history._chart_pair, pair, list(center), chart)
+                        assert got == _outcome(reference_chart_pair, pair, list(center), chart)
+                        if not is_permissible(st, center):
+                            assert got == "inexact exceptional division"
+                            seen["refused"] += 1
+                            continue
+                        report = blowup_chart(st, center, chart, year=1)
+                        with monkeypatch.context() as m:
+                            m.setattr(history, "_chart_pair", reference_chart_pair)
+                            assert report == blowup_chart(st, center, chart, year=1)
+                        exps = [e[chart] for g in report.state.pair.all_generators() for e in g.terms]
+                        seen["fractional chart exponent"] += Fraction in map(type, exps)
+                        seen["fractional weight"] += any(
+                            type(c.weight) is Fraction for c in pair.components)
+                        seen["mapped"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_the_lsb_scripts_map_exponents_as_substitution_and_division(monkeypatch):
+    """Every scripted trace of the lsb-hypersurface corpus is the same,
+    year by year and term by term, with the chart transform done by
+    substitution and exact division."""
+    problems = [(name, pb) for name, pb in corpus_problems("lsb-hypersurface") if pb.script]
+    assert problems
+    for name, problem in problems:
+        trace = run_lsb(problem.state, problem.script)
+        with monkeypatch.context() as m:
+            m.setattr(history, "_chart_pair", reference_chart_pair)
+            want = run_lsb(problem.state, problem.script)
+        assert trace == want, name
+        assert ([_terms(rec.state.pair) for rec in trace.years]
+                == [_terms(rec.state.pair) for rec in want.years]), name
 
 
 # ---------------------------------------------------------------------------
