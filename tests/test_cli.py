@@ -688,8 +688,8 @@ def test_every_corpus_report_is_written_as_json_dumps_writes_it(workload):
     assert written["blowup"] and written["run-lsb"], written
 
 
-JSON_TEXT = st.text(st.sampled_from('x"\\/\x00\x1f\x7f\n\t \u00e9\u20ac\U0001f600') | st.characters(),
-                    max_size=6)
+JSON_TEXT = st.text(
+    st.sampled_from('x"\\/\x00\x1f\x7f\n\t \u00e9\u20ac\U0001f600') | st.characters(), max_size=6)
 REPORT_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**30, 10**30) | JSON_TEXT,
     lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
