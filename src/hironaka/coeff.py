@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 from itertools import count
 
-from .cone import DirectrixBasis, directrix, initial_ideal
+from .cone import directrix, initial_ideal
 from .errors import DirectrixNotSpanned, InternalError, PreconditionError
 from .frames import Frame
 from .linalg import solve
@@ -392,16 +392,9 @@ class PrepareResult(Record):
         return self.solvable is None
 
 
-def _directrix_of_pair(E: Pair) -> DirectrixBasis | None:
-    I = initial_ideal(E)
-    if I.is_zero():
-        return None
-    return directrix(I)
-
-
 def _check_spanning(E: Pair, frame: Frame) -> None:
-    basis = _directrix_of_pair(E)
-    if basis is not None and not basis.spans_within(frame.y_indices):
+    I = initial_ideal(E)
+    if not I.is_zero() and not directrix(I).spans_within(frame.y_indices):
         raise DirectrixNotSpanned("y does not span directrix")
 
 

@@ -3,7 +3,9 @@
 
 The directrix is computed through the translation-invariance direction
 space W = {v : directional derivative of every generator lies in the
-ideal}; its annihilator in the degree-1 dual is the returned basis.
+ideal}, by one fraction-free elimination of int rows (``directrix``); its
+annihilator in the degree-1 dual is the returned basis, and the two
+``linalg.nullspace`` calls that return it make its only Fractions.
 Nothing is re-checked at run time: that the ideal is generated by
 polynomials in the basis forms (every slice of every generator along the
 complementary coordinates lies in the ideal) and that every returned
@@ -12,30 +14,28 @@ direction leaves the ideal invariant are tier-1 properties
 
 The graded pieces are ``linalg.sparse_rref`` of the rows ``_multiples``
 builds (a generator times the shift monomials, over the numbered monomials
-of one degree).  Within one ``directrix`` call each degree's basis is built
-once and reduces the derivatives of every generator one degree higher.
+of one degree): Fraction rows, which ``homogeneous_member`` reduces against.
 
 Hilbert-Samuel numbers no columns: it counts the leading monomials of the
 truncated multiples of the generators, each monomial packed into one int
 whose order is the monomial order.  The first generator's leads are
 counted in closed form, the rows that earlier generators span by a
 Koszul syzygy are skipped, and only the rows whose leads collide are built
-and reduced with ``linalg.eliminate``.
+and reduced with ``linalg.eliminate``, in ints.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, combinations_with_replacement
 from operator import add
 
 from .errors import PreconditionError
-from .linalg import clear_denominators, eliminate, nullspace, reduce_against, sparse_rref
+from .linalg import _echelon, clear_denominators, eliminate, nullspace, reduce_against, sparse_rref
 from .pairs import Pair
-from .poly import Polynomial, hasse_derivative, initial_form, ord_at_origin
+from .poly import Polynomial, _coeff, initial_form, ord_at_origin
 from .record import Record
 
 
@@ -99,17 +99,17 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _multiples(g: Polynomial, shifts, index: dict[tuple, int]) -> list[dict]:
-    """The rows g*m, one per shift m, over the monomial columns numbered by
-    ``index``; terms outside the columns are dropped (truncation)."""
-    terms = list(g.terms.items())
+def _multiples(terms: dict, shifts, index: dict[tuple, int], offset: int = 0) -> list[dict]:
+    """The rows g*m of g's terms, one per shift m, over the columns that
+    ``index`` numbers from ``offset``; other terms are dropped (truncation)."""
+    terms = list(terms.items())
     rows = []
     for m in shifts:
         row = {}
         for exps, c in terms:
             col = index.get(tuple(map(add, exps, m)))
             if col is not None:
-                row[col] = c
+                row[offset + col] = c
         rows.append(row)
     return rows
 
@@ -117,17 +117,11 @@ def _multiples(g: Polynomial, shifts, index: dict[tuple, int]) -> list[dict]:
 def _piece(I: HomIdeal, d: int):
     """Row-reduced basis of the degree-d slice of the ideal: the column
     index of the degree-d monomials, the sparse rref rows and their pivots."""
-    index = {m: i for i, m in enumerate(monomials_of_degree(I.nvars, d))}
+    index = _index(I.nvars, d)
     rows = []
     for g in I.generators:
-        rows += _multiples(g, monomials_of_degree(I.nvars, d - sum(next(iter(g.terms)))), index)
+        rows += _multiples(g.terms, monomials_of_degree(I.nvars, d - sum(next(iter(g.terms)))), index)
     return (index, *sparse_rref(rows))
-
-
-def _residue(piece, f: Polynomial) -> dict[int, Fraction]:
-    """Coordinates of f, homogeneous of the piece's degree, modulo the piece."""
-    index, rows, pivots = piece
-    return reduce_against(rows, pivots, {index[e]: c for e, c in f.terms.items()})
 
 
 def graded_piece(I: HomIdeal, d: int) -> list[Polynomial]:
@@ -145,7 +139,8 @@ def homogeneous_member(I: HomIdeal, f: Polynomial) -> bool:
     degs = {sum(e) for e in f.terms}
     if len(degs) != 1:
         raise PreconditionError("membership test expects a homogeneous polynomial")
-    return not _residue(_piece(I, degs.pop()), f)
+    index, rows, pivots = _piece(I, degs.pop())
+    return not reduce_against(rows, pivots, {index[e]: c for e, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -167,33 +162,49 @@ class DirectrixBasis(Record):
 
 
 def directrix(I: HomIdeal) -> DirectrixBasis:
+    """W = {v : d_v f in I_(d-1) for each generator f of degree d} and the
+    forms vanishing on it, by one fraction-free elimination.  Generator f_j
+    of degree d_j, its denominators cleared (W stays), owns a block of
+    columns, the monomials of degree d_j - 1, holding the rows m*f_k that
+    span I_(d_j-1); a tag column per variable follows the blocks, and the
+    row of x_i is (d_i f_1 | ... | d_i f_s | e_i).  So sum_i v_i*(row of
+    x_i) + (block rows) has block parts d_v f_j + (an element of I_(d_j-1)):
+    it is (0, v) iff v is in W.  It is a sum of echelon rows, none with a
+    block pivot, as the least such pivot would survive; so the rows with a
+    tag pivot are a basis of W.  ``linalg.nullspace`` depends only on the
+    row space: the forms, nullspace(W), and directions, nullspace(forms)."""
     if I.is_zero():
         raise PreconditionError("directrix undefined")
     n = I.nvars
-    # rows of the linear system on a direction v: for each generator g and
-    # each monomial coordinate, sum_i v_i * (residue of d_i g mod I) = 0.
-    # a unit ideal holds every slice: no rows, so W is everything, no form
-    piece_of = cache(partial(_piece, I))  # each degree's basis is built once
-    sys_rows: list[list] = []
-    for g in I.generators:
-        piece = piece_of(sum(next(iter(g.terms))) - 1)
-        residues = [
-            _residue(piece, hasse_derivative(g, tuple(1 if j == i else 0 for j in range(n))))
-            for i in range(n)
-        ]
-        for coord in sorted(set().union(*residues)):
-            sys_rows.append([residues[i].get(coord, 0) for i in range(n)])
-    directions = nullspace(sys_rows, n)
-    ann = nullspace(directions, n)
-    forms = tuple(_linear_form(vec) for vec in ann)
-    return DirectrixBasis(forms, tuple(tuple(v) for v in directions))
+    gens = [(sum(next(iter(g.terms))), clear_denominators(g.terms)) for g in I.generators]
+    rows, tags, offset = [], [{} for _ in range(n)], 0
+    for d, terms in gens:
+        index = _index(n, d - 1)
+        for dk, fk in gens:
+            rows += _multiples(fk, _index(n, d - 1 - dk), index, offset)
+        for e, c in terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    tags[i][offset + index[e[:i] + (k - 1,) + e[i + 1:]]] = k * c
+        offset += len(index)
+    tags = [{**row, offset + i: 1} for i, row in enumerate(tags)]
+    basis = [[row.get(offset + i, 0) for i in range(n)]
+             for c, row in _echelon(rows + tags).items() if c >= offset]
+    forms = nullspace(basis, n)
+    return DirectrixBasis(tuple(map(_linear_form, forms)), tuple(map(tuple, nullspace(forms, n))))
+
+
+@cache
+def _index(nvars: int, d: int) -> dict[tuple, int]:
+    """The degree-d monomials numbered in ``monomials_of_degree`` order."""
+    return {m: i for i, m in enumerate(monomials_of_degree(nvars, d))}
 
 
 def _linear_form(coeffs) -> Polynomial:
-    """sum_i coeffs[i] * x_i in len(coeffs) variables."""
+    """sum_i coeffs[i] * x_i in len(coeffs) variables (ints and Fractions)."""
     n = len(coeffs)
-    return Polynomial(n, {tuple(1 if k == i else 0 for k in range(n)): c
-                          for i, c in enumerate(coeffs) if c != 0})
+    return Polynomial._wrap(n, {tuple(1 if k == i else 0 for k in range(n)): _coeff(c)
+                                for i, c in enumerate(coeffs) if c})
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ are the only record of where a divisor sits: an entry of the exceptional
 data passes through the tracked point exactly when the frame marks its id.
 
 Every number read off a polyhedron here (delta_center, the d of each
-divisor, and ord_C >= b for permissibility) is a ``polyhedra.pair_minimum``
+divisor, and ord_C >= b for ``is_permissible``) is a ``pair_minimum``
 over the raw points of the pair: a blow-up builds no vertex set.
 
 A chart blow-up is a linear map on exponents, and so on the points exps/b,
 shifted in the chart's coordinate (``blowup_chart``): it multiplies no
-polynomials.
+polynomials, and a negative shifted exponent refuses the center.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import delta_invariant
-from .errors import InternalError, PreconditionError
+from .errors import PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
 from .poly import INF, Polynomial, _coeff, _norm_exp
@@ -90,18 +90,20 @@ def delta_center(E: Pair, frame: Frame, center) -> int | Fraction | float:
     return pair_minimum(E, frame.y_indices, [i for i in frame.u_indices if i in center])
 
 
+def _coordinate_center(H: PairWithHistory, center) -> list[int]:
+    """The center sorted, if it is a nonempty set of variable indices."""
+    center, n = sorted(set(center)), H.pair.nvars if H.pair.components else H.frame.nvars
+    if not center or any(type(i) is not int or not 0 <= i < n for i in center):
+        raise PreconditionError("only coordinate centers supported")
+    return center
+
+
 def is_permissible(H: PairWithHistory, center) -> bool:
     """Regular coordinate center inside the singular locus, normal crossings
     with the marked divisors (automatic for coordinate data): ord_C >= b on
     every term, that is, the center's coordinate sum is at least 1 on every
     point exps/b."""
-    center = sorted(set(center))
-    if not center:
-        raise PreconditionError("only coordinate centers supported")
-    n = H.pair.nvars if H.pair.components else H.frame.nvars
-    if any(type(i) is not int or not 0 <= i < n for i in center):
-        raise PreconditionError("only coordinate centers supported")
-    return pair_minimum(H.pair, (), center) >= 1
+    return pair_minimum(H.pair, (), _coordinate_center(H, center)) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,8 @@ class ChartReport(Record):
 
 
 def _chart_pair(E: Pair, center: list[int], chart: int) -> Pair:
-    """E in the chart of ``chart``, by the exponent map of ``blowup_chart``."""
+    """E in the chart of ``chart``, by the exponent map of ``blowup_chart``,
+    or a PreconditionError at the first term whose center sum is below b."""
     comps = []
     for comp in E.components:
         b = comp.weight
@@ -128,8 +131,9 @@ def _chart_pair(E: Pair, center: list[int], chart: int) -> Pair:
             terms = {}
             for exps, c in g.terms.items():
                 e = sum([exps[v] for v in center]) - b
-                if e < 0:  # ruled out by is_permissible
-                    raise InternalError("inexact exceptional division")
+                if e < 0:
+                    raise PreconditionError(
+                        "center not permissible (order along center below a weight)")
                 if type(e) is not int:
                     e = _norm_exp(e)
                 terms[exps[:chart] + (e,) + exps[chart + 1:]] = c
@@ -148,19 +152,19 @@ def blowup_chart(
     exponents shifted by -b in the chart's coordinate, and so on the
     points exps/b with a shift by -1: a term keeps its coefficient and
     every exponent but the chart's, which becomes the sum of its center
-    exponents minus b.  The map is injective, so no two terms meet.
+    exponents minus b.  The map is injective, so no two terms meet, and
+    the center is permissible iff no such exponent is negative.
     The new divisor is marked on the chart variable with its multiplicity
     re-derived from the polyhedron.
     """
     center = sorted(set(center))
     if chart not in center:
         raise PreconditionError("chart variable must belong to the center")
-    if not is_permissible(H, center):
-        raise PreconditionError("center not permissible (order along center below a weight)")
+    _coordinate_center(H, center)
 
+    pair = _chart_pair(H.pair, center, chart)
     frame = H.frame
     dD = delta_center(H.pair, frame, center) if set(frame.y_indices) <= set(center) else None
-    pair = _chart_pair(H.pair, center, chart)
 
     if year is None:
         year = max((e.birth_year for e in H.exdata.entries), default=0) + 1

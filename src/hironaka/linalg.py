@@ -2,30 +2,24 @@
 nullspaces and an LP feasibility test.
 
 Every elimination, the LP included, reduces dict rows with ``_subtract``.
-The rank and reduced forms reduce each row on its smallest key with
-``eliminate``: ``sparse_rank`` keeps each row that does not reduce to
-zero as the pivot row of its smallest column index, and ``sparse_rref``
-adds back-substitution on the same rows; ``cone.hilbert_samuel_truncated``
-keys its rows by monomials packed into ints and builds its pivot rows on
-demand.
-
-``eliminate`` is fraction-free: its rows hold ints, and a step replaces
-the row by (p/g)*row - (w/g)*pivot, with p the pivot's lead, w the row's
-entry there and g = gcd(p, w) (just row -= (w/p)*pivot when p divides w):
-integer-preserving elimination as in Bareiss (Math. Comp. 22, 1968), with
-a gcd in place of his exact division.  A row that is left is divided by
-the gcd of its entries.  Scaling a row by a nonzero constant keeps its span
-and its lead, so the pivot columns are those of the dividing elimination.
-Rational rows enter through ``clear_denominators``, which ``_echelon``
-applies to each input row and the Hilbert-Samuel count to each generator.
-The simplex of ``lp_feasible`` keeps int rows too: a pivot with lead
-p > 0 replaces each other row by p*row - w*pivot and divides it by its
-content.  Fractions are made only by ``sparse_rref``, which divides each
-pivot row by its int lead as ``Fraction(1) / lead``, and by the
-back-substitution and ``reduce_against`` on those reduced rows.  ``rref``,
-``nullspace`` and ``solve`` keep their dense interface (lists of rows of
-ints and Fractions, with Fraction results).  The reduced form is unique,
-so it does not depend on the order of the input rows.
+``eliminate`` reduces an int row on its smallest key, fraction-free: a
+step (``_cancel``) replaces the row by (p/g)*row - (w/g)*pivot, with p the
+pivot's lead, w the row's entry there and g = gcd(p, w), as in Bareiss
+(Math. Comp. 22, 1968) with a gcd in place of his exact division, and a
+row that is left is divided by the gcd of its entries.  Scaling a row
+keeps its span and its lead, so the pivot columns are those of the
+dividing elimination.  ``_echelon`` clears the denominators of each input
+row and keeps each row that does not reduce to zero as the pivot row of
+its smallest column: ``sparse_rank`` reads its pivots, and ``_reduced``
+back-substitutes with the same step.  Fractions are made only for the
+entries that ``sparse_rref`` and ``nullspace`` return, each an int over
+its row's lead, and by ``reduce_against`` on such rows; ``rref`` and
+``solve`` read ``sparse_rref``.  The reduced form is unique, so it does
+not depend on the order of the input rows.  The simplex of
+``lp_feasible`` keeps int rows too: a pivot with lead p > 0 replaces each
+other row by p*row - w*pivot over its content.  ``cone`` eliminates rows
+of its own: monomials packed into ints (Hilbert-Samuel) and tagged
+derivative rows (the directrix).
 """
 
 from __future__ import annotations
@@ -35,6 +29,7 @@ from math import gcd, lcm
 
 Row = list[Fraction]
 SparseRow = dict[int, int | Fraction]
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def clear_denominators(row: dict) -> dict:
@@ -61,6 +56,18 @@ def _divide_by_content(work: SparseRow) -> None:
             work[k] //= content
 
 
+def _cancel(work: SparseRow, c: int, pivot: SparseRow) -> None:
+    """Clear column c of the int row ``work`` by the int row ``pivot``."""
+    p, w = pivot[c], work[c]
+    factor, rest = divmod(w, p)
+    if rest:
+        g = gcd(p, w)
+        for k in work:
+            work[k] *= p // g
+        factor = w // g
+    _subtract(work, factor, pivot)
+
+
 def eliminate(work: dict, pivot_of):
     """Reduce the int row ``work`` in place on its smallest key against
     ``pivot_of(key)``, an int pivot row whose smallest key is that key (or
@@ -74,14 +81,7 @@ def eliminate(work: dict, pivot_of):
         if pivot is None:
             _divide_by_content(work)
             return c
-        p, w = pivot[c], work[c]
-        factor, rest = divmod(w, p)
-        if rest:
-            g = gcd(p, w)
-            for k in work:
-                work[k] *= p // g
-            factor = w // g
-        _subtract(work, factor, pivot)
+        _cancel(work, c, pivot)
     return None
 
 
@@ -106,22 +106,26 @@ def sparse_rank(rows: list[SparseRow]) -> list[int]:
     return sorted(_echelon(rows))
 
 
+def _reduced(rows: list[SparseRow]) -> tuple[dict[int, SparseRow], list[int]]:
+    """Pivot column -> int row of the reduced form times its lead, and the
+    pivot columns; the rows already cleared vanish on the other pivots."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    for pc in reversed(pivots):
+        row = echelon[pc]
+        for qc in [c for c in row if c > pc and c in echelon]:
+            _cancel(row, qc, echelon[qc])
+        _divide_by_content(row)
+    return echelon, pivots
+
+
 def sparse_rref(rows: list[SparseRow]) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form of sparse rows (ints and Fractions) and its
     pivot columns, both ascending by pivot: each row has a leading 1 and no
     entry in another row's pivot column, and holds Fractions."""
-    echelon = _echelon(rows)
-    pivots = sorted(echelon)
-    reduced: dict[int, SparseRow] = {}
-    for pc in reversed(pivots):
-        row = echelon[pc]
-        # the rows already reduced vanish on every other pivot column, so
-        # clearing one of their columns from ``row`` leaves the rest alone
-        for qc in [c for c in row if c in reduced]:
-            _subtract(row, row[qc], reduced[qc])
-        inv = Fraction(1) / row[pc]
-        reduced[pc] = {c: v * inv for c, v in row.items()}
-    return [reduced[pc] for pc in pivots], pivots
+    reduced, pivots = _reduced(rows)
+    return [{c: Fraction(v, reduced[pc][pc]) for c, v in reduced[pc].items()}
+            for pc in pivots], pivots
 
 
 def rref(rows) -> tuple[list[Row], list[int]]:
@@ -130,19 +134,18 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     if not rows:
         return [], []
     red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
-    return [[row.get(c, Fraction(0)) for c in range(len(rows[0]))] for row in red], pivots
+    return [[row.get(c, ZERO) for c in range(len(rows[0]))] for row in red], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of the right nullspace, in a canonical (rref-derived) form."""
-    red, pivots = sparse_rref([dict(enumerate(row)) for row in rows])
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = _reduced([dict(enumerate(row)) for row in rows])
     basis: list[Row] = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row.get(fc, Fraction(0))
+    for fc in [c for c in range(ncols) if c not in reduced]:
+        vec = [ONE if c == fc else ZERO for c in range(ncols)]
+        for pc in pivots:
+            if fc in (row := reduced[pc]):
+                vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
@@ -170,9 +173,9 @@ def solve(rows, rhs) -> Row | None:
     red, pivots = sparse_rref([dict(enumerate([*row, bv])) for row, bv in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the constant column: inconsistent
-    sol = [Fraction(0)] * ncols
+    sol = [ZERO] * ncols
     for row, pc in zip(red, pivots):
-        sol[pc] = row.get(ncols, Fraction(0))
+        sol[pc] = row.get(ncols, ZERO)
     return sol
 
 

@@ -18,8 +18,8 @@ fraction.  The rule covers every stored exact rational, through
 off them (``polyhedra``), assigned multiplicities and chart numbers
 (``history``), and each nu and terminal (``invariant``).  The contact
 rewrite (``coeff``) stays integral, so the descent of integral input is.
-Only two intermediates that divide keep Fractions, as an int ``/`` would
-give a float: the reduced rows of ``linalg`` and the point set that
+Only two results that divide hold Fractions, as an int ``/`` would give a
+float: the reduced rows that ``linalg`` returns and the point set that
 ``polyhedra.projected_steps`` divides.
 
 Normalization happens once, where a polynomial is made from raw input: the
@@ -160,16 +160,16 @@ class Polynomial:
                     clean.pop(key, None)
                 else:
                     clean[key] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
 
     @classmethod
     def _wrap(cls, nvars: int, terms: dict[Exponents, int | Fraction]) -> "Polynomial":
         """A polynomial over ``terms`` as given, which must already satisfy
         the normalization invariant (see the module docstring)."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", terms)
+        poly = _new(cls)
+        _set_nvars(poly, nvars)
+        _set_terms(poly, terms)
         return poly
 
     def __setattr__(self, name, value):
@@ -279,6 +279,10 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {format_polynomial(self)!r})"
+
+
+# the slots' member descriptors set them past ``__setattr__``
+_new, _set_nvars, _set_terms = object.__new__, Polynomial.nvars.__set__, Polynomial.terms.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +543,7 @@ def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
 
 # a variable name: exactly what the tokenizer reads as one identifier
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
-_TOKEN = re.compile(rf"\s*({_NAME.pattern}|\d+|[()^*+-]|/)")
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|[0-9]+|[()^*+-]|/)")
 # the digit tokens that the parser reads inline, without ``_number``
 _SMALL_INTS = {str(i): i for i in range(100)}
 # the tokens after a factor that end its product; a digit ends it too

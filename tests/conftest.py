@@ -23,6 +23,13 @@ multinomial theorem.
 ``reference_chart_pair`` is the chart transform ``history.blowup_chart``
 had before it mapped exponents: it substitutes x_v -> x_chart*x_v and then
 divides each component by x_chart^b.
+``reference_sparse_rref`` is the ``linalg.sparse_rref`` that divided each
+pivot row by its lead and back-substituted in Fractions;
+``reference_rref``, ``reference_nullspace`` and ``reference_solve`` are the
+dense wrappers over it.  ``reference_directrix`` is ``cone.directrix`` as it
+was before one tagged elimination: a Fraction rref of each degree's slice
+of the ideal, the residues of every first derivative of every generator
+(``hasse_derivative``) modulo it, and two Fraction nullspaces.
 """
 
 from __future__ import annotations
@@ -39,9 +46,12 @@ from pathlib import Path
 import pytest
 
 from hironaka.cli import parse_problem
+from hironaka.cone import DirectrixBasis, _linear_form, _multiples, monomials_of_degree
 from hironaka.errors import InternalError, PreconditionError, ProblemParseError
+from hironaka.linalg import _echelon, _subtract, reduce_against
 from hironaka.poly import (
-    INF, Polynomial, _add_terms, _ints, _norm_exp, divide_by_variable_power, substitute,
+    INF, Polynomial, _add_terms, _ints, _norm_exp, divide_by_variable_power, hasse_derivative,
+    substitute,
 )
 from hironaka.pairs import Component, Pair
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
@@ -134,7 +144,7 @@ def coordinate_min(P: OrthantPolyhedron, positions):
 # ---------------------------------------------------------------------------
 # Reference polynomial parser: Polynomial arithmetic on every factor
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|\d+|[()^*+-]|/)")
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9']*|[0-9]+|[()^*+-]|/)")
 
 
 def _reference_int(tok: str) -> int:
@@ -340,6 +350,87 @@ def reference_chart_pair(E: Pair, center, chart: int) -> Pair:
                 raise InternalError("inexact exceptional division") from exc
         comps.append(Component(tuple(gens), comp.weight))
     return Pair(tuple(comps))
+
+
+# ---------------------------------------------------------------------------
+# Reference reduced forms and directrix: Fraction back-substitution
+
+
+def reference_sparse_rref(rows):
+    """``linalg.sparse_rref`` by Fraction back-substitution."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    reduced = {}
+    for pc in reversed(pivots):
+        row = echelon[pc]
+        for qc in [c for c in row if c in reduced]:
+            _subtract(row, row[qc], reduced[qc])
+        inv = Fraction(1) / row[pc]
+        reduced[pc] = {c: v * inv for c, v in row.items()}
+    return [reduced[pc] for pc in pivots], pivots
+
+
+def reference_rref(rows):
+    rows = list(rows)
+    if not rows:
+        return [], []
+    red, pivots = reference_sparse_rref([dict(enumerate(row)) for row in rows])
+    return [[row.get(c, Fraction(0)) for c in range(len(rows[0]))] for row in red], pivots
+
+
+def reference_nullspace(rows, ncols):
+    red, pivots = reference_sparse_rref([dict(enumerate(row)) for row in rows])
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row.get(fc, Fraction(0))
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(rows, rhs):
+    rows = list(rows)
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    red, pivots = reference_sparse_rref([dict(enumerate([*row, bv])) for row, bv in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        sol[pc] = row.get(ncols, Fraction(0))
+    return sol
+
+
+def reference_directrix(I) -> DirectrixBasis:
+    """``cone.directrix`` by residues of derivatives modulo Fraction pieces."""
+    if I.is_zero():
+        raise PreconditionError("directrix undefined")
+    n = I.nvars
+
+    @cache
+    def piece(d):
+        index = {m: i for i, m in enumerate(monomials_of_degree(n, d))}
+        rows = []
+        for g in I.generators:
+            rows += _multiples(g.terms, monomials_of_degree(n, d - sum(next(iter(g.terms)))), index)
+        return (index, *reference_sparse_rref(rows))
+
+    sys_rows = []
+    for g in I.generators:
+        index, red, pivots = piece(sum(next(iter(g.terms))) - 1)
+        residues = [
+            reduce_against(red, pivots, {index[e]: c for e, c in hasse_derivative(
+                g, tuple(1 if j == i else 0 for j in range(n))).terms.items()})
+            for i in range(n)
+        ]
+        for coord in sorted(set().union(*residues)):
+            sys_rows.append([residues[i].get(coord, 0) for i in range(n)])
+    directions = reference_nullspace(sys_rows, n)
+    forms = tuple(_linear_form(vec) for vec in reference_nullspace(directions, n))
+    return DirectrixBasis(forms, tuple(tuple(v) for v in directions))
 
 
 # ---------------------------------------------------------------------------

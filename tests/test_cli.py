@@ -73,6 +73,20 @@ def test_bad_fractional_exponents_are_parse_errors(tmp_path, capsys, gen, messag
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+def test_non_ascii_digits_are_parse_errors(capsys):
+    # int() reads Arabic-Indic digits, as it would read "x^3 + 2*y"
+    data = dict(A3_BLOWN_UP, pair={"components": [{"gens": ["x^\u0663 + \u0662*y"], "b": "2"}]})
+    assert cli.main([json.dumps(data), "hs"]) == 3
+    assert capsys.readouterr().err == "parse error: bad character in polynomial: '\u0663 + \u0662*y'\n"
+
+
+def test_an_impermissible_scripted_center_exits_2(capsys):
+    data = dict(A3_BLOWN_UP, script={"steps": [{"center": ["y"], "chart": "y"}]})
+    assert cli.main([json.dumps(data), "run-lsb"]) == 2
+    assert capsys.readouterr().err == (
+        "precondition failed: year 1: center not permissible (order along center below a weight)\n")
+
+
 def test_options_are_read(tmp_path, capsys):
     data = dict(A3_BLOWN_UP, options={"hs_cutoff": 3})
     assert call(tmp_path, data, "hs", "--format", "json") == 0

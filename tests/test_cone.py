@@ -2,6 +2,7 @@ import math
 import random
 import time
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -22,7 +23,13 @@ from hironaka.linalg import eliminate, rref, sparse_rank
 from hironaka.pairs import Component, Pair
 from hironaka.poly import Polynomial, ord_at_origin, parse_polynomial, substitute
 
-from conftest import corpus_problems, hs_hypersurface_oracle, hs_monomial_oracle, random_polynomial
+from conftest import (
+    corpus_problems,
+    hs_hypersurface_oracle,
+    hs_monomial_oracle,
+    random_polynomial,
+    reference_directrix,
+)
 
 NAMES = ["x", "y", "z", "w"]
 
@@ -314,6 +321,61 @@ def test_directrix_presentation_independence(rng):
         )
 
 
+def _typed(basis):
+    """The forms' terms in order and the directions, with each number's type."""
+    return ([[(e, c, type(c)) for e, c in f.terms.items()] for f in basis.forms],
+            [[(x, type(x)) for x in v] for v in basis.directions])
+
+
+def assert_directrix_matches_the_reference(I):
+    got, want = directrix(I), reference_directrix(I)
+    assert got == want and _typed(got) == _typed(want), I
+
+
+def random_homogeneous_ideal(rng):
+    """1-4 generators of degree 0-3 in 1-4 variables, some of them in fewer
+    variables (a larger directrix), with int and Fraction coefficients; a
+    generator may repeat an earlier one, and one of degree 0 makes the
+    unit ideal."""
+    n = rng.randint(1, 4)
+    used = rng.sample(range(n), rng.randint(1, n))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if gens and rng.random() < 0.15:
+            gens.append(rng.choice(gens))
+            continue
+        d = rng.choice([0, 1, 2, 2, 3, 3] if rng.random() < 0.15 else [1, 2, 2, 3, 3])
+        monomials = [m for m in monomials_of_degree(n, d) if all(m[i] == 0 for i in range(n) if i not in used)]
+        terms = {m: Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 2, 3]))
+                 for m in rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))}
+        gens.append(Polynomial(n, terms))
+    return HomIdeal(n, tuple(gens))
+
+
+def test_directrix_matches_the_reference_on_the_corpus():
+    ideals = [initial_ideal(problem.pair) for _, problem in corpus_problems()]
+    for I in directrix_corpus() + ideals:
+        assert_directrix_matches_the_reference(I)
+
+
+def test_directrix_matches_the_reference_on_random_ideals():
+    """The tagged elimination against residues of derivatives modulo
+    Fraction pieces: the same forms, directions and number types."""
+    rng = random.Random(4321)
+    seen = Counter()
+    for _ in range(450):
+        I = random_homogeneous_ideal(rng)
+        assert_directrix_matches_the_reference(I)
+        degrees = [sum(next(iter(g.terms))) for g in I.generators]
+        seen.update(f"degree {d}" for d in set(degrees))
+        seen[f"{I.nvars} variables"] += 1
+        seen["unit"] += 0 in degrees
+        seen["repeated"] += len(set(map(repr, I.generators))) < len(degrees)
+        seen["fraction"] += any(type(c) is Fraction for g in I.generators for c in g.terms.values())
+        seen[f"directrix of codimension {I.nvars - directrix(I).dim}"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 16, seen
+
+
 def test_degree_one_forms_inside_directrix_span(rng):
     # for singular pairs with integral weights, weight-1 components put their
     # generators' linear forms inside the directrix forms' span
@@ -480,7 +542,7 @@ def hs_dense_reference(generators, k_max):
     rows = []
     for g in generators:
         if not g.is_zero():
-            rows += cone._multiples(g, columns[:below(k_max - ord_at_origin(g))], index)
+            rows += cone._multiples(g.terms, columns[:below(k_max - ord_at_origin(g))], index)
     pivots = sparse_rank(rows)
     return [below(k) - bisect_left(pivots, below(k)) for k in range(1, k_max + 1)]
 

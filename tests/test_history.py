@@ -20,6 +20,7 @@ from hironaka.history import (
 )
 from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import INF, Polynomial, parse_polynomial
+from hironaka.polyhedra import pair_minimum
 
 from conftest import (
     corpus_problems,
@@ -190,10 +191,13 @@ def _terms(pair: Pair) -> str:
     return repr([list(g.terms.items()) for g in pair.all_generators()])
 
 
+NOT_PERMISSIBLE = "center not permissible (order along center below a weight)"
+
+
 def _outcome(transform, E, center, chart):
     try:
         return _terms(transform(E, center, chart))
-    except InternalError as exc:
+    except (InternalError, PreconditionError) as exc:
         return str(exc)
 
 
@@ -213,8 +217,8 @@ def test_the_exponent_map_is_substitution_then_division(monkeypatch):
     with Fraction weights and fractional exponents on a marked variable:
     the exponent map gives the pair of the route by substitution and exact
     division, in the same term order with the same number types, and the
-    same ChartReport; on an impermissible center both refuse the
-    division."""
+    same ChartReport.  On an impermissible center the map raises the
+    PreconditionError of ``blowup_chart``, where the division is inexact."""
     seen = Counter()
     for nvars in (2, 3, 4):
         names = tuple(NAMES4[:nvars])
@@ -230,11 +234,15 @@ def test_the_exponent_map_is_substitution_then_division(monkeypatch):
                 for center in combinations(range(nvars), k):
                     for chart in center:
                         got = _outcome(history._chart_pair, pair, list(center), chart)
-                        assert got == _outcome(reference_chart_pair, pair, list(center), chart)
+                        want = _outcome(reference_chart_pair, pair, list(center), chart)
                         if not is_permissible(st, center):
-                            assert got == "inexact exceptional division"
+                            assert (got, want) == (NOT_PERMISSIBLE, "inexact exceptional division")
+                            with pytest.raises(PreconditionError) as exc:
+                                blowup_chart(st, center, chart, year=1)
+                            assert str(exc.value) == NOT_PERMISSIBLE
                             seen["refused"] += 1
                             continue
+                        assert got == want
                         report = blowup_chart(st, center, chart, year=1)
                         with monkeypatch.context() as m:
                             m.setattr(history, "_chart_pair", reference_chart_pair)
@@ -390,6 +398,19 @@ def test_impermissible_step_names_year():
     with pytest.raises(PreconditionError) as exc:
         run_lsb(state("y^2 - x^3", 2), [(["y"], "y")])
     assert str(exc.value) == "year 1: center not permissible (order along center below a weight)"
+
+
+def test_a_center_below_the_weight_is_refused_by_the_chart_map(monkeypatch):
+    # y^2 - x^3 along V(y): the term x^3 has center sum 0 < b = 2; the
+    # refusal comes from the map, with no separate pass over the minima
+    calls = []
+    monkeypatch.setattr(history, "pair_minimum",
+                        lambda *args: calls.append(args) or pair_minimum(*args))
+    with pytest.raises(PreconditionError) as exc:
+        blowup_chart(state("y^2 - x^3", 2), [1], 1)
+    assert str(exc.value) == NOT_PERMISSIBLE
+    assert calls == []
+    assert not is_permissible(state("y^2 - x^3", 2), [1])
 
 
 def test_second_step_permissibility_checked():

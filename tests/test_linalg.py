@@ -26,7 +26,13 @@ from hironaka.linalg import (
     sparse_rref,
 )
 
-from conftest import basic_solution_oracle
+from conftest import (
+    basic_solution_oracle,
+    reference_nullspace,
+    reference_rref,
+    reference_solve,
+    reference_sparse_rref,
+)
 
 
 def dense_rref(rows):
@@ -169,6 +175,45 @@ def test_dense_wrappers_turn_int_rows_into_fractions():
         assert times(rows, vec) == [0, 0, 0]
     entries = [v for row in red for v in row] + x + [v for vec in basis for v in vec]
     assert entries and all(type(v) is Fraction for v in entries)
+
+
+def all_fractions(rows) -> bool:
+    """Every entry of the dense or sparse rows is a Fraction."""
+    return all(type(x) is Fraction
+               for row in rows for x in (row.values() if isinstance(row, dict) else row))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reduced_forms_match_the_fraction_reference(kind):
+    """rref, sparse_rref, nullspace and solve, which back-substitute in
+    ints, give the Fractions of the reference that back-substitutes in
+    Fractions: on int and Fraction matrices, with right-hand sides in the
+    column space and arbitrary ones, which are often inconsistent."""
+    seen = Counter()
+    for seed in range(25):
+        rng = random.Random(7000 + seed)
+        rows = random_matrix(rng, kind)
+        if seed % 2:
+            rows = [[int(12 * x) for x in row] for row in rows]  # denominators divide 12
+        ncols = len(rows[0])
+        sparse = [dict(enumerate(row)) for row in rows]
+        got = rref(rows)
+        assert got == reference_rref(rows) and all_fractions(got[0])
+        got = sparse_rref(sparse)
+        assert got == reference_sparse_rref(sparse) and all_fractions(got[0])
+        got = nullspace(rows, ncols)
+        assert got == reference_nullspace(rows, ncols) and all_fractions(got)
+        reachable = times(rows, [random_entry(rng, 1.0) for _ in range(ncols)])
+        for rhs in (reachable, [random_entry(rng, 1.0) for _ in rows]):
+            x = solve(rows, rhs)
+            assert x == reference_solve(rows, rhs)
+            assert x is None or all(type(v) is Fraction for v in x)
+            seen["inconsistent" if x is None else "solved"] += 1
+        seen["int" if seed % 2 else "fraction"] += 1
+        seen["rank-deficient"] += len(rref(rows)[1]) < min(len(rows), ncols)
+    assert seen["solved"] >= 25 and seen["int"] >= 12 and seen["fraction"] >= 12, seen
+    if kind in ("zero-rows", "duplicates", "deficient"):
+        assert seen["rank-deficient"] == 25 and seen["inconsistent"] >= 5, seen
 
 
 def dividing_echelon(rows):

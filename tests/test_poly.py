@@ -604,6 +604,8 @@ PARSE_ERRORS = [
     ("x/y", ProblemParseError, "division only by nonzero constants"),
     ("x/0", ProblemParseError, "division only by nonzero constants"),
     ("2.5*x", ProblemParseError, "bad character in polynomial: '.5*x'"),
+    # a number is ASCII digits: int() would read these Arabic-Indic ones
+    ("x^\u0663 + \u0662*y", ProblemParseError, "bad character in polynomial: '\u0663 + \u0662*y'"),
     ("x^(1/2)", ProblemParseError, "fractional exponent on non-exceptional variable 'x'"),
     ("(x+y)^(1/2)", ProblemParseError, "fractional exponent on a compound expression"),
     ("w", ProblemParseError, "undeclared variable 'w'"),
