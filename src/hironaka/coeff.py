@@ -44,12 +44,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
+from operator import itemgetter, mul
 
 from .cone import directrix, initial_ideal
 from .errors import DirectrixNotSpanned, InternalError, PreconditionError
 from .frames import Frame
 from .linalg import solve
-from .pairs import Component, Pair, is_singular_at_origin, pair_order
+from .pairs import Component, Pair, pair_order
 from .poly import (
     Polynomial,
     _ints,
@@ -57,7 +58,6 @@ from .poly import (
     hasse_derivative,
     initial_form,
     ord_at_origin,
-    split_by_variables,
     substitute,
 )
 from .polyhedra import OrthantPolyhedron, delta, polyhedron_of_pair
@@ -70,28 +70,43 @@ def coefficient_pair(E: Pair, frame: Frame) -> Pair:
     with weight b - l.  The result keeps the frame's variables, with
     exponent 0 on the y-part: along the descent, the consumed contacts.
 
-    Exceptional-marked y-variables may carry fractional exponents; the
-    grouping is then by the exact rational level.
+    One pass per generator reads each term's y-exponents B once.  A term at
+    a level |B| >= b is dropped before anything is built for it, but every
+    B is checked: only exceptional-marked y-variables may carry fractional
+    exponents, and the grouping is then by the exact rational level.  A
+    level takes its coefficients generator by generator, in sorted B order.
     """
     zs = sorted(frame.y_indices)
     marked = frame.marked_indices()
-    for comp in E.components:
-        for g in comp.gens:
-            for i in zs:
-                if i not in marked and g.has_fractional_exponent(i):
-                    raise PreconditionError(
-                        "coefficient expansion needs integer exponents on the z-variables"
-                    )
+    strict = [k for k, i in enumerate(zs) if i not in marked]  # int-only positions of B
+    # B by one C call, a tuple also for one y-variable or none, by a slice
+    pick = itemgetter(*zs) if len(zs) > 1 else itemgetter(slice(zs[0], zs[0] + 1) if zs else slice(0))
     out: list[Component] = []
     for comp in E.components:
+        b, n = comp.weight, comp.nvars
+        mask = [int(i not in zs) for i in range(n)]
         levels: dict = {}  # level |B|, an int or a Fraction -> coefficients
         for g in comp.gens:
-            for B, coeff in sorted(split_by_variables(g, zs).items()):
-                l = sum(B)
-                if l < comp.weight and not coeff.is_zero():
-                    levels.setdefault(l, []).append(coeff)
-        for l in sorted(levels):
-            out.append(Component(tuple(levels[l]), comp.weight - l))
+            groups: dict = {}  # B -> its terms, or None at a level >= b
+            for exps, c in g.terms.items():
+                key = pick(exps)
+                kept = groups.get(key, groups)
+                if kept is groups:  # the first term with this B
+                    level = sum(key)  # an int exactly when every entry is
+                    if type(level) is not int and any(type(key[k]) is Fraction for k in strict):
+                        raise PreconditionError(
+                            "coefficient expansion needs integer exponents on the z-variables")
+                    kept = groups[key] = {} if level < b else None
+                if kept is not None:
+                    kept[exps] = c
+            for key in sorted(groups):
+                if (kept := groups[key]) is not None:
+                    level = sum(key)
+                    if level:  # y-part to 0; no two terms meet, but 0 * a Fraction is no int
+                        kept = {tuple(map(mul, e, mask)): c for e, c in kept.items()}
+                    levels.setdefault(level, []).append(
+                        Polynomial._wrap(n, kept) if type(level) is int else Polynomial(n, kept))
+        out.extend(Component(tuple(levels[l]), b - l) for l in sorted(levels))
     return Pair(tuple(out))
 
 
@@ -246,9 +261,10 @@ def _cleared(g: Polynomial, assignment, L) -> Polynomial:
     mapped variables, by one ``substitute`` of g with each term pre-scaled
     by L^(D - its degree).  A fractional exponent on a mapped variable goes
     to ``substitute`` unscaled, which refuses it for L != 1."""
-    if L == 1 or any(g.has_fractional_exponent(i) for i in assignment):
+    # one pass: a degree is an int exactly when its exponents are
+    degree = L != 1 and [sum([e[i] for i in assignment]) for e in g.terms]
+    if not degree or Fraction in set(map(type, degree)):
         return substitute(g, assignment)
-    degree = [sum(e[i] for i in assignment) for e in g.terms]
     top = max(degree)
     return substitute(Polynomial._wrap(g.nvars, _ints({
         e: c * L ** (top - d) for (e, c), d in zip(g.terms.items(), degree)})), assignment)
@@ -279,7 +295,8 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     otherwise w is built for the exact check of ``_clearing_tail``.  After
     12 failed directions the input is rejected.
     """
-    if not is_singular_at_origin(E):
+    orders = [list(map(ord_at_origin, comp.gens)) for comp in E.components]  # read once
+    if any(min(o) < comp.weight for o, comp in zip(orders, E.components)):
         raise PreconditionError("point not in Sing")
     n = E.nvars
 
@@ -292,16 +309,9 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
     # choose the witness generator: first component with integral weight whose
     # ideal order equals the weight, first generator attaining it
-    chosen = None
-    for comp in E.components:
-        if comp.weight.denominator != 1:
-            continue
-        for g in comp.gens:
-            if ord_at_origin(g) == comp.weight and not g.has_fractional_exponent():
-                chosen = (g, int(comp.weight))
-                break
-        if chosen:
-            break
+    chosen = next(((g, int(comp.weight)) for comp, o in zip(E.components, orders)
+                   if comp.weight.denominator == 1 for g, order in zip(comp.gens, o)
+                   if order == comp.weight and not g.has_fractional_exponent()), None)
     if chosen is None:
         order = pair_order(E)
         if order > 1:
@@ -322,7 +332,7 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
         raise PreconditionError("no maximal contact witness")
 
     failed_screens = 0
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     # with R = 0 only the adjoined unit vectors can work: sweep them alone
     for vec in _direction_candidates(n, fixed if restricted else range(n), units):
         lead = b * _evaluate(top, vec)
@@ -378,6 +388,10 @@ def _substitute_pair(E: Pair, assignment, L=1) -> Pair:
 # Most translations y -> y + c*u^v one preparation makes; a polyhedron still
 # unprepared after them gives ``delta_invariant`` only a lower bound.
 MAX_PREP_ITERS = 32
+# Most term products one translation may form, counted before it is made: a
+# term expands to prod (e_j + 1) terms, e_j its exponents on the translated
+# y_j.  32 translations at it form about ``poly.MAX_PRODUCT_TERMS`` products.
+MAX_PREP_PRODUCTS = 30_000
 
 
 class PrepareResult(Record):
@@ -461,16 +475,16 @@ def _solve_vertex(pair: Pair, frame: Frame, P: OrthantPolyhedron):
         lam = solve(*system)
         if lam is None or all(x == 0 for x in lam):
             continue
-        n = pair.nvars
-        mono_exps = [0] * n
-        for pos, i in enumerate(frame.u_indices):
-            mono_exps[i] = vertex[pos]
-        assignment = {
-            yi: Polynomial.variable(n, yi)
-            + Polynomial.monomial(n, tuple(mono_exps), lam[j])
-            for j, yi in enumerate(frame.y_indices)
-            if lam[j] != 0
-        }
+        n, at = pair.nvars, dict(zip(frame.u_indices, vertex))
+        mono = tuple(at.get(i, 0) for i in range(n))
+        assignment = {yi: Polynomial.variable(n, yi) + Polynomial.monomial(n, mono, lam[j])
+                      for j, yi in enumerate(frame.y_indices) if lam[j] != 0}
+        work = sum(math.prod([e[i] + 1 for i in assignment])
+                   for g in pair.all_generators() for e in g.terms)
+        if work > MAX_PREP_PRODUCTS:
+            raise PreconditionError(
+                f"the translation at vertex ({', '.join(map(format_rational, vertex))}) "
+                f"would form {work} term products, past the limit of {MAX_PREP_PRODUCTS}")
         candidate = _substitute_pair(pair, assignment)
         P2 = polyhedron_of_pair(candidate, frame)
         if vertex in P2.vertices:

@@ -36,8 +36,8 @@ from .errors import InternalError, PreconditionError
 from .frames import Frame
 from .history import PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
-from .poly import INF, Polynomial, _coeff, divide_by_variable_power, format_polynomial, substitute
-from .polyhedra import pair_minimum, projected_steps
+from .poly import INF, Polynomial, _coeff, divide_by_monomial, format_polynomial, substitute
+from .polyhedra import projected_steps
 from .cone import hilbert_samuel_truncated
 from .record import Record
 
@@ -95,39 +95,52 @@ class StepResult(Record):
 
 
 def _exceptional_monomial(n: int, mus) -> Polynomial:
-    exps = [0] * n
-    for idx, mu in mus:
-        exps[idx] += mu
-    return Polynomial.monomial(n, tuple(exps))
+    at = dict(mus)
+    return Polynomial.monomial(n, [at.get(i, 0) for i in range(n)])
 
 
-def divisor_multiplicities(H: Pair, tracked):
-    """mu_H = min over components of (multiplicity along H) / weight, for
-    each tracked divisor variable (all in the u-part) of a nonempty H: the
-    least coordinate of the variable over the points exps/b
-    (``pair_minimum``, no y-part), as (index, mu_H) pairs."""
-    return tuple((idx, pair_minimum(H, (), (idx,))) for idx in tracked)
+def step_minima(H: Pair, coords, tracked):
+    """mu, the least coordinate sum of ``coords`` (variable indices) over
+    the points exps/b of a coefficient pair H (no y-part), INF when H is
+    empty, and mu_H, the least coordinate of each tracked divisor variable
+    (all in the u-part), as (index, mu_H) pairs: ``pair_minimum``'s values,
+    by one walk over H.  The quotients are compared by cross-multiplication."""
+    if H.is_empty():
+        return INF, ()
+    best = [(INF, 1)] * (len(tracked) + 1)  # num/den with den > 0, mu first
+    for comp in H.components:
+        b, lows = comp.weight, [INF] * len(best)  # the component's least, not yet over b
+        for g in comp.gens:
+            for exps in g.terms:
+                s = sum(map(exps.__getitem__, coords))
+                if s < lows[0]:
+                    lows[0] = s
+                for k, i in enumerate(tracked, 1):
+                    if exps[i] < lows[k]:
+                        lows[k] = exps[i]
+        best = [(s, b) if s * den < num * b else (num, den) for s, (num, den) in zip(lows, best)]
+    mu, *mus = (_coeff(Fraction(num, den)) for num, den in best)
+    return mu, tuple(zip(tracked, mus))
 
 
 def companion_pair(H: Pair, mus, nu) -> Pair:
-    """Factor the exceptional monomial D out of every generator, reweight by
-    nu, and adjoin (D, 1 - nu) exactly when nu < 1.  ``mus`` is
-    ``divisor_multiplicities`` of H: (variable index, mu_H) pairs."""
+    """Factor the exceptional monomial D out of every generator, in one
+    pass over its terms, reweight by nu, and adjoin (D, 1 - nu) exactly
+    when nu < 1.  ``mus`` is ``step_minima``'s (variable index, mu_H) pairs
+    of H."""
     if nu == INF or nu == 0:
         raise PreconditionError("terminal case, no companion pair")
     factors = [(idx, mu) for idx, mu in mus if mu != 0]
     comps: list[Component] = []
     for comp in H.components:
-        gens = []
-        for g in comp.gens:
-            reduced = g
-            for idx, mu in factors:
-                try:
-                    reduced = divide_by_variable_power(reduced, idx, mu * comp.weight)
-                except ValueError as exc:
-                    raise InternalError("inexact exceptional factoring") from exc
-            gens.append(reduced)
-        comps.append(Component(tuple(gens), comp.weight * nu))
+        gens = comp.gens
+        if factors:
+            powers = [(idx, mu * comp.weight) for idx, mu in factors]
+            try:
+                gens = tuple([divide_by_monomial(g, powers) for g in gens])
+            except ValueError as exc:
+                raise InternalError("inexact exceptional factoring") from exc
+        comps.append(Component(gens, comp.weight * nu))
     result = Pair(tuple(comps))
     if nu < 1 and factors:
         D = _exceptional_monomial(H.nvars, mus)
@@ -141,17 +154,16 @@ def companion_pair(H: Pair, mus, nu) -> Pair:
 
 def invariant_step(state: PipelineState) -> StepResult:
     """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion pair.
-    mu and each mu_H are ``pair_minimum`` of the coefficient pair along the
-    contact.  Adjoined divisors get the int weight 1, and on integral input
-    every pair of the step has int coefficients."""
+    mu and each mu_H are read off the coefficient pair along the contact
+    (``step_minima``).  Adjoined divisors get the int weight 1, and on
+    integral input every pair of the step has int coefficients."""
     mc = find_maximal_contact(state.pair, state.frame, state.pending)
     y, frame = mc.contact_index, mc.frame
     if y in state.tracked:
         raise InternalError("tracked divisor variable was consumed")
     H = coefficient_pair(mc.pair, frame)
 
-    mu = pair_minimum(H, (), frame.u_indices)
-    mus = divisor_multiplicities(H, state.tracked) if not H.is_empty() else ()
+    mu, mus = step_minima(H, frame.u_indices, state.tracked)
     nu = mu if mu == INF else _coeff(mu - sum(m for _, m in mus))
     if nu == INF or nu == 0:
         return StepResult(nu, y, mc.change, mus, None)

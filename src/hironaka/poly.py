@@ -29,10 +29,10 @@ so do ``constant``, ``monomial``, ``scale`` and the parser, which builds
 each term in normal form.  Everything else builds its result through
 ``Polynomial._wrap``, which trusts the term dict as given: ``zero``,
 ``variable``, sums, negations, products of int exponents,
-``initial_form`` and ``split_by_variables`` (subsets of normalized terms,
-in the latter with the z-exponents set to the int 0), ``hasse_derivative``
+``initial_form`` (a subset of normalized terms), ``hasse_derivative``
 (no two terms meet and none cancels), ``substitute`` when no exponent is
-fractional, and ``divide_by_variable_power``.  Zero
+fractional, and ``divide_by_monomial``; so do the coefficient pairs
+(``coeff``) and the companion pairs (``invariant``).  Zero
 coefficients are dropped where they arise.  int*int and int+int are ints,
 so only a Fraction result can need renormalizing, when its denominator is
 1: sums check each coefficient that two terms add into, and products,
@@ -40,8 +40,8 @@ scalings, derivatives and substitutions check their term dict once
 (``_ints``).  A product with a fractional exponent goes back through the
 normalizing constructor, because x^(1/2)*x^(1/2) must store its exponent as
 the int 1, and so does a substitution in which f or a substituted
-polynomial has a fractional exponent; ``divide_by_variable_power``
-normalizes the one exponent it changes.
+polynomial has a fractional exponent; ``divide_by_monomial``
+normalizes each exponent it changes.
 
 The parser (``parse_polynomial``) walks the tokens of the text once, by
 index: a product of numbers and variable powers goes straight into one
@@ -291,9 +291,7 @@ _new, _set_nvars, _set_terms = object.__new__, Polynomial.nvars.__set__, Polynom
 
 def ord_at_origin(f: Polynomial):
     """Minimal total degree among the terms of f; INF for the zero polynomial."""
-    if f.is_zero():
-        return INF
-    return min(sum(exps) for exps in f.terms)
+    return min(map(sum, f.terms)) if f.terms else INF
 
 
 def initial_form(f: Polynomial, b) -> Polynomial:
@@ -509,33 +507,18 @@ def _powers(step: tuple, c: int, top: int) -> list:
     return out
 
 
-def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
-    """Exact division by a single variable power; raises if not exact."""
-    p = _norm_exp(power)
+def divide_by_monomial(f: Polynomial, powers) -> Polynomial:
+    """Exact division by the monomial of the (index, power) pairs ``powers``,
+    in one pass over the terms; a ValueError if not exact."""
+    cuts = [(i, _norm_exp(p)) for i, p in powers]
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
-        e = exps[index] - p
-        if e < 0:
-            raise ValueError("inexact monomial division")
-        out[exps[:index] + (_norm_exp(e),) + exps[index + 1:]] = c
+        for i, p in cuts:
+            if exps[i] < p:
+                raise ValueError("inexact monomial division")
+            exps = exps[:i] + (_norm_exp(exps[i] - p),) + exps[i + 1:]
+        out[exps] = c
     return Polynomial._wrap(f.nvars, out)
-
-
-def split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
-    """Group terms of f by their exponents on the z-variables.
-
-    Returns a map from the z-exponent tuple B (in z_indices order) to the
-    coefficient polynomial in f's variables: the terms with those
-    exponents, their z-exponents set to 0.
-    """
-    zs = list(z_indices)
-    keep = [i not in zs for i in range(f.nvars)]
-    out: dict[tuple, dict[Exponents, int | Fraction]] = {}
-    for exps, c in f.terms.items():
-        rest = tuple(e if k else 0 for e, k in zip(exps, keep))
-        # terms with equal z-exponents differ in the rest: no two meet
-        out.setdefault(tuple(exps[i] for i in zs), {})[rest] = c
-    return {b: Polynomial._wrap(f.nvars, terms) for b, terms in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -617,31 +600,16 @@ def format_polynomial(f: Polynomial, names: list[str] | None = None) -> str:
         names = [f"x{i}" for i in range(f.nvars)]
     if f.is_zero():
         return "0"
-    parts: list[str] = []
+    text = ""
     for exps, coeff in f.sorted_terms():
-        factors: list[str] = []
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            if e == 1:
-                factors.append(names[i])
-            elif isinstance(e, int):
-                factors.append(f"{names[i]}^{format_rational(e)}")
-            else:
-                factors.append(f"{names[i]}^({format_rational(e)})")
+        factors = [names[i] if e == 1 else f"{names[i]}^{format_rational(e)}"
+                   if isinstance(e, int) else f"{names[i]}^({format_rational(e)})"
+                   for i, e in enumerate(exps) if e != 0]
         mag = abs(coeff)
-        if not factors:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(mag)] + factors)
-        sign = "-" if coeff < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
+        if mag != 1 or not factors:
+            factors.insert(0, format_rational(mag))
+        text += (" - " if coeff < 0 else " + ") if text else ("-" if coeff < 0 else "")
+        text += "*".join(factors)
     return text
 
 

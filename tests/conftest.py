@@ -30,6 +30,15 @@ dense wrappers over it.  ``reference_directrix`` is ``cone.directrix`` as it
 was before one tagged elimination: a Fraction rref of each degree's slice
 of the ideal, the residues of every first derivative of every generator
 (``hasse_derivative``) modulo it, and two Fraction nullspaces.
+``reference_coefficient_pair`` is ``coeff.coefficient_pair`` as it was
+before its one pass per generator: a type scan of every generator for each
+unmarked y-variable, then ``reference_split_by_variables`` (the removed
+``poly.split_by_variables``) of every generator, the levels >= b dropped
+after the split.  ``reference_companion_pair`` is
+``invariant.companion_pair`` as it was before it divided by the whole
+exceptional monomial at once: one ``divide_by_variable_power`` per divisor,
+the exact division by one variable power that ``poly`` had before
+``divide_by_monomial``.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from hironaka.cone import DirectrixBasis, _linear_form, _multiples, monomials_of
 from hironaka.errors import InternalError, PreconditionError, ProblemParseError
 from hironaka.linalg import _echelon, _subtract, reduce_against
 from hironaka.poly import (
-    INF, Polynomial, _add_terms, _ints, _norm_exp, divide_by_variable_power, hasse_derivative,
+    INF, Polynomial, _add_terms, _ints, _norm_exp, hasse_derivative,
     substitute,
 )
 from hironaka.pairs import Component, Pair
@@ -333,6 +342,89 @@ def reference_substitute(f: Polynomial, assignment) -> Polynomial:
                 term = term * power(i, exps[i])
         _add_terms(out, term.terms.items())
     return Polynomial._wrap(n, out)
+
+
+def reference_split_by_variables(f: Polynomial, z_indices) -> dict[tuple, Polynomial]:
+    """Group terms of f by their exponents on the z-variables.
+
+    Returns a map from the z-exponent tuple B (in z_indices order) to the
+    coefficient polynomial in f's variables: the terms with those
+    exponents, their z-exponents set to 0.
+    """
+    zs = list(z_indices)
+    keep = [i not in zs for i in range(f.nvars)]
+    out: dict[tuple, dict] = {}
+    for exps, c in f.terms.items():
+        rest = tuple(e if k else 0 for e, k in zip(exps, keep))
+        # terms with equal z-exponents differ in the rest: no two meet
+        out.setdefault(tuple(exps[i] for i in zs), {})[rest] = c
+    return {b: Polynomial._wrap(f.nvars, terms) for b, terms in out.items()}
+
+
+def reference_coefficient_pair(E: Pair, frame) -> Pair:
+    """``coeff.coefficient_pair`` by a fractional-exponent scan and a split
+    of each whole generator, with the same components, generator order,
+    number types and errors."""
+    zs = sorted(frame.y_indices)
+    marked = frame.marked_indices()
+    for comp in E.components:
+        for g in comp.gens:
+            for i in zs:
+                if i not in marked and g.has_fractional_exponent(i):
+                    raise PreconditionError(
+                        "coefficient expansion needs integer exponents on the z-variables"
+                    )
+    out: list[Component] = []
+    for comp in E.components:
+        levels: dict = {}  # level |B|, an int or a Fraction -> coefficients
+        for g in comp.gens:
+            for B, coeff in sorted(reference_split_by_variables(g, zs).items()):
+                l = sum(B)
+                if l < comp.weight and not coeff.is_zero():
+                    levels.setdefault(l, []).append(coeff)
+        for l in sorted(levels):
+            out.append(Component(tuple(levels[l]), comp.weight - l))
+    return Pair(tuple(out))
+
+
+def divide_by_variable_power(f: Polynomial, index: int, power) -> Polynomial:
+    """Exact division by a single variable power; raises if not exact."""
+    p = _norm_exp(power)
+    out: dict = {}
+    for exps, c in f.terms.items():
+        e = exps[index] - p
+        if e < 0:
+            raise ValueError("inexact monomial division")
+        out[exps[:index] + (_norm_exp(e),) + exps[index + 1:]] = c
+    return Polynomial._wrap(f.nvars, out)
+
+
+def reference_companion_pair(H: Pair, mus, nu) -> Pair:
+    """``invariant.companion_pair`` by one exact division per divisor, with
+    the same components, term order, number types and errors."""
+    if nu == INF or nu == 0:
+        raise PreconditionError("terminal case, no companion pair")
+    factors = [(idx, mu) for idx, mu in mus if mu != 0]
+    comps: list[Component] = []
+    for comp in H.components:
+        gens = []
+        for g in comp.gens:
+            reduced = g
+            for idx, mu in factors:
+                try:
+                    reduced = divide_by_variable_power(reduced, idx, mu * comp.weight)
+                except ValueError as exc:
+                    raise InternalError("inexact exceptional factoring") from exc
+            gens.append(reduced)
+        comps.append(Component(tuple(gens), comp.weight * nu))
+    result = Pair(tuple(comps))
+    if nu < 1 and factors:
+        exps = [0] * H.nvars
+        for idx, mu in mus:
+            exps[idx] += mu
+        D = Polynomial.monomial(H.nvars, tuple(exps))
+        result = Pair(result.components + (Component((D,), 1 - nu),))
+    return result
 
 
 def reference_chart_pair(E: Pair, center, chart: int) -> Pair:

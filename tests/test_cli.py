@@ -368,6 +368,31 @@ def test_delta_of_an_unprepared_polyhedron_is_refused(tmp_path, capsys, monkeypa
     assert "vertex (2) is still solvable after 0 preparation steps" in capsys.readouterr().err
 
 
+# a preparation whose translations grow the pair: by the 28th the pair holds
+# about 203k terms, and each of nu, char-poly and delta ran past 20 s
+GROWING_PREPARATION = {
+    "options": {"hs_cutoff": 4},
+    "pair": {"components": [
+        {"b": "1", "gens": ["(-3*x0*x1*x2)^2", "(-3*x0*x1*x2)^2"]},
+        {"b": "1", "gens": [
+            "2*x2 + x2^27*x3 + -0*x1^2*x2 + -1*x0*x2^2 + 2*x0*x1*x2 + x0^5*x0^4*x3^3",
+            "-2*x3 + 24*x2 + -2*x2*x3 + x0^2*x1 + x0^3*x3^3*x3^4",
+        ]},
+    ]},
+    "u": ["x0", "x1"],
+    "variables": ["x0", "x1", "x2", "x3"],
+    "y": ["x2", "x3"],
+}
+
+
+@pytest.mark.parametrize("command", ["nu", "char-poly", "delta"])
+def test_a_growing_preparation_is_refused_by_its_work(tmp_path, capsys, command):
+    assert call(tmp_path, GROWING_PREPARATION, command) == 2
+    assert capsys.readouterr().err == (
+        "precondition failed: the translation at vertex (18, 6) would form 50911 term "
+        f"products, past the limit of {coeff.MAX_PREP_PRODUCTS}\n")
+
+
 def test_a_refusal_solves_the_vertex_system_once(tmp_path, capsys, monkeypatch):
     # the solvable vertex travels in PrepareResult; the refusal does not
     # solve the system again to name it

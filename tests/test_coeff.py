@@ -32,7 +32,10 @@ from hironaka.poly import (
 )
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
-from conftest import corpus_problems, random_polynomial, random_singular_pair, subset_of
+from conftest import (
+    corpus_problems, random_polynomial, random_singular_pair, reference_coefficient_pair,
+    scale_exponents, subset_of,
+)
 
 NAMES2 = ["x", "y"]
 NAMES4 = ["x", "y", "z", "t"]
@@ -95,6 +98,69 @@ def test_coefficient_pair_fractional_level_on_marked_variable():
     C = coefficient_pair(E, frame)
     # the monomial sits exactly at its weight: nothing survives from it
     assert [comp.gens for comp in C.components] == [(p("y"),)]
+
+
+def _pair_outcome(kernel, E, frame):
+    """The components of ``kernel(E, frame)`` with their weights, generator
+    order and the types of every number, or the PreconditionError's
+    message."""
+    try:
+        return [(repr(comp.weight), [repr(list(g.terms.items())) for g in comp.gens])
+                for comp in kernel(E, frame).components]
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_every_corpus_coefficient_pair_matches_the_reference(monkeypatch):
+    """Every pair that the corpora's ``invariant`` and ``coeff`` runs pass
+    to ``coefficient_pair``, rerun through the split-based reference: the
+    same components, generator order and number types, or the same
+    error."""
+    from hironaka import cli, invariant
+
+    calls = []
+
+    def recording(E, frame):
+        calls.append((E, frame))
+        return coefficient_pair(E, frame)
+
+    for module in (cli, invariant):
+        monkeypatch.setattr(module, "coefficient_pair", recording)
+    for _, problem in corpus_problems():
+        for command in ("invariant", "coeff"):
+            try:
+                cli.run(problem, command)
+            except PreconditionError:
+                pass
+    monkeypatch.undo()
+    assert len(calls) > 250
+    for E, frame in calls:
+        assert (_pair_outcome(coefficient_pair, E, frame)
+                == _pair_outcome(reference_coefficient_pair, E, frame))
+
+
+def test_random_coefficient_pair_matches_the_reference():
+    """Random singular pairs, one variable's exponents scaled by a
+    non-integral q, on a random y-part: the scaled variable a marked y, an
+    unmarked y (refused when a fractional exponent is left) or a u."""
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        ys = rng.sample(range(n), rng.randint(1, n - 1))
+        j = rng.choice(ys) if seed % 3 else rng.choice([i for i in range(n) if i not in ys])
+        E = scale_exponents(random_singular_pair(rng, n, 3), j, Fraction(rng.choice((1, 3)), 2))
+        marks = (("E", j),) if seed % 3 == 1 else ()
+        frame = Frame(tuple(f"x{i}" for i in range(n)),
+                      tuple(i for i in range(n) if i not in ys), tuple(ys), marks)
+        got = _pair_outcome(coefficient_pair, E, frame)
+        assert got == _pair_outcome(reference_coefficient_pair, E, frame), seed
+        if isinstance(got, str):
+            seen["refused"] += 1
+        else:
+            seen["built"] += 1
+            seen["fractional level"] += any("Fraction" in weight for weight, _ in got)
+    assert min(seen.values()) >= 30, seen
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +680,31 @@ def test_prepare_identity_when_already_prepared():
     res = prepare_vertices(E, FRAME_XY)
     assert res.pair == E
     assert res.frame == FRAME_XY
+
+
+def test_the_preparation_bound_is_far_from_every_accepted_translation(monkeypatch, rng):
+    """The term products of every translation that vertex preparation tries
+    on the corpora and on random pairs, counted as ``_solve_vertex`` counts
+    them: each at least ten times below ``MAX_PREP_PRODUCTS``."""
+    works = []
+    substitute_pair = coeff._substitute_pair
+
+    def counted(E, assignment, *rest):
+        if not rest:  # a translation; a contact rewrite passes its L'
+            works.append(sum(math.prod(e[i] + 1 for i in assignment)
+                             for g in E.all_generators() for e in g.terms))
+        return substitute_pair(E, assignment, *rest)
+
+    monkeypatch.setattr(coeff, "_substitute_pair", counted)
+    frame = Frame(("x", "y", "z"), (0, 1), (2,))
+    cases = [(problem.pair, problem.frame) for _, problem in corpus_problems()]
+    cases += [(random_singular_pair(rng, 3), frame) for _ in range(200)]
+    for E, f in cases:
+        try:
+            prepare_vertices(E, f)
+        except PreconditionError:
+            pass
+    assert len(works) >= 20 and max(works) * 10 < coeff.MAX_PREP_PRODUCTS, works
 
 
 def test_prepare_never_grows_polyhedron(monkeypatch, rng):

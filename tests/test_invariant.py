@@ -31,11 +31,13 @@ from hironaka.invariant import (
     projected_invariant,
     s_partition,
 )
-from hironaka.pairs import is_singular_at_origin
-from hironaka.poly import INF, format_polynomial, format_rational
-from hironaka.polyhedra import delta, polyhedron_of_pair
+from hironaka.pairs import Pair, is_singular_at_origin
+from hironaka.poly import INF, format_polynomial, format_rational, parse_polynomial
+from hironaka.polyhedra import delta, pair_minimum, polyhedron_of_pair
 
-from conftest import CORPUS, coordinate_min, corpus_problems, random_singular_pair
+from conftest import (
+    CORPUS, coordinate_min, corpus_problems, random_singular_pair, reference_companion_pair,
+)
 
 
 def hypersurface(f, b, u, y, charts=(), **options):
@@ -225,23 +227,24 @@ def test_the_comparison_is_antisymmetric_on_the_corpora():
 
 def test_divisor_multiplicities_run_once_per_step(monkeypatch):
     # the companion pair reuses the mu_H of its step instead of recomputing
-    pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
+    pair_of, minima_of = invariant.coefficient_pair, invariant.step_minima
     calls = Counter()
 
     def coefficient_pair(*args):
         H = pair_of(*args)
+        calls["H"] += 1
         calls["non-empty H"] += not H.is_empty()
         return H
 
-    def divisor_multiplicities(*args):
+    def step_minima(*args):
         calls["mu_H"] += 1
-        return multiplicities_of(*args)
+        return minima_of(*args)
 
     monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
-    monkeypatch.setattr(invariant, "divisor_multiplicities", divisor_multiplicities)
+    monkeypatch.setattr(invariant, "step_minima", step_minima)
     problem = dict(corpus_problems("lsb-hypersurface"))["001"]
     run(problem, "invariant")
-    assert calls["mu_H"] == calls["non-empty H"] == 3
+    assert calls["mu_H"] == calls["H"] and calls["non-empty H"] == 3
 
 
 def _outcome(compute, state, trace, opts):
@@ -401,24 +404,18 @@ def test_the_descent_stays_integral_and_float_free(monkeypatch):
                 check(result.pair)
                 seen["shifts by 1/L', L' > 1"] += any(
                     type(c) is Fraction for g in result.change.values() for c in g.terms.values())
-            elif name == "pair_minimum":
-                assert _exact(result)
-                seen["minima"] += 1
+            elif name == "step_minima":
+                mu, mus = result
+                assert _exact(mu) and all(_exact(m) for _, m in mus)
+                seen["minima"] += 1 + len(mus)
             else:
                 check(result)
             return result
         return call
 
-    for name in ("find_maximal_contact", "coefficient_pair", "companion_pair", "pair_minimum"):
+    for name in ("find_maximal_contact", "coefficient_pair", "companion_pair", "step_minima"):
         monkeypatch.setattr(invariant, name, checked(name))
-    cases = []
-    for _, problem in corpus_problems():
-        trace = run_lsb(problem.state, problem.script) if problem.script else None
-        cases.append((trace.final if trace else problem.state, trace, problem.options))
-    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
-              for seed in range(200) for nvars in (2, 3, 4))
-    cases += filter(None, map(random_trace, range(300)))
-    for state, trace, opts in cases:
+    for state, trace, opts in _descent_cases():
         check(state.pair)
         vec = _outcome(compute_invariant, state, trace, opts)
         if not isinstance(vec, str):
@@ -428,11 +425,67 @@ def test_the_descent_stays_integral_and_float_free(monkeypatch):
     assert seen["shifts by 1/L', L' > 1"] >= 150, seen
 
 
+def _descent_cases():
+    """(state, trace, options) of every corpus problem, of random int pairs
+    and of random traces."""
+    cases = []
+    for _, problem in corpus_problems():
+        trace = run_lsb(problem.state, problem.script) if problem.script else None
+        cases.append((trace.final if trace else problem.state, trace, problem.options))
+    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
+              for seed in range(200) for nvars in (2, 3, 4))
+    cases += filter(None, map(random_trace, range(300)))
+    return cases
+
+
+def test_step_minima_and_companion_pairs_match_the_references(monkeypatch):
+    """Every ``step_minima`` and ``companion_pair`` call of the descents of
+    ``_descent_cases``, rerun: mu and each mu_H are ``pair_minimum``'s, one
+    call per minimum, and the companion pair is the one that one exact
+    division per divisor gives, with the same number types."""
+    calls = Counter()
+    minima_of, companion_of = invariant.step_minima, invariant.companion_pair
+
+    def step_minima(H, coords, tracked):
+        mu, mus = minima_of(H, coords, tracked)
+        want = (pair_minimum(H, (), coords),
+                tuple((i, pair_minimum(H, (), (i,))) for i in tracked) if not H.is_empty() else ())
+        assert repr((mu, mus)) == repr(want)
+        calls["minima"] += 1 + len(mus)
+        return mu, mus
+
+    def terms(pair):
+        return [(repr(c.weight), [repr(list(g.terms.items())) for g in c.gens])
+                for c in pair.components]
+
+    def companion_pair(H, mus, nu):
+        got = companion_of(H, mus, nu)
+        assert terms(got) == terms(reference_companion_pair(H, mus, nu))
+        calls["companions"] += 1
+        calls["divided"] += any(m for _, m in mus)
+        return got
+
+    monkeypatch.setattr(invariant, "step_minima", step_minima)
+    monkeypatch.setattr(invariant, "companion_pair", companion_pair)
+    for state, trace, opts in _descent_cases():
+        _outcome(compute_invariant, state, trace, opts)
+    assert calls["minima"] >= 900 and calls["companions"] >= 500 and calls["divided"] >= 50, calls
+
+
+def test_companion_pair_refuses_an_inexact_factor():
+    H = Pair.single([parse_polynomial("x*y + y^3", ["x", "y"])], 1)
+    with pytest.raises(InternalError, match="inexact exceptional factoring"):
+        invariant.companion_pair(H, ((0, 1),), Fraction(1, 2))
+    with pytest.raises(InternalError, match="inexact exceptional factoring"):
+        reference_companion_pair(H, ((0, 1),), Fraction(1, 2))
+
+
 def test_every_stored_rational_has_one_normal_form(monkeypatch):
     """``poly._coeff``'s rule holds for every stored exact rational: an int
     when integral, a non-integral Fraction otherwise, never a float, and
     INF only where a minimum may be empty.  Every ``pair_minimum`` of the
-    blow-ups and the descent, every ``delta``, the assigned number d of
+    blow-ups, every mu and mu_H of the descent (``step_minima``), every
+    ``delta``, the assigned number d of
     every divisor and the chart report of every year, ``exceptional_nu`` of
     every year, and each nu and terminal of both routes.  Every case on the
     corpora, random int pairs and random traces."""
@@ -442,7 +495,7 @@ def test_every_stored_rational_has_one_normal_form(monkeypatch):
         seen["INF" if x is INF else type(x).__name__] += 1
         return _normal(x) or x is INF
 
-    for module, name in ((history, "pair_minimum"), (invariant, "pair_minimum"), (coeff, "delta")):
+    for module, name in ((history, "pair_minimum"), (coeff, "delta")):
         def call(*args, kernel=getattr(module, name), name=name):
             result = kernel(*args)
             assert normal_or_inf(result), (name, result)
@@ -450,14 +503,15 @@ def test_every_stored_rational_has_one_normal_form(monkeypatch):
             return result
         monkeypatch.setattr(module, name, call)
 
-    cases = []
-    for _, problem in corpus_problems():
-        trace = run_lsb(problem.state, problem.script) if problem.script else None
-        cases.append((trace.final if trace else problem.state, trace, problem.options))
-    cases += ((random_pair_state(seed, nvars), None, Options(hs_cutoff=4))
-              for seed in range(200) for nvars in (2, 3, 4))
-    cases += filter(None, map(random_trace, range(300)))
-    for state, trace, opts in cases:
+    def step_minima(*args, kernel=invariant.step_minima):
+        mu, mus = kernel(*args)
+        for x in (mu, *(m for _, m in mus)):
+            assert normal_or_inf(x), ("step_minima", x)
+            seen["pair_minimum"] += 1
+        return mu, mus
+    monkeypatch.setattr(invariant, "step_minima", step_minima)
+
+    for state, trace, opts in _descent_cases():
         for year in trace.years if trace else ():
             if year.step is not None:
                 report = year.step
@@ -576,8 +630,8 @@ def test_divisor_names_do_not_matter():
 
 @pytest.fixture
 def checked_steps(monkeypatch):
-    seen, frames = Counter(), []
-    pair_of, multiplicities_of = invariant.coefficient_pair, invariant.divisor_multiplicities
+    seen, frames, orders = Counter(), [], []
+    pair_of, minima_of = invariant.coefficient_pair, invariant.step_minima
 
     def coefficient_pair(pair, frame):
         # the frame's y-part is the consumed contacts, the newest last
@@ -587,22 +641,24 @@ def checked_steps(monkeypatch):
         assert delta(polyhedron_of_pair(pair, frame)) == mu
         seen["order"] += 1
         frames.append(frame)
+        orders.append(mu)
         return H
 
-    def divisor_multiplicities(H, tracked):
+    def step_minima(H, coords, tracked):
         # H is the coefficient pair just built, in the frame it was built in
-        mus = multiplicities_of(H, tracked)
+        mu, mus = minima_of(H, coords, tracked)
         frame = frames[-1]
+        assert mu == orders[-1]
         PH = polyhedron_of_pair(H, frame)
-        assert [idx for idx, _ in mus] == list(tracked)
+        assert [idx for idx, _ in mus] == (list(tracked) if not H.is_empty() else [])
         for idx, m in mus:
             pos = frame.u_indices.index(idx)
             assert coordinate_min(PH, (pos,)) == m, idx
             seen["divisor"] += 1
-        return mus
+        return mu, mus
 
     monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
-    monkeypatch.setattr(invariant, "divisor_multiplicities", divisor_multiplicities)
+    monkeypatch.setattr(invariant, "step_minima", step_minima)
     return seen
 
 

@@ -20,17 +20,16 @@ from hironaka.poly import (
     INF,
     Polynomial,
     _convolve,
-    divide_by_variable_power,
+    divide_by_monomial,
     format_polynomial,
     hasse_derivative,
     initial_form,
     ord_at_origin,
     parse_polynomial,
-    split_by_variables,
     substitute,
 )
 
-from conftest import CORPUS, random_polynomial, reference_parse
+from conftest import CORPUS, random_polynomial, reference_parse, reference_split_by_variables
 
 NAMES2 = ["x", "y"]
 NAMES3 = ["x", "y", "z"]
@@ -418,12 +417,12 @@ def test_float_and_bool_coefficients_are_refused():
     for make in (lambda: Polynomial(1, {(1,): 0.5}), lambda: p2("x").scale(0.5),
                  lambda: Polynomial.constant(1, 0.5), lambda: Polynomial.constant(1, True),
                  lambda: Polynomial(1, {(0.5,): 1}), lambda: Polynomial(1, {(True,): 1}),
-                 lambda: divide_by_variable_power(p2("x"), 0, 0.1),
-                 lambda: divide_by_variable_power(p2("x"), 0, True)):
+                 lambda: divide_by_monomial(p2("x"), [(0, 0.1)]),
+                 lambda: divide_by_monomial(p2("x"), [(0, True)])):
         with pytest.raises(TypeError, match="is not an int or a Fraction"):
             make()
     for make in (lambda: Polynomial(1, {(-1,): 1}), lambda: Polynomial(1, {(Fraction(-1, 2),): 1}),
-                 lambda: divide_by_variable_power(p2("x"), 0, -1)):
+                 lambda: divide_by_monomial(p2("x"), [(0, -1)])):
         with pytest.raises(ValueError, match="negative exponent"):
             make()
     for order in ((True, False), (0.5, 0), (-1, 0)):
@@ -454,9 +453,10 @@ def test_initial_form_at_ord_is_nonzero(rng):
 
 
 def test_split_by_variables_groups_levels():
+    # the reference that the coefficient pair's tests compare with
     f = p2("y^2 - x^3 + 2*x*y")
     # the coefficients keep the arity, with exponent 0 on y
-    groups = split_by_variables(f, [1])
+    groups = reference_split_by_variables(f, [1])
     assert groups[(2,)] == Polynomial.constant(2, 1)
     assert groups[(0,)] == p2("-x^3")
     assert groups[(1,)] == p2("2*x")
@@ -671,7 +671,7 @@ def test_kernels_return_normal_form(f, i, c, exps):
         Polynomial.variable(3, i), Polynomial.constant(3, c), Polynomial.monomial(3, exps, c),
         initial_form(f, ord_at_origin(f) if not f.is_zero() else 0),
         hasse_derivative(f, tuple(0 if j in halves else 1 + (j == i) for j in range(3))),
-        *split_by_variables(f, [i]).values(),
+        *reference_split_by_variables(f, [i]).values(),
         # a variable with fractional exponents takes a unit monomial
         substitute(f, {j: (Polynomial.monomial(3, (1, 1, 0)) if j in halves
                            else Polynomial.variable(3, j) + Polynomial.constant(3, c))
@@ -679,8 +679,14 @@ def test_kernels_return_normal_form(f, i, c, exps):
     ]
     if not f.is_zero():
         low = min(e[i] for e in f.terms)
-        outputs.append(divide_by_variable_power(f, i, low))
-        outputs.append(divide_by_variable_power(f, i, Fraction(low)))
+        outputs.append(divide_by_monomial(f, [(i, low)]))
+        outputs.append(divide_by_monomial(f, [(i, Fraction(low))]))
+        lows = [(j, min(e[j] for e in f.terms)) for j in range(3)]
+        outputs.append(divide_by_monomial(f, lows))
+        # y = x_i, marked, may carry fractional exponents: weight 7 keeps
+        # every level, the fractional ones included
+        marked = Frame(("x", "y", "z"), tuple(j for j in range(3) if j != i), (i,), (("E", i),))
+        outputs += coefficient_pair(Pair.single([f], 7), marked).all_generators()
     if not g.is_zero():
         form = initial_form(g, ord_at_origin(g))
         outputs += graded_piece(HomIdeal(3, (form,)), ord_at_origin(g) + 1)
