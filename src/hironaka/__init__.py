@@ -25,7 +25,7 @@ from .polyhedra import (
     delta,
     minimize_vertices,
     newton_polyhedron,
-    pair_minimum,
+    pair_minima,
     polyhedron_of_pair,
 )
 from .cone import (

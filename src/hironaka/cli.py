@@ -56,7 +56,7 @@ from .poly import (
     format_rational,
     parse_polynomial,
 )
-from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minimum, polyhedron_of_pair
+from .polyhedra import OrthantPolyhedron, newton_polyhedron, pair_minima, polyhedron_of_pair
 from .record import Record
 
 
@@ -233,6 +233,8 @@ def problem_from_data(data: dict) -> Problem:
         if key not in kinds:
             raise ProblemParseError(f"options: unknown option {key!r}")
     options = Options(**{k: _typed(v, kinds[k], f"option {k!r}") for k, v in odata.items()})
+    if options.hs_cutoff < 1:
+        raise ProblemParseError("option 'hs_cutoff': must be at least 1")
     try:
         state = PairWithHistory(pair, frame, ExceptionalData(tuple(entries)))
     except PreconditionError as exc:
@@ -334,11 +336,9 @@ def _delta(problem: Problem, chart):
 
 def _d_i(problem: Problem, chart):
     frame = problem.frame
-    table = {}
-    for i in frame.u_indices:
-        d = pair_minimum(problem.pair, frame.y_indices, (i,))
-        table[frame.variables[i]] = None if d == INF else format_rational(d)
-    return {"d": table}
+    ds = pair_minima(problem.pair, frame.y_indices, [(i,) for i in frame.u_indices])
+    return {"d": {frame.variables[i]: None if d == INF else format_rational(d)
+                  for i, d in zip(frame.u_indices, ds)}}
 
 
 def _nu(problem: Problem, chart):

@@ -8,8 +8,9 @@ are the only record of where a divisor sits: an entry of the exceptional
 data passes through the tracked point exactly when the frame marks its id.
 
 Every number read off a polyhedron here (delta_center, the d of each
-divisor, and ord_C >= b for ``is_permissible``) is a ``pair_minimum``
-over the raw points of the pair: a blow-up builds no vertex set.
+divisor, and ord_C >= b for ``is_permissible``) is read by
+``pair_minima`` over the raw points of the pair: a blow-up builds no
+vertex set, and reads every d of its chart in one walk.
 
 A chart blow-up is a linear map on exponents, and so on the points exps/b,
 shifted in the chart's coordinate (``blowup_chart``): it multiplies no
@@ -25,7 +26,7 @@ from .errors import PreconditionError
 from .frames import Frame
 from .pairs import Component, Pair
 from .poly import INF, Polynomial, _coeff, _norm_exp
-from .polyhedra import pair_minimum
+from .polyhedra import pair_minima
 from .record import Record
 
 
@@ -87,7 +88,7 @@ def delta_center(E: Pair, frame: Frame, center) -> int | Fraction | float:
     center = set(center)
     if not center.issuperset(frame.y_indices):
         raise PreconditionError("center must contain every y-variable")
-    return pair_minimum(E, frame.y_indices, [i for i in frame.u_indices if i in center])
+    return pair_minima(E, frame.y_indices, [[i for i in frame.u_indices if i in center]])[0]
 
 
 def _coordinate_center(H: PairWithHistory, center) -> list[int]:
@@ -103,7 +104,7 @@ def is_permissible(H: PairWithHistory, center) -> bool:
     with the marked divisors (automatic for coordinate data): ord_C >= b on
     every term, that is, the center's coordinate sum is at least 1 on every
     point exps/b."""
-    return pair_minimum(H.pair, (), _coordinate_center(H, center)) >= 1
+    return pair_minima(H.pair, (), [_coordinate_center(H, center)])[0] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +181,15 @@ def blowup_chart(
     # chart origin
     new_frame = frame.move_to_u(chart).with_mark(new_id, chart)
 
-    def derived(var: int) -> int | Fraction:
-        if var not in new_frame.u_indices:
-            return 0
-        d = pair_minimum(pair, new_frame.y_indices, (var,))
-        return 0 if d == INF else d
-
-    # an unmarked divisor misses the tracked point and carries 0; an entry
-    # whose d does not change is kept, so a divisor that has left is built once
-    d_of = {e.divisor_id: derived(idx) for e, idx in H.exdata.placed(new_frame)}
-    d_new = derived(chart)
+    # each d is the least coordinate of its u-variable, in one walk; an
+    # unmarked divisor misses the tracked point and carries 0, and so does
+    # one on a y-variable or with no point.  An entry whose d does not change
+    # is kept, so a divisor that has left is built once
+    placed = [(e.divisor_id, idx) for e, idx in H.exdata.placed(new_frame)
+              if idx in new_frame.u_indices]
+    ds = [0 if d == INF else d for d in pair_minima(
+        pair, new_frame.y_indices, [(idx,) for _, idx in placed] + [(chart,)])]
+    d_of, d_new = dict(zip([div for div, _ in placed], ds)), ds[-1]
     entries = []
     for e in H.exdata.entries:
         d = d_of.get(e.divisor_id, 0)

@@ -7,7 +7,8 @@ truncated Hilbert-Samuel sequence, each further nu is a rational residual
 order (INF and 0 terminate), and s_i counts old exceptional divisors.
 
 Each step (``invariant_step``) finds a maximal contact, reads mu, mu_H and
-nu off the coefficient pair along it, and returns one ``StepResult``: nu,
+nu off the coefficient pair along it (mu and every mu_H in one walk of
+``polyhedra.pair_minima``), and returns one ``StepResult``: nu,
 the contact, the coordinate change ``find_maximal_contact`` applied, each
 mu_H and the next state (None once nu is INF or 0).  No step drops a
 variable: the frame's y-part collects the consumed contacts in order, on
@@ -37,7 +38,7 @@ from .frames import Frame
 from .history import PairWithHistory, Trace
 from .pairs import Component, Pair, is_singular_at_origin
 from .poly import INF, Polynomial, _coeff, divide_by_monomial, format_polynomial, substitute
-from .polyhedra import projected_steps
+from .polyhedra import pair_minima, projected_steps
 from .cone import hilbert_samuel_truncated
 from .record import Record
 
@@ -99,35 +100,10 @@ def _exceptional_monomial(n: int, mus) -> Polynomial:
     return Polynomial.monomial(n, [at.get(i, 0) for i in range(n)])
 
 
-def step_minima(H: Pair, coords, tracked):
-    """mu, the least coordinate sum of ``coords`` (variable indices) over
-    the points exps/b of a coefficient pair H (no y-part), INF when H is
-    empty, and mu_H, the least coordinate of each tracked divisor variable
-    (all in the u-part), as (index, mu_H) pairs: ``pair_minimum``'s values,
-    by one walk over H.  The quotients are compared by cross-multiplication."""
-    if H.is_empty():
-        return INF, ()
-    best = [(INF, 1)] * (len(tracked) + 1)  # num/den with den > 0, mu first
-    for comp in H.components:
-        b, lows = comp.weight, [INF] * len(best)  # the component's least, not yet over b
-        for g in comp.gens:
-            for exps in g.terms:
-                s = sum(map(exps.__getitem__, coords))
-                if s < lows[0]:
-                    lows[0] = s
-                for k, i in enumerate(tracked, 1):
-                    if exps[i] < lows[k]:
-                        lows[k] = exps[i]
-        best = [(s, b) if s * den < num * b else (num, den) for s, (num, den) in zip(lows, best)]
-    mu, *mus = (_coeff(Fraction(num, den)) for num, den in best)
-    return mu, tuple(zip(tracked, mus))
-
-
 def companion_pair(H: Pair, mus, nu) -> Pair:
     """Factor the exceptional monomial D out of every generator, in one
     pass over its terms, reweight by nu, and adjoin (D, 1 - nu) exactly
-    when nu < 1.  ``mus`` is ``step_minima``'s (variable index, mu_H) pairs
-    of H."""
+    when nu < 1.  ``mus`` is the step's (variable index, mu_H) pairs of H."""
     if nu == INF or nu == 0:
         raise PreconditionError("terminal case, no companion pair")
     factors = [(idx, mu) for idx, mu in mus if mu != 0]
@@ -163,7 +139,8 @@ def invariant_step(state: PipelineState) -> StepResult:
         raise InternalError("tracked divisor variable was consumed")
     H = coefficient_pair(mc.pair, frame)
 
-    mu, mus = step_minima(H, frame.u_indices, state.tracked)
+    mu, *lows = pair_minima(H, (), [frame.u_indices, *[(i,) for i in state.tracked]])
+    mus = tuple(zip(state.tracked, lows)) if mu != INF else ()
     nu = mu if mu == INF else _coeff(mu - sum(m for _, m in mus))
     if nu == INF or nu == 0:
         return StepResult(nu, y, mc.change, mus, None)

@@ -47,7 +47,8 @@ The parser (``parse_polynomial``) walks the tokens of the text once, by
 index: a product of numbers and variable powers goes straight into one
 term's coefficient and exponent list, and only a parenthesized factor, or
 a power of one, is built as a Polynomial, a power of a compound by
-``substitute``'s power builder.
+``substitute``'s power builder (the binomial theorem for two terms, one
+multinomial kernel for more).
 """
 
 from __future__ import annotations
@@ -346,10 +347,8 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     multi-term g_i are convolved with it.  Each power is built once per
     call, in a table local to the call.  That of a two-term g_i = a + b
     comes from the binomial theorem, sum_k C(e, k) a^k b^(e-k), and that of
-    a g_i of three or more terms from the multinomial theorem: up to e = 3
-    as a sum over the multisets of e terms (``_multiset_power``), which
-    walks fewest monomials there, and beyond it one term at a time
-    (``_multinomial_power``), which merges the colliding ones.
+    a g_i of three or more terms from the multinomial theorem, one term at a
+    time (``_multinomial_power``), which merges the colliding monomials.
 
     A variable carrying fractional exponents may only be mapped to a
     single-term polynomial with coefficient 1 (a unit monomial), so that the
@@ -389,9 +388,7 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
                     binom * ca ** k * cb ** (e - k))
                 binom = binom * (e - k) // (k + 1)
             return terms
-        if e == 1 or not g:
-            return g
-        return _multiset_power(g, e) if e <= 3 else _multinomial_power(g, e)
+        return g if e == 1 or not g else _multinomial_power(g, e)
 
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
@@ -421,34 +418,6 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
             assignment[i].has_fractional_exponent() for i in mapped):
         return Polynomial(n, out)
     return Polynomial._wrap(n, _ints(out))
-
-
-def _multiset_power(g: dict, e: int) -> dict:
-    """The term dict of g^e for a small e, by the multinomial theorem read
-    as a sum over the multisets of e terms of g.  Each is walked once, as a
-    sorted tuple of term indices, and its count C(e; k) grows with it: the
-    d-th index, the r-th in a run of equal ones, multiplies it by d / r.
-    Sorted tuples in lexicographic order meet the monomials in the order of
-    repeated multiplication."""
-    items = list(g.items())
-    out: dict[Exponents, int | Fraction] = {}
-
-    def walk(first: int, d: int, exps, count: int, c, run: int) -> None:
-        for a in range(first, len(items)):
-            ea, ca = items[a]
-            r = run + 1 if a == first else 1
-            new, k, w = tuple(map(add, exps, ea)) if d else ea, count * (d + 1) // r, c * ca
-            if d + 1 < e:
-                walk(a, d + 1, new, k, w, r)
-            else:
-                acc = out.get(new, 0) + k * w
-                if acc:
-                    out[new] = acc
-                else:
-                    del out[new]
-
-    walk(0, 0, None, 1, 1, 0)
-    return out
 
 
 def _multinomial_power(g: dict, e: int) -> dict:

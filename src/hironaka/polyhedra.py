@@ -5,7 +5,8 @@ to pairs, and the numbers read off them.
 Each number the pipeline reads off the polyhedron of a pair (mu, mu_H,
 delta_center, d, the ``d-i`` table, permissibility) is the minimum of a
 coordinate sum with nonnegative coefficients, which a generating point
-reaches: ``pair_minimum`` takes it over the raw points A/(b - |B|).
+reaches.  ``pair_minima`` is the one reader of them: it takes every sum a
+caller needs in one walk over the raw points A/(b - |B|).
 Vertices are built only where they are reported or prepared (``poly``,
 ``newton``, ``char-poly`` and vertex preparation).  In dimension at most 2
 ``minimize_vertices`` reads them off the sorted points in closed form, the
@@ -143,30 +144,31 @@ def delta(P: OrthantPolyhedron):
     return _coeff(min(sum(v) for v in P.vertices))
 
 
-def pair_minimum(E: Pair, y_indices, coords):
-    """Minimal sum of the coordinates ``coords`` (variable indices) over
-    the generating points A/(b - |B|), |B| < b, of ``polyhedron_of_pair``
-    with y-part ``y_indices``; INF when there is no such point.
+def pair_minima(E: Pair, y_indices, coord_sets) -> list:
+    """For each coordinate set of the list ``coord_sets`` (each a sequence
+    of variable indices), the least coordinate sum over the generating
+    points A/(b - |B|), |B| < b, of ``polyhedron_of_pair`` with y-part
+    ``y_indices``; INF when there is no such point.  One walk over the
+    terms reads every set.
 
-    Per component and level |B| only the least exponent sum is kept.  The
-    quotients s/(b - |B|) are compared by cross-multiplication, in ints on
-    integral data, and the least one is put in ``_coeff``'s normal form once.
+    Each term's sums are compared with the least quotients so far by
+    cross-multiplication, in ints on integral data, and each least quotient
+    is divided out once, in ``_coeff``'s normal form.
     """
-    num, den = INF, 1  # the least quotient so far, num/den with den > 0
+    best = [[INF, 1] for _ in coord_sets]  # the least quotient so far, num/den with den > 0
     for comp in E.components:
-        least = {}  # level |B| -> least coordinate sum at that level
+        b = comp.weight
         for g in comp.gens:
             for exps in g.terms:
                 pick = exps.__getitem__
-                level = sum(map(pick, y_indices))
-                s = sum(map(pick, coords))
-                if s < least.get(level, INF):
-                    least[level] = s
-        b = comp.weight
-        for level, s in least.items():
-            if level < b and s * den < num * (b - level):
-                num, den = s, b - level
-    return INF if num == INF else _coeff(Fraction(num, den))
+                d = b - sum(map(pick, y_indices)) if y_indices else b
+                if d > 0:
+                    for coords, q in zip(coord_sets, best):
+                        s = sum(map(pick, coords))
+                        if s * q[1] < q[0] * d:
+                            q[:] = s, d
+    return [INF if num == INF else num // den if not num % den else Fraction(num, den)
+            for num, den in best]
 
 
 def projected_steps(points, steps, n: int):

@@ -11,7 +11,7 @@ polynomial parser the library had before it gathered terms directly: it
 builds every factor as a Polynomial and combines them with Polynomial
 arithmetic.
 ``coordinate_min`` is the vertex-side reference for
-``polyhedra.pair_minimum``, which the library reads off the raw points.
+``polyhedra.pair_minima``, which the library reads off the raw points.
 ``basic_solution_oracle`` decides LP feasibility from basic solutions,
 each solved by sympy, without a simplex.
 ``corpus_problems`` reads the benchmark's checked-in problem files.

@@ -37,10 +37,14 @@ def call(tmp_path, data, *args):
     ({"hs_cutoff": True}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": "12"}, "option 'hs_cutoff': expected a JSON integer"),
     ({"hs_cutoff": None}, "option 'hs_cutoff': expected a JSON integer"),
+    ({"hs_cutoff": 0}, "option 'hs_cutoff': must be at least 1"),
+    ({"hs_cutoff": -3}, "option 'hs_cutoff': must be at least 1"),
 ])
 def test_options_must_have_json_types(tmp_path, capsys, options, message):
-    assert call(tmp_path, dict(A3_BLOWN_UP, options=options), "hs") == 3
-    assert message in capsys.readouterr().err
+    # the file is read before the command runs, so every command refuses it
+    for command in cli.COMMANDS:
+        assert call(tmp_path, dict(A3_BLOWN_UP, options=options), command) == 3, command
+        assert message in capsys.readouterr().err, command
 
 
 def test_birth_must_be_an_integer(tmp_path, capsys):

@@ -20,7 +20,7 @@ from hironaka.history import (
 )
 from hironaka.pairs import Component, Pair, is_singular_at_origin, pair_order
 from hironaka.poly import INF, Polynomial, parse_polynomial
-from hironaka.polyhedra import pair_minimum
+from hironaka.polyhedra import pair_minima
 
 from conftest import (
     corpus_problems,
@@ -404,8 +404,8 @@ def test_a_center_below_the_weight_is_refused_by_the_chart_map(monkeypatch):
     # y^2 - x^3 along V(y): the term x^3 has center sum 0 < b = 2; the
     # refusal comes from the map, with no separate pass over the minima
     calls = []
-    monkeypatch.setattr(history, "pair_minimum",
-                        lambda *args: calls.append(args) or pair_minimum(*args))
+    monkeypatch.setattr(history, "pair_minima",
+                        lambda *args: calls.append(args) or pair_minima(*args))
     with pytest.raises(PreconditionError) as exc:
         blowup_chart(state("y^2 - x^3", 2), [1], 1)
     assert str(exc.value) == NOT_PERMISSIBLE

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hironaka import coeff, history, invariant
+from hironaka import cli, coeff, history, invariant
 from hironaka.cli import problem_from_data, run
 from hironaka.coeff import MaximalContact, delta_invariant
 from hironaka.cone import directrix, hilbert_samuel_truncated, initial_ideal
@@ -18,6 +18,7 @@ from hironaka.history import (
     ExcDivisor,
     ExceptionalData,
     PairWithHistory,
+    Trace,
     exceptional_nu,
     run_lsb,
 )
@@ -33,7 +34,7 @@ from hironaka.invariant import (
 )
 from hironaka.pairs import Pair, is_singular_at_origin
 from hironaka.poly import INF, format_polynomial, format_rational, parse_polynomial
-from hironaka.polyhedra import delta, pair_minimum, polyhedron_of_pair
+from hironaka.polyhedra import delta, polyhedron_of_pair
 
 from conftest import (
     CORPUS, coordinate_min, corpus_problems, random_singular_pair, reference_companion_pair,
@@ -226,9 +227,14 @@ def test_the_comparison_is_antisymmetric_on_the_corpora():
 
 
 def test_divisor_multiplicities_run_once_per_step(monkeypatch):
-    # the companion pair reuses the mu_H of its step instead of recomputing
-    pair_of, minima_of = invariant.coefficient_pair, invariant.step_minima
+    """The companion pair reuses the mu_H of its step instead of
+    recomputing: one ``pair_minima`` walk per coefficient pair, empty or
+    not, reads mu and every mu_H.  On the lsb corpus, ``invariant`` over
+    each script, a chart blow-up makes two walks (delta_center on the old
+    pair, then every d on the new one), and ``d-i`` makes one walk on every
+    corpus problem."""
     calls = Counter()
+    pair_of = invariant.coefficient_pair
 
     def coefficient_pair(*args):
         H = pair_of(*args)
@@ -236,15 +242,25 @@ def test_divisor_multiplicities_run_once_per_step(monkeypatch):
         calls["non-empty H"] += not H.is_empty()
         return H
 
-    def step_minima(*args):
-        calls["mu_H"] += 1
-        return minima_of(*args)
-
     monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
-    monkeypatch.setattr(invariant, "step_minima", step_minima)
-    problem = dict(corpus_problems("lsb-hypersurface"))["001"]
-    run(problem, "invariant")
-    assert calls["mu_H"] == calls["H"] and calls["non-empty H"] == 3
+    for module, name in ((invariant, "pair_minima"), (history, "pair_minima"),
+                         (history, "blowup_chart"), (cli, "pair_minima")):
+        def call(*args, kernel=getattr(module, name), key=f"{module.__name__}.{name}", **kw):
+            calls[key] += 1
+            return kernel(*args, **kw)
+        monkeypatch.setattr(module, name, call)
+    problems = dict(corpus_problems("lsb-hypersurface"))
+    run(problems["001"], "invariant")
+    assert calls["hironaka.invariant.pair_minima"] == calls["H"] and calls["non-empty H"] == 3
+    for problem in problems.values():
+        run(problem, "invariant")
+    assert calls["hironaka.invariant.pair_minima"] == calls["H"]
+    assert calls["hironaka.history.pair_minima"] == 2 * calls["hironaka.history.blowup_chart"]
+    assert calls["hironaka.history.blowup_chart"] == 25, calls
+    problems = corpus_problems()
+    for _, problem in problems:
+        run(problem, "d-i")
+    assert calls["hironaka.cli.pair_minima"] == len(problems)
 
 
 def _outcome(compute, state, trace, opts):
@@ -404,16 +420,15 @@ def test_the_descent_stays_integral_and_float_free(monkeypatch):
                 check(result.pair)
                 seen["shifts by 1/L', L' > 1"] += any(
                     type(c) is Fraction for g in result.change.values() for c in g.terms.values())
-            elif name == "step_minima":
-                mu, mus = result
-                assert _exact(mu) and all(_exact(m) for _, m in mus)
-                seen["minima"] += 1 + len(mus)
+            elif name == "pair_minima":
+                assert all(map(_exact, result))
+                seen["minima"] += len(result)
             else:
                 check(result)
             return result
         return call
 
-    for name in ("find_maximal_contact", "coefficient_pair", "companion_pair", "step_minima"):
+    for name in ("find_maximal_contact", "coefficient_pair", "companion_pair", "pair_minima"):
         monkeypatch.setattr(invariant, name, checked(name))
     for state, trace, opts in _descent_cases():
         check(state.pair)
@@ -438,21 +453,23 @@ def _descent_cases():
     return cases
 
 
-def test_step_minima_and_companion_pairs_match_the_references(monkeypatch):
-    """Every ``step_minima`` and ``companion_pair`` call of the descents of
-    ``_descent_cases``, rerun: mu and each mu_H are ``pair_minimum``'s, one
-    call per minimum, and the companion pair is the one that one exact
-    division per divisor gives, with the same number types."""
+def test_descent_minima_and_companion_pairs_match_the_references(monkeypatch):
+    """Every ``pair_minima`` and ``companion_pair`` call of the descents of
+    ``_descent_cases``, rerun: mu and each mu_H are the least coordinate
+    sums over the vertices of the coefficient pair's polyhedron (no
+    y-part), and the companion pair is the one that one exact division per
+    divisor gives, with the same number types."""
     calls = Counter()
-    minima_of, companion_of = invariant.step_minima, invariant.companion_pair
+    minima_of, companion_of = invariant.pair_minima, invariant.companion_pair
 
-    def step_minima(H, coords, tracked):
-        mu, mus = minima_of(H, coords, tracked)
-        want = (pair_minimum(H, (), coords),
-                tuple((i, pair_minimum(H, (), (i,))) for i in tracked) if not H.is_empty() else ())
-        assert repr((mu, mus)) == repr(want)
-        calls["minima"] += 1 + len(mus)
-        return mu, mus
+    def pair_minima(H, y, coord_sets):
+        got = minima_of(H, y, coord_sets)
+        assert y == ()
+        n = 0 if H.is_empty() else H.nvars
+        P = polyhedron_of_pair(H, Frame(tuple(f"x{i}" for i in range(n)), tuple(range(n)), ()))
+        assert got == [coordinate_min(P, coords) for coords in coord_sets]
+        calls["minima"] += len(got)
+        return got
 
     def terms(pair):
         return [(repr(c.weight), [repr(list(g.terms.items())) for g in c.gens])
@@ -465,7 +482,7 @@ def test_step_minima_and_companion_pairs_match_the_references(monkeypatch):
         calls["divided"] += any(m for _, m in mus)
         return got
 
-    monkeypatch.setattr(invariant, "step_minima", step_minima)
+    monkeypatch.setattr(invariant, "pair_minima", pair_minima)
     monkeypatch.setattr(invariant, "companion_pair", companion_pair)
     for state, trace, opts in _descent_cases():
         _outcome(compute_invariant, state, trace, opts)
@@ -483,9 +500,8 @@ def test_companion_pair_refuses_an_inexact_factor():
 def test_every_stored_rational_has_one_normal_form(monkeypatch):
     """``poly._coeff``'s rule holds for every stored exact rational: an int
     when integral, a non-integral Fraction otherwise, never a float, and
-    INF only where a minimum may be empty.  Every ``pair_minimum`` of the
-    blow-ups, every mu and mu_H of the descent (``step_minima``), every
-    ``delta``, the assigned number d of
+    INF only where a minimum may be empty.  Every ``pair_minima`` value of
+    the blow-ups and of the descent (each mu and mu_H), every ``delta``, the assigned number d of
     every divisor and the chart report of every year, ``exceptional_nu`` of
     every year, and each nu and terminal of both routes.  Every case on the
     corpora, random int pairs and random traces."""
@@ -495,21 +511,14 @@ def test_every_stored_rational_has_one_normal_form(monkeypatch):
         seen["INF" if x is INF else type(x).__name__] += 1
         return _normal(x) or x is INF
 
-    for module, name in ((history, "pair_minimum"), (coeff, "delta")):
+    for module, name in ((history, "pair_minima"), (invariant, "pair_minima"), (coeff, "delta")):
         def call(*args, kernel=getattr(module, name), name=name):
             result = kernel(*args)
-            assert normal_or_inf(result), (name, result)
-            seen[name] += 1
+            for x in result if name == "pair_minima" else [result]:
+                assert normal_or_inf(x), (name, x)
+                seen[name] += 1
             return result
         monkeypatch.setattr(module, name, call)
-
-    def step_minima(*args, kernel=invariant.step_minima):
-        mu, mus = kernel(*args)
-        for x in (mu, *(m for _, m in mus)):
-            assert normal_or_inf(x), ("step_minima", x)
-            seen["pair_minimum"] += 1
-        return mu, mus
-    monkeypatch.setattr(invariant, "step_minima", step_minima)
 
     for state, trace, opts in _descent_cases():
         for year in trace.years if trace else ():
@@ -529,7 +538,7 @@ def test_every_stored_rational_has_one_normal_form(monkeypatch):
                 assert all(_normal(e.nu) for e in vec.entries)
                 assert vec.terminal is INF or type(vec.terminal) is int and vec.terminal == 0
                 seen["entries"] += len(vec.entries)
-    assert seen["pair_minimum"] >= 3000 and seen["delta"] >= 200, seen
+    assert seen["pair_minima"] >= 3000 and seen["delta"] >= 200, seen
     assert seen["chart reports"] >= 250 and seen["divisors"] >= 400 and seen["entries"] >= 700, seen
     assert min(seen["int"], seen["Fraction"], seen["INF"]) >= 100, seen
 
@@ -614,6 +623,67 @@ def test_divisor_names_do_not_matter():
     assert tally == {"equal": 391, "rejected": 9}
 
 
+def _renamed(state, to):
+    """``state`` with every divisor id d renamed to[d], in its entries and
+    its frame marks, entry and mark order kept."""
+    frame = state.frame
+    marks = tuple((to[d], i) for d, i in frame.exceptional)
+    entries = tuple(ExcDivisor(to[e.divisor_id], e.d, e.birth_year) for e in state.exdata.entries)
+    return PairWithHistory(state.pair, Frame(frame.variables, frame.u_indices, frame.y_indices,
+                                             marks), ExceptionalData(entries))
+
+
+def monomial_trace(seed):
+    """z^b + x^a*y^c*w^e, b = 2 or 3, u = x, y, w and y = z, blown up at
+    the origin in 2-4 charts x, y or w; None when a center is not
+    permissible.  Up to three divisors meet at the point, so an E^r can
+    hold two or more."""
+    rng = random.Random(seed)
+    b = rng.randint(2, 3)
+    a, c, e = (rng.randint(0, b + 2) for _ in range(3))
+    charts = [rng.choice("xyw") for _ in range(rng.randint(2, 4))]
+    try:
+        return hypersurface(f"z^{b} + x^{max(a, b - c - e)}*y^{c}*w^{e}", b, ["x", "y", "w"],
+                            ["z"], charts, hs_cutoff=4)
+    except PreconditionError:
+        return None
+
+
+def test_divisor_names_do_not_matter_along_a_trace():
+    """The lsb corpus scripts and random traces, whose divisors are born
+    in different years, with one id permutation (sorted ids reversed)
+    applied to every year, to its entries and its frame marks: ``_drive``
+    then adjoins each E^r in the reverse order, so the mu_H read sees the
+    adjoined divisors in another order.  The vector, and the records with
+    the ids mapped back, must be the same, or the rejection identical."""
+    cases = []
+    for _, problem in corpus_problems("lsb-hypersurface"):
+        trace = run_lsb(problem.state, problem.script)
+        cases.append((trace.final, trace, problem.options))
+    cases += filter(None, map(random_trace, range(300)))
+    cases += filter(None, map(monomial_trace, range(100)))
+    tally = Counter()
+    for state, trace, opts in cases:
+        ids = sorted(e.divisor_id for e in state.exdata.entries)
+        to, back = dict(zip(ids, reversed(ids))), dict(zip(reversed(ids), ids))
+        years = tuple(rec._replace(state=_renamed(rec.state, to)) for rec in trace.years)
+        renamed = Trace(years)
+        first = _outcome(lazy_evaluate, state, trace, opts)
+        second = _outcome(lazy_evaluate, renamed.final, renamed, opts)
+        if isinstance(first, str):
+            assert second == first, (state, trace)
+            tally["rejected"] += 1
+            continue
+        vec, records = second
+        mapped = [(s, tuple(back[d] for d in E), tuple(back[d] for d in rest))
+                  for s, E, rest in records]
+        assert (vec, mapped) == first, trace
+        tally["equal"] += 1
+        tally["two or more adjoined"] += any(s >= 2 for s, _, _ in records)
+    assert tally["equal"] >= 150 and tally["rejected"] >= 10, tally
+    assert tally["two or more adjoined"] >= 20, tally
+
+
 # ---------------------------------------------------------------------------
 # The paper's theorem as the oracle: when y spans the directrix, the
 # descent's first nu after its dim(directrix) - 1 forced unit steps is delta
@@ -631,7 +701,7 @@ def test_divisor_names_do_not_matter():
 @pytest.fixture
 def checked_steps(monkeypatch):
     seen, frames, orders = Counter(), [], []
-    pair_of, minima_of = invariant.coefficient_pair, invariant.step_minima
+    pair_of, minima_of = invariant.coefficient_pair, invariant.pair_minima
 
     def coefficient_pair(pair, frame):
         # the frame's y-part is the consumed contacts, the newest last
@@ -644,21 +714,21 @@ def checked_steps(monkeypatch):
         orders.append(mu)
         return H
 
-    def step_minima(H, coords, tracked):
-        # H is the coefficient pair just built, in the frame it was built in
-        mu, mus = minima_of(H, coords, tracked)
+    def pair_minima(H, y, coord_sets):
+        # H is the coefficient pair just built, in the frame it was built in:
+        # mu over its u-part, then one divisor variable per set
+        mu, *mus = minima_of(H, y, coord_sets)
         frame = frames[-1]
-        assert mu == orders[-1]
+        assert mu == orders[-1] and list(coord_sets[0]) == list(frame.u_indices)
         PH = polyhedron_of_pair(H, frame)
-        assert [idx for idx, _ in mus] == (list(tracked) if not H.is_empty() else [])
-        for idx, m in mus:
+        for (idx,), m in zip(coord_sets[1:], mus):
             pos = frame.u_indices.index(idx)
             assert coordinate_min(PH, (pos,)) == m, idx
             seen["divisor"] += 1
-        return mu, mus
+        return [mu, *mus]
 
     monkeypatch.setattr(invariant, "coefficient_pair", coefficient_pair)
-    monkeypatch.setattr(invariant, "step_minima", step_minima)
+    monkeypatch.setattr(invariant, "pair_minima", pair_minima)
     return seen
 
 

@@ -15,7 +15,7 @@ from hironaka.polyhedra import (
     delta,
     minimize_vertices,
     newton_polyhedron,
-    pair_minimum,
+    pair_minima,
     polyhedron_of_pair,
 )
 
@@ -276,7 +276,7 @@ def test_minimize_idempotent_and_order_independent(rng):
 
 
 # ---------------------------------------------------------------------------
-# delta / pair_minimum
+# delta / pair_minima
 
 
 def test_delta_of_family_vertex():
@@ -299,15 +299,16 @@ def test_delta_empty_is_infinite():
 def test_pair_minimum_distinguishes_equivalent_pairs():
     for d in (3, 4, 5):
         first, second = equivalent_pairs(d)
-        assert pair_minimum(first, FRAME22.y_indices, (0,)) == Fraction(d - 1, d)
-        assert pair_minimum(second, FRAME22.y_indices, (0,)) == Fraction(d - 2, d - 1)
+        assert pair_minima(first, FRAME22.y_indices, [(0,)]) == [Fraction(d - 1, d)]
+        assert pair_minima(second, FRAME22.y_indices, [(0,)]) == [Fraction(d - 2, d - 1)]
 
 
 def test_pair_minimum_single_point():
     # the one point (1/2, 1/2, 1/2) of t^2 + x*y*z along t
     E = Pair.single([parse_polynomial("t^2 + x*y*z", NAMES4)], 2)
     for i in range(3):
-        assert pair_minimum(E, (3,), (i,)) == Fraction(1, 2)
+        assert pair_minima(E, (3,), [(i,)]) == [Fraction(1, 2)]
+    assert pair_minima(E, (3,), [(0,), (1,), (0, 1, 2)]) == [Fraction(1, 2)] * 2 + [Fraction(3, 2)]
 
 
 def test_pair_minimum_of_empty_polyhedron_is_inf():
@@ -315,13 +316,17 @@ def test_pair_minimum_of_empty_polyhedron_is_inf():
     E = Pair.single([parse_polynomial("z^2 + t^3", NAMES4)], 2)
     assert polyhedron_of_pair(E, FRAME22).is_empty()
     for coords in ((), (0,), (0, 1)):
-        assert pair_minimum(E, FRAME22.y_indices, coords) == INF
-    assert pair_minimum(Pair(()), (), (0,)) == INF
+        assert pair_minima(E, FRAME22.y_indices, [coords]) == [INF]
+    assert pair_minima(E, FRAME22.y_indices, [(), (0,), (0, 1)]) == [INF] * 3
+    assert pair_minima(Pair(()), (), [(0,)]) == [INF]
+    assert pair_minima(E, FRAME22.y_indices, []) == []
 
 
 def test_pair_minimum_is_the_vertex_minimum():
     # random u/y splits, a marked variable with fractional exponents, and
-    # every subset of the u-coordinates, the empty one included
+    # every subset of the u-coordinates, the empty one included: one set
+    # per walk, then every set in one walk.  With the empty y-part, each
+    # singleton and the whole u-part in one walk
     seen = Counter()
     for nvars in (2, 3, 4):
         names = tuple(f"x{i}" for i in range(nvars))
@@ -333,12 +338,20 @@ def test_pair_minimum_is_the_vertex_minimum():
             y = tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
             u = tuple(i for i in range(nvars) if i not in y)
             P = polyhedron_of_pair(E, Frame(names, u, y, (("E1", marked),)))
-            for k in range(len(u) + 1):
-                for positions in combinations(range(len(u)), k):
-                    got = pair_minimum(E, y, [u[p] for p in positions])
-                    assert got == coordinate_min(P, positions), (nvars, seed, positions)
-                    assert (got == INF) == P.is_empty()
-                    seen["empty" if P.is_empty() else "point"] += 1
+            sets = [positions for k in range(len(u) + 1)
+                    for positions in combinations(range(len(u)), k)]
+            want = [coordinate_min(P, positions) for positions in sets]
+            coords = [[u[p] for p in positions] for positions in sets]
+            assert [pair_minima(E, y, [c])[0] for c in coords] == want, (nvars, seed)
+            got = pair_minima(E, y, coords)
+            assert got == want, (nvars, seed)
+            assert all((m == INF) == P.is_empty() for m in got)
+            seen["empty" if P.is_empty() else "point"] += len(sets)
+            seen["sets per walk"] = max(seen["sets per walk"], len(sets))
+            whole = [(i,) for i in range(nvars)] + [tuple(range(nvars))]
+            P = polyhedron_of_pair(E, Frame(names, tuple(range(nvars)), (), (("E1", marked),)))
+            assert pair_minima(E, (), whole) == [coordinate_min(P, s) for s in whole]
+            seen["empty y-part"] += 1
             seen["fractional"] += any(g.has_fractional_exponent() for g in E.all_generators())
     assert min(seen.values()) >= 10, seen
 
