@@ -210,8 +210,8 @@ def problem_from_data(data: dict) -> Problem:
         b = _parse_rational(comp.get("b"), f"component {k}: b")
         if b <= 0:
             raise ProblemParseError(f"component {k}: weight must be positive")
-        comps.append(Component(gens, b))
-    pair = Pair(tuple(comps))
+        comps.append(Component._make((gens, b)))
+    pair = Pair._make((tuple(comps),))
 
     script = []
     script_data = _known(_typed(data.get("script", {}), dict, "script"), _SCRIPT_KEYS, "script")

@@ -53,6 +53,7 @@ from .linalg import solve
 from .pairs import Component, Pair, pair_order
 from .poly import (
     Polynomial,
+    _coeff,
     _ints,
     format_rational,
     hasse_derivative,
@@ -106,8 +107,8 @@ def coefficient_pair(E: Pair, frame: Frame) -> Pair:
                         kept = {tuple(map(mul, e, mask)): c for e, c in kept.items()}
                     levels.setdefault(level, []).append(
                         Polynomial._wrap(n, kept) if type(level) is int else Polynomial(n, kept))
-        out.extend(Component(tuple(levels[l]), b - l) for l in sorted(levels))
-    return Pair(tuple(out))
+        out.extend(Component._make((tuple(levels[l]), _coeff(b - l))) for l in sorted(levels))
+    return Pair._make((tuple(out),))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +377,10 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
 
 
 def _substitute_pair(E: Pair, assignment, L=1) -> Pair:
-    return Pair(tuple(
-        Component(tuple(_cleared(g, assignment, L) for g in comp.gens), comp.weight)
+    return Pair._make((tuple(
+        Component._make((tuple(_cleared(g, assignment, L) for g in comp.gens), comp.weight))
         for comp in E.components
-    ))
+    ),))
 
 
 # ---------------------------------------------------------------------------

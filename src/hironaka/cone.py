@@ -19,9 +19,9 @@ of one degree): Fraction rows, which ``homogeneous_member`` reduces against.
 Hilbert-Samuel numbers no columns: it counts the leading monomials of the
 truncated multiples of the generators, each monomial packed into one int
 whose order is the monomial order.  The first generator's leads are
-counted in closed form, the rows that earlier generators span by a
-Koszul syzygy are skipped, and only the rows whose leads collide are built
-and reduced with ``linalg.eliminate``, in ints.
+counted in closed form, a row whose shift is a lead of the earlier rows'
+span is skipped (the F5 criterion), and only the rows whose leads collide
+are built and reduced with ``linalg.eliminate``, in ints.
 """
 
 from __future__ import annotations
@@ -214,11 +214,13 @@ def _linear_form(coeffs) -> Polynomial:
 # cover; a larger input is refused before any work.  The first generator is
 # counted in closed form, so alone it costs about 0.02 ms at any count
 # (x0^2 + x5^3 in 6 variables at k_max = 17, 74613 columns).  Each later
-# generator costs a packed int per shift and a lead per shift that no
-# earlier lead divides: adding x1*x2 + x3^3 takes about 3 ms at k_max = 12
-# and 26 ms at k_max = 17, and adding x3*x4 + x0*x5^2 too about 5 ms and
-# 40 ms (CPython 3.11, 2-vCPU Intel Xeon VM).  The benchmark corpora need at
-# most 1365 columns.
+# generator costs a packed int per shift and a row per shift that is not a
+# lead of the earlier rows' span: adding x1*x2 + x3^3, then x3*x4 + x0*x5^2,
+# takes about 3 and 4 ms at k_max = 12 and 24 and 33 ms at 17.  The limit
+# does not bound the reductions of colliding leads: the ideal of
+# ``test_hs_skips_every_shift_that_is_an_earlier_lead`` reduces 16159 rows
+# in 0.05 s at k_max = 16 and 100800 in 0.66 s at 20 (CPython 3.11, 2-vCPU
+# Intel Xeon VM).  The benchmark corpora need at most 1365 columns.
 HS_MAX_COLUMNS = 100_000
 
 
@@ -253,19 +255,23 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
     packed, so no sum that is kept overflows a digit, and a generator with
     no such term truncates to zero.
 
-    Rows the earlier generators span are skipped (the trivial syzygies of
-    F5: Faugere, ISSAC 2002).  Write an earlier generator as
-    g_i = c*lead_i + tail_i.  If the shift of a row g_j*m of a later
-    generator is m = lead_i*m', then
+    Rows the earlier generators span are skipped (the F5 criterion:
+    Faugere, ISSAC 2002).  Suppose the shift of a row g_j*m is the lead of
+    some h in the span of the rows of g_1..g_{j-1}: h = c*m + tail_h, each
+    term of tail_h larger than m.  Then
 
-        c*g_j*m = g_i*(g_j*m') - g_j*tail_i*m'.
+        c*g_j*m = g_j*h - g_j*tail_h.
 
-    Truncation is linear.  g_i*(g_j*m') truncates to a sum of rows of g_i,
-    and g_j*tail_i*m' to a sum of rows of g_j whose shifts are larger than
-    m, each term of tail_i being larger than lead_i.  By induction on j and
-    then on the shift, descending, every skipped row lies in the span of
-    the rows kept, so the span, its leads and every HS value are those of
-    all the rows.
+    Truncation is linear.  A row g_i*m' drops only terms of degree >=
+    k_max, so g_j times it truncates as g_i*(g_j*m') does: to a sum of rows
+    of g_i.  g_j*tail_h truncates to a sum of rows of g_j whose shifts are
+    larger than m.  By induction on j and then on the shift, descending,
+    every skipped row lies in the span of the rows kept, so the span, its
+    leads and every HS value are those of all the rows.  Before any row of
+    g_j, the leads of the span of the earlier rows are the multiples of
+    lead(g_1) and the keys of ``owners`` (the pivots below), and these are
+    the shifts skipped.  They include every m = lead_i*m', the Koszul
+    syzygies.
 
     The leads are found by an elimination that builds only the rows it
     needs (the symbolic preprocessing of F4: Faugere, J. Pure Appl. Algebra
@@ -355,13 +361,11 @@ def hilbert_samuel_truncated(generators, k_max: int) -> list[int]:
 
         orders = [terms[0][0] >> top for terms in rest]
         shifts = _packed_monomials(nvars, width, top, k_max - min(orders, default=k_max))
-        earlier = [lead1]
         for terms in rest:
             lead_g = terms[0][0]
-            kept = shifts[:bisect_left(shifts, (k_max - (lead_g >> top)) << top)]
-            for lead_i in earlier:
-                kept = [m for m in kept if (m | guard) - lead_i & guard != guard]
-            earlier.append(lead_g)
+            # the F5 criterion: skip each shift that is a lead of the earlier rows' span
+            kept = [m for m in shifts[:bisect_left(shifts, (k_max - (lead_g >> top)) << top)]
+                    if m not in owners and (m | guard) - lead1 & guard != guard]
             for shift in kept:
                 lead = lead_g + shift
                 if pivot_of(lead) is None:

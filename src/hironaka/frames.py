@@ -71,23 +71,21 @@ class Frame(Record):
     def move_to_y(self, index: int) -> "Frame":
         if index in self.y_indices:
             return self
-        return Frame(
-            self.variables,
-            tuple(i for i in self.u_indices if i != index),
-            tuple(list(self.y_indices) + [index]),
-            self.exceptional,
-        )
+        if index not in self.u_indices:
+            raise PreconditionError("u and y must partition the variables")
+        u = tuple(i for i in self.u_indices if i != index)
+        return Frame._make((self.variables, u, (*self.y_indices, index), self.exceptional))
 
     def move_to_u(self, index: int) -> "Frame":
         if index in self.u_indices:
             return self
-        return Frame(
-            self.variables,
-            tuple(list(self.u_indices) + [index]),
-            tuple(i for i in self.y_indices if i != index),
-            self.exceptional,
-        )
+        if index not in self.y_indices:
+            raise PreconditionError("u and y must partition the variables")
+        y = tuple(i for i in self.y_indices if i != index)
+        return Frame._make((self.variables, (*self.u_indices, index), y, self.exceptional))
 
     def with_mark(self, div_id: str, index: int) -> "Frame":
+        if index < 0 or index >= self.nvars:
+            raise PreconditionError(f"exceptional mark {div_id!r} on unknown variable")
         marks = tuple(m for m in self.exceptional if m[0] != div_id and m[1] != index)
-        return Frame(self.variables, self.u_indices, self.y_indices, marks + ((div_id, index),))
+        return Frame._make((self.variables, self.u_indices, self.y_indices, marks + ((div_id, index),)))

@@ -139,8 +139,8 @@ def _chart_pair(E: Pair, center: list[int], chart: int) -> Pair:
                     e = _norm_exp(e)
                 terms[exps[:chart] + (e,) + exps[chart + 1:]] = c
             gens.append(Polynomial._wrap(g.nvars, terms))
-        comps.append(Component(tuple(gens), b))
-    return Pair(tuple(comps))
+        comps.append(Component._make((tuple(gens), b)))
+    return Pair._make((tuple(comps),))
 
 
 def blowup_chart(
@@ -193,10 +193,10 @@ def blowup_chart(
     entries = []
     for e in H.exdata.entries:
         d = d_of.get(e.divisor_id, 0)
-        entries.append(e if d == e.d else ExcDivisor(e.divisor_id, d, e.birth_year))
-    entries.append(ExcDivisor(new_id, d_new, year))
+        entries.append(e if d == e.d else ExcDivisor._make((e.divisor_id, d, e.birth_year)))
+    entries.append(ExcDivisor._make((new_id, d_new, year)))
 
-    state = PairWithHistory(pair, new_frame, ExceptionalData(tuple(entries)))
+    state = PairWithHistory._make((pair, new_frame, ExceptionalData._make((tuple(entries),))))
     return ChartReport(
         state=state,
         center=tuple(center),

@@ -116,12 +116,13 @@ def companion_pair(H: Pair, mus, nu) -> Pair:
                 gens = tuple([divide_by_monomial(g, powers) for g in gens])
             except ValueError as exc:
                 raise InternalError("inexact exceptional factoring") from exc
-        comps.append(Component(gens, comp.weight * nu))
-    result = Pair(tuple(comps))
+        weight = _coeff(comp.weight * nu, "weight")
+        if weight <= 0:
+            raise PreconditionError("component weight must be positive")
+        comps.append(Component._make((gens, weight)))
     if nu < 1 and factors:
-        D = _exceptional_monomial(H.nvars, mus)
-        result = Pair(result.components + (Component((D,), 1 - nu),))
-    return result
+        comps.append(Component._make(((_exceptional_monomial(H.nvars, mus),), _coeff(1 - nu))))
+    return Pair._make((tuple(comps),))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,8 @@ def companion_pair(H: Pair, mus, nu) -> Pair:
 def invariant_step(state: PipelineState) -> StepResult:
     """G -> F -> coefficient pair -> (mu, mu_H, nu) -> companion pair.
     mu and each mu_H are read off the coefficient pair along the contact
-    (``step_minima``).  Adjoined divisors get the int weight 1, and on
-    integral input every pair of the step has int coefficients."""
+    (one ``pair_minima`` walk).  Adjoined divisors get the int weight 1, and
+    on integral input every pair of the step has int coefficients."""
     mc = find_maximal_contact(state.pair, state.frame, state.pending)
     y, frame = mc.contact_index, mc.frame
     if y in state.tracked:
@@ -171,7 +172,7 @@ def _drive(state: PairWithHistory, older, opts: Options):
     hs = _hs_of_pair(state.pair, opts.hs_cutoff)
     names, placed = state.frame.variables, state.exdata.placed(state.frame)
     # the working frame: everything in the u-part, markings preserved
-    frame = Frame(names, tuple(range(len(names))), (), state.frame.exceptional)
+    frame = Frame._make((names, tuple(range(len(names))), (), state.frame.exceptional))
     cur = PipelineState(state.pair, frame, tuple(idx for _, idx in placed))
     tokens: list = [hs.dims]
     yield hs.dims
@@ -186,9 +187,9 @@ def _drive(state: PairWithHistory, older, opts: Options):
         tokens.append(len(Er))
         yield len(Er)
         adjoined = tuple(Er[d] for d in sorted(Er))
-        units = (Component((Polynomial.variable(frame.nvars, i),), 1) for i in adjoined)
+        units = (Component._make(((Polynomial.variable(frame.nvars, i),), 1)) for i in adjoined)
         step = invariant_step(PipelineState(
-            Pair(cur.pair.components + tuple(units)), cur.frame,
+            Pair._make((cur.pair.components + tuple(units),)), cur.frame,
             tuple(i for i in cur.tracked if i not in adjoined),
             tuple(sorted(cur.pending + adjoined))))
         steps.append(step)

@@ -14,8 +14,10 @@ positionally or by keyword, the repr is ``Entry(nu=..., s=...)``, any
 assignment raises AttributeError, and a record equals, and hashes like,
 only a record of its own type with equal fields, never the bare tuple of
 its fields.  Unlike a dataclass it is a tuple: it unpacks, indexes and
-copies with changed fields by ``_replace``.  ``_replace`` does not run
-``__new__``, so it must not be used on a record that validates.
+copies with changed fields by ``_replace``.  ``_make`` and ``_replace``
+skip ``__new__``: use them only on fields built from checked parts, with
+any new number in ``poly._coeff``'s normal form.  The public constructors
+keep every check.
 
 Why not ``dataclasses``: every command starts a fresh interpreter that
 imports ``hironaka.cli``, and ``dataclasses`` was most of that import.  It

@@ -9,7 +9,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from hironaka.errors import PreconditionError
-from hironaka import cone
+from hironaka import cone, linalg
 from hironaka.cone import (
     HomIdeal,
     directrix,
@@ -646,6 +646,34 @@ def test_hs_skips_the_rows_that_koszul_syzygies_span(monkeypatch):
     assert hilbert_samuel_truncated(gens, 12) == [
         1, 7, 25, 63, 129, 231, 377, 575, 833, 1159, 1561, 2047]
     assert eliminated == []
+
+
+def test_hs_skips_every_shift_that_is_an_earlier_lead(monkeypatch):
+    # a 4-variable pair of 3 components, found by fuzzing the problem files,
+    # whose 5 leads collide at every degree.  Skipping the shifts that an
+    # earlier lead divides (the Koszul syzygies) left 28025 row
+    # cancellations at hs_cutoff 16; skipping every shift that is a lead of
+    # the earlier rows' span (the F5 criterion) leaves 16159.  The ceiling
+    # may only fall.
+    cancels = []
+    cancel = linalg._cancel
+
+    def counting(work, c, pivot):
+        cancels.append(c)
+        return cancel(work, c, pivot)
+
+    monkeypatch.setattr(linalg, "_cancel", counting)
+    names = [f"x{i}" for i in range(4)]
+    gens = [parse_polynomial(text, names) for text in [
+        "7*x1*x3^4 + 25*x1*x2^27 + -3*x1^3 + 3*x0^2*x2^11*x3 - x2^3*x3^5*x1^2",
+        "-3*x0*x2^4 + -4*x0*x1*x2 + -1*x0^2*x2^2 + 3*x0^4*x2^2",
+        "-7*x0*x3 + -3*x0*x2*x3 + 2*x0*x1*x3^3 + -9*x0*x1^2*x3^2 + -2*x0^2*x1^2*x3",
+        "2*x1^2",
+        "-13*x2^2*x3 + 4*x1^3 + 3*x0*x2^2 + -3*x0*x1^2 + 3*x0^2 - x0^4*x3^3",
+    ]]
+    assert hilbert_samuel_truncated(gens, 16) == [
+        1, 5, 12, 20, 29, 36, 42, 48, 53, 58, 62, 66, 70, 74, 78, 82]
+    assert len(cancels) <= 20000
 
 
 def test_hs_of_rational_generators_equals_hs_of_the_cleared_ones():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -10,7 +11,7 @@ import pytest
 
 from hironaka import cli, coeff, history, invariant
 from hironaka.cli import problem_from_data, run
-from hironaka.coeff import MaximalContact, delta_invariant
+from hironaka.coeff import MaximalContact, delta_invariant, prepare_vertices
 from hironaka.cone import directrix, hilbert_samuel_truncated, initial_ideal
 from hironaka.errors import DirectrixNotSpanned, InternalError, PreconditionError
 from hironaka.frames import Frame
@@ -32,7 +33,7 @@ from hironaka.invariant import (
     projected_invariant,
     s_partition,
 )
-from hironaka.pairs import Pair, is_singular_at_origin
+from hironaka.pairs import Component, Pair, is_singular_at_origin
 from hironaka.poly import INF, format_polynomial, format_rational, parse_polynomial
 from hironaka.polyhedra import delta, polyhedron_of_pair
 
@@ -885,6 +886,47 @@ def random_trace(seed):
         return hypersurface(f, b, ["x", "y"], ["z"], charts, hs_cutoff=4)
     except PreconditionError:
         return None
+
+
+def test_records_built_by_make_pass_the_public_checks(monkeypatch):
+    """The descent, the blow-ups and the parser build these records by the
+    namedtuple's ``_make``, which skips ``__new__``.  Each such record must
+    be the one the public constructor builds from the same fields: the
+    constructor raises nothing, and every field is equal and of the same
+    type, since ``Fraction(2) == 2``.  ``invariant``, ``run-lsb``,
+    ``char-poly`` and ``coeff`` on every corpus problem, the random pairs
+    and a fractional level, and the random traces."""
+    made = Counter()
+
+    def checked(cls, make):
+        def _make(fields):
+            record = make(fields)
+            public = cls(*record)
+            assert [(type(f), f) for f in public] == [(type(f), f) for f in record], record
+            made[cls.__name__] += 1
+            return record
+        return staticmethod(_make)
+
+    for cls in (Component, Pair, Frame, ExcDivisor, ExceptionalData, PairWithHistory):
+        monkeypatch.setattr(cls, "_make", checked(cls, cls._make))
+    problems = [problem for _, problem in corpus_problems()]
+    problems.append(problem_from_data({  # a fractional level: the weight 5/2 - 1/2 is 2
+        "variables": ["x", "y", "z"], "u": ["x", "y"], "y": ["z"],
+        "exceptional": [{"id": "E1", "variable": "z"}],
+        "pair": {"components": [{"b": "5/2", "gens": ["x^3 + z^(1/2)*x^2*y"]}]}}))
+    problems += [cli.Problem(random_pair_state(seed, nvars), (), Options(hs_cutoff=4))
+                 for seed in range(200) for nvars in (2, 3, 4)]
+    for problem in problems:
+        for command in ("invariant", "run-lsb", "char-poly", "coeff"):
+            with suppress(PreconditionError):
+                run(problem, command)
+    for state, trace, opts in filter(None, map(random_trace, range(300))):
+        with suppress(PreconditionError):
+            compute_invariant(state, trace, opts)
+        with suppress(PreconditionError):
+            prepare_vertices(state.pair, state.frame)
+    assert set(made) == {"Component", "Pair", "Frame", "ExcDivisor", "ExceptionalData",
+                         "PairWithHistory"}, made
 
 
 def test_the_year_of_birth_starts_the_final_block():
