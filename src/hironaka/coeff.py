@@ -14,14 +14,19 @@ with a clear error.
 
 Each direction is first probed on a line (``_line_value``): w(-t(a'), a') = 0
 is an identity among the coefficients of f(a' + s*v), and a direction that
-fails it never changes or differentiates f.
+fails it never changes f; k*v (k >= 2) screens as v, met before it.  As the
+shift commutes with the derivative along x_p, w(-t, x') = 0 exactly when f
+after the change and the shift has no term of pivot degree b - 1: w is never
+built, and the other generators are rewritten only after f passes
+(``_contact_rewrite``).
 
 The rewrite stays integral: with L' the least common denominator of t and
-T' = L'*t, one substitution x_i -> L'*x_i + v_i*(x_p - T') (i != p), x_p ->
-v_p*(x_p - T') of g, each term pre-scaled by L'^(D - its degree in the
-mapped variables), gives L'^D * g o rho, rho the rational rewrite composed
-with x_p -> x_p/L' (``_cleared``).  Constants and a scaled coordinate change
-no support, hence no polyhedron, level or later decision; L' = 1 gives the
+T' = L'*t, both found in ints, one substitution x_i -> L'*x_i + v_i*(x_p -
+T') (i != p), x_p -> v_p*(x_p - T') of g, each term pre-scaled by
+L'^(D - its degree in the mapped variables), gives L'^D * g o rho, rho the
+rational rewrite composed with x_p -> x_p/L' (``_cleared``), each image
+power built once per pair.  Constants and a scaled coordinate change no
+support, hence no polyhedron, level or later decision; L' = 1 gives the
 rational rewrite itself.
 
 The direction sweep is lazy.  It yields only the directions a contact may
@@ -47,19 +52,20 @@ from itertools import count
 from operator import itemgetter, mul
 
 from .cone import directrix, initial_ideal
-from .errors import DirectrixNotSpanned, InternalError, PreconditionError
+from .errors import DirectrixNotSpanned, PreconditionError
 from .frames import Frame
 from .linalg import solve
 from .pairs import Component, Pair, pair_order
 from .poly import (
     Polynomial,
+    _add_terms,
     _coeff,
     _ints,
+    _substitute,
     format_rational,
     hasse_derivative,
     initial_form,
     ord_at_origin,
-    substitute,
 )
 from .polyhedra import OrthantPolyhedron, delta, polyhedron_of_pair
 from .record import Record
@@ -119,11 +125,10 @@ class MaximalContact(Record):
     frame: Frame               # same variables, contact index moved to the y-part
     contact_index: int         # the variable that now cuts out the hypersurface
     direction: tuple
-    # the substitution rho that gave ``pair``, {} if none: variable index ->
-    # polynomial in ``frame``'s variables.  pair = L'^D_g * substitute(g,
-    # change) per generator g, L' the tail's least common denominator and
-    # D_g g's largest degree in the mapped variables.  Not compared or
-    # hashed: equality is that of the other fields
+    # rho that gave ``pair``, {} if none: variable index -> the rewrite's int
+    # image over L', the tail's least common denominator; pair = L'^D_g *
+    # substitute(g, change), D_g g's largest degree in the mapped variables.
+    # Not compared or hashed: equality is that of the other fields
     change: dict
 
     def __new__(cls, pair, frame, contact_index, direction, change=None):
@@ -204,7 +209,7 @@ def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
     W_k = C(k+b-1, b-1) * phi_(k+b-1), phi(s) = f(a' + s*v), and the value
     sum_k W_k * (-W_0)^k * lead^(D-k), D the largest k with a term, is
     lead^(D+1) * w(-t(a'), a'); 0 when no term of f reaches s^(b-1).  A
-    nonzero value forces T != 0: ``_clearing_tail`` finds no shift."""
+    nonzero value forces T != 0, and no shift clears it."""
     if not any(e[pivot] < b <= sum(d for d, x in zip(e, vec) if x) + 1 for e in f.terms):
         return 0
     phi: dict = {}  # k -> the s^k coefficient of phi
@@ -236,39 +241,58 @@ def _line_value(f: Polynomial, b: int, vec, pivot: int, lead) -> int | Fraction:
                      for k, y in phi.items() if k >= b - 1)
 
 
-def _clearing_tail(witness: Polynomial, pivot: int) -> Polynomial | None:
-    """The t that makes the witness a coordinate by one shift, or None:
-    with L its pivot coefficient (nonzero), T its pivot-free part and
-    w = witness/L, t = T/L when t = 0 or w(-t, x') = 0, the pivot-free part
-    of w after pivot -> pivot - t.  Witnesses over 150 terms with t != 0
-    get None.  The check is ``_line_value``'s: L^D * w(-T/L, x') = 0.
-
-    Its caller builds a witness only when ``_line_value`` is 0; a nonzero
-    line value forces t != 0, so the cap would reject that witness too."""
-    n, terms = witness.nvars, witness.terms
-    if all(e[pivot] for e in terms):
-        return Polynomial.zero(n)
-    if len(terms) > 150:
-        return None
-    lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
-    tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
-    if not _cleared(witness, {pivot: -tail}, lead).is_zero():
-        return None
-    return tail.scale(Fraction(1) / lead)
-
-
-def _cleared(g: Polynomial, assignment, L) -> Polynomial:
-    """L^D * g o (assignment/L), D the largest degree of a term of g in the
-    mapped variables, by one ``substitute`` of g with each term pre-scaled
+def _cleared(g: Polynomial, images, L, powers) -> Polynomial:
+    """L^D * g o (images/L), D the largest degree of a term of g in the
+    mapped variables, by one ``_substitute`` of g with each term pre-scaled
     by L^(D - its degree).  A fractional exponent on a mapped variable goes
-    to ``substitute`` unscaled, which refuses it for L != 1."""
+    to the kernel unscaled, which refuses it for L != 1."""
     # one pass: a degree is an int exactly when its exponents are
-    degree = L != 1 and [sum([e[i] for i in assignment]) for e in g.terms]
-    if not degree or Fraction in set(map(type, degree)):
-        return substitute(g, assignment)
-    top = max(degree)
-    return substitute(Polynomial._wrap(g.nvars, _ints({
-        e: c * L ** (top - d) for (e, c), d in zip(g.terms.items(), degree)})), assignment)
+    degree = L != 1 and [sum([e[i] for i in images]) for e in g.terms]
+    if degree and Fraction not in set(map(type, degree)):
+        top = max(degree)
+        g = Polynomial._wrap(g.nvars, _ints({
+            e: c * L ** (top - d) for (e, c), d in zip(g.terms.items(), degree)}))
+    return _substitute(g, images, powers)
+
+
+def _contact_images(n: int, vec, pivot: int, L=1, tail=()) -> dict:
+    """The term dicts of x_i -> L*x_i + v_i*(x_p - T), i != p, and x_p ->
+    v_p*(x_p - T) over the nonzero v_i, T the int terms ``tail``."""
+    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    images = {i: {unit[i]: L} if i != pivot else {} for i, x in enumerate(vec) if x}
+    for i, image in images.items():
+        _add_terms(image, [(unit[pivot], vec[i]), *[(e, -c * vec[i]) for e, c in tail]])
+    return images
+
+
+def _contact_rewrite(E: Pair, f: Polynomial, b: int, vec, pivot: int, lead):
+    """The pair rewritten along a screened direction and rho, or None when
+    the witness needs a shift and has over 150 terms or stays no coordinate
+    after it.  With g = f after the linear change, the witness has g's terms
+    of pivot degree >= b - 1, pivot coefficient ``lead`` = b*top(v) (b times
+    g's pivot^b one) and pivot-free part T, g's pivot^(b-1) one."""
+    n, L, powers = E.nvars, 1, {}
+    linear = vec[pivot] != 1 or any(vec[pivot + 1:])  # vec[:pivot] is 0
+    images = _contact_images(n, vec, pivot)
+    new = _substitute(f, images, powers) if linear else f
+    tail = [(e[:pivot] + (0,) + e[pivot + 1:], c)
+            for e, c in new.terms.items() if e[pivot] == b - 1]
+    if tail:
+        if sum(e[pivot] >= b - 1 for e in new.terms) > 150:
+            return None
+        # L' and T' = L'*T/lead in ints: c/lead = c_n*lead_d / (c_d*lead_n)
+        t = [(e, c.numerator * lead.denominator, c.denominator * lead.numerator) for e, c in tail]
+        L = math.lcm(*[abs(den) // math.gcd(num, den) for _, num, den in t])
+        images = _contact_images(n, vec, pivot, L, [(e, num * L // den) for e, num, den in t])
+        new = _cleared(f, images, L, powers := {})
+        if any(e[pivot] == b - 1 for e in new.terms):
+            return None
+    elif not linear:
+        return E, {}
+    pair = _substitute_pair(E, images, L, powers, (f, new))
+    # rho is the images over L: one Fraction per term, and only when L > 1
+    return pair, {i: Polynomial._wrap(n, _ints({e: Fraction(c, L) for e, c in image.items()})
+                                      if L > 1 else image) for i, image in images.items()}
 
 
 def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> MaximalContact:
@@ -291,10 +315,10 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
     A direction's witness w (pivot coefficient 1, pivot-free part t) is
     accepted when t = 0 or w(-t, x') = 0, and the pair is rewritten once by
     the linear change composed with pivot -> pivot - t, over the ints
-    (module docstring).  A nonzero
-    ``_line_value``, read off f before any expansion, rejects the direction;
-    otherwise w is built for the exact check of ``_clearing_tail``.  After
-    12 failed directions the input is rejected.
+    (module docstring).  A direction k*v, k >= 2, fails as v did, unprobed;
+    a nonzero ``_line_value``, read off f before any expansion, rejects the
+    direction, and otherwise ``_contact_rewrite`` decides.  After 12 failed
+    directions the input is rejected.
     """
     orders = [list(map(ord_at_origin, comp.gens)) for comp in E.components]  # read once
     if any(min(o) < comp.weight for o, comp in zip(orders, E.components)):
@@ -333,54 +357,31 @@ def find_maximal_contact(E: Pair, frame: Frame, preferred_variables=()) -> Maxim
         raise PreconditionError("no maximal contact witness")
 
     failed_screens = 0
-    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     # with R = 0 only the adjoined unit vectors can work: sweep them alone
     for vec in _direction_candidates(n, fixed if restricted else range(n), units):
         lead = b * _evaluate(top, vec)
         if not lead:
             continue
         pivot = next(i for i, x in enumerate(vec) if x != 0)
-        change = tail = None
-        if not _line_value(f, b, vec, pivot, lead):
-            if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
-                # x_pivot -> v_pivot * x_pivot, x_i -> x_i + v_i * x_pivot
-                change = {
-                    i: Polynomial._wrap(n, {unit[i]: 1, unit[pivot]: x} if i != pivot
-                                        else {unit[pivot]: x})
-                    for i, x in enumerate(vec) if x
-                }
-            fvec = substitute(f, change) if change else f
-            witness = hasse_derivative(fvec, tuple(b - 1 if j == pivot else 0 for j in range(n)))
-            if ord_at_origin(witness) != 1:
-                raise InternalError("contact derivative does not have order one")
-            if not witness.terms.get(unit[pivot]):
-                raise InternalError("contact derivative lost the pivot direction")
-            tail = _clearing_tail(witness, pivot)
-        if tail is None:
-            failed_screens += 1
-            if failed_screens == 12:
-                break
-            continue
-
-        # the tail is free of the pivot: rewrite the pair once, over the ints
-        pair, rho = E, {}
-        if change or not tail.is_zero():
-            L = math.lcm(*(c.denominator for c in tail.terms.values()))
-            shift = Polynomial.variable(n, pivot) - tail.scale(L)
-            assignment = {i: shift.scale(x) if i == pivot else
-                          Polynomial._wrap(n, {unit[i]: L}) + shift.scale(x)
-                          for i, x in enumerate(vec) if x}
-            pair = _substitute_pair(E, assignment, L)
-            rho = {i: g.scale(Fraction(1, L)) for i, g in assignment.items()} if L > 1 else assignment
-        return MaximalContact(pair, frame.move_to_y(pivot), pivot, tuple(vec), rho)
+        # k*v screens as v, which the sweep met before it and refused
+        rewrite = (math.gcd(*vec) == 1 and not _line_value(f, b, vec, pivot, lead)
+                   and _contact_rewrite(E, f, b, vec, pivot, lead))
+        if rewrite:
+            pair, rho = rewrite
+            return MaximalContact(pair, frame.move_to_y(pivot), pivot, tuple(vec), rho)
+        failed_screens += 1
+        if failed_screens == 12:
+            break
     raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
-def _substitute_pair(E: Pair, assignment, L=1) -> Pair:
-    return Pair._make((tuple(
-        Component._make((tuple(_cleared(g, assignment, L) for g in comp.gens), comp.weight))
-        for comp in E.components
-    ),))
+def _substitute_pair(E: Pair, images, L=1, powers=None, done=(None, None)) -> Pair:
+    """E with each generator g made L^D * g o (images/L) (``_cleared``),
+    every image power built once; done = (a generator, its image) if any."""
+    powers, (f, new) = {} if powers is None else powers, done
+    return Pair._make((tuple(Component._make((tuple(
+        [new if g is f else _cleared(g, images, L, powers) for g in comp.gens]), comp.weight))
+        for comp in E.components),))
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +479,16 @@ def _solve_vertex(pair: Pair, frame: Frame, P: OrthantPolyhedron):
             continue
         n, at = pair.nvars, dict(zip(frame.u_indices, vertex))
         mono = tuple(at.get(i, 0) for i in range(n))
-        assignment = {yi: Polynomial.variable(n, yi) + Polynomial.monomial(n, mono, lam[j])
-                      for j, yi in enumerate(frame.y_indices) if lam[j] != 0}
-        work = sum(math.prod([e[i] + 1 for i in assignment])
+        # y -> y + c*u^v as term dicts, by increasing y; u^v is free of y
+        images = {yi: {tuple(int(i == yi) for i in range(n)): 1, mono: _coeff(c)}
+                  for yi, c in sorted(zip(frame.y_indices, lam)) if c}
+        work = sum(math.prod([e[i] + 1 for i in images])
                    for g in pair.all_generators() for e in g.terms)
         if work > MAX_PREP_PRODUCTS:
             raise PreconditionError(
                 f"the translation at vertex ({', '.join(map(format_rational, vertex))}) "
                 f"would form {work} term products, past the limit of {MAX_PREP_PRODUCTS}")
-        candidate = _substitute_pair(pair, assignment)
+        candidate = _substitute_pair(pair, images)
         P2 = polyhedron_of_pair(candidate, frame)
         if vertex in P2.vertices:
             continue

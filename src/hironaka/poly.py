@@ -341,11 +341,12 @@ def hasse_derivative(f: Polynomial, order: Iterable[int]) -> Polynomial:
 def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomial:
     """Exact composite polynomial; variables absent from the map stay fixed.
 
-    The work is on term dicts.  Each term of f has its mapped exponents
-    zeroed; the power c^e * x^(e*E) of every single-term g_i is folded into
-    the term's exponent tuple and coefficient, and only the powers of the
-    multi-term g_i are convolved with it.  Each power is built once per
-    call, in a table local to the call.  That of a two-term g_i = a + b
+    The work is on term dicts (``_substitute``).  Each term of f has its
+    mapped exponents zeroed; the power c^e * x^(e*E) of every single-term
+    g_i is folded into the term's exponent tuple and coefficient, and only
+    the powers of the multi-term g_i are convolved with it.  Each power is
+    built once, in a table that a call makes and that a rewrite of many
+    polynomials by one assignment shares.  That of a two-term g_i = a + b
     comes from the binomial theorem, sum_k C(e, k) a^k b^(e-k), and that of
     a g_i of three or more terms from the multinomial theorem, one term at a
     time (``_multinomial_power``), which merges the colliding monomials.
@@ -356,17 +357,19 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     exponent, the result goes through the normalizing constructor, since
     two fractional exponents may add up to an int.
     """
-    n = f.nvars
-    mapped = [i for i in range(n) if i in assignment]
-    for i in mapped:
-        if assignment[i].nvars != n:
-            raise ValueError("substitution must preserve the variable list")
-    # (i, e) -> g_i^e: ((index, exponent) pairs, coefficient) for a
-    # single-term g_i, else its term dict
-    powers: dict = {}
+    images = {i: assignment[i].terms for i in range(f.nvars) if i in assignment}
+    if any(assignment[i].nvars != f.nvars for i in images):
+        raise ValueError("substitution must preserve the variable list")
+    return _substitute(f, images, {})
+
+
+def _substitute(f: Polynomial, images: dict, powers: dict) -> Polynomial:
+    """``substitute`` by the term dicts g_i = images[i], keys increasing,
+    with the power table (i, e) -> g_i^e that calls by the same images may
+    share: ((index, exponent) pairs, coefficient) or a term dict."""
 
     def power(i: int, e):
-        g = assignment[i].terms
+        g = images[i]
         integral = type(e) is int
         if len(g) == 1:
             (gexps, gc), = g.items()
@@ -393,10 +396,10 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
     out: dict[Exponents, int | Fraction] = {}
     for exps, c in f.terms.items():
         key = list(exps)
-        for i in mapped:
+        for i in images:
             key[i] = 0
         factors = []
-        for i in mapped:
+        for i in images:
             e = exps[i]
             if not e:
                 continue
@@ -410,14 +413,16 @@ def substitute(f: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomia
                 c *= pc
             else:
                 factors.append(p)
-        term = {tuple(key): c}
-        for p in factors:
-            term = _convolve(term, p)
-        _add_terms(out, term.items())
-    if f.has_fractional_exponent() or any(
-            assignment[i].has_fractional_exponent() for i in mapped):
-        return Polynomial(n, out)
-    return Polynomial._wrap(n, _ints(out))
+        # one term times a power: no two products meet, none cancels
+        term = ([(tuple(map(add, key, e)), c * pc) for e, pc in factors[0].items()]
+                if factors else [(tuple(key), c)])
+        for p in factors[1:]:
+            term = _convolve(dict(term), p).items()
+        _add_terms(out, term)
+    if f.has_fractional_exponent() or Fraction in set(map(type, chain.from_iterable(
+            chain.from_iterable(images.values())))):
+        return Polynomial(f.nvars, out)
+    return Polynomial._wrap(f.nvars, _ints(out))
 
 
 def _multinomial_power(g: dict, e: int) -> dict:

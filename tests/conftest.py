@@ -38,7 +38,12 @@ after the split.  ``reference_companion_pair`` is
 ``invariant.companion_pair`` as it was before it divided by the whole
 exceptional monomial at once: one ``divide_by_variable_power`` per divisor,
 the exact division by one variable power that ``poly`` had before
-``divide_by_monomial``.
+``divide_by_monomial``.  ``reference_find_maximal_contact`` is
+``coeff.find_maximal_contact`` as it was before the witness check moved onto
+the rewritten generator: the shift is checked by a second substitution of
+the witness (``reference_clearing_tail``), every direction with a zero line
+value is probed, and the pair is rewritten by Polynomial assignments, each
+generator by its own ``substitute`` call.
 """
 
 from __future__ import annotations
@@ -55,14 +60,15 @@ from pathlib import Path
 import pytest
 
 from hironaka.cli import parse_problem
+from hironaka.coeff import MaximalContact, _direction_candidates, _evaluate, _line_value
 from hironaka.cone import DirectrixBasis, _linear_form, _multiples, monomials_of_degree
 from hironaka.errors import InternalError, PreconditionError, ProblemParseError
 from hironaka.linalg import _echelon, _subtract, reduce_against
 from hironaka.poly import (
-    INF, Polynomial, _add_terms, _ints, _norm_exp, hasse_derivative,
-    substitute,
+    INF, Polynomial, _add_terms, _ints, _norm_exp, format_rational, hasse_derivative,
+    initial_form, ord_at_origin, substitute,
 )
-from hironaka.pairs import Component, Pair
+from hironaka.pairs import Component, Pair, pair_order
 from hironaka.polyhedra import OrthantPolyhedron, point_in_hull_orthant
 
 
@@ -442,6 +448,112 @@ def reference_chart_pair(E: Pair, center, chart: int) -> Pair:
                 raise InternalError("inexact exceptional division") from exc
         comps.append(Component(tuple(gens), comp.weight))
     return Pair(tuple(comps))
+
+
+# ---------------------------------------------------------------------------
+# Reference maximal contact: the witness shift checked by its own substitution
+
+
+def reference_clearing_tail(witness: Polynomial, pivot: int) -> Polynomial | None:
+    """The t that makes the witness a coordinate by one shift, or None:
+    with L its pivot coefficient, T its pivot-free part and w = witness/L,
+    t = T/L when t = 0 or w(-t, x') = 0.  Witnesses over 150 terms with
+    t != 0 get None.  The check is L^D * w(-T/L, x') = 0."""
+    n, terms = witness.nvars, witness.terms
+    if all(e[pivot] for e in terms):
+        return Polynomial.zero(n)
+    if len(terms) > 150:
+        return None
+    lead = terms[tuple(1 if j == pivot else 0 for j in range(n))]
+    tail = Polynomial._wrap(n, {e: c for e, c in terms.items() if e[pivot] == 0})
+    if not reference_cleared(witness, {pivot: -tail}, lead).is_zero():
+        return None
+    return tail.scale(Fraction(1) / lead)
+
+
+def reference_cleared(g: Polynomial, assignment, L) -> Polynomial:
+    """L^D * g o (assignment/L) by one ``substitute`` of g, each term
+    pre-scaled by L^(D - its degree in the mapped variables)."""
+    degree = L != 1 and [sum([e[i] for i in assignment]) for e in g.terms]
+    if not degree or Fraction in set(map(type, degree)):
+        return substitute(g, assignment)
+    top = max(degree)
+    return substitute(Polynomial._wrap(g.nvars, _ints({
+        e: c * L ** (top - d) for (e, c), d in zip(g.terms.items(), degree)})), assignment)
+
+
+def reference_find_maximal_contact(E: Pair, frame, preferred_variables=()) -> MaximalContact:
+    """``coeff.find_maximal_contact`` by a witness shift checked on the
+    witness and a per-generator rewrite, with the same fields, number types
+    and errors."""
+    orders = [list(map(ord_at_origin, comp.gens)) for comp in E.components]
+    if any(min(o) < comp.weight for o, comp in zip(orders, E.components)):
+        raise PreconditionError("point not in Sing")
+    n = E.nvars
+    for idx in preferred_variables:
+        unit_idx = tuple(1 if j == idx else 0 for j in range(n))
+        for comp in E.components:
+            if comp.weight == 1 and any(len(g.terms) == 1 and g.terms.get(unit_idx)
+                                        for g in comp.gens):
+                return MaximalContact(E, frame.move_to_y(idx), idx, unit_idx)
+    chosen = next(((g, int(comp.weight)) for comp, o in zip(E.components, orders)
+                   if comp.weight.denominator == 1 for g, order in zip(comp.gens, o)
+                   if order == comp.weight and not g.has_fractional_exponent()), None)
+    if chosen is None:
+        order = pair_order(E)
+        if order > 1:
+            raise PreconditionError(
+                "no maximal contact witness: every generator's order exceeds "
+                f"its weight (pair order {format_rational(order)} > 1)")
+        raise PreconditionError("no maximal contact witness")
+    f, b = chosen
+    top = initial_form(f, b)
+    marked = frame.marked_indices()
+    units = [i for i in preferred_variables if i in marked]
+    fixed = marked.union(frame.y_indices)
+    restricted = any(all(e[i] == 0 for i in fixed) for e in top.terms)
+    if not restricted and not any(e[i] == b for e in top.terms for i in units):
+        raise PreconditionError("no maximal contact witness")
+    failed_screens = 0
+    unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    for vec in _direction_candidates(n, fixed if restricted else range(n), units):
+        lead = b * _evaluate(top, vec)
+        if not lead:
+            continue
+        pivot = next(i for i, x in enumerate(vec) if x != 0)
+        change = tail = None
+        if not _line_value(f, b, vec, pivot, lead):
+            if any(x != 0 and i != pivot for i, x in enumerate(vec)) or vec[pivot] != 1:
+                change = {
+                    i: Polynomial._wrap(n, {unit[i]: 1, unit[pivot]: x} if i != pivot
+                                        else {unit[pivot]: x})
+                    for i, x in enumerate(vec) if x
+                }
+            fvec = substitute(f, change) if change else f
+            witness = hasse_derivative(fvec, tuple(b - 1 if j == pivot else 0 for j in range(n)))
+            if ord_at_origin(witness) != 1:
+                raise InternalError("contact derivative does not have order one")
+            if not witness.terms.get(unit[pivot]):
+                raise InternalError("contact derivative lost the pivot direction")
+            tail = reference_clearing_tail(witness, pivot)
+        if tail is None:
+            failed_screens += 1
+            if failed_screens == 12:
+                break
+            continue
+        pair, rho = E, {}
+        if change or not tail.is_zero():
+            L = math.lcm(*(c.denominator for c in tail.terms.values()))
+            shift = Polynomial.variable(n, pivot) - tail.scale(L)
+            assignment = {i: shift.scale(x) if i == pivot else
+                          Polynomial._wrap(n, {unit[i]: L}) + shift.scale(x)
+                          for i, x in enumerate(vec) if x}
+            pair = Pair(tuple(
+                Component(tuple(reference_cleared(g, assignment, L) for g in comp.gens),
+                          comp.weight) for comp in E.components))
+            rho = {i: g.scale(Fraction(1, L)) for i, g in assignment.items()} if L > 1 else assignment
+        return MaximalContact(pair, frame.move_to_y(pivot), pivot, tuple(vec), rho)
+    raise PreconditionError("maximal contact requires a completion-level coordinate change")
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,19 @@ from itertools import combinations, count, islice, product, takewhile
 
 import pytest
 
-from hironaka import coeff
+from hironaka import coeff, invariant
+from hironaka.cli import run
 from hironaka.coeff import (
     MaximalContact,
-    _clearing_tail,
     _direction_candidates,
     _evaluate,
     _line_value,
-    _substitute_pair,
     coefficient_pair,
     delta_invariant,
     find_maximal_contact,
     prepare_vertices,
 )
-from hironaka.errors import DirectrixNotSpanned, PreconditionError
+from hironaka.errors import DirectrixNotSpanned, InternalError, PreconditionError
 from hironaka.frames import Frame
 from hironaka.pairs import Component, Pair, is_singular_at_origin
 from hironaka.poly import (
@@ -34,7 +33,7 @@ from hironaka.polyhedra import delta, polyhedron_of_pair
 
 from conftest import (
     corpus_problems, random_polynomial, random_singular_pair, reference_coefficient_pair,
-    scale_exponents, subset_of,
+    reference_find_maximal_contact, scale_exponents, subset_of,
 )
 
 NAMES2 = ["x", "y"]
@@ -427,14 +426,19 @@ def test_a_sweep_with_no_free_variable_stops():
 
 def test_one_free_variable_is_rejected_at_the_twelfth_screen(monkeypatch):
     # with x marked, y is the only free variable: the sweep meets (0, h) at
-    # every height h, each with top(v) = h^2, and each screen fails
+    # every height h, each with top(v) = h^2, and each screen fails; only
+    # (0, 1) is primitive, so only it reaches the line screen
     frame = Frame(("x", "y"), (0, 1), (), (("E1", 0),))
-    screens = []
+    swept, screens = [], []
+    sweep = coeff._direction_candidates
+    monkeypatch.setattr(coeff, "_direction_candidates",
+                        lambda *args: (swept.append(vec) or vec for vec in sweep(*args)))
     monkeypatch.setattr(coeff, "_line_value", lambda f, b, vec, *rest: screens.append(vec)
                         or _line_value(f, b, vec, *rest))
     with pytest.raises(PreconditionError, match="completion-level"):
         find_maximal_contact(Pair.single([p("(y + y^2 + x^2)^2")], 2), frame)
-    assert screens == [(0, h) for h in range(1, 13)]
+    assert swept == [(0, h) for h in range(1, 13)]
+    assert screens == [(0, 1)]
 
 
 def contact_by_iteration_reference(E: Pair, frame: Frame, shift_cap: int = 2):
@@ -487,7 +491,8 @@ def contact_by_iteration_reference(E: Pair, frame: Frame, shift_cap: int = 2):
         if not removed.is_zero():
             shift = {pivot: x[pivot] - removed}
             assignment = {i: substitute(g, shift) for i, g in assignment.items()} or shift
-        pair = _substitute_pair(E, assignment) if assignment else E
+        pair = Pair(tuple(Component(tuple(substitute(g, assignment) for g in comp.gens), comp.weight)
+                          for comp in E.components)) if assignment else E
         # the documented integral form: pivot -> pivot/L', times L'^D
         L, mapped = denominator(removed.terms.values()), {i for i, c in enumerate(vec) if c}
         pair = Pair(tuple(
@@ -553,13 +558,13 @@ def test_a_cleared_shift_of_a_fractional_variable_is_refused(monkeypatch):
     frame = Frame(("x", "y"), (0, 1), (), (("E1", 0),))
     root = Polynomial(2, {(Fraction(1, 2), 2): 1, (1, 2): 1})
     E = Pair((Component((p("(2*x + y)^2"),), 2), Component((root,), Fraction(1, 2))))
-    kernel = coeff.substitute
+    kernel = coeff._substitute
 
-    def exact(g, change):
+    def exact(g, images, powers):
         assert all(type(c) in (int, Fraction) for c in g.terms.values())
-        return kernel(g, change)
+        return kernel(g, images, powers)
 
-    monkeypatch.setattr(coeff, "substitute", exact)
+    monkeypatch.setattr(coeff, "_substitute", exact)
     with pytest.raises(PreconditionError, match="^fractional power of a non-monomial substitution$"):
         find_maximal_contact(E, frame, preferred_variables=(0,))
 
@@ -567,22 +572,141 @@ def test_a_cleared_shift_of_a_fractional_variable_is_refused(monkeypatch):
 def test_zero_probe_falls_back_to_the_substitution(monkeypatch):
     # b = 1, pivot x, probe y = 2, t = y^2/lead: the line value is 0 although
     # w(-t, y) = -y^3*(y - 2)/lead^2; with lead 3 the probe's x is -4/3, not an int
+    rewrites = []
+    rewrite = coeff._contact_rewrite
+
+    def recorded(E, f, b, vec, *rest):
+        rewrites.append((vec, rewrite(E, f, b, vec, *rest)))
+        return rewrites[-1][1]
+
+    monkeypatch.setattr(coeff, "_contact_rewrite", recorded)
     for lead in (1, 3):
         w = p(f"{lead}*x + y^2 + x*y*(y - 2)")
         assert _evaluate(w.scale(Fraction(1, lead)), (Fraction(-4, lead), 2)) == 0
         assert _line_value(w, 1, (1, 0), 0, lead) == 0
-        assert _clearing_tail(w, 0) is None
-        # (lead*x + y^2)(1 + x) becomes lead*x*(1 + x - y^2/lead) under x -> x - y^2/lead
-        assert _clearing_tail(p(f"({lead}*x + y^2)*(1 + x)"), 0) == p("y^2").scale(Fraction(1, lead))
+        rewrites.clear()
         E = Pair.single([w], 1)
-        shifted = []
-        monkeypatch.setattr(coeff, "substitute",
-                            lambda g, change: shifted.append(g) or substitute(g, change))
         assert (_contact_outcome(find_maximal_contact, E, ALL_U_XY)
                 == _contact_outcome(contact_by_iteration_reference, E, ALL_U_XY)
                 == "maximal contact requires a completion-level coordinate change")
-        # direction (1, 0) was rejected by the substitution of its witness
-        assert w in shifted
+        # direction (1, 0) passed the probe and was refused by the rewritten w
+        assert rewrites[0] == ((1, 0), None)
+        # (lead*x + y^2)(1 + x) becomes lead*x*(1 + x - y^2/lead) under
+        # x -> x - y^2/lead: L' = lead, rho is x -> (x - y^2)/lead, and the
+        # pair lead^2 * g o rho, 2 the degree of g in x
+        g = p(f"({lead}*x + y^2)*(1 + x)")
+        mc = find_maximal_contact(Pair.single([g], 1), ALL_U_XY)
+        rho = {0: p("x - y^2").scale(Fraction(1, lead))}
+        assert (mc.direction, mc.change) == ((1, 0), rho)
+        assert mc.pair.all_generators() == (substitute(g, rho).scale(lead ** 2),)
+
+
+def _contact_fields(find, E, frame, preferred=()):
+    """Every field of the contact, the terms of each polynomial in order,
+    each coefficient with its type and the types of its exponents; the
+    class and message of a refusal."""
+    try:
+        mc = find(E, frame, preferred)
+    except (PreconditionError, InternalError) as exc:
+        return type(exc), str(exc)
+
+    def typed(g):
+        return g.nvars, [(e, c, type(c), tuple(map(type, e))) for e, c in g.terms.items()]
+
+    return ([([typed(g) for g in comp.gens], comp.weight, type(comp.weight))
+             for comp in mc.pair.components],
+            mc.frame, mc.contact_index, mc.direction,
+            {i: typed(g) for i, g in mc.change.items()})
+
+
+def random_contact_case(seed):
+    """A random pair, frame and adjoined divisors with each kind of data
+    the descent may hand the contact search: rational coefficients, a
+    component of weight 5/2, fractional exponents on a marked y-variable,
+    marked u-variables, adjoined or not, and an adjoined (x_i, 1)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    names = tuple(f"x{i}" for i in range(n))
+    comps = list(random_singular_pair(rng, n).components)
+    if rng.random() < 0.5:
+        comps = [Component(tuple(Polynomial(n, {e: Fraction(c, rng.randint(1, 3))
+                                                for e, c in g.terms.items()})
+                                 for g in comp.gens), comp.weight) for comp in comps]
+    if rng.random() < 0.3:
+        comps.append(Component((random_polynomial(rng, n, max_degree=5, min_order=3),),
+                               Fraction(5, 2)))
+    E = Pair(tuple(comps))
+    y = (n - 1,) if rng.random() < 0.5 else ()
+    marked = [i for i in range(n - len(y)) if rng.random() < 0.3]
+    if y and rng.random() < 0.6:
+        marked.append(y[0])
+        g = random_polynomial(rng, n, max_degree=3, min_order=1)
+        E = Pair(E.components + (Component((Polynomial(n, {
+            (*e[:-1], e[-1] + Fraction(1, 2)): c for e, c in g.terms.items()}),), 1),))
+    frame = Frame(names, tuple(range(n - len(y))), y, tuple((f"E{i}", i) for i in marked))
+    adjoined = tuple(i for i in marked if i not in y and rng.random() < 0.6)
+    if adjoined and rng.random() < 0.3:
+        E = Pair(E.components + (Component((Polynomial.variable(n, adjoined[0]),), 1),))
+    return E, frame, adjoined
+
+
+def test_the_contact_route_matches_the_reference(monkeypatch):
+    """Every contact of every descent of the corpora, and of random pairs
+    with every kind of data, against the route that checked the shift on
+    the witness and rewrote generator by generator: the same pair, frame,
+    contact, direction and change, terms in the same order and of the same
+    number types, or the same error class and message."""
+    calls = []
+    find = invariant.find_maximal_contact
+    monkeypatch.setattr(invariant, "find_maximal_contact",
+                        lambda *args: calls.append(args) or find(*args))
+    for _, problem in corpus_problems():
+        _contact_outcome(run, problem, "invariant")
+    monkeypatch.undo()
+    assert len(calls) >= 200
+    w = p("3*x + y^2 + x*y*(y - 2)")  # the zero probe that the rewrite refuses
+    calls += [(Pair.single([w], 1), ALL_U_XY, ())]
+    calls += [random_contact_case(seed) for seed in range(600)]
+    tally = Counter()
+    for E, frame, preferred in calls:
+        got = _contact_fields(find_maximal_contact, E, frame, preferred)
+        assert got == _contact_fields(reference_find_maximal_contact, E, frame, preferred), (
+            E, frame, preferred)
+        if len(got) == 2:
+            tally[got[1].split(":")[0]] += 1
+            continue
+        mc = find_maximal_contact(E, frame, preferred)
+        tally["rewritten" if mc.change else "kept"] += 1
+        data = [c for g in mc.change.values() for c in g.terms.values()]
+        tally["L' > 1"] += any(type(c) is Fraction for c in data)
+        rewritten = E.components if mc.change else ()
+        tally["rational"] += any(type(c) is Fraction for comp in rewritten for g in comp.gens
+                                 for c in g.terms.values())
+        tally["weight 5/2"] += any(comp.weight == Fraction(5, 2) for comp in rewritten)
+        tally["fractional exponent"] += any(g.has_fractional_exponent()
+                                            for comp in rewritten for g in comp.gens)
+        tally["adjoined"] += mc.contact_index in preferred
+    completion = "maximal contact requires a completion-level coordinate change"
+    assert min(tally.values()) >= 5 and tally[completion] >= 100, tally
+
+
+def test_line_value_sees_only_primitive_directions(monkeypatch):
+    """k*v (k >= 2) screens as v, which the sweep met before it and refused,
+    so it counts as a failed screen without a line value: on the corpora
+    and on random pairs no non-primitive direction reaches ``_line_value``,
+    although the sweep yields many."""
+    screened, swept = [], []
+    line_value, sweep = coeff._line_value, coeff._direction_candidates
+    monkeypatch.setattr(coeff, "_line_value",
+                        lambda f, b, vec, *rest: screened.append(vec) or line_value(f, b, vec, *rest))
+    monkeypatch.setattr(coeff, "_direction_candidates",
+                        lambda *args: (swept.append(vec) or vec for vec in sweep(*args)))
+    for _, problem in corpus_problems():
+        _contact_outcome(run, problem, "invariant")
+    for seed in range(100):
+        _contact_outcome(find_maximal_contact, *random_contact_case(seed))
+    assert screened and all(math.gcd(*vec) == 1 for vec in screened)
+    assert sum(math.gcd(*vec) > 1 for vec in swept) >= 100
 
 
 def witness_probe_reference(witness: Polynomial, pivot: int):
